@@ -189,7 +189,7 @@ fn main() {
         if let Some(f) = fault_schedule(&job.params["fault"], duration) {
             spec = spec.with_faults(f);
         }
-        let res = run_ble(&spec.with_par(opts.par));
+        let res = run_ble(&spec);
         let currents = node_currents(&res.metrics, adv, elapsed_s);
         let mut jr = to_job_result(&res, &[]);
         jr.metric(

@@ -104,7 +104,7 @@ fn main() {
                 .with_timeline_cap(timeline_cap)
                 .with_supervision_timeout(ms(sup))
                 .with_faults(crash_schedule(v, end_s));
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     let mut summary_rows = Vec::new();

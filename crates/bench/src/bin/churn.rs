@@ -95,7 +95,7 @@ fn main() {
                 Duration::from_secs(10),
             ));
         }
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     let mut summary_rows = Vec::new();

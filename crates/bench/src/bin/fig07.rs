@@ -46,7 +46,7 @@ fn main() {
         };
         let spec =
             ExperimentSpec::paper_default(topo, policy, job.seed).with_duration(duration);
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     let mut rtt_rows: Vec<String> = Vec::new();

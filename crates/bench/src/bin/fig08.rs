@@ -46,7 +46,7 @@ fn main() {
             job.seed,
         )
         .with_duration(duration);
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     println!("\nFig 8(a): producer 1 s ±0.5 s, connection interval sweep");
@@ -107,7 +107,7 @@ fn main() {
         )
         .with_duration(duration)
         .with_producer_interval(Duration::from_millis(ms));
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     println!("\nFig 8(b): connection interval 75 ms, producer interval sweep");

@@ -44,7 +44,7 @@ fn main() {
                 )
                 .with_duration(duration)
                 .with_producer_interval(Duration::from_millis(100));
-                to_job_result(&run_ble(&spec.with_par(opts.par)), &producers)
+                to_job_result(&run_ble(&spec), &producers)
             }
             _ => {
                 let spec = ExperimentSpec::paper_default(
@@ -53,7 +53,7 @@ fn main() {
                     job.seed,
                 )
                 .with_duration(duration);
-                to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+                to_job_result(&run_ble(&spec), &[])
             }
         }
     });

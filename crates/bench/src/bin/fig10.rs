@@ -33,7 +33,7 @@ fn main() {
             opts.seed,
         )
         .with_duration(duration);
-        let res = run_ble(&spec.with_par(opts.par));
+        let res = run_ble(&spec);
         report(
             &format!("BLE, connection interval {ms}ms"),
             &res.records,

@@ -37,7 +37,7 @@ fn main() {
         )
         .with_duration(duration)
         .with_clock_ppm(6.0);
-        let res = run_ble(&spec.with_par(opts.par));
+        let res = run_ble(&spec);
         let dip = res
             .records
             .links

@@ -42,7 +42,7 @@ fn main() {
             let spec = ExperimentSpec::paper_default(topo, policy, opts.seed)
                 .with_duration(duration)
                 .with_clock_ppm(3.0);
-            let res = run_ble(&spec.with_par(opts.par));
+            let res = run_ble(&spec);
             let r = &res.records;
             let rtt = r.rtt_sorted_secs();
             let q = |p: f64| stats::quantile(&rtt, p).unwrap_or(f64::NAN);

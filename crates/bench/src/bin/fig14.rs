@@ -67,7 +67,7 @@ fn main() {
         let spec = ExperimentSpec::paper_default(Topology::paper_tree(), policy, job.seed)
             .with_duration(duration)
             .with_clock_ppm(5.0);
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     println!(

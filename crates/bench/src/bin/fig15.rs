@@ -61,7 +61,7 @@ fn main() {
             .with_duration(duration)
             .with_producer_interval(Duration::from_millis(prod))
             .with_clock_ppm(5.0);
-        to_job_result(&run_ble(&spec.with_par(opts.par)), &[])
+        to_job_result(&run_ble(&spec), &[])
     });
 
     let mut rows = Vec::new();

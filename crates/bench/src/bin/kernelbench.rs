@@ -54,9 +54,6 @@ struct Args {
     check: Option<PathBuf>,
     floor: f64,
     label: String,
-    /// Thread count for the `*-par` workload twins (conservative
-    /// parallel executor; the serial twins always run at 1).
-    par: usize,
 }
 
 fn parse_args() -> Args {
@@ -70,7 +67,6 @@ fn parse_args() -> Args {
         check: None,
         floor: CHECK_FLOOR,
         label: "HEAD".to_string(),
-        par: 2,
     };
     let mut args = std::env::args().skip(1);
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -91,13 +87,9 @@ fn parse_args() -> Args {
                 assert!(a.floor > 0.0 && a.floor <= 1.0, "--floor must be in (0, 1]");
             }
             "--label" => a.label = next(&mut args, "--label"),
-            "--par" => {
-                a.par = next(&mut args, "--par").parse().expect("--par: threads");
-                assert!(a.par >= 2, "--par needs >= 2 (serial twins always run)");
-            }
             other => panic!(
                 "unknown argument {other} (expected --full/--quick/--seed/--reps/--json/\
-                 --as-baseline/--baseline/--check/--floor/--label/--par)"
+                 --as-baseline/--baseline/--check/--floor/--label)"
             ),
         }
     }
@@ -121,14 +113,6 @@ struct Measurement {
     /// regressions — an O(n²) structure sneaking back in — show here
     /// before they show in wall time.
     peak_rss_kb: u64,
-    /// Executor threads (1 = serial loop).
-    par: usize,
-    /// Fraction of kernel events executed inside parallel batches
-    /// (`ParStats::par_fraction`; `None` for serial runs). The Amdahl
-    /// bound on this workload's achievable speedup.
-    par_fraction: Option<f64>,
-    /// Serial twin's name for `*-par` workloads (speedup denominator).
-    seq_twin: Option<&'static str>,
 }
 
 impl Measurement {
@@ -190,50 +174,29 @@ fn measure(args: &Args) -> Vec<Measurement> {
         args.seed,
     )
     .with_duration(mesh_duration);
-    // `*-par` twins rerun a serial workload on the conservative
-    // parallel executor: same spec, same seed, same event stream —
-    // only the wall clock (and the executor counters) may differ.
-    let workloads: Vec<(&'static str, ExperimentSpec, Option<&'static str>)> = vec![
-        ("fig07-tree", tree_spec.clone(), None),
-        ("fig07-line", line_spec, None),
-        ("n500-geo", mesh_spec.clone(), None),
-        ("fig07-tree-par", tree_spec.with_par(args.par), Some("fig07-tree")),
-        ("n500-geo-par", mesh_spec.with_par(args.par), Some("n500-geo")),
+    let workloads = [
+        ("fig07-tree", tree_spec),
+        ("fig07-line", line_spec),
+        ("n500-geo", mesh_spec),
     ];
     let mut out: Vec<Measurement> = Vec::new();
-    for (name, spec, seq_twin) in workloads {
+    for (name, spec) in workloads {
         // Simulated span mirrors run_ble: warmup + measured + 10 s drain.
         let sim_s = (spec.warmup + spec.duration + Duration::from_secs(10)).nanos() as f64 / 1e9;
         let mut events = 0u64;
-        let mut par_fraction = None;
         reset_peak_rss();
         let rss_before = peak_rss_kb();
         let walls = microbench::samples_n(args.reps, || {
             let res = run_ble(&spec);
             events = res.events_processed;
-            par_fraction = res.par_stats.map(|s| s.par_fraction());
         });
         let peak_rss = peak_rss_kb().saturating_sub(rss_before);
-        if let Some(twin) = seq_twin {
-            // The byte-identity contract, observed at the kernel level:
-            // the parallel executor must replay the serial twin's exact
-            // event stream.
-            let twin_events = out.iter().find(|m| m.name == twin).map(|m| m.events);
-            assert_eq!(
-                Some(events),
-                twin_events,
-                "{name}: parallel event count diverged from {twin}"
-            );
-        }
         out.push(Measurement {
             name,
             sim_s,
             events,
             wall_s: walls[0].as_secs_f64(),
             peak_rss_kb: peak_rss,
-            par: spec.par,
-            par_fraction,
-            seq_twin,
         });
     }
     out
@@ -266,41 +229,6 @@ fn print_table(title: &str, ms: &[Measurement]) {
     );
 }
 
-/// Print the seq-vs-par A/B: speedup, per-thread efficiency, and the
-/// Amdahl bound implied by the measured parallel fraction.
-fn print_par_table(ms: &[Measurement]) {
-    let pairs: Vec<(&Measurement, &Measurement)> = ms
-        .iter()
-        .filter_map(|p| {
-            let twin = p.seq_twin?;
-            Some((ms.iter().find(|m| m.name == twin)?, p))
-        })
-        .collect();
-    if pairs.is_empty() {
-        return;
-    }
-    microbench::group("parallel executor (seq vs par)");
-    println!(
-        "{:<16} {:>7} {:>9} {:>12} {:>10} {:>12}",
-        "workload", "threads", "speedup", "efficiency", "par-frac", "amdahl-max"
-    );
-    for (seq, par) in pairs {
-        let speedup = seq.wall_s / par.wall_s;
-        let frac = par.par_fraction.unwrap_or(0.0);
-        // Amdahl bound at this thread count for the measured fraction.
-        let amdahl = 1.0 / ((1.0 - frac) + frac / par.par as f64);
-        println!(
-            "{:<16} {:>7} {:>8.2}x {:>11.1}% {:>9.1}% {:>11.2}x",
-            par.name,
-            par.par,
-            speedup,
-            100.0 * speedup / par.par as f64,
-            100.0 * frac,
-            amdahl
-        );
-    }
-}
-
 fn results_obj(label: &str, ms: &[Measurement]) -> Value {
     let mut workloads = BTreeMap::new();
     for m in ms {
@@ -311,20 +239,6 @@ fn results_obj(label: &str, ms: &[Measurement]) -> Value {
         o.insert("sim_s".into(), Value::Num(m.sim_s));
         o.insert("sim_s_per_wall_s".into(), Value::Num(m.sim_per_wall()));
         o.insert("peak_rss_kb".into(), Value::Num(m.peak_rss_kb as f64));
-        o.insert("par_threads".into(), Value::Num(m.par.max(1) as f64));
-        if let Some(frac) = m.par_fraction {
-            o.insert("par_fraction".into(), Value::Num(frac));
-        }
-        if let Some(twin) = m.seq_twin {
-            if let Some(seq) = ms.iter().find(|s| s.name == twin) {
-                let speedup = seq.wall_s / m.wall_s;
-                o.insert("speedup_vs_serial".into(), Value::Num(speedup));
-                o.insert(
-                    "per_thread_efficiency".into(),
-                    Value::Num(speedup / m.par.max(1) as f64),
-                );
-            }
-        }
         workloads.insert(m.name.to_string(), Value::Obj(o));
     }
     let mut obj = BTreeMap::new();
@@ -375,7 +289,6 @@ fn main() -> ExitCode {
 
     let measured = measure(&args);
     print_table("measured (best-of reps)", &measured);
-    print_par_table(&measured);
 
     // ---- CI regression gate --------------------------------------------
     if let Some(path) = &args.check {

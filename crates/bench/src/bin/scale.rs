@@ -56,7 +56,7 @@ fn main() {
         let mesh = MeshTopology::random_geometric(n, side_m(n), job.seed);
         let links = mesh.links.len();
         let spec = ExperimentSpec::mesh_default(mesh, policy, job.seed).with_duration(duration);
-        let res = run_ble(&spec.with_par(opts.par));
+        let res = run_ble(&spec);
         let mut jr = to_job_result(&res, &[]);
         // Deterministic extras the generic flattening doesn't carry:
         // the event count (the same-seed invariant `--jobs` must not

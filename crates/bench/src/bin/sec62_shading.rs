@@ -49,7 +49,7 @@ fn main() {
     )
     .with_duration(duration)
     .with_clock_ppm(3.0);
-    let res = run_ble(&spec.with_par(opts.par));
+    let res = run_ble(&spec);
     // Expected: mean |Δppm| of two independent U(−3,3) draws = 2 ppm.
     let per_h = analysis::network_shading_events_per_hour(Duration::from_millis(75), 2.0, 14);
     let expected = per_h * hours as f64;

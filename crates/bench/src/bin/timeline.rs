@@ -38,7 +38,6 @@ struct Args {
     seed: u64,
     out_dir: PathBuf,
     overlap_ns: u64,
-    par: usize,
 }
 
 fn parse_args() -> Args {
@@ -49,7 +48,6 @@ fn parse_args() -> Args {
         seed: 42,
         out_dir: PathBuf::from("results"),
         overlap_ns: 3_000_000,
-        par: 1,
     };
     let mut args = std::env::args().skip(1);
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
@@ -67,9 +65,8 @@ fn parse_args() -> Args {
                 let us: u64 = next(&mut args, "--overlap-us").parse().expect("--overlap-us: µs");
                 a.overlap_ns = us * 1000;
             }
-            "--par" => a.par = next(&mut args, "--par").parse().expect("--par: threads"),
             other => panic!(
-                "unknown argument {other} (expected --demo/--load/--full/--quick/--seed/--out/--overlap-us/--par)"
+                "unknown argument {other} (expected --demo/--load/--full/--quick/--seed/--out/--overlap-us)"
             ),
         }
     }
@@ -112,7 +109,7 @@ fn demo(args: &Args) -> TimelineData {
     .with_duration(Duration::from_secs(minutes * 60))
     .with_clock_ppm(DEMO_PPM)
     .with_timeline_cap(1 << 20);
-    let res = run_ble(&spec.with_par(args.par));
+    let res = run_ble(&spec);
     println!(
         "run done: CoAP PDR {:.4}, {} connection losses, {} skipped events",
         res.records.coap_pdr(),

@@ -50,11 +50,6 @@ pub struct Opts {
     pub dash: Option<u16>,
     /// Repaint a terminal status frame while the fleet runs.
     pub tui: bool,
-    /// Worker threads for the conservative parallel executor inside
-    /// each run (`<= 1` = serial loop). Orthogonal to `jobs`/`fleet`:
-    /// those parallelize *across* runs, `par` parallelizes *within*
-    /// one world. Artifacts are byte-identical at any value.
-    pub par: usize,
 }
 
 impl Opts {
@@ -69,7 +64,6 @@ impl Opts {
         let mut fleet_worker = None;
         let mut dash = None;
         let mut tui = false;
-        let mut par = 1usize;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -108,15 +102,9 @@ impl Opts {
                     );
                 }
                 "--tui" => tui = true,
-                "--par" => {
-                    par = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--par needs a thread count");
-                }
                 other => panic!(
                     "unknown argument {other} (expected --full/--quick/--seed/--out/--jobs/--fresh/\
-                     --fleet/--fleet-worker/--dash/--tui/--par)"
+                     --fleet/--fleet-worker/--dash/--tui)"
                 ),
             }
         }
@@ -130,7 +118,6 @@ impl Opts {
             fleet_worker,
             dash,
             tui,
-            par,
         }
     }
 

@@ -21,7 +21,7 @@
 use mindgap_adv::{AdvConfig, AdvLink, AdvObsEvent, AdvOut, AdvSendError, AdvTimer};
 use mindgap_ble::{
     ConnId, ConnParams, Frame, LinkLayer, ListenTag, LlConfig, LlObsEvent, LossReason, Output,
-    Role, Timer, TimerKind,
+    Role, Timer,
 };
 use mindgap_chaos::{labels, FaultKind, FaultSchedule, FOREVER_NS};
 use mindgap_coap::{Client, Code, Message, MsgType, Server};
@@ -32,9 +32,8 @@ use mindgap_net::{
 };
 use mindgap_obs::{AdvMetrics, MetricsSnapshot, Obs, PeerMetrics, Span};
 use mindgap_peers::{PeerAction, PeerConfig, PeerCounters, PeerManager};
-use mindgap_par::{partition_topology, LinkTiming, Lookahead, ParStats, Partition, WorkerPool};
 use mindgap_phy::{
-    airtime, Channel, LossConfig, Medium, MediumConfig, Mobility, MobilityModel, PathLossConfig,
+    Channel, LossConfig, Medium, MediumConfig, Mobility, MobilityModel, PathLossConfig,
     RxOutcome, TxId, TxParams, BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
 };
 use mindgap_sim::{
@@ -255,135 +254,13 @@ impl WorldConfig {
 /// CoapSweep, faults, PeersTick, MobilityTick — sort ahead of every
 /// node-homed event at the same instant). With this, same-instant
 /// ties across *different* nodes fire in node order — a property of
-/// the event content, not of insertion history — which is exactly the
-/// order the parallel executor's barrier replay reconstructs
+/// the event content, not of insertion history — so artifacts do not
+/// depend on the order in which handlers happened to schedule work
 /// (DESIGN.md §13).
 #[inline]
 fn node_key(node: NodeId) -> u32 {
     node.0 as u32 + 1
 }
-
-/// Parallel-executor state: the topology partition, derived window
-/// sizes, and run counters (DESIGN.md §13).
-struct ParExec {
-    /// Worker threads for the compute phase.
-    threads: usize,
-    /// Persistent compute workers (`threads - 1` parked threads; the
-    /// main thread works the batch alongside them). Spawning per
-    /// batch via `std::thread::scope` costs more than a batch
-    /// computes — see `par::pool`.
-    pool: WorkerPool,
-    /// Node → shard assignment over the radio adjacency.
-    partition: Partition,
-    /// Derived window sizes (barrier spacing + conservative batch
-    /// span bound).
-    lookahead: Lookahead,
-    stats: ParStats,
-    /// Batch-membership stamps (`stamp[node] == epoch` ⇒ node already
-    /// holds a slot in the current batch). Epoch bumping replaces
-    /// per-batch clearing.
-    stamp: Vec<u64>,
-    epoch: u64,
-    /// Last lookahead-window index entered (for window accounting).
-    last_window: u64,
-    /// Reused batch buffer.
-    batch_scratch: Vec<BatchItem>,
-}
-
-/// One pre-popped batch member: the queue coordinates that fix its
-/// canonical apply position, plus the classified event.
-#[derive(Clone, Copy)]
-struct BatchItem {
-    at: Instant,
-    key: u32,
-    seq: u64,
-    ev: ParEv,
-}
-
-/// The parallel-safe event class: timer events whose handler runs
-/// against one node's own link/adv-layer state and whose outputs
-/// touch only that node and the shared apply-phase structures. The
-/// conn data-path timers qualify (their handlers never emit
-/// `ConnUp`/`ConnDown` or cancel another node's timers); Supervision
-/// is excluded because its timeout path tears connections down, and
-/// the legacy advertising/scanning timers are excluded because
-/// connection establishment crosses nodes. All adv-transport timers
-/// qualify — flooding couples nodes only through frames, and frames
-/// travel through the sequential apply phase.
-#[derive(Clone, Copy)]
-enum ParEv {
-    Ll(NodeId, Timer),
-    Adv(NodeId, AdvTimer),
-}
-
-impl ParEv {
-    #[inline]
-    fn node(&self) -> NodeId {
-        match self {
-            ParEv::Ll(n, _) | ParEv::Adv(n, _) => *n,
-        }
-    }
-}
-
-/// Classify an event for the parallel compute phase. `None` means the
-/// event must execute serially.
-#[inline]
-fn par_safe(ev: &Ev) -> Option<ParEv> {
-    match ev {
-        Ev::LlTimer(n, t) => match t.kind {
-            TimerKind::EventPrep(_)
-            | TimerKind::EventStart(_)
-            | TimerKind::ListenStart(_)
-            | TimerKind::ListenEnd(_)
-            | TimerKind::ReplyWait(_)
-            | TimerKind::Continue(_) => Some(ParEv::Ll(*n, *t)),
-            TimerKind::Supervision(_)
-            | TimerKind::AdvEvent
-            | TimerKind::AdvStep(_)
-            | TimerKind::ScanStart
-            | TimerKind::ScanEnd
-            | TimerKind::SendConnectInd => None,
-        },
-        Ev::AdvTimer(n, t) => Some(ParEv::Adv(*n, *t)),
-        _ => None,
-    }
-}
-
-/// Handler outputs produced by a parallel compute phase, applied
-/// later in canonical order.
-enum ComputedOuts {
-    Ll(Vec<Output>),
-    Adv(Vec<AdvOut>),
-}
-
-/// Run one batch member's handler against its own node. This is the
-/// only code that runs on worker threads; everything it can reach
-/// lives inside `node`.
-fn par_compute(node: &mut BleNode, at: Instant, ev: ParEv) -> ComputedOuts {
-    match ev {
-        ParEv::Ll(_, timer) => {
-            let mut outs = Vec::new();
-            node.ll.on_timer(at, timer, &mut outs);
-            ComputedOuts::Ll(outs)
-        }
-        ParEv::Adv(_, timer) => {
-            let mut outs = Vec::new();
-            if let Some(adv) = node.adv.as_mut() {
-                adv.on_timer(at, timer, &mut outs);
-            }
-            ComputedOuts::Adv(outs)
-        }
-    }
-}
-
-/// Largest parallel batch (events per compute phase).
-const MAX_BATCH: usize = 1024;
-
-/// Smallest batch worth handing to the worker pool. Below this the
-/// per-dispatch synchronization (one lock + condvar wake + barrier)
-/// exceeds the handlers' compute time, so the batch is computed
-/// inline — same canonical order, no threads.
-const PAR_DISPATCH_MIN: usize = 16;
 
 /// Events in the world's queue.
 enum Ev {
@@ -579,9 +456,8 @@ pub struct World {
     /// `(initiator, slot)` (see [`World::alloc_conn`]), so the id a
     /// connection gets depends only on how many connections *its
     /// initiator* opened before it — not on the global interleaving
-    /// of connection attempts across nodes. The parallel executor
-    /// relies on this: ids stay byte-identical however windows
-    /// reorder independent nodes' work.
+    /// of connection attempts across nodes, so ids (and every artifact
+    /// that names them) survive changes to unrelated nodes' timing.
     next_conn: Vec<u32>,
     /// Both endpoints (and the §6.3 doomed flag) of every connection
     /// ever initiated, indexed `[initiator][slot]`.
@@ -635,10 +511,6 @@ pub struct World {
     /// `None` on the paper's static data path: the hot loop carries
     /// no cost beyond this check.
     peers_world: Option<Box<PeersState>>,
-    /// Parallel-executor state (`--par N`); `None` = serial event
-    /// loop, the default. See [`World::set_parallel`] and DESIGN.md
-    /// §13.
-    par: Option<Box<ParExec>>,
 }
 
 /// One allocated connection: its endpoints plus the §6.3
@@ -870,7 +742,6 @@ impl World {
             adv_m,
             peer_m,
             peers_world,
-            par: None,
             cfg,
             node_cfgs,
         };
@@ -1042,7 +913,7 @@ impl World {
     /// high/low halves of the `u64`, so the id depends only on the
     /// initiator's own connection history — two nodes opening
     /// connections "at the same time" get the same ids no matter
-    /// which one the executor happens to run first. (The `+ 1` keeps
+    /// which one the event loop happens to run first. (The `+ 1` keeps
     /// world-assigned ids disjoint from the hand-rolled small ids
     /// unit tests construct.)
     fn alloc_conn(&mut self, node: NodeId, peer: NodeId) -> ConnId {
@@ -1229,300 +1100,11 @@ impl World {
     /// Run the simulation until `t`.
     pub fn run_until(&mut self, t: Instant) {
         self.start();
-        if self.par.is_some() {
-            self.run_until_par(t);
-            return;
-        }
         while let Some(next) = self.queue.peek_time() {
             if next > t {
                 break;
             }
             self.step();
-        }
-    }
-
-    /// Enable the conservative parallel executor with `threads` worker
-    /// threads (`<= 1` restores the serial loop). Builds the topology
-    /// partition over the current radio adjacency and derives the
-    /// lookahead windows from the configured transports. Artifacts are
-    /// byte-identical to the serial run at any thread count — see
-    /// DESIGN.md §13 for the argument. Under mobility the partition is
-    /// a snapshot of the initial geometry; correctness never depends
-    /// on it (only thread assignment and cut statistics do).
-    pub fn set_parallel(&mut self, threads: usize) {
-        let n = self.nodes.len();
-        if threads <= 1 || n == 0 {
-            self.par = None;
-            return;
-        }
-        let mut adj: Vec<Vec<u16>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let (a, b) = (NodeId(i as u16), NodeId(j as u16));
-                if self.medium.hears(a, b) || self.medium.hears(b, a) {
-                    adj[i].push(j as u16);
-                    adj[j].push(i as u16);
-                }
-            }
-        }
-        let partition = partition_topology(&adj, threads, self.cfg.seed);
-        let min_conn_interval = match self.cfg.policy {
-            IntervalPolicy::Static(d) => Some(d),
-            IntervalPolicy::Randomized { lo, .. } => Some(lo),
-        };
-        let adv_train_spacing = match &self.cfg.transport {
-            TransportMode::Adv(_) => Some(
-                airtime::T_IFS + airtime::ble_adv_ext_1m(Frame::ADV_DATA_OVERHEAD as u32),
-            ),
-            TransportMode::Conn => None,
-        };
-        // The conservative floor: the shortest frame any transport
-        // can put on the air (an empty data PDU on the 2M PHY beats
-        // every advertising PDU).
-        let min_frame_air = airtime::ble_data_2m(0)
-            .min(airtime::ble_data_1m(0))
-            .min(airtime::ble_adv_1m(0))
-            .min(airtime::ble_adv_ext_1m(Frame::ADV_DATA_OVERHEAD as u32));
-        let lookahead = Lookahead::derive(LinkTiming {
-            min_conn_interval,
-            adv_train_spacing,
-            min_frame_air,
-        });
-        self.par = Some(Box::new(ParExec {
-            threads,
-            pool: WorkerPool::new(threads - 1),
-            partition,
-            lookahead,
-            stats: ParStats {
-                threads,
-                ..ParStats::default()
-            },
-            stamp: vec![0; n],
-            epoch: 0,
-            last_window: u64::MAX,
-            batch_scratch: Vec::new(),
-        }));
-    }
-
-    /// Execution counters of the parallel run so far (`None` in
-    /// serial mode).
-    pub fn par_stats(&self) -> Option<ParStats> {
-        self.par.as_ref().map(|p| p.stats.clone())
-    }
-
-    /// The active topology partition (`None` in serial mode).
-    pub fn par_partition(&self) -> Option<&Partition> {
-        self.par.as_ref().map(|p| &p.partition)
-    }
-
-    /// The parallel event loop: serial single-stepping for unsafe
-    /// head events, batched parallel compute for contiguous runs of
-    /// parallel-safe events (see [`World::run_batch`]).
-    fn run_until_par(&mut self, t: Instant) {
-        loop {
-            let head = match self.queue.peek_entry() {
-                None => return,
-                Some((at, _, _, _)) if at > t => return,
-                Some((_, _, _, ev)) => par_safe(ev).is_some(),
-            };
-            if head {
-                self.run_batch(t);
-            } else {
-                self.step();
-                if let Some(p) = self.par.as_mut() {
-                    p.stats.seq_events += 1;
-                }
-            }
-        }
-    }
-
-    /// Collect and execute one parallel batch.
-    ///
-    /// Collection pops a *contiguous* run of parallel-safe head
-    /// events — at most one per node, all at or before `t`, spanning
-    /// strictly less than one minimum frame airtime. The span bound
-    /// is what makes pre-computing sound: any transmission an earlier
-    /// member's application starts needs at least one minimum
-    /// airtime to complete, so no cross-node delivery (`TxEnd`) can
-    /// sort before the batch's last member. Handlers then run on one
-    /// thread per shard (they touch only their own node), and the
-    /// produced outputs are applied on this thread in exactly the
-    /// canonical `(time, key, seq)` order, splicing in any offspring
-    /// events that sort between members. Every artifact byte is
-    /// emitted from the apply phase, in the same order the serial
-    /// loop would emit it.
-    fn run_batch(&mut self, t: Instant) {
-        let mut par = self.par.take().expect("run_batch requires parallel mode");
-        par.epoch += 1;
-        let span = par.lookahead.conservative;
-        let mut batch = std::mem::take(&mut par.batch_scratch);
-        batch.clear();
-        let mut first_at: Option<Instant> = None;
-        loop {
-            let admit = match self.queue.peek_entry() {
-                None => None,
-                Some((at, _, _, _)) if at > t => None,
-                Some((at, _, _, ev)) => par_safe(ev).filter(|pe| {
-                    let f = first_at.unwrap_or(at);
-                    at.saturating_since(f) < span
-                        && par.stamp[pe.node().index()] != par.epoch
-                }),
-            };
-            let Some(pe) = admit else { break };
-            let (at, key, seq, _) = self.queue.pop_detached().expect("peeked head");
-            par.stamp[pe.node().index()] = par.epoch;
-            first_at.get_or_insert(at);
-            batch.push(BatchItem { at, key, seq, ev: pe });
-            if batch.len() >= MAX_BATCH {
-                break;
-            }
-        }
-        let Some(first) = first_at else {
-            // Head changed class between peeks — cannot happen, but
-            // degrade gracefully rather than loop.
-            self.par = Some(par);
-            self.step();
-            return;
-        };
-        // Window accounting: count each lookahead window we enter.
-        let w = first.nanos() / par.lookahead.window.nanos().max(1);
-        if w != par.last_window {
-            par.last_window = w;
-            par.stats.windows += 1;
-        }
-        if batch.len() == 1 {
-            // Singleton: the compute phase would only add overhead.
-            let item = batch[0];
-            self.queue.advance_now(item.at);
-            self.exec_par_event_serial(item.at, item.ev);
-            par.stats.seq_events += 1;
-        } else {
-            let mut results = self.compute_batch(&par, &batch);
-            for (i, item) in batch.iter().enumerate() {
-                // Splice offspring that sort canonically before this
-                // member: the serial loop would have run them first.
-                loop {
-                    let splice = match self.queue.peek_entry() {
-                        Some((a, k, s, ev)) => {
-                            let before = (a, k, s) < (item.at, item.key, item.seq);
-                            debug_assert!(
-                                !(before && matches!(ev, Ev::TxEnd(_))),
-                                "span bound violated: TxEnd inside a batch"
-                            );
-                            before
-                        }
-                        None => false,
-                    };
-                    if !splice {
-                        break;
-                    }
-                    self.step();
-                    par.stats.seq_events += 1;
-                    par.stats.spliced_events += 1;
-                }
-                self.queue.advance_now(item.at);
-                self.events += 1;
-                match results[i].take().expect("every member was computed") {
-                    ComputedOuts::Ll(mut outs) => {
-                        self.apply_ll(item.ev.node(), &mut outs);
-                        self.put_out(outs);
-                    }
-                    ComputedOuts::Adv(outs) => self.apply_adv(item.ev.node(), outs),
-                }
-            }
-            par.stats.batches += 1;
-            par.stats.batched_events += batch.len() as u64;
-            par.stats.max_batch = par.stats.max_batch.max(batch.len());
-        }
-        par.batch_scratch = batch;
-        self.par = Some(par);
-    }
-
-    /// Run the batch's handlers. Small batches compute inline (the
-    /// dispatch synchronization would dominate); larger ones run one
-    /// pool task per shard with work. Each task gets disjoint `&mut`
-    /// node references — one event per node is a collection
-    /// invariant — and the pool's barrier keeps the borrows scoped.
-    fn compute_batch(&mut self, par: &ParExec, batch: &[BatchItem]) -> Vec<Option<ComputedOuts>> {
-        let threads = par.threads.max(1);
-        let mut results: Vec<Option<ComputedOuts>> = batch.iter().map(|_| None).collect();
-        if batch.len() < PAR_DISPATCH_MIN || threads == 1 {
-            for (i, item) in batch.iter().enumerate() {
-                let node = &mut self.nodes[item.ev.node().index()];
-                results[i] = Some(par_compute(node, item.at, item.ev));
-            }
-            return results;
-        }
-        // node index → batch index, sorted for a two-pointer sweep
-        // over `nodes.iter_mut()`.
-        let mut lookup: Vec<(usize, usize)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, item)| (item.ev.node().index(), i))
-            .collect();
-        lookup.sort_unstable();
-        let mut work: Vec<Vec<(usize, Instant, ParEv, &mut BleNode)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        let mut li = 0;
-        for (ni, node) in self.nodes.iter_mut().enumerate() {
-            if li >= lookup.len() {
-                break;
-            }
-            if lookup[li].0 == ni {
-                let i = lookup[li].1;
-                li += 1;
-                let item = &batch[i];
-                let shard = par.partition.shard_of[ni] as usize;
-                work[shard % threads].push((i, item.at, item.ev, node));
-            }
-        }
-        let lists: Vec<Vec<(usize, Instant, ParEv, &mut BleNode)>> =
-            work.into_iter().filter(|w| !w.is_empty()).collect();
-        if lists.len() <= 1 {
-            for (i, at, ev, node) in lists.into_iter().flatten() {
-                results[i] = Some(par_compute(node, at, ev));
-            }
-            return results;
-        }
-        let mut parts: Vec<Vec<(usize, ComputedOuts)>> =
-            lists.iter().map(|l| Vec::with_capacity(l.len())).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = lists
-            .into_iter()
-            .zip(parts.iter_mut())
-            .map(|(list, part)| {
-                let f: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    for (i, at, ev, node) in list {
-                        part.push((i, par_compute(node, at, ev)));
-                    }
-                });
-                f
-            })
-            .collect();
-        par.pool.run(tasks);
-        for (i, outs) in parts.into_iter().flatten() {
-            results[i] = Some(outs);
-        }
-        results
-    }
-
-    /// Serial execution of a classified event (singleton batches):
-    /// identical to the matching [`World::step`] arms.
-    fn exec_par_event_serial(&mut self, now: Instant, ev: ParEv) {
-        self.events += 1;
-        match ev {
-            ParEv::Ll(node, timer) => {
-                let mut outs = self.take_out();
-                self.nodes[node.index()].ll.on_timer(now, timer, &mut outs);
-                self.apply_ll(node, &mut outs);
-                self.put_out(outs);
-            }
-            ParEv::Adv(node, timer) => {
-                let mut outs = Vec::new();
-                if let Some(adv) = self.nodes[node.index()].adv.as_mut() {
-                    adv.on_timer(now, timer, &mut outs);
-                }
-                self.apply_adv(node, outs);
-            }
         }
     }
 

@@ -142,10 +142,10 @@ impl GilbertElliott {
 /// Giving every directed link a private RNG (forked purely from the
 /// model seed and the link endpoints) makes each link's verdict
 /// sequence a function of how many frames crossed *that link*, not of
-/// the global interleaving of frames across links. This is what lets
-/// the parallel executor reorder independent transmissions across
-/// partitions without perturbing any draw (DESIGN.md §13) — and it is
-/// a saner model besides: one link's traffic no longer changes
+/// the global interleaving of frames across links: a change in one
+/// part of the network (a new producer, a reordered same-instant
+/// transmission) perturbs no other link's draws (DESIGN.md §13). It
+/// is a saner model besides: one link's traffic no longer changes
 /// another link's burst pattern.
 #[derive(Debug, Clone)]
 struct LinkState {
@@ -602,8 +602,7 @@ mod tests {
 
     #[test]
     fn draw_sequence_is_per_link_not_global() {
-        // The hazard the parallel executor would otherwise hit: the
-        // verdict sequence on one link must not depend on how frames
+        // The verdict sequence on one link must not depend on how frames
         // on *other* links interleave with it. Run link (0,1) alone,
         // then again with heavy unrelated traffic interspersed — the
         // (0,1) verdicts must match draw for draw.

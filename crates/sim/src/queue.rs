@@ -7,9 +7,9 @@
 //! them the order degenerates to the classic "same instant fires in
 //! insertion order" contract. Keyed scheduling
 //! ([`schedule_at_keyed`]) lets the kernel impose a *content-derived*
-//! tie order (e.g. home-node id) that is identical no matter which
-//! execution path inserted the events — the foundation of the
-//! parallel executor's byte-identity guarantee (DESIGN.md §13).
+//! tie order (e.g. home-node id) that is identical no matter in
+//! which order the handlers inserted the events, so same-instant work
+//! on different nodes runs in a fixed, content-derived order.
 //!
 //! [`schedule_at`]: EventQueue::schedule_at
 //! [`schedule_in`]: EventQueue::schedule_in
@@ -315,99 +315,6 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|e| Instant::from_nanos(e.at))
     }
 
-    /// Timestamp *and canonical key* of the next live event without
-    /// popping it. The parallel executor uses this to size safe
-    /// windows without disturbing the queue.
-    #[inline]
-    pub fn next_event_at(&self) -> Option<(Instant, u32)> {
-        self.heap.first().map(|e| (Instant::from_nanos(e.at), e.key))
-    }
-
-    /// Full ordering coordinates *and payload* of the next live event
-    /// without popping it: `(time, key, seq, &payload)`. The parallel
-    /// executor classifies the head with this before deciding whether
-    /// to pull it into a batch.
-    #[inline]
-    pub fn peek_entry(&self) -> Option<(Instant, u32, u64, &E)> {
-        // The head is live by invariant (see `purge_dead_head`), so
-        // its payload slot is occupied.
-        self.heap.first().map(|e| {
-            let payload = self.payloads[e.slot as usize]
-                .as_ref()
-                .expect("live head has a payload");
-            (Instant::from_nanos(e.at), e.key, e.seq, payload)
-        })
-    }
-
-    /// Pop the next live event *without advancing `now`*, returning
-    /// its full ordering coordinates `(time, key, seq, payload)`. The
-    /// parallel executor pre-pops a batch with this and advances the
-    /// clock per event (via [`advance_now`]) while replaying the
-    /// batch's applications in canonical order — `now` must track the
-    /// event being applied, not the last one popped.
-    ///
-    /// [`advance_now`]: EventQueue::advance_now
-    pub fn pop_detached(&mut self) -> Option<(Instant, u32, u64, E)> {
-        loop {
-            let entry = self.heap_pop()?;
-            if !self.is_live(&entry) {
-                self.stale -= 1;
-                continue;
-            }
-            let payload = self.payloads[entry.slot as usize]
-                .take()
-                .expect("live entry has a payload");
-            self.retire_slot(entry.slot);
-            self.purge_dead_head();
-            let at = Instant::from_nanos(entry.at);
-            debug_assert!(at >= self.now, "time went backwards");
-            return Some((at, entry.key, entry.seq, payload));
-        }
-    }
-
-    /// Pop the next live event only if it fires strictly before
-    /// `horizon`; otherwise leave the queue untouched and return
-    /// `None`. Advances `now` exactly like [`pop`] when it yields.
-    ///
-    /// [`pop`]: EventQueue::pop
-    pub fn pop_before(&mut self, horizon: Instant) -> Option<(Instant, u32, E)> {
-        let head = self.heap.first()?;
-        if Instant::from_nanos(head.at) >= horizon {
-            return None;
-        }
-        let key = head.key;
-        // Head is live by invariant, so this pop yields it.
-        let (at, payload) = self.pop().expect("live head below horizon");
-        Some((at, key, payload))
-    }
-
-    /// Drain every live event firing strictly before `horizon` into
-    /// `out` as `(time, key, payload)` triples, in full `(time, key,
-    /// seq)` order. Advances `now` to the last drained event's
-    /// timestamp (or leaves it untouched when nothing drains) and
-    /// returns the number of events drained. Bounded: touches only
-    /// the entries it yields plus any dead heads in the way — the
-    /// rest of the heap is left intact, and cancel stays O(1).
-    pub fn drain_until(&mut self, horizon: Instant, out: &mut Vec<(Instant, u32, E)>) -> usize {
-        let before = out.len();
-        while let Some(item) = self.pop_before(horizon) {
-            out.push(item);
-        }
-        out.len() - before
-    }
-
-    /// Force the clock to `at` without popping anything. The parallel
-    /// executor uses this to restore `now` after replaying a window's
-    /// events through shard-local queues. Must not move time
-    /// backwards or past the next pending event.
-    pub fn advance_now(&mut self, at: Instant) {
-        debug_assert!(at >= self.now, "advance_now would move time backwards");
-        if let Some(head) = self.peek_time() {
-            debug_assert!(at <= head, "advance_now would skip pending events");
-        }
-        self.now = self.now.max(at);
-    }
-
     /// Number of entries in the heap, *including* dead ones awaiting
     /// removal or compaction.
     pub fn raw_len(&self) -> usize {
@@ -583,114 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn next_event_at_reports_head_time_and_key() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.next_event_at(), None);
-        q.schedule_at_keyed(Instant::from_millis(4), 11, "later");
-        let tok = q.schedule_at_keyed(Instant::from_millis(2), 5, "head");
-        assert_eq!(q.next_event_at(), Some((Instant::from_millis(2), 5)));
-        q.cancel(tok);
-        // Dead head purged: the report must reflect the live head.
-        assert_eq!(q.next_event_at(), Some((Instant::from_millis(4), 11)));
-    }
-
-    #[test]
-    fn peek_entry_exposes_coordinates_and_payload() {
-        let mut q = EventQueue::new();
-        assert!(q.peek_entry().is_none());
-        q.schedule_at_keyed(Instant::from_millis(8), 3, "later");
-        let tok = q.schedule_at_keyed(Instant::from_millis(2), 7, "head");
-        let (at, key, _, payload) = q.peek_entry().unwrap();
-        assert_eq!((at, key, *payload), (Instant::from_millis(2), 7, "head"));
-        q.cancel(tok);
-        // Dead head purged: the peek must reflect the live head.
-        let (at, key, _, payload) = q.peek_entry().unwrap();
-        assert_eq!((at, key, *payload), (Instant::from_millis(8), 3, "later"));
-        // Peeking never advances time or disturbs the queue.
-        assert_eq!(q.now(), Instant::ZERO);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("later"));
-    }
-
-    #[test]
-    fn pop_detached_leaves_now_for_caller_to_advance() {
-        let mut q = EventQueue::new();
-        q.schedule_at_keyed(Instant::from_millis(5), 2, "b");
-        q.schedule_at_keyed(Instant::from_millis(5), 1, "a");
-        let (at, key, seq_a, e) = q.pop_detached().unwrap();
-        assert_eq!((at, key, e), (Instant::from_millis(5), 1, "a"));
-        assert_eq!(q.now(), Instant::ZERO, "pop_detached must not move the clock");
-        let (at_b, key_b, seq_b, e) = q.pop_detached().unwrap();
-        assert_eq!(e, "b");
-        // (time, key, seq) tuples expose the total order for splice
-        // compares — pop order, not insertion order.
-        assert!((at, key, seq_a) < (at_b, key_b, seq_b));
-        // The caller replays the clock explicitly.
-        q.advance_now(Instant::from_millis(5));
-        assert_eq!(q.now(), Instant::from_millis(5));
-    }
-
-    #[test]
-    fn pop_detached_skips_cancelled_entries() {
-        let mut q = EventQueue::new();
-        let dead = q.schedule_at(Instant::from_millis(1), "dead");
-        q.schedule_at(Instant::from_millis(2), "alive");
-        q.cancel(dead);
-        assert_eq!(q.pop_detached().map(|(_, _, _, e)| e), Some("alive"));
-        assert!(q.pop_detached().is_none());
-    }
-
-    #[test]
-    fn pop_before_respects_exclusive_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Instant::from_millis(10), "at");
-        q.schedule_at(Instant::from_millis(5), "in");
-        assert_eq!(
-            q.pop_before(Instant::from_millis(10)).map(|(_, _, e)| e),
-            Some("in")
-        );
-        // Exactly-at-horizon stays queued.
-        assert_eq!(q.pop_before(Instant::from_millis(10)), None);
-        assert_eq!(q.peek_time(), Some(Instant::from_millis(10)));
-    }
-
-    #[test]
-    fn drain_until_yields_window_in_canonical_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at_keyed(Instant::from_millis(3), 2, "t3k2");
-        q.schedule_at_keyed(Instant::from_millis(1), 9, "t1k9");
-        q.schedule_at_keyed(Instant::from_millis(3), 1, "t3k1");
-        q.schedule_at_keyed(Instant::from_millis(7), 0, "t7");
-        let mut out = Vec::new();
-        let n = q.drain_until(Instant::from_millis(7), &mut out);
-        assert_eq!(n, 3);
-        let tags: Vec<_> = out.iter().map(|(_, _, e)| *e).collect();
-        assert_eq!(tags, vec!["t1k9", "t3k1", "t3k2"]);
-        assert_eq!(out[0].1, 9, "key rides along with the payload");
-        assert_eq!(q.now(), Instant::from_millis(3));
-        // The horizon event is untouched.
-        assert_eq!(q.pop().map(|(_, e)| e), Some("t7"));
-    }
-
-    #[test]
-    fn drain_until_empty_window_leaves_now_untouched() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Instant::from_millis(50), ());
-        let mut out = Vec::new();
-        assert_eq!(q.drain_until(Instant::from_millis(10), &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(q.now(), Instant::ZERO);
-    }
-
-    #[test]
-    fn advance_now_moves_clock_without_popping() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Instant::from_millis(20), "later");
-        q.advance_now(Instant::from_millis(15));
-        assert_eq!(q.now(), Instant::from_millis(15));
-        assert_eq!(q.pop().map(|(t, _)| t), Some(Instant::from_millis(20)));
-    }
-
-    #[test]
     fn generation_reuse_stress_under_windowed_draining() {
         // Deterministic schedule/cancel/drain churn: thousands of
         // slot reuses interleaved with window drains must never let a
@@ -738,13 +537,12 @@ mod tests {
                 // Drain a window.
                 _ => {
                     let horizon = Instant::from_nanos(t + 200 + rand() % 600);
-                    let mut out = Vec::new();
-                    q.drain_until(horizon, &mut out);
-                    for (_, _, id) in &out {
-                        popped.push(*id);
+                    while q.peek_time().is_some_and(|at| at < horizon) {
+                        let (_, id) = q.pop().expect("peeked head");
+                        popped.push(id);
                         let i = live
                             .iter()
-                            .position(|(l, _)| l == id)
+                            .position(|(l, _)| *l == id)
                             .expect("drained event was live");
                         let (_, tok) = live.swap_remove(i);
                         assert!(!q.token_is_live(tok), "drained token must be dead");

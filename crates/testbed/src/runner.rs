@@ -84,8 +84,10 @@ pub struct ExperimentSpec {
     /// the world cold and lets discovery + policy form the connection
     /// graph; `None` keeps statconn's static edges.
     pub peers: Option<PeersSpec>,
-    /// Parallel-executor worker threads (BLE only; `<= 1` = serial).
-    /// Artifacts are byte-identical at any value (DESIGN.md §13).
+    /// Inert: nothing reads it, and every run uses the one serial
+    /// event loop. It stays only because the external `perfbench`
+    /// crate asserts `spec.par <= 1` (`perfbench/src/workload.rs:188`),
+    /// and that crate is frozen.
     pub par: usize,
 }
 
@@ -152,13 +154,6 @@ impl ExperimentSpec {
     /// Override the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Run on the conservative parallel executor with `par` worker
-    /// threads (`<= 1` keeps the serial loop; BLE only).
-    pub fn with_par(mut self, par: usize) -> Self {
-        self.par = par;
         self
     }
 
@@ -270,10 +265,11 @@ pub struct ExperimentResult {
     pub convergence_s: Option<f64>,
     /// Label for tables ("tree static 75ms" …).
     pub label: String,
-    /// Parallel-executor counters when the run used `par > 1`
-    /// (`None` for serial and IEEE runs). Diagnostic only — never
-    /// serialized into artifacts, so it cannot perturb byte-identity.
-    pub par_stats: Option<mindgap_par::ParStats>,
+    /// Inert: the type cannot hold a value, so this is always `None`.
+    /// It stays only because the external `perfbench` crate builds
+    /// this struct with `par_stats: None`
+    /// (`perfbench/src/workload.rs:332`), and that crate is frozen.
+    pub par_stats: Option<std::convert::Infallible>,
 }
 
 /// Run a BLE experiment.
@@ -353,9 +349,6 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
     }
     let peers_mode = spec.peers.is_some();
     let mut world = World::new(cfg, node_cfgs, app);
-    if spec.par > 1 {
-        world.set_parallel(spec.par);
-    }
     if let Some(m) = &spec.mesh {
         if !peers_mode {
             // Distance-induced PER from the log-distance model, on top
@@ -426,7 +419,6 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
     let trace_dropped = world.trace.dropped();
     warn_trace_dropped(&label, trace_dropped);
     let events_processed = world.events_processed();
-    let par_stats = world.par_stats();
     let metrics = world.obs_snapshot();
     let timeline = std::mem::take(&mut world.obs.timeline);
     let recovery = mindgap_chaos::recovery::analyze(&timeline);
@@ -445,7 +437,7 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         convergence_s,
         label,
         records,
-        par_stats,
+        par_stats: None,
     }
 }
 
