@@ -286,7 +286,7 @@ pub enum Output {
         /// Connection id.
         conn: ConnId,
     },
-    /// Diagnostic event for the trace bus.
+    /// Control-plane diagnostic, counted by the host's `Trace`.
     Trace {
         /// Machine-readable tag.
         tag: &'static str,

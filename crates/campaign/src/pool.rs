@@ -209,16 +209,7 @@ where
                 finished += 1;
                 let job = &campaign.jobs[job_idx];
                 let status = match outcome {
-                    Ok(result) => {
-                        if result.trace_dropped > 0 {
-                            eprintln!(
-                                "[campaign {}] warning: job {} dropped {} trace events \
-                                 (bounded trace bus overflowed)",
-                                campaign.name, job.id, result.trace_dropped
-                            );
-                        }
-                        JobStatus::Done(result)
-                    }
+                    Ok(result) => JobStatus::Done(result),
                     Err(e) => {
                         eprintln!("[campaign {}] job {} FAILED: {e}", campaign.name, job.id);
                         JobStatus::Failed(e)

@@ -14,7 +14,7 @@ use mindgap_coap::{Client, Code, Message, MsgType, Server};
 use mindgap_dot15d4::{MacConfig, MacCounters, MacFrame, MacOutput, MacTimer, Radio802154, MAX_MAC_PAYLOAD};
 use mindgap_net::{Ipv6Addr, Ipv6Stack, NetConfig, StackEvent};
 use mindgap_phy::{Channel, LossConfig, Medium, MediumConfig, TxId, TxParams};
-use mindgap_sim::{Duration, EventQueue, Instant, NodeId, Rng, Trace, TraceKind};
+use mindgap_sim::{Duration, EventQueue, Instant, NodeId, Rng, Trace};
 use mindgap_sixlowpan::{frag, iphc, LinkContext, LlAddr};
 
 use crate::records::Records;
@@ -84,7 +84,7 @@ pub struct IeeeWorld {
     next_tx: u64,
     channel: Channel,
     records: Records,
-    /// Structured trace.
+    /// Control-plane event counter (`trace_dropped` in results).
     pub trace: Trace,
     app: AppConfig,
     started: bool,
@@ -134,7 +134,7 @@ impl IeeeWorld {
             next_tx: 0,
             channel,
             records: Records::new(cfg.record_bucket),
-            trace: Trace::control_plane(1 << 20),
+            trace: Trace::default(),
             app,
             started: false,
             events: 0,
@@ -290,7 +290,7 @@ impl IeeeWorld {
                 MacOutput::TxOk => {}
                 MacOutput::TxFailed { reason } => {
                     self.records.drop(reason);
-                    self.trace.emit(now, node, TraceKind::Link, reason, 0);
+                    self.trace.emit();
                 }
             }
         }

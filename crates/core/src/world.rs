@@ -37,7 +37,7 @@ use mindgap_phy::{
     RxOutcome, TxId, TxParams, BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
 };
 use mindgap_sim::{
-    Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace, TraceKind,
+    Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace,
 };
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
@@ -465,7 +465,7 @@ pub struct World {
     /// LL maximum payload (mirrors the LlConfig).
     max_pdu: usize,
     records: Records,
-    /// Structured trace (control-plane categories by default).
+    /// Control-plane event counter (`trace_dropped` in results).
     pub trace: Trace,
     /// Observability: layered metrics registry + event timeline
     /// (see `mindgap-obs` and DESIGN.md §8).
@@ -727,7 +727,7 @@ impl World {
             conn_ends: vec![Vec::new(); n],
             max_pdu: cfg.ll.max_pdu,
             records: Records::new(cfg.record_bucket),
-            trace: Trace::control_plane(1 << 20),
+            trace: Trace::default(),
             obs,
             app,
             echo_replies: Vec::new(),
@@ -1593,7 +1593,7 @@ impl World {
                             .timeline
                             .record(now, node, Span::EventSkipped { conn: detail });
                     }
-                    self.trace.emit(now, node, TraceKind::Link, tag, detail);
+                    self.trace.emit();
                 }
                 Output::Obs(ev) => self.obs_ll_event(now, node, ev),
                 Output::AdvSighting { advertiser } => {
@@ -1622,13 +1622,7 @@ impl World {
             self.obs
                 .timeline
                 .record(now, node, Span::Discovery { peer: advertiser });
-            self.trace.emit(
-                now,
-                node,
-                TraceKind::ConnMgr,
-                "peer_discovered",
-                advertiser.0 as u64,
-            );
+            self.trace.emit();
         }
     }
 
@@ -1685,8 +1679,7 @@ impl World {
                         node,
                         Span::PeerAttempt { conn: conn.0, peer },
                     );
-                    self.trace
-                        .emit(now, node, TraceKind::ConnMgr, "peer_attempt", peer.0 as u64);
+                    self.trace.emit();
                     let mut outs = self.take_out();
                     self.nodes[node.index()]
                         .ll
@@ -1711,18 +1704,11 @@ impl World {
                             .timeline
                             .record(now, node, Span::PeerRotation { peer });
                     }
-                    self.trace.emit(
-                        now,
-                        node,
-                        TraceKind::ConnMgr,
-                        "peer_attempt_timeout",
-                        peer.0 as u64,
-                    );
+                    self.trace.emit();
                 }
                 PeerAction::Close { conn } => {
                     let conn = ConnId(conn);
-                    self.trace
-                        .emit(now, node, TraceKind::ConnMgr, "peer_refuse", conn.0);
+                    self.trace.emit();
                     self.set_doomed(conn);
                     self.close_both(conn);
                 }
@@ -1814,20 +1800,13 @@ impl World {
                     self.handle_sdu(node, src, sdu);
                 }
                 AdvOut::NeighborUp { peer } => {
-                    self.trace
-                        .emit(now, node, TraceKind::Link, "adv_neighbor_up", peer.0 as u64);
+                    self.trace.emit();
                     self.obs
                         .timeline
                         .record(now, node, Span::NeighborUp { peer });
                 }
                 AdvOut::NeighborDown { peer } => {
-                    self.trace.emit(
-                        now,
-                        node,
-                        TraceKind::Link,
-                        "adv_neighbor_down",
-                        peer.0 as u64,
-                    );
+                    self.trace.emit();
                     self.obs
                         .timeline
                         .record(now, node, Span::NeighborDown { peer });
@@ -1905,8 +1884,7 @@ impl World {
             self.put_out(outs);
             return;
         }
-        self.trace
-            .emit(now, node, TraceKind::ConnMgr, "conn_up", conn.0);
+        self.trace.emit();
         let interval = self.nodes[node.index()]
             .ll
             .conn_interval(conn)
@@ -1976,8 +1954,7 @@ impl World {
         // would otherwise sit until their deadline — for supervision
         // timers, potentially seconds of dead weight per churn).
         self.cancel_conn_timers(node, conn);
-        self.trace
-            .emit(now, node, TraceKind::ConnMgr, "conn_down", conn.0);
+        self.trace.emit();
         self.obs.reg.inc(self.obs.m.ll_conn_lost, node);
         if reason == LossReason::SupervisionTimeout {
             self.obs.reg.inc(self.obs.m.ll_supervision_timeouts, node);
@@ -2064,8 +2041,7 @@ impl World {
                     self.put_out(outs);
                 }
                 ScAction::Close { conn } => {
-                    self.trace
-                        .emit(now, node, TraceKind::ConnMgr, "collision_close", conn.0);
+                    self.trace.emit();
                     self.set_doomed(conn);
                     self.close_both(conn);
                 }
@@ -2169,7 +2145,7 @@ impl World {
     /// recovery analysis keys off).
     fn record_fault(&mut self, now: Instant, node: NodeId, label: &'static str, a: u64, b: u64) {
         self.obs.timeline.record(now, node, Span::Fault { label, a, b });
-        self.trace.emit(now, node, TraceKind::ConnMgr, label, a);
+        self.trace.emit();
     }
 
     /// Schedule the clearing event unless the fault is permanent.
@@ -2623,7 +2599,6 @@ impl World {
     }
 
     fn handle_stack_events(&mut self, node: NodeId, events: Vec<StackEvent>) {
-        let now = self.queue.now();
         for ev in events {
             match ev {
                 StackEvent::DeliverUdp {
@@ -2649,7 +2624,6 @@ impl World {
                 }
                 StackEvent::Dropped { reason } => {
                     self.records.drop(reason);
-                    self.trace.emit(now, node, TraceKind::Net, reason, 0);
                 }
             }
         }
@@ -2794,13 +2768,7 @@ impl World {
             Ok(()) => {}
             Err(AdvSendError::QueueFull) => {
                 self.records.drop("adv_queue_full");
-                self.trace.emit(
-                    self.queue.now(),
-                    node,
-                    TraceKind::Buffer,
-                    "adv_queue_full",
-                    0,
-                );
+                self.trace.emit();
             }
             Err(AdvSendError::TooBig) => {
                 self.records.drop("adv_too_big");
@@ -2838,13 +2806,7 @@ impl World {
                     Span::MbufExhausted { conn: conn.0 },
                 );
                 self.records.drop("mbuf_exhausted");
-                self.trace.emit(
-                    self.queue.now(),
-                    node,
-                    TraceKind::Buffer,
-                    "mbuf_exhausted",
-                    0,
-                );
+                self.trace.emit();
             }
         }
     }
@@ -2863,7 +2825,6 @@ impl World {
         };
         self.obs.reg.inc(self.obs.m.coap_req_tx, node);
         self.records.coap_sent(node, now);
-        self.trace.emit(now, node, TraceKind::App, "coap_req", 0);
         let bytes = msg.encode();
         self.send_udp(node, consumer, COAP_PORT, COAP_PORT, &bytes);
         // Schedule the next request with fresh jitter.

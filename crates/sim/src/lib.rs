@@ -22,8 +22,9 @@
 //!   implementation (public-domain algorithm) instead of depending on
 //!   the `rand` crate in the kernel so that simulation results can never
 //!   change under us due to an upstream algorithm swap.
-//! * [`Trace`] — a lightweight structured trace bus replacing the
-//!   paper's STDIO event logging (§4.2 of the paper).
+//! * [`Trace`] — a control-plane event counter that stores no records;
+//!   the paper's STDIO event logging (§4.2) maps onto the obs timeline
+//!   and counters (`mindgap-obs`) instead.
 //!
 //! The kernel deliberately knows nothing about radios, packets or
 //! protocols; higher crates define their own event enums and drive the
@@ -32,7 +33,7 @@
 //! ## Determinism contract
 //!
 //! Running the same simulation twice with the same master seed produces
-//! identical event sequences, metrics and traces. Everything stochastic
+//! identical event sequences, metrics and timelines. Everything stochastic
 //! derives from [`Rng`] streams forked from the master seed via
 //! [`Rng::fork`].
 //!
@@ -76,7 +77,7 @@ pub use pool::BytePool;
 pub use queue::{EventQueue, ScheduledEvent};
 pub use rng::Rng;
 pub use time::{Duration, Instant};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{Trace, TRACE_BUDGET};
 
 /// Identifies a simulated node (board) in the testbed.
 ///

@@ -44,7 +44,7 @@ pub struct ScheduledEvent {
 }
 
 /// A heap node: ordering key plus the slot holding the payload.
-/// Payloads live in the slot table, not the heap, so a sift moves 24
+/// Payloads live in the slot table, not the heap, so a sift moves 32
 /// bytes regardless of the event type's size.
 struct Entry {
     /// Firing time in nanoseconds (primary key).
@@ -60,6 +60,8 @@ struct Entry {
     slot: u32,
     gen: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 32);
 
 impl Entry {
     #[inline]

@@ -1,243 +1,34 @@
-//! Structured event tracing.
+//! Control-plane event counter.
 //!
 //! The paper's experiment framework dumps protocol events to each
-//! node's STDIO and reconstructs network state offline (§4.2). In the
-//! simulation we can do better: a [`Trace`] collects typed records with
-//! global timestamps. Metrics modules consume the trace after a run;
-//! tests assert on it; examples pretty-print it.
-//!
-//! Tracing is designed to be cheap enough to leave enabled: each record
-//! is a small plain struct, and categories can be disabled wholesale so
-//! a 24 h simulated run does not accumulate gigabytes of packet events.
+//! node's STDIO and reconstructs network state offline (§4.2), within a
+//! bounded STDIO capacity. The simulation keeps only the part of that
+//! bookkeeping an artifact reads: how many control-plane events (link
+//! layer, connection manager, buffer accounting) a run emitted beyond
+//! the record budget. No records are stored — the obs timeline and
+//! counters (`mindgap-obs`) carry the events themselves.
 
-use std::collections::HashMap;
+/// Record budget of a [`Trace`]: emits beyond it count as dropped.
+pub const TRACE_BUDGET: u64 = 1 << 20;
 
-use crate::{Instant, NodeId};
-
-/// Category of a trace record. Mirrors the layers of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceKind {
-    /// BLE link layer: connection open/close/loss, event skip, etc.
-    Link,
-    /// Radio medium: transmissions, collisions, jamming.
-    Phy,
-    /// IPv6 / forwarding decisions.
-    Net,
-    /// Application layer (CoAP requests/responses).
-    App,
-    /// Connection manager (statconn) actions.
-    ConnMgr,
-    /// Buffer accounting (drops, occupancy highwater).
-    Buffer,
-}
-
-/// One trace record.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Global simulation time of the event.
-    pub at: Instant,
-    /// Node the event happened on.
-    pub node: NodeId,
-    /// Layer that emitted the event.
-    pub kind: TraceKind,
-    /// Short machine-readable tag, e.g. `"conn_lost"`.
-    pub tag: &'static str,
-    /// Free-form detail (peer id, channel number, byte counts …).
-    pub detail: u64,
-}
-
-/// In-memory trace bus with per-category enable switches.
-#[derive(Debug)]
+/// Counts control-plane emits; stores nothing.
+#[derive(Debug, Default)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
-    enabled: [bool; 6],
-    dropped: u64,
-    capacity: usize,
-    /// Per-tag record count, maintained on emit, so `count_tag` (and
-    /// the metrics passes built on it) are O(1) lookups instead of
-    /// full-trace scans. Counts stored records only — dropped ones
-    /// are invisible here just as they are in `events`.
-    counts: HashMap<&'static str, usize>,
-}
-
-fn kind_idx(kind: TraceKind) -> usize {
-    match kind {
-        TraceKind::Link => 0,
-        TraceKind::Phy => 1,
-        TraceKind::Net => 2,
-        TraceKind::App => 3,
-        TraceKind::ConnMgr => 4,
-        TraceKind::Buffer => 5,
-    }
+    emitted: u64,
 }
 
 impl Trace {
-    /// A trace with all categories enabled and the given record budget.
-    /// Once full, further records are counted but not stored — the
-    /// equivalent of the paper's care to stay within the IoT-lab STDIO
-    /// capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Trace {
-            events: Vec::new(),
-            enabled: [true; 6],
-            dropped: 0,
-            capacity,
-            counts: HashMap::new(),
-        }
-    }
-
-    /// A trace that records control-plane events (link, connection
-    /// manager, buffers) but not per-packet PHY/NET/APP events. The
-    /// right default for long experiments.
-    pub fn control_plane(capacity: usize) -> Self {
-        let mut t = Trace::with_capacity(capacity);
-        t.set_enabled(TraceKind::Phy, false);
-        t.set_enabled(TraceKind::Net, false);
-        t.set_enabled(TraceKind::App, false);
-        t
-    }
-
-    /// Enable or disable a category.
-    pub fn set_enabled(&mut self, kind: TraceKind, on: bool) {
-        self.enabled[kind_idx(kind)] = on;
-    }
-
-    /// `true` if records of `kind` are being stored.
-    pub fn is_enabled(&self, kind: TraceKind) -> bool {
-        self.enabled[kind_idx(kind)]
-    }
-
-    /// Record an event (if its category is enabled and space remains).
+    /// Count one control-plane event. Callers emit for link-layer,
+    /// connection-manager and buffer events only; `trace_dropped` in
+    /// existing artifacts was counted over exactly that set.
     #[inline]
-    pub fn emit(&mut self, at: Instant, node: NodeId, kind: TraceKind, tag: &'static str, detail: u64) {
-        if !self.enabled[kind_idx(kind)] {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        *self.counts.entry(tag).or_insert(0) += 1;
-        self.events.push(TraceEvent {
-            at,
-            node,
-            kind,
-            tag,
-            detail,
-        });
+    pub fn emit(&mut self) {
+        self.emitted += 1;
     }
 
-    /// All stored records in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Records matching a tag.
-    pub fn with_tag<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.tag == tag)
-    }
-
-    /// Count of records matching a tag. O(1): served from the per-tag
-    /// counter map maintained on emit.
-    pub fn count_tag(&self, tag: &str) -> usize {
-        self.counts.get(tag).copied().unwrap_or(0)
-    }
-
-    /// Number of records discarded because the budget was exhausted.
+    /// Emits beyond the [`TRACE_BUDGET`] — the `trace_dropped`
+    /// artifact field.
     pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Discard all stored records (budget and tag counters reset too).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-        self.counts.clear();
-    }
-}
-
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::with_capacity(1 << 20)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(trace: &mut Trace, ms: u64, tag: &'static str) {
-        trace.emit(Instant::from_millis(ms), NodeId(1), TraceKind::Link, tag, 0);
-    }
-
-    #[test]
-    fn records_and_filters() {
-        let mut t = Trace::with_capacity(16);
-        ev(&mut t, 1, "conn_open");
-        ev(&mut t, 2, "conn_lost");
-        ev(&mut t, 3, "conn_open");
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.count_tag("conn_open"), 2);
-        assert_eq!(t.with_tag("conn_lost").count(), 1);
-    }
-
-    #[test]
-    fn capacity_enforced() {
-        let mut t = Trace::with_capacity(2);
-        ev(&mut t, 1, "a");
-        ev(&mut t, 2, "b");
-        ev(&mut t, 3, "c");
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 1);
-    }
-
-    #[test]
-    fn disabled_category_is_skipped() {
-        let mut t = Trace::with_capacity(16);
-        t.set_enabled(TraceKind::Phy, false);
-        t.emit(Instant::ZERO, NodeId(0), TraceKind::Phy, "tx", 0);
-        t.emit(Instant::ZERO, NodeId(0), TraceKind::Link, "ok", 0);
-        assert_eq!(t.events().len(), 1);
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn control_plane_preset() {
-        let t = Trace::control_plane(8);
-        assert!(t.is_enabled(TraceKind::Link));
-        assert!(t.is_enabled(TraceKind::ConnMgr));
-        assert!(!t.is_enabled(TraceKind::Phy));
-        assert!(!t.is_enabled(TraceKind::App));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = Trace::with_capacity(1);
-        ev(&mut t, 1, "a");
-        ev(&mut t, 2, "b");
-        assert_eq!(t.dropped(), 1);
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.count_tag("a"), 0, "tag counters reset on clear");
-        ev(&mut t, 3, "c");
-        assert_eq!(t.events().len(), 1);
-        assert_eq!(t.count_tag("c"), 1);
-    }
-
-    #[test]
-    fn count_tag_tracks_stored_records_only() {
-        let mut t = Trace::with_capacity(2);
-        t.set_enabled(TraceKind::Phy, false);
-        ev(&mut t, 1, "a");
-        ev(&mut t, 2, "a");
-        ev(&mut t, 3, "a"); // over budget: dropped, not counted
-        t.emit(Instant::ZERO, NodeId(0), TraceKind::Phy, "a", 0); // disabled
-        assert_eq!(t.count_tag("a"), 2);
-        assert_eq!(t.count_tag("absent"), 0);
-        assert_eq!(
-            t.count_tag("a"),
-            t.events().iter().filter(|e| e.tag == "a").count()
-        );
+        self.emitted.saturating_sub(TRACE_BUDGET)
     }
 }
