@@ -15,16 +15,14 @@
 //!   (`--dash <port>` HTTP dashboard, `--tui` terminal frame) — see
 //!   [`run_campaign`] and the `mindgap-fleet` crate.
 //!
-//! Micro/meso benchmarks live in `benches/` (self-hosted harness, see
-//! [`microbench`]).
+//! Performance is measured by the separate `perfbench` package at the
+//! repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
 use std::path::PathBuf;
-
-pub mod microbench;
 
 /// Common command-line options.
 #[derive(Debug, Clone)]

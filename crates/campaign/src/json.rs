@@ -273,11 +273,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape. Both are
+                // ASCII, so the run ends on a char boundary and only its
+                // own bytes are validated.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -313,6 +316,15 @@ mod tests {
         roundtrip(&Value::Num(-1.25e-9));
         roundtrip(&Value::Num(1e300));
         roundtrip(&Value::Str("he\"llo\n\\ wörld \u{1}".into()));
+    }
+
+    #[test]
+    fn raw_multibyte_strings_parse() {
+        for s in ["é", "🙂", "a é b 🙂 c", "🙂\"x\\é", "plain ascii"] {
+            roundtrip(&Value::Str(s.into()));
+        }
+        let v = Value::parse("{\"é🙂\":\"🙂é x\"}").unwrap();
+        assert_eq!(v.as_obj().unwrap()["é🙂"], Value::Str("🙂é x".into()));
     }
 
     #[test]

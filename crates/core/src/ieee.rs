@@ -142,7 +142,7 @@ impl IeeeWorld {
     }
 
     /// Kernel events processed (popped and dispatched) since
-    /// construction — the `kernelbench` throughput denominator.
+    /// construction — the denominator of events-per-second figures.
     pub fn events_processed(&self) -> u64 {
         self.events
     }

@@ -794,7 +794,7 @@ impl World {
     }
 
     /// Kernel events processed (popped and dispatched) since
-    /// construction — the `kernelbench` throughput denominator.
+    /// construction — the denominator of events-per-second figures.
     pub fn events_processed(&self) -> u64 {
         self.events
     }
@@ -1227,6 +1227,11 @@ impl World {
     // Event loop
     // ------------------------------------------------------------------
 
+    // Always inlined into `run_until`: with observability compiled
+    // in, `step` outgrows the inliner's threshold and becomes a call
+    // per event, which cost about 4 % of `tree-1h` throughput
+    // (DESIGN.md §8).
+    #[inline(always)]
     fn step(&mut self) {
         let Some((now, ev)) = self.queue.pop() else {
             return;

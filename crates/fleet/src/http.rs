@@ -103,11 +103,19 @@ fn handle_conn(mut stream: TcpStream, state: &DashState) {
     stream
         .set_read_timeout(Some(Duration::from_millis(500)))
         .ok();
+    // The request may arrive in several segments: read up to the end of
+    // its header, a full buffer, EOF or the read timeout.
     let mut buf = [0u8; 2048];
-    let n = match stream.read(&mut buf) {
-        Ok(n) if n > 0 => n,
-        _ => return,
-    };
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        match stream.read(&mut buf[n..]) {
+            Ok(k) if k > 0 => n += k,
+            _ => break,
+        }
+    }
+    if n == 0 {
+        return;
+    }
     let request = String::from_utf8_lossy(&buf[..n]);
     let path = request
         .lines()
@@ -376,5 +384,26 @@ mod tests {
 
         server.stop();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn split_request_line_is_routed_by_its_path() {
+        let state = Arc::new(DashState {
+            status: Mutex::new(demo_status()),
+            store_dir: std::env::temp_dir(),
+        });
+        let server = HttpServer::start(0, state).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(b"GET ").unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        stream
+            .write_all(b"/status HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        let (head, body) = out.split_once("\r\n\r\n").unwrap();
+        assert!(head.contains("application/json"), "{head}");
+        assert!(body.contains("\"campaign\":\"unit\""));
+        server.stop();
     }
 }

@@ -205,9 +205,9 @@ impl Span {
 pub struct Timeline {
     events: Vec<TimelineEvent>,
     cap: usize,
-    /// Next write position once the ring has wrapped.
+    /// Oldest entry and next write position once the ring is full
+    /// (0 until then).
     next: usize,
-    wrapped: bool,
     overwritten: u64,
 }
 
@@ -219,7 +219,6 @@ impl Timeline {
             events: Vec::with_capacity(cap.min(1 << 20)),
             cap,
             next: 0,
-            wrapped: false,
             overwritten: 0,
         }
     }
@@ -242,8 +241,10 @@ impl Timeline {
                 self.events.push(ev);
             } else {
                 self.events[self.next] = ev;
-                self.next = (self.next + 1) % self.cap;
-                self.wrapped = true;
+                self.next += 1;
+                if self.next == self.cap {
+                    self.next = 0;
+                }
                 self.overwritten += 1;
             }
         }
@@ -271,12 +272,8 @@ impl Timeline {
 
     /// Events in chronological order (oldest surviving entry first).
     pub fn iter(&self) -> impl Iterator<Item = &TimelineEvent> {
-        let (tail, head) = if self.wrapped {
-            self.events.split_at(self.next)
-        } else {
-            self.events.split_at(self.events.len())
-        };
-        head.iter().chain(tail.iter())
+        let (newest, oldest) = self.events.split_at(self.next);
+        oldest.iter().chain(newest.iter())
     }
 
     /// JSONL export: one JSON object per line, fixed key order

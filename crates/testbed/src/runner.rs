@@ -242,7 +242,7 @@ pub struct ExperimentResult {
     /// ([`mindgap_sim::Trace::dropped`]); no records are stored.
     pub trace_dropped: u64,
     /// Kernel events processed over the whole run (warmup + measured
-    /// + drain) — the `kernelbench` throughput denominator.
+    /// + drain) — the denominator of events-per-second figures.
     pub events_processed: u64,
     /// Layered metrics snapshot taken at the end of the run (cumulative
     /// over warmup + measured + drain). Empty for IEEE runs and when
