@@ -165,7 +165,7 @@ fn main() {
         .axis("fault", faults.iter().map(|s| s.to_string()))
         .explicit_seeds(&opts.seeds())
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let transport = job.params["transport"].as_str();
         let adv = transport.starts_with("adv");
         let topo = topology_of(&job.params["topo"]);

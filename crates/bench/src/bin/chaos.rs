@@ -88,7 +88,7 @@ fn main() {
         .axis("conn", conn_intervals_ms.iter().map(u64::to_string))
         .explicit_seeds(&opts.seeds())
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let topo_name = job.params["topo"].as_str();
         let sup: u64 = job.params["sup"].parse().expect("sup axis");
         let conn: u64 = job.params["conn"].parse().expect("conn axis");

@@ -64,7 +64,7 @@ fn main() {
         .axis("churn", churn_events.iter().map(usize::to_string))
         .explicit_seeds(&opts.seeds())
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let mob = job.params["mobility"].as_str();
         let events: usize = job.params["churn"].parse().expect("churn axis");
         let mesh = MeshTopology::random_geometric(n, side_m, job.seed);

@@ -39,7 +39,7 @@ fn main() {
         .axis("topo", ["tree", "line"].iter().map(|s| s.to_string()))
         .explicit_seeds(&[opts.seed])
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let topo = match job.params["topo"].as_str() {
             "line" => Topology::paper_line(),
             _ => Topology::paper_tree(),

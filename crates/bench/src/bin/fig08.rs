@@ -38,7 +38,7 @@ fn main() {
         .axis("conn", conn_ms.iter().map(u64::to_string))
         .explicit_seeds(&[opts.seed])
         .build();
-    let report_a = mindgap_bench::run_campaign(&opts, &campaign_a, |job| {
+    let report_a = mindgap_campaign::run(&campaign_a, &opts.campaign(), |job| {
         let ms: u64 = job.params["conn"].parse().expect("conn axis");
         let spec = ExperimentSpec::paper_default(
             Topology::paper_tree(),
@@ -98,7 +98,7 @@ fn main() {
         .axis("prod", prod_ms.iter().map(u64::to_string))
         .explicit_seeds(&[opts.seed])
         .build();
-    let report_b = mindgap_bench::run_campaign(&opts, &campaign_b, |job| {
+    let report_b = mindgap_campaign::run(&campaign_b, &opts.campaign(), |job| {
         let ms: u64 = job.params["prod"].parse().expect("prod axis");
         let spec = ExperimentSpec::paper_default(
             Topology::paper_tree(),

@@ -34,7 +34,7 @@ fn main() {
         .axis("case", ["high_load", "slow_conn"].iter().map(|s| s.to_string()))
         .explicit_seeds(&[opts.seed])
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         match job.params["case"].as_str() {
             "high_load" => {
                 let spec = ExperimentSpec::paper_default(

@@ -62,7 +62,7 @@ fn main() {
         .axis("conn", configs.iter().map(|(label, _)| label.clone()))
         .explicit_seeds(&opts.seeds())
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let policy = policies[&job.params["conn"]];
         let spec = ExperimentSpec::paper_default(Topology::paper_tree(), policy, job.seed)
             .with_duration(duration)

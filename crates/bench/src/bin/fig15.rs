@@ -54,7 +54,7 @@ fn main() {
         .axis("conn", conn_configs.iter().map(|(label, _)| label.clone()))
         .explicit_seeds(&opts.seeds())
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let prod: u64 = job.params["prod"].parse().expect("prod axis");
         let policy = policies[&job.params["conn"]];
         let spec = ExperimentSpec::paper_default(Topology::paper_tree(), policy, job.seed)

@@ -51,7 +51,7 @@ fn main() {
         .axis("n", sizes.iter().map(|n| n.to_string()))
         .explicit_seeds(&[opts.seed])
         .build();
-    let report = mindgap_bench::run_campaign(&opts, &campaign, |job| {
+    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
         let n: usize = job.params["n"].parse().expect("n axis is numeric");
         let mesh = MeshTopology::random_geometric(n, side_m(n), job.seed);
         let links = mesh.links.len();

@@ -10,10 +10,9 @@
 //! * prints the regenerated rows/series to stdout with the paper's
 //!   reported values alongside,
 //! * writes machine-readable CSV under `results/`,
-//! * and, for campaign-backed binaries, accepts `--fleet <n>` to
-//!   shard the grid across `n` worker processes with a live ops view
-//!   (`--dash <port>` HTTP dashboard, `--tui` terminal frame) — see
-//!   [`run_campaign`] and the `mindgap-fleet` crate.
+//! * and, for campaign-backed binaries, runs the grid on a `--jobs N`
+//!   thread pool that resumes from saved artifacts unless `--fresh`
+//!   (see [`Opts::campaign`]).
 //!
 //! Performance is measured by the separate `perfbench` package at the
 //! repository root.
@@ -38,16 +37,6 @@ pub struct Opts {
     pub jobs: usize,
     /// Ignore existing campaign artifacts instead of resuming.
     pub fresh: bool,
-    /// Worker *processes* to shard the campaign across (0 = run
-    /// in-process with `jobs` threads).
-    pub fleet: usize,
-    /// Set when this process IS a fleet worker (`--fleet-worker w0`):
-    /// claim shards, write artifacts, exit — no CSVs.
-    pub fleet_worker: Option<String>,
-    /// Serve the live dashboard on this loopback port (0 = pick one).
-    pub dash: Option<u16>,
-    /// Repaint a terminal status frame while the fleet runs.
-    pub tui: bool,
 }
 
 impl Opts {
@@ -58,10 +47,6 @@ impl Opts {
         let mut out_dir = PathBuf::from("results");
         let mut jobs = 0usize;
         let mut fresh = false;
-        let mut fleet = 0usize;
-        let mut fleet_worker = None;
-        let mut dash = None;
-        let mut tui = false;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -83,26 +68,8 @@ impl Opts {
                         .expect("--jobs needs a number");
                 }
                 "--fresh" => fresh = true,
-                "--fleet" => {
-                    fleet = args
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--fleet needs a worker count");
-                }
-                "--fleet-worker" => {
-                    fleet_worker = Some(args.next().expect("--fleet-worker needs an id"));
-                }
-                "--dash" => {
-                    dash = Some(
-                        args.next()
-                            .and_then(|s| s.parse().ok())
-                            .expect("--dash needs a port (0 = ephemeral)"),
-                    );
-                }
-                "--tui" => tui = true,
                 other => panic!(
-                    "unknown argument {other} (expected --full/--quick/--seed/--out/--jobs/--fresh/\
-                     --fleet/--fleet-worker/--dash/--tui)"
+                    "unknown argument {other} (expected --full/--quick/--seed/--out/--jobs/--fresh)"
                 ),
             }
         }
@@ -112,10 +79,6 @@ impl Opts {
             out_dir,
             jobs,
             fresh,
-            fleet,
-            fleet_worker,
-            dash,
-            tui,
         }
     }
 
@@ -148,114 +111,6 @@ impl Opts {
     }
 }
 
-/// Run a campaign honouring the process-topology flags: plain
-/// in-process pool by default, shard-claiming worker under
-/// `--fleet-worker <id>` (writes artifacts, never CSVs, then exits),
-/// or fleet supervisor under `--fleet <n>` (spawns `n` re-invocations
-/// of this binary as workers, serves the `--dash`/`--tui` live view,
-/// then merges from the store).
-///
-/// All three topologies produce byte-identical artifacts and CSVs for
-/// the same seed: job bodies are pure functions of the [`Job`], the
-/// store is atomic, and the supervisor's merge pass resumes every job
-/// from its artifact — exactly what `--jobs N` would have written.
-///
-/// [`Job`]: mindgap_campaign::Job
-pub fn run_campaign<F>(
-    opts: &Opts,
-    campaign: &mindgap_campaign::Campaign,
-    body: F,
-) -> mindgap_campaign::CampaignReport
-where
-    F: Fn(&mindgap_campaign::Job) -> mindgap_campaign::JobResult + Send + Sync,
-{
-    let cfg = opts.campaign();
-    if let Some(id) = &opts.fleet_worker {
-        // Worker process: claim jobs until the grid is resolved, then
-        // return a cache-loaded report so binaries that chain several
-        // campaigns (fig08 runs two) keep participating in the later
-        // ones. CSV/stdout reporting stays supervisor-only —
-        // [`write_csv`] is a no-op in worker mode.
-        let shard = mindgap_campaign::ShardConfig {
-            worker: id.clone(),
-            ..mindgap_campaign::ShardConfig::default()
-        };
-        let wr = mindgap_campaign::run_worker(campaign, &cfg, &shard, &body);
-        eprintln!(
-            "[fleet-worker {id}] {}: ran {} job(s), {} failed, {} already done",
-            campaign.name,
-            wr.ran.len(),
-            wr.failed.len(),
-            wr.seen_done
-        );
-        let merge_cfg = mindgap_campaign::RunConfig {
-            resume: true,
-            progress: false,
-            ..cfg
-        };
-        return mindgap_campaign::run(campaign, &merge_cfg, body);
-    }
-    if opts.fleet > 0 {
-        let store = mindgap_campaign::ArtifactStore::new(&cfg.out_root, &campaign.name);
-        if opts.fresh {
-            // `--fresh` is a supervisor-side decision: clear the store
-            // once here, then let workers (and the merge pass) resume
-            // over it.
-            fs::remove_dir_all(store.dir()).ok();
-        }
-        let exe = std::env::current_exe().expect("cannot resolve current executable");
-        let worker_args = fleet_worker_args();
-        let fleet_cfg = mindgap_fleet::FleetConfig {
-            workers: opts.fleet,
-            dash_port: opts.dash,
-            tui: opts.tui,
-            ..mindgap_fleet::FleetConfig::default()
-        };
-        let outcome = mindgap_fleet::supervise(campaign, &cfg, &fleet_cfg, |i| {
-            let mut c = std::process::Command::new(&exe);
-            c.args(&worker_args)
-                .arg("--fleet-worker")
-                .arg(mindgap_fleet::worker_id(i));
-            c
-        })
-        .expect("fleet supervisor failed");
-        if !outcome.all_ok() {
-            eprintln!("[fleet] some workers exited abnormally; merge pass re-runs gaps");
-        }
-        // Merge pass: every artifact is on disk, so this resumes from
-        // cache and emits the same report (and therefore the same
-        // CSVs) as a single-process run. Keep the dashboard serving
-        // until the merge finishes.
-        let merge_cfg = mindgap_campaign::RunConfig {
-            resume: true,
-            ..cfg
-        };
-        let report = mindgap_campaign::run(campaign, &merge_cfg, body);
-        drop(outcome);
-        return report;
-    }
-    mindgap_campaign::run(campaign, &cfg, body)
-}
-
-/// The current invocation's arguments with the fleet-topology flags
-/// stripped, for re-invoking this binary as a worker. `--fresh` is
-/// also stripped (the supervisor clears the store once; workers must
-/// resume over it) and `--dash`/`--tui` stay supervisor-only.
-fn fleet_worker_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--fleet" | "--dash" | "--fleet-worker" => {
-                args.next();
-            }
-            "--tui" | "--fresh" => {}
-            _ => out.push(a),
-        }
-    }
-    out
-}
-
 /// Print a figure banner.
 pub fn banner(id: &str, title: &str, opts: &Opts) {
     println!("================================================================");
@@ -268,13 +123,8 @@ pub fn banner(id: &str, title: &str, opts: &Opts) {
     println!("================================================================");
 }
 
-/// Write a CSV file under the results directory. Fleet worker
-/// processes skip this: only the supervisor's merge pass reports, so
-/// concurrent workers never race on the output files.
+/// Write a CSV file under the results directory.
 pub fn write_csv(opts: &Opts, name: &str, header: &str, rows: &[String]) {
-    if opts.fleet_worker.is_some() {
-        return;
-    }
     let dir = &opts.out_dir;
     if let Err(e) = fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {dir:?}: {e}");

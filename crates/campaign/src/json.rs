@@ -11,7 +11,9 @@
 //!   on this.
 //! * **Total decoding** — the parser returns `Err` on malformed
 //!   input, never panics, so a truncated artifact from an interrupted
-//!   run is detected and the job simply re-runs.
+//!   run is detected and the job simply re-runs. Nesting deeper than
+//!   32 levels is an error too, so a corrupt file cannot overflow
+//!   a worker thread's stack.
 //!
 //! Non-finite floats have no JSON representation; they encode as
 //! `null` and decode back to NaN (the artifact schema only stores
@@ -19,6 +21,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Value::parse`] accepts. Artifacts
+/// nest 3 deep (object → `series` → array); the bound keeps the
+/// recursive parser's stack use small on arbitrary input.
+const MAX_DEPTH: usize = 32;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +95,7 @@ impl Value {
     pub fn parse(input: &str) -> Result<Value, String> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -171,8 +178,11 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}", pos = *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Value::Null),
@@ -188,7 +198,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -213,7 +223,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -294,9 +304,12 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    s.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("bad number `{s}` at offset {start}"))
+    match s.parse::<f64>() {
+        // `Num` is finite: an overflowing literal like `1e999` is an
+        // error, not infinity.
+        Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+        _ => Err(format!("bad number `{s}` at offset {start}")),
+    }
 }
 
 #[cfg(test)]
@@ -357,9 +370,21 @@ mod tests {
     fn malformed_inputs_error_not_panic() {
         for bad in [
             "", "{", "[1,", "\"abc", "{\"a\"1}", "tru", "nul", "1.2.3", "{} x", "[01,]",
+            "1e999",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deeply_nested_input_errors_not_overflows() {
+        let n = 100_000;
+        assert!(Value::parse(&"[".repeat(n)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(n)).is_err());
+        // Well-formed but too deep is rejected too; the limit itself parses.
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
     }
 
     #[test]

@@ -58,14 +58,10 @@ pub mod grid;
 pub mod job;
 pub mod json;
 pub mod pool;
-pub mod shard;
 pub mod store;
-pub mod watch;
 
 pub use agg::{concat_series, sum_metric, summarize, summarize_metric, Summary};
 pub use grid::{Campaign, GridBuilder};
 pub use job::{derive_seed, Job, JobResult};
 pub use pool::{run, CampaignReport, JobStatus, RunConfig};
-pub use shard::{run_worker, Claims, ShardConfig, WorkerReport};
 pub use store::ArtifactStore;
-pub use watch::{Running, SeenJob, StoreWatcher};

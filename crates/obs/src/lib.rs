@@ -68,7 +68,7 @@ pub use metrics::{
     bucket_floor, bucket_of, CounterId, GaugeId, HistId, Layer, MetricDef, MetricKind,
     MetricsRegistry, MetricsSnapshot, SnapEntry, SnapValue, HIST_BUCKETS,
 };
-pub use timeline::{Span, Timeline, TimelineEvent, TimelineSummary};
+pub use timeline::{Span, Timeline, TimelineEvent};
 
 /// Whether observability is compiled in (`false` under the `off`
 /// feature). Lets harnesses skip work that only matters when

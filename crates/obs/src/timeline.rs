@@ -359,114 +359,6 @@ impl Timeline {
     }
 }
 
-/// Compact statistics over a span timeline — the drill-down payload a
-/// dashboard wants before (or instead of) shipping the full JSONL.
-///
-/// Built either from a live [`Timeline`] ([`Timeline::summary`]) or
-/// from a previously exported JSONL document
-/// ([`TimelineSummary::from_jsonl`]), so finished-job artifacts can be
-/// summarized without reconstructing typed spans.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimelineSummary {
-    /// Events summarized.
-    pub events: u64,
-    /// Ring overwrites (0 when summarizing an export, which already
-    /// lost them).
-    pub overwritten: u64,
-    /// Timestamp of the earliest surviving event, ns (`None` when
-    /// empty).
-    pub t_first_ns: Option<u64>,
-    /// Timestamp of the latest event, ns.
-    pub t_last_ns: Option<u64>,
-    /// Distinct nodes that recorded at least one span.
-    pub nodes: u64,
-    /// Span-kind → occurrence count, sorted by kind.
-    pub kinds: std::collections::BTreeMap<String, u64>,
-}
-
-impl TimelineSummary {
-    /// Summarize a JSONL export produced by [`Timeline::to_jsonl`].
-    ///
-    /// Relies only on the export's fixed leading key order
-    /// (`t_ns`, `node`, `kind`); unparsable lines are skipped rather
-    /// than failing the whole summary, so a truncated file still
-    /// yields the statistics of its intact prefix.
-    pub fn from_jsonl(jsonl: &str) -> TimelineSummary {
-        let mut s = TimelineSummary::default();
-        let mut nodes = std::collections::BTreeSet::new();
-        for line in jsonl.lines() {
-            let Some(t_ns) = field_u64(line, "\"t_ns\":") else { continue };
-            let Some(node) = field_u64(line, "\"node\":") else { continue };
-            let Some(kind) = field_str(line, "\"kind\":\"") else { continue };
-            s.events += 1;
-            s.t_first_ns = Some(s.t_first_ns.map_or(t_ns, |t| t.min(t_ns)));
-            s.t_last_ns = Some(s.t_last_ns.map_or(t_ns, |t| t.max(t_ns)));
-            nodes.insert(node);
-            *s.kinds.entry(kind.to_string()).or_default() += 1;
-        }
-        s.nodes = nodes.len() as u64;
-        s
-    }
-
-    /// Deterministic single-line JSON encoding (sorted kind keys) for
-    /// status endpoints.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(128);
-        let _ = write!(
-            out,
-            "{{\"events\":{},\"overwritten\":{},\"t_first_ns\":{},\"t_last_ns\":{},\"nodes\":{},\"kinds\":{{",
-            self.events,
-            self.overwritten,
-            self.t_first_ns.map_or("null".into(), |t| t.to_string()),
-            self.t_last_ns.map_or("null".into(), |t| t.to_string()),
-            self.nodes,
-        );
-        for (i, (k, v)) in self.kinds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &line[line.find(key)? + key.len()..];
-    rest.split('"').next()
-}
-
-impl Timeline {
-    /// Summarize the surviving events (see [`TimelineSummary`]).
-    pub fn summary(&self) -> TimelineSummary {
-        let mut s = TimelineSummary {
-            overwritten: self.overwritten,
-            ..TimelineSummary::default()
-        };
-        let mut nodes = std::collections::BTreeSet::new();
-        for ev in self.iter() {
-            s.events += 1;
-            let t = ev.t.nanos();
-            s.t_first_ns = Some(s.t_first_ns.map_or(t, |x| x.min(t)));
-            s.t_last_ns = Some(s.t_last_ns.map_or(t, |x| x.max(t)));
-            nodes.insert(ev.node.0);
-            *s.kinds.entry(ev.span.kind().to_string()).or_default() += 1;
-        }
-        s.nodes = nodes.len() as u64;
-        s
-    }
-}
-
 fn push_jsonl(s: &mut String, ev: &TimelineEvent) {
     use std::fmt::Write;
     let _ = write!(
@@ -640,49 +532,5 @@ mod tests {
         );
         // CSV has the header plus one row per event.
         assert_eq!(tl.to_csv().lines().count(), 3);
-    }
-
-    #[test]
-    fn summary_matches_between_live_and_jsonl_paths() {
-        let mut tl = Timeline::new(8);
-        tl.record(at(5), NodeId(1), Span::EventSkipped { conn: 1 });
-        tl.record(at(7), NodeId(2), Span::EventSkipped { conn: 1 });
-        tl.record(
-            at(9),
-            NodeId(1),
-            Span::ConnDown {
-                conn: 1,
-                peer: NodeId(2),
-                reason: "supervision_timeout",
-            },
-        );
-        if cfg!(feature = "off") {
-            assert_eq!(tl.summary(), TimelineSummary::default());
-            return;
-        }
-        let live = tl.summary();
-        assert_eq!(live.events, 3);
-        assert_eq!(live.nodes, 2);
-        assert_eq!(live.t_first_ns, Some(5_000_000));
-        assert_eq!(live.t_last_ns, Some(9_000_000));
-        assert_eq!(live.kinds["event_skipped"], 2);
-        assert_eq!(live.kinds["conn_down"], 1);
-        // Exported-JSONL summarization agrees with the live path.
-        assert_eq!(TimelineSummary::from_jsonl(&tl.to_jsonl()), live);
-        // Deterministic JSON encoding for the dashboard.
-        assert_eq!(
-            live.to_json(),
-            "{\"events\":3,\"overwritten\":0,\"t_first_ns\":5000000,\"t_last_ns\":9000000,\
-             \"nodes\":2,\"kinds\":{\"conn_down\":1,\"event_skipped\":2}}"
-        );
-    }
-
-    #[test]
-    fn jsonl_summary_skips_garbage_lines() {
-        let doc = "{\"t_ns\":1,\"node\":0,\"kind\":\"conn_event\"}\nnot json\n\
-                   {\"t_ns\":2,\"node\":0,\"kind\":\"conn_ev";
-        let s = TimelineSummary::from_jsonl(doc);
-        assert_eq!(s.events, 2, "truncated kind still counts, garbage does not");
-        assert_eq!(s.kinds["conn_event"], 1);
     }
 }
