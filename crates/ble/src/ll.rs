@@ -515,11 +515,6 @@ impl LinkLayer {
         self.counters
     }
 
-    /// Booking conflicts observed so far (diagnostic).
-    pub fn sched_conflicts(&self) -> u64 {
-        self.sched.conflicts
-    }
-
     /// Stats of one connection.
     pub fn conn_stats(&self, conn: ConnId) -> Option<ConnStats> {
         find_conn(&self.conns, conn).map(|c| c.stats)
@@ -536,16 +531,6 @@ impl LinkLayer {
     /// Interval of a live connection (local units).
     pub fn conn_interval(&self, conn: ConnId) -> Option<Duration> {
         find_conn(&self.conns, conn).map(|c| c.params.interval)
-    }
-
-    /// `true` while advertising is active.
-    pub fn is_advertising(&self) -> bool {
-        self.adv.is_some()
-    }
-
-    /// `true` while scanning/initiating.
-    pub fn is_scanning(&self) -> bool {
-        self.scan.is_some()
     }
 
     /// Free PDU slots in a connection's transmit queue.

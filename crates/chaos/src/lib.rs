@@ -221,20 +221,6 @@ impl FaultKind {
             FaultKind::MbufPressure { .. } => "mbuf_pressure",
         }
     }
-
-    /// The `fault_`-prefixed label recorded as an injection marker in
-    /// the observability timeline ([`mindgap_obs::Span::Fault`]).
-    pub fn span_label(&self) -> &'static str {
-        match self {
-            FaultKind::NodeCrash { .. } => labels::NODE_CRASH,
-            FaultKind::LinkBlackout { .. } => labels::LINK_BLACKOUT,
-            FaultKind::PerRamp { .. } => labels::PER_RAMP,
-            FaultKind::JammerBurst { .. } => labels::JAMMER_BURST,
-            FaultKind::JammerSweep { .. } => labels::JAMMER_SWEEP,
-            FaultKind::ClockDrift { .. } => labels::CLOCK_DRIFT,
-            FaultKind::MbufPressure { .. } => labels::MBUF_PRESSURE,
-        }
-    }
 }
 
 /// One scheduled fault: *what* happens and *when* (simulated time

@@ -14,10 +14,11 @@
 //!   clocks with drift, the full packet path from a CoAP producer
 //!   through 6LoWPAN/L2CAP/LL to the consumer and back, plus the
 //!   measurement records every experiment consumes.
-//! * [`IeeeWorld`] — the same upper stack over the IEEE 802.15.4
-//!   CSMA/CA MAC (`mindgap-dot15d4`), the paper's §5.3 baseline.
+//!   [`World::new_ieee`] runs the same upper stack over the IEEE
+//!   802.15.4 CSMA/CA MAC (`mindgap-dot15d4`), the paper's §5.3
+//!   baseline, in the same event loop.
 //!
-//! The worlds are deterministic: a master seed fixes every random
+//! The world is deterministic: a master seed fixes every random
 //! draw (clock drift assignment, producer jitter, backoffs,
 //! advertising delays, channel errors).
 
@@ -31,7 +32,7 @@ mod statconn;
 mod world;
 
 
-pub use ieee::{IeeeConfig, IeeeWorld};
+pub use ieee::IeeeConfig;
 pub use mindgap_adv::{AdvConfig, AdvCounters};
 pub use mindgap_net::{LinkService, LinkSignal, TxAdmission};
 pub use mindgap_peers::{PeerConfig, PeerCounters};

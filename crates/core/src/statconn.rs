@@ -111,11 +111,8 @@ pub struct Statconn {
     /// Channel map used for initiated connections (the paper excludes
     /// the jammed channel 22; ablations may pass `ChannelMap::ALL`).
     channel_map: ChannelMap,
-    /// Use NimBLE's literal default supervision timeout (the paper's
-    /// configuration) instead of spec-scaled timeouts.
-    nimble_timeout: bool,
-    /// Explicit supervision timeout overriding both derivations
-    /// (chaos fault grids sweep this knob).
+    /// Explicit supervision timeout overriding NimBLE's default (the
+    /// paper's configuration; chaos fault grids sweep this knob).
     supervision_override: Option<Duration>,
     rng: Rng,
     /// Reconnections performed (diagnostic).
@@ -150,7 +147,6 @@ impl Statconn {
         Statconn {
             node,
             channel_map,
-            nimble_timeout: true,
             supervision_override: None,
             edges: edges
                 .iter()
@@ -178,11 +174,6 @@ impl Statconn {
         self.edges.iter().all(|e| e.conn.is_some())
     }
 
-    /// Number of configured edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Draw an interval per policy, unique among this node's live
     /// connections (coordinator side of §6.3).
     fn draw_interval(&mut self) -> Duration {
@@ -206,12 +197,6 @@ impl Statconn {
         }
     }
 
-    /// Choose spec-scaled supervision timeouts instead of the NimBLE
-    /// default the paper ran with.
-    pub fn set_spec_timeouts(&mut self) {
-        self.nimble_timeout = false;
-    }
-
     /// Force a specific supervision timeout on every connection this
     /// node initiates (must exceed the largest connection interval the
     /// policy can draw — `ConnParams::validate` enforces it).
@@ -222,11 +207,7 @@ impl Statconn {
     fn scan_action(&mut self, idx: usize) -> ScAction {
         let interval = self.draw_interval();
         self.edges[idx].interval = Some(interval);
-        let mut params = if self.nimble_timeout {
-            ConnParams::with_interval_nimble(interval)
-        } else {
-            ConnParams::with_interval(interval)
-        };
+        let mut params = ConnParams::with_interval_nimble(interval);
         if let Some(t) = self.supervision_override {
             params.supervision_timeout = t;
         }
@@ -328,21 +309,6 @@ impl Statconn {
         if let Some(e) = self.edges.iter_mut().find(|e| e.conn == Some(conn)) {
             e.interval = Some(interval);
         }
-    }
-
-    /// Intervals of all live connections (diagnostics / redraw).
-    pub fn live_intervals(&self) -> Vec<Duration> {
-        self.edges
-            .iter()
-            .filter(|e| e.conn.is_some())
-            .filter_map(|e| e.interval)
-            .collect()
-    }
-
-    /// Draw a fresh unique interval per the policy (for update-based
-    /// mitigation).
-    pub fn draw_unique_interval(&mut self) -> Duration {
-        self.draw_interval()
     }
 
     /// The connection id serving `peer`, if up.

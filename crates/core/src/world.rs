@@ -1,10 +1,11 @@
-//! The simulated BLE testbed.
+//! The simulated testbed.
 //!
 //! [`World`] owns everything one experiment needs: the shared radio
 //! medium, one full node stack per board (link layer, L2CAP channel
 //! per connection, NimBLE-sized mbuf pool, 6LoWPAN, IPv6 router, CoAP
 //! endpoints, statconn), the event queue, and the measurement
-//! [`Records`].
+//! [`Records`]. [`World::new_ieee`] swaps the BLE link for the
+//! 802.15.4 baseline (`crate::ieee`) under the same upper stack.
 //!
 //! The data path reproduces the paper's Fig. 2/Fig. 5 stack exactly:
 //!
@@ -25,6 +26,7 @@ use mindgap_ble::{
 };
 use mindgap_chaos::{labels, FaultKind, FaultSchedule, FOREVER_NS};
 use mindgap_coap::{Client, Code, Message, MsgType, Server};
+use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer};
 use mindgap_l2cap::frame::{self as l2frame, Signal, CID_LE_SIGNALING};
 use mindgap_l2cap::{BufPool, CocChannel, CocConfig, NIMBLE_BUF_BYTES};
 use mindgap_net::{
@@ -41,6 +43,7 @@ use mindgap_sim::{
 };
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
+use crate::ieee::{IeeeConfig, IeeeLink, IeeeState};
 use crate::records::Records;
 use crate::rpl::{RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
 use crate::statconn::{EdgeConfig, IntervalPolicy, ScAction, Statconn};
@@ -251,12 +254,12 @@ impl WorldConfig {
 
 /// Canonical queue key for an event homed on `node`: node index + 1
 /// (key 0 is what the unkeyed schedule APIs use, so global events —
-/// CoapSweep, faults, PeersTick, MobilityTick — sort ahead of every
-/// node-homed event at the same instant). With this, same-instant
-/// ties across *different* nodes fire in node order — a property of
-/// the event content, not of insertion history — so artifacts do not
-/// depend on the order in which handlers happened to schedule work
-/// (DESIGN.md §13).
+/// CoapSweep, faults, PeersTick, MobilityTick — and the 802.15.4 MAC
+/// events sort ahead of every node-homed event at the same instant).
+/// With this, same-instant ties across *different* nodes fire in node
+/// order — a property of the event content, not of insertion history
+/// — so artifacts do not depend on the order in which handlers
+/// happened to schedule work (DESIGN.md §13).
 #[inline]
 fn node_key(node: NodeId) -> u32 {
     node.0 as u32 + 1
@@ -288,6 +291,11 @@ enum Ev {
     /// Mobility step: move nodes, re-derive per-link PER from the
     /// new geometry (peers mode with mobility only).
     MobilityTick,
+    /// 802.15.4 MAC timer (802.15.4 worlds only).
+    MacTimer(NodeId, MacTimer),
+    /// End of an 802.15.4 frame; carries its `IeeeState::inflight`
+    /// slot.
+    MacTxEnd(usize),
 }
 
 struct InFlight {
@@ -331,10 +339,6 @@ impl ConnLink {
             pool: BufPool::new(NIMBLE_BUF_BYTES),
             signals: SignalLog::new(LINK_SIGNAL_CAP),
         }
-    }
-
-    fn coc(&self, conn: ConnId) -> Option<&CocState> {
-        self.cocs.iter().find(|(c, _)| *c == conn).map(|(_, s)| s)
     }
 
     fn coc_mut(&mut self, conn: ConnId) -> Option<&mut CocState> {
@@ -411,10 +415,6 @@ struct BleNode {
 }
 
 impl BleNode {
-    fn coc(&self, conn: ConnId) -> Option<&CocState> {
-        self.link.coc(conn)
-    }
-
     fn coc_mut(&mut self, conn: ConnId) -> Option<&mut CocState> {
         self.link.coc_mut(conn)
     }
@@ -511,6 +511,9 @@ pub struct World {
     /// `None` on the paper's static data path: the hot loop carries
     /// no cost beyond this check.
     peers_world: Option<Box<PeersState>>,
+    /// The 802.15.4 link of every node (`None` = BLE: the hot loop
+    /// carries no cost beyond this check).
+    ieee: Option<Box<IeeeState>>,
 }
 
 /// One allocated connection: its endpoints plus the §6.3
@@ -636,6 +639,31 @@ fn make_node(
 impl World {
     /// Build a world. `nodes[i]` configures node `i`.
     pub fn new(cfg: WorldConfig, node_cfgs: Vec<NodeConfig>, app: AppConfig) -> Self {
+        Self::build(cfg, node_cfgs, app, None)
+    }
+
+    /// Build an IEEE 802.15.4 world, the paper's §5.3 baseline: the
+    /// same upper stack over the CSMA/CA MAC on one channel. Statconn
+    /// edges in `node_cfgs` are ignored (802.15.4 needs none), as are
+    /// chaos and peers: fault injection panics.
+    pub fn new_ieee(cfg: IeeeConfig, node_cfgs: Vec<NodeConfig>, app: AppConfig) -> Self {
+        // Statconn never starts, so the interval policy is never read.
+        let policy = IntervalPolicy::Static(Duration::from_millis(75));
+        let world_cfg = WorldConfig {
+            loss: cfg.loss,
+            jam_channel_22: false,
+            record_bucket: cfg.record_bucket,
+            ..WorldConfig::paper_default(cfg.seed, policy)
+        };
+        Self::build(world_cfg, node_cfgs, app, Some(&cfg))
+    }
+
+    fn build(
+        cfg: WorldConfig,
+        node_cfgs: Vec<NodeConfig>,
+        app: AppConfig,
+        ieee_cfg: Option<&IeeeConfig>,
+    ) -> Self {
         let n = node_cfgs.len();
         assert!(n >= 2, "a testbed needs at least two nodes");
         let mut rng = Rng::seed_from_u64(cfg.seed);
@@ -648,6 +676,7 @@ impl World {
         if cfg.jam_channel_22 {
             medium.set_channel_interference(Channel::ble_data(BLE_JAMMED_CHANNEL), 0.97);
         }
+        let mut ieee = ieee_cfg.map(|c| Box::new(IeeeState::new(c)));
         // The RNG draw order below (drift draw, then the three forks,
         // per node in index order) is part of the determinism
         // contract — fault-free runs stay byte-identical to builds
@@ -658,6 +687,22 @@ impl World {
             .enumerate()
             .map(|(i, nc)| {
                 let id = NodeId(i as u16);
+                if let (Some(ic), Some(ie)) = (ieee_cfg, ieee.as_mut()) {
+                    // 802.15.4 draws no drift and forks only the MAC's
+                    // stream, then the node's. The idle BLE link layer
+                    // and statconn draw nothing, so they get clones.
+                    let mac = rng.fork(1000 + i as u64);
+                    ie.nodes.push(IeeeLink::new(id, ic, mac.clone()));
+                    clock_ppms.push(0.0);
+                    let rngs = NodeRngs {
+                        ll: mac.clone(),
+                        sc: mac,
+                        node: rng.fork(3000 + i as u64),
+                        adv: None,
+                        peers: None,
+                    };
+                    return make_node(&cfg, app.consumer, nc, id, 0.0, rngs);
+                }
                 let ppm = rng.range_f64(-cfg.clock_ppm_range, cfg.clock_ppm_range);
                 clock_ppms.push(ppm);
                 let rngs = NodeRngs {
@@ -742,6 +787,7 @@ impl World {
             adv_m,
             peer_m,
             peers_world,
+            ieee,
             cfg,
             node_cfgs,
         };
@@ -827,6 +873,11 @@ impl World {
         self.nodes[node.index()].adv.as_ref().map(|a| a.counters())
     }
 
+    /// 802.15.4 MAC counters of one node (`None` in BLE worlds).
+    pub fn mac_counters(&self, node: NodeId) -> Option<MacCounters> {
+        self.ieee.as_ref().map(|ie| ie.nodes[node.index()].mac.counters())
+    }
+
     /// Fold component-held counters (LL counters, `NetStats`, CoC
     /// credit stalls, routing rank) into the registry's sampled
     /// metrics and return a point-in-time snapshot of everything.
@@ -897,15 +948,6 @@ impl World {
         self.obs.snapshot()
     }
 
-    /// Interval of a live connection at any node (debug).
-    pub fn nodes_interval(&self, conn: ConnId) -> u64 {
-        self.nodes
-            .iter()
-            .find_map(|n| n.ll.conn_interval(conn))
-            .map(|d| d.millis())
-            .unwrap_or(0)
-    }
-
     /// Allocate a connection id for an attempt initiated by `node`
     /// towards `peer`, and register its endpoints.
     ///
@@ -956,19 +998,6 @@ impl World {
         }
     }
 
-    /// Debug probe: (tx credits, CoC queued bytes, pool used, LL queue
-    /// space) of one connection.
-    pub fn coc_debug(&self, node: NodeId, conn: ConnId) -> Option<(u32, usize, usize, usize)> {
-        let n = &self.nodes[node.index()];
-        let c = n.coc(conn)?;
-        Some((
-            c.chan.tx_credits(),
-            c.chan.queued_bytes(),
-            n.link.pool.used(),
-            n.ll.queue_space(conn),
-        ))
-    }
-
     /// Per-connection stats of one node: (conn, peer, role, stats).
     pub fn conn_stats_of(
         &self,
@@ -1016,15 +1045,6 @@ impl World {
             .map(|p| p.connected_count())
     }
 
-    /// Peers currently connected to `node` under dynamic management
-    /// (`None` outside peers mode).
-    pub fn peer_neighbors(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        let n = &self.nodes[node.index()];
-        n.peers
-            .as_ref()
-            .map(|_| n.link.cocs.iter().map(|(_, s)| s.peer).collect())
-    }
-
     /// Current node positions in metres (`None` outside peers mode).
     pub fn positions(&self) -> Option<&[(f64, f64)]> {
         self.peers_world.as_ref().map(|p| p.field.positions())
@@ -1059,7 +1079,9 @@ impl World {
                 // Connection-less transport: no statconn, no L2CAP —
                 // each node just starts advertising and scanning.
                 self.start_adv(NodeId(i as u16));
-            } else {
+            } else if self.ieee.is_none() {
+                // Statconn's static edges. (An 802.15.4 MAC needs no
+                // bring-up: it always listens.)
                 let actions = self.nodes[i].statconn.start();
                 self.apply_sc_actions(NodeId(i as u16), actions);
             }
@@ -1197,11 +1219,6 @@ impl World {
         self.link_service(node).signals()
     }
 
-    /// Next hop a node's routing table picks for `dst` (diagnostics).
-    pub fn route_of(&self, node: NodeId, dst: Ipv6Addr) -> Option<Ipv6Addr> {
-        self.nodes[node.index()].stack.routing().lookup(&dst)
-    }
-
     /// Routing-agent state of a node: (rank, parent), when dynamic
     /// routing is on.
     pub fn rpl_state(&self, node: NodeId) -> Option<(u16, Option<Ipv6Addr>)> {
@@ -1261,6 +1278,11 @@ impl World {
                             .add(self.obs.m.coap_timeouts, NodeId(i as u16), expired);
                     }
                 }
+                if let Some(ie) = self.ieee.as_mut() {
+                    for link in &mut ie.nodes {
+                        let _ = link.reassembler.expire(now.nanos());
+                    }
+                }
                 self.queue.schedule_in(Duration::from_secs(5), Ev::CoapSweep);
             }
             Ev::RplTick(node, epoch) => {
@@ -1280,6 +1302,8 @@ impl World {
             }
             Ev::PeersTick => self.peers_tick(now),
             Ev::MobilityTick => self.mobility_tick(),
+            Ev::MacTimer(node, timer) => self.mac_timer(now, node, timer),
+            Ev::MacTxEnd(slot) => self.mac_tx_end(now, slot),
         }
     }
 
@@ -2077,9 +2101,13 @@ impl World {
     /// event at its exact simulated instant, so injection timing is
     /// byte-reproducible regardless of host parallelism. Call before
     /// (or during) the run; faults whose time already passed fire
-    /// immediately. Panics on an invalid schedule or if one is
-    /// already installed.
+    /// immediately. Panics on an invalid schedule, if one is already
+    /// installed, or in an 802.15.4 world.
     pub fn install_faults(&mut self, schedule: &FaultSchedule) {
+        assert!(
+            self.ieee.is_none(),
+            "fault injection is not supported on the 802.15.4 baseline"
+        );
         if schedule.is_empty() {
             return;
         }
@@ -2097,12 +2125,6 @@ impl World {
             scratch: vec![0.0; faults.len()],
             faults,
         }));
-    }
-
-    /// Whether a node is currently crashed (radio-silent, all state
-    /// lost, waiting for its scheduled reboot).
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down[node.index()]
     }
 
     /// Test probe: tracked, still-pending LL timers bound to `conn`.
@@ -2683,10 +2705,14 @@ impl World {
         }
     }
 
-    /// Hand an IPv6 packet to the BLE link towards `next_hop_ll`.
+    /// Hand an IPv6 packet to the link towards `next_hop_ll`.
     fn send_ip(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
         if self.nodes[node.index()].adv.is_some() {
             self.send_ip_adv(node, packet, next_hop_ll);
+            return;
+        }
+        if self.ieee.is_some() {
+            self.send_ip_ieee(node, packet, next_hop_ll);
             return;
         }
         if next_hop_ll == LlAddr::BROADCAST {
@@ -2777,6 +2803,115 @@ impl World {
             }
             Err(AdvSendError::TooBig) => {
                 self.records.drop("adv_too_big");
+            }
+        }
+    }
+
+    /// 802.15.4 IP egress: compress for the hop, fragment when the
+    /// frame exceeds one MAC payload, and queue on the MAC. Multicast
+    /// goes out as one MAC broadcast.
+    fn send_ip_ieee(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
+        let now = self.queue.now();
+        let dst = (next_hop_ll != LlAddr::BROADCAST)
+            .then(|| NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]])));
+        let ctx = LinkContext {
+            src: LlAddr::from_node_index(node.0),
+            dst: dst.map_or(LlAddr::BROADCAST, |d| LlAddr::from_node_index(d.0)),
+        };
+        let frame6 = iphc::encode_frame(&packet, &ctx);
+        for f in self.ieee_link(node).frames(frame6) {
+            let outs = self.ieee_link(node).mac.enqueue(now, dst, f);
+            self.apply_mac(node, outs);
+        }
+    }
+
+    /// The 802.15.4 link of `node` (802.15.4 worlds only).
+    fn ieee_link(&mut self, node: NodeId) -> &mut IeeeLink {
+        &mut self.ieee.as_mut().expect("802.15.4 world").nodes[node.index()]
+    }
+
+    fn mac_timer(&mut self, now: Instant, node: NodeId, timer: MacTimer) {
+        let World { ieee, medium, .. } = &mut *self;
+        let ie = ieee.as_mut().expect("802.15.4 world");
+        let channel = ie.channel;
+        // CCA consults the live medium.
+        let outs = ie.nodes[node.index()]
+            .mac
+            .on_timer(now, timer, || medium.carrier_sense(node, channel, now));
+        self.apply_mac(node, outs);
+    }
+
+    /// An 802.15.4 frame ended: every other node's receiver is on
+    /// (802.15.4 listens unless transmitting; the medium's collision
+    /// model accounts for a transmitting listener).
+    fn mac_tx_end(&mut self, now: Instant, slot: usize) {
+        let ie = self.ieee.as_mut().expect("802.15.4 world");
+        let (tx, src, frame) = ie.inflight[slot].take().expect("tx tracked");
+        let mut cand = std::mem::take(&mut self.cand_scratch);
+        cand.extend((0..self.nodes.len() as u16).map(NodeId).filter(|&l| l != src));
+        let mut outcomes = std::mem::take(&mut self.outcome_scratch);
+        self.medium.finish_tx_into(tx, &cand, &mut outcomes);
+        cand.clear();
+        self.cand_scratch = cand;
+        // Link-layer accounting for unicast data frames: channel slot 0
+        // (single channel — the per-channel axis is BLE-specific).
+        if let MacFrame::Data { dst: Some(dst), .. } = frame {
+            let ok = outcomes.iter().any(|&(l, o)| l == dst && o.is_ok());
+            self.obs.reg.inc(self.obs.m.ll_data_attempts, src);
+            if ok {
+                self.obs.reg.inc(self.obs.m.ll_data_delivered, src);
+            }
+            self.records.ll_attempt(src, dst, now, 0, ok);
+        }
+        for &(listener, outcome) in &outcomes {
+            if outcome.is_ok() {
+                let outs = self.ieee_link(listener).mac.on_frame_rx(now, &frame);
+                self.apply_mac(listener, outs);
+            }
+        }
+        outcomes.clear();
+        self.outcome_scratch = outcomes;
+        let outs = self.ieee_link(src).mac.on_tx_done(now);
+        self.apply_mac(src, outs);
+    }
+
+    /// Execute the 802.15.4 MAC's output actions — the MAC
+    /// counterpart of [`World::apply_ll`]. MAC events stay unkeyed, so
+    /// same-instant ties fire in insertion order: the receivers of one
+    /// frame arm timers on the same nanosecond, and keying them by
+    /// node would reorder those ties and change the 802.15.4 results.
+    fn apply_mac(&mut self, node: NodeId, outputs: Vec<MacOutput>) {
+        let now = self.queue.now();
+        for o in outputs {
+            match o {
+                MacOutput::Arm { at, timer } => {
+                    self.queue.schedule_at(at.max(now), Ev::MacTimer(node, timer));
+                }
+                MacOutput::Tx { frame } => {
+                    let ie = self.ieee.as_mut().expect("802.15.4 world");
+                    self.obs.reg.inc(self.obs.m.phy_tx_frames, node);
+                    let airtime = frame.airtime();
+                    let tx = self.medium.begin_tx(TxParams {
+                        src: node,
+                        channel: ie.channel,
+                        start: now,
+                        airtime,
+                    });
+                    let slot = ie.track(tx, node, frame);
+                    self.queue.schedule_at(now + airtime, Ev::MacTxEnd(slot));
+                }
+                MacOutput::Rx { src, payload } => {
+                    match self.ieee_link(node).reassemble(src, payload, now) {
+                        Ok(Some(sdu)) => self.handle_sdu(node, src, sdu),
+                        Ok(None) => {}
+                        Err(()) => self.records.drop("bad_fragment"),
+                    }
+                }
+                MacOutput::TxOk => {}
+                MacOutput::TxFailed { reason } => {
+                    self.records.drop(reason);
+                    self.trace.emit();
+                }
             }
         }
     }

@@ -1,12 +1,12 @@
 //! End-to-end smoke tests of the IEEE 802.15.4 world.
 
-use mindgap_core::{AppConfig, IeeeConfig, IeeeWorld, NodeConfig};
+use mindgap_core::{AppConfig, IeeeConfig, NodeConfig, World};
 use mindgap_net::Ipv6Addr;
 use mindgap_phy::LossConfig;
 use mindgap_sim::{Duration, Instant, NodeId};
 
 /// Line 0—1—2 with routes in both directions; node 0 consumes.
-fn line3(seed: u64, loss: LossConfig) -> IeeeWorld {
+fn line3(seed: u64, loss: LossConfig) -> World {
     let addr = |i: u16| Ipv6Addr::of_node(i);
     let nodes = vec![
         NodeConfig {
@@ -28,7 +28,7 @@ fn line3(seed: u64, loss: LossConfig) -> IeeeWorld {
     };
     let mut cfg = IeeeConfig::paper_default(seed);
     cfg.loss = loss;
-    IeeeWorld::new(cfg, nodes, app)
+    World::new_ieee(cfg, nodes, app)
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn noisy_channel_loses_but_delivers_fast() {
     assert!(pdr > 0.5, "loss model too aggressive, PDR {pdr}");
     let med = r.rtt_quantile_secs(0.5).unwrap();
     assert!(med < 0.15, "median RTT {med}s");
-    let c = w.mac_counters(NodeId(2));
+    let c = w.mac_counters(NodeId(2)).expect("802.15.4 world");
     assert!(c.retries > 0, "retries must occur on a noisy channel");
 }
 
@@ -86,7 +86,7 @@ fn large_payload_is_fragmented_and_reassembled() {
         };
         let mut cfg = IeeeConfig::paper_default(3);
         cfg.loss = LossConfig::LOSSLESS;
-        IeeeWorld::new(cfg, nodes, app)
+        World::new_ieee(cfg, nodes, app)
     };
     w.run_until(Instant::from_secs(60));
     let r = w.records();

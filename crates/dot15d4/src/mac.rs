@@ -234,11 +234,6 @@ impl Radio802154 {
         self.counters
     }
 
-    /// Frames waiting (including the one in service).
-    pub fn backlog(&self) -> usize {
-        self.queue.len() + usize::from(self.current.is_some())
-    }
-
     /// Queue a payload for `dst` (`None` = broadcast, unacknowledged).
     pub fn enqueue(
         &mut self,

@@ -314,14 +314,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter for `node` (tests, diagnostics).
-    pub fn counter_value(&self, id: CounterId, node: NodeId) -> u64 {
-        self.counters
-            .get(id.0 as usize + node.index())
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Take a point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries = Vec::with_capacity(self.defs.len());

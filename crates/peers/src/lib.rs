@@ -473,14 +473,6 @@ impl PeerManager {
             .map(|&(c, _)| c)
     }
 
-    /// The peer on the other end of `conn`, if it is in the pool.
-    pub fn peer_of(&self, conn: u64) -> Option<NodeId> {
-        self.connected
-            .iter()
-            .find(|&&(c, _)| c == conn)
-            .map(|&(_, p)| p)
-    }
-
     /// Number of established connections.
     pub fn connected_count(&self) -> usize {
         self.connected.len()

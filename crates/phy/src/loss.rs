@@ -124,11 +124,6 @@ impl GilbertElliott {
         rng.chance(per)
     }
 
-    /// `true` if the chain is currently in the bad (bursty) state.
-    pub fn is_bad(&self) -> bool {
-        self.in_bad
-    }
-
     /// The configured parameters.
     pub fn config(&self) -> &LossConfig {
         &self.cfg

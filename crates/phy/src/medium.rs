@@ -240,11 +240,6 @@ impl Medium {
         }
     }
 
-    /// Static loss override currently configured on `a → b`.
-    pub fn link_loss(&self, a: NodeId, b: NodeId) -> f64 {
-        self.noise.link_extra(a.index(), b.index())
-    }
-
     /// Mark the directed pair `a → b` (and `b → a` if `symmetric`) as
     /// out of radio range.
     pub fn set_out_of_range(&mut self, a: NodeId, b: NodeId, symmetric: bool) {

@@ -2,14 +2,15 @@
 //!
 //! An [`ExperimentSpec`] captures everything the paper's YAML
 //! descriptions do (§A.3): topology, interval policy, workload,
-//! duration, seed. [`run_ble`] / [`run_ieee`] build the world, let the
-//! network form during the warmup, then measure for the configured
-//! duration and return an [`ExperimentResult`].
+//! duration, seed. [`run_ble`] / [`run_ieee`] build a BLE or an
+//! 802.15.4 [`World`], let the network form during the warmup, then
+//! measure for the configured duration and return an
+//! [`ExperimentResult`].
 
 use mindgap_chaos::recovery::FaultRecovery;
 use mindgap_chaos::FaultSchedule;
 use mindgap_core::{
-    AdvConfig, AppConfig, IeeeConfig, IeeeWorld, IntervalPolicy, MobilityModel, NodeConfig,
+    AdvConfig, AppConfig, IeeeConfig, IntervalPolicy, MobilityModel, NodeConfig,
     PeerConfig, PeersWorldConfig, Records, TransportMode, World, WorldConfig,
 };
 use mindgap_sim::{Duration, Instant, NodeId};
@@ -133,12 +134,6 @@ impl ExperimentSpec {
         spec
     }
 
-    /// Toggle the RPL-style routing agent (BLE only).
-    pub fn with_dynamic_routing(mut self, on: bool) -> Self {
-        self.dynamic_routing = on;
-        self
-    }
-
     /// Override the timeline ring capacity (0 disables span capture).
     pub fn with_timeline_cap(mut self, cap: usize) -> Self {
         self.timeline_cap = cap;
@@ -148,12 +143,6 @@ impl ExperimentSpec {
     /// Override the clock-drift range (±ppm).
     pub fn with_clock_ppm(mut self, ppm: f64) -> Self {
         self.clock_ppm_range = ppm;
-        self
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -245,12 +234,11 @@ pub struct ExperimentResult {
     /// + drain) — the denominator of events-per-second figures.
     pub events_processed: u64,
     /// Layered metrics snapshot taken at the end of the run (cumulative
-    /// over warmup + measured + drain). Empty for IEEE runs and when
-    /// the workspace is built with `obs-off`.
+    /// over warmup + measured + drain). Empty when the workspace is
+    /// built with `obs-off`.
     pub metrics: mindgap_obs::MetricsSnapshot,
     /// The run's span timeline, moved out of the world before record
-    /// extraction. Empty for IEEE runs, when `timeline_cap` is 0, and
-    /// under `obs-off`.
+    /// extraction. Empty when `timeline_cap` is 0 and under `obs-off`.
     pub timeline: mindgap_obs::Timeline,
     /// Per-fault recovery metrics derived from the timeline (empty
     /// without a fault schedule, for IEEE runs, when `timeline_cap`
@@ -397,11 +385,6 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
     // Drain: let in-flight exchanges finish so PDR is not truncated.
     world.run_until(end + Duration::from_secs(10));
 
-    let reconnects = (0..n as u16).map(|i| world.reconnects(NodeId(i))).sum();
-    let pool_drops = (0..n as u16).map(|i| world.pool_drops(NodeId(i))).sum();
-    let skipped_events = (0..n as u16)
-        .map(|i| world.ll_counters(NodeId(i)).skipped_events)
-        .collect();
     let transport_label = match spec.transport {
         TransportMode::Conn => spec.policy.label(),
         TransportMode::Adv(_) => "adv".to_string(),
@@ -414,6 +397,21 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         transport_label,
         spec.producer_interval.millis()
     );
+    harvest(world, n, label, convergence_s)
+}
+
+/// Collect a finished run's counters, metrics, timeline and records.
+fn harvest(
+    mut world: World,
+    n: usize,
+    label: String,
+    convergence_s: Option<f64>,
+) -> ExperimentResult {
+    let reconnects = (0..n as u16).map(|i| world.reconnects(NodeId(i))).sum();
+    let pool_drops = (0..n as u16).map(|i| world.pool_drops(NodeId(i))).sum();
+    let skipped_events = (0..n as u16)
+        .map(|i| world.ll_counters(NodeId(i)).skipped_events)
+        .collect();
     let trace_dropped = world.trace.dropped();
     let events_processed = world.events_processed();
     let metrics = world.obs_snapshot();
@@ -449,8 +447,23 @@ fn rpl_converged(world: &World, n: usize, root: NodeId) -> bool {
     })
 }
 
-/// Run an IEEE 802.15.4 experiment (interval policy is ignored).
+/// Run an IEEE 802.15.4 experiment on the same [`World`] event loop
+/// (interval policy is ignored). Records cover the warmup too. Panics
+/// on spec fields the 802.15.4 baseline cannot honour: `mesh`,
+/// `peers`, `faults`, `link_per`, a non-`Conn` `transport` and
+/// `dynamic_routing`.
 pub fn run_ieee(spec: &ExperimentSpec) -> ExperimentResult {
+    let unsupported = [
+        ("mesh", spec.mesh.is_some()),
+        ("peers", spec.peers.is_some()),
+        ("faults", spec.faults.is_some()),
+        ("link_per", !spec.link_per.is_empty()),
+        ("transport", spec.transport != TransportMode::Conn),
+        ("dynamic_routing", spec.dynamic_routing),
+    ];
+    for (field, set) in unsupported {
+        assert!(!set, "run_ieee cannot honour ExperimentSpec::{field}");
+    }
     let app = AppConfig {
         producer_interval: spec.producer_interval,
         producer_jitter: spec.producer_jitter,
@@ -459,7 +472,7 @@ pub fn run_ieee(spec: &ExperimentSpec) -> ExperimentResult {
         ..AppConfig::paper_default(spec.topology.producers(), spec.topology.consumer)
     };
     let cfg = IeeeConfig::paper_default(spec.seed);
-    let mut world = IeeeWorld::new(cfg, spec.topology.node_configs(), app);
+    let mut world = World::new_ieee(cfg, spec.topology.node_configs(), app);
     let end = Instant::ZERO + spec.warmup + spec.duration;
     world.run_until(end);
     world.run_until(end + Duration::from_secs(10));
@@ -468,24 +481,7 @@ pub fn run_ieee(spec: &ExperimentSpec) -> ExperimentResult {
         spec.topology.name,
         spec.producer_interval.millis()
     );
-    let trace_dropped = world.trace.dropped();
-    let events_processed = world.events_processed();
-    let records = world.into_records();
-    ExperimentResult {
-        conn_losses: 0,
-        reconnects: 0,
-        pool_drops: 0,
-        skipped_events: Vec::new(),
-        trace_dropped,
-        events_processed,
-        metrics: mindgap_obs::MetricsSnapshot::default(),
-        timeline: mindgap_obs::Timeline::default(),
-        recovery: Vec::new(),
-        convergence_s: None,
-        label,
-        records,
-        par_stats: None,
-    }
+    harvest(world, spec.topology.len(), label, None)
 }
 
 #[cfg(test)]
@@ -684,5 +680,43 @@ mod tests {
         let res = run_ieee(&spec);
         assert!(res.records.total_sent() > 500);
         assert!(res.records.coap_pdr() > 0.5);
+    }
+
+    #[test]
+    fn run_ieee_rejects_spec_fields_it_cannot_honour() {
+        let base = ExperimentSpec::paper_default(
+            Topology::paper_tree(),
+            IntervalPolicy::Static(Duration::from_millis(75)),
+            42,
+        )
+        .with_duration(Duration::from_secs(1));
+        let mesh = ExperimentSpec::mesh_default(
+            MeshTopology::random_geometric(10, 100.0, 42),
+            IntervalPolicy::Static(Duration::from_millis(75)),
+            42,
+        );
+        let mut routed = base.clone();
+        routed.dynamic_routing = true;
+        let cases = [
+            ("mesh", mesh),
+            ("peers", base.clone().with_peers()),
+            ("faults", base.clone().with_faults(mindgap_chaos::FaultSchedule::new())),
+            ("link_per", base.clone().with_link_per(0, 1, 0.5)),
+            ("transport", base.clone().with_adv_transport()),
+            ("dynamic_routing", routed),
+        ];
+        for (field, spec) in cases {
+            let err = std::panic::catch_unwind(|| run_ieee(&spec))
+                .err()
+                .unwrap_or_else(|| panic!("run_ieee accepted `{field}`"));
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                msg.ends_with(&format!("ExperimentSpec::{field}")),
+                "`{field}` spec panicked with {msg:?}"
+            );
+        }
     }
 }

@@ -66,17 +66,6 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Render a CDF as fixed-width rows `x  F(x)` for the figure binaries.
-pub fn render_cdf(label: &str, values: &[f64], points: &[f64]) -> String {
-    let cdf = cdf_at(values, points);
-    let mut out = String::new();
-    out.push_str(&format!("# CDF: {label} (n={})\n", values.len()));
-    for (p, f) in points.iter().zip(cdf.iter()) {
-        out.push_str(&format!("{p:8.3} {f:8.4}\n"));
-    }
-    out
-}
-
 /// A sparkline-ish ASCII bar of width 20 for PDR-style values in
 /// `[0, 1]` — used by example binaries for readable terminal output.
 pub fn bar(value: f64) -> String {

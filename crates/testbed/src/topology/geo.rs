@@ -259,11 +259,6 @@ impl MeshTopology {
             .count()
     }
 
-    /// Mean radio-graph degree.
-    pub fn mean_radio_degree(&self) -> f64 {
-        2.0 * self.links.len() as f64 / self.len() as f64
-    }
-
     /// Distance-induced PER of the directed-symmetric link `(a, b)`
     /// (shadowing keys on the unordered pair, so both directions
     /// match).

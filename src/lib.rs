@@ -20,7 +20,7 @@
 //! | [`coap`] | `mindgap-coap` | CoAP codec and endpoints |
 //! | [`dot15d4`] | `mindgap-dot15d4` | IEEE 802.15.4 CSMA/CA baseline |
 //! | [`energy`] | `mindgap-energy` | §5.4 battery model |
-//! | [`core`] | `mindgap-core` | node stacks, statconn, BLE & 802.15.4 worlds |
+//! | [`core`] | `mindgap-core` | node stacks, statconn, the testbed world (BLE or 802.15.4 link) |
 //! | [`obs`] | `mindgap-obs` | layered metrics registry, span timeline, shading detection |
 //! | [`testbed`] | `mindgap-testbed` | topologies, runner, analysis, stats |
 //! | [`campaign`] | `mindgap-campaign` | parallel experiment campaigns, resumable artifacts |

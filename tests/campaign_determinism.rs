@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mindgap_campaign::{GridBuilder, RunConfig};
 use mindgap_core::IntervalPolicy;
 use mindgap_sim::Duration;
-use mindgap_testbed::campaign::to_job_result;
-use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
+use mindgap_testbed::campaign::{keys, to_job_result};
+use mindgap_testbed::{run_ble, run_ieee, ExperimentResult, ExperimentSpec, Topology};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -335,12 +335,12 @@ fn result_fingerprint(r: &mindgap_campaign::JobResult) -> u64 {
 
 /// Golden serial output at seed 42: the event count and a fingerprint
 /// of each run's campaign result must equal the values pinned here.
-/// The cells span both transports, a crash mid-run and the widest
-/// determinism surface (peers mode: cold start, discovery, mobility
-/// and a crash burst). Every other test here compares two runs of the
-/// same build; this one catches a change that shifts all of them
-/// alike. An intended behaviour change re-pins the constants and says
-/// so in its change notes.
+/// The cells span both BLE transports, the 802.15.4 baseline, a crash
+/// mid-run and the widest determinism surface (peers mode: cold
+/// start, discovery, mobility and a crash burst). Every other test
+/// here compares two runs of the same build; this one catches a
+/// change that shifts all of them alike. An intended behaviour change
+/// re-pins the constants and says so in its change notes.
 #[test]
 fn serial_output_matches_golden_fingerprints() {
     use mindgap::chaos::FaultSchedule;
@@ -377,12 +377,14 @@ fn serial_output_matches_golden_fingerprints() {
         spec.warmup = Duration::from_secs(60);
         spec.with_peers_mobility(MobilityModel::walk_default())
     };
-    // (cell, spec, events_processed, result fingerprint)
-    let cells = [
-        ("conn-tree", tree(), 149_237u64, 0xa726_5f3d_e82a_eebd_u64),
-        ("adv-tree", tree().with_adv_transport(), 223_724, 0x5475_d0dd_dd98_b64c),
+    type Runner = fn(&ExperimentSpec) -> ExperimentResult;
+    // (cell, runner, spec, events_processed, result fingerprint)
+    let cells: [(_, Runner, _, _, _); 5] = [
+        ("conn-tree", run_ble, tree(), 149_237u64, 0xa726_5f3d_e82a_eebd_u64),
+        ("adv-tree", run_ble, tree().with_adv_transport(), 223_724, 0x5475_d0dd_dd98_b64c),
         (
             "chaos-crash",
+            run_ble,
             tree().with_faults(FaultSchedule::new().node_crash(
                 Duration::from_secs(40),
                 1,
@@ -391,16 +393,24 @@ fn serial_output_matches_golden_fingerprints() {
             148_365,
             0xb247_f5af_5100_391d,
         ),
-        ("peers-churn-walk", churn(), 1_065_488, 0x6ba2_ebbe_1282_a08b),
+        ("peers-churn-walk", run_ble, churn(), 1_065_488, 0x6ba2_ebbe_1282_a08b),
+        ("ieee-tree", run_ieee, tree(), 37_200, 0x7eb5_7e23_7b8c_1be6),
     ];
     let mut got = Vec::new();
     let mut want = Vec::new();
-    for (cell, spec, events, fingerprint) in cells {
-        let res = run_ble(&spec);
-        // The fingerprint covers the metrics export, which compiles
-        // out under `obs-off`; the event count does not.
-        let fp = if mindgap::obs::enabled() {
-            result_fingerprint(&to_job_result(&res, &[]))
+    for (cell, run, spec, events, fingerprint) in cells {
+        let res = run(&spec);
+        let mut jr = to_job_result(&res, &[]);
+        // The 802.15.4 cell leaves the `obs.*` metrics out of its
+        // fingerprint, so it holds under `obs-off` too.
+        let obs_free = cell == "ieee-tree";
+        if obs_free {
+            jr.metrics.retain(|k, _| !k.starts_with(keys::OBS_PREFIX));
+        }
+        // The other fingerprints cover the metrics export, which
+        // compiles out under `obs-off`; the event count does not.
+        let fp = if obs_free || mindgap::obs::enabled() {
+            result_fingerprint(&jr)
         } else {
             fingerprint
         };
