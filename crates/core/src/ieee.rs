@@ -4,16 +4,19 @@
 //! testbed (IPv6 router, static routes, CoAP producers/consumer) over
 //! the m3 boards' radio: the `mindgap-dot15d4` CSMA/CA MAC on a single
 //! channel at 250 kbps, with RFC 4944 fragmentation for datagrams
-//! beyond one frame. This module holds its configuration and per-node
-//! link state; `World`'s event loop drives both.
+//! beyond one frame. This module holds its configuration and the
+//! per-node [`IeeeLink`], which is the `Link::Ieee` variant of every
+//! node of such a world; `World`'s event loop drives it. Its frames go
+//! through the same in-flight slab and `TxEnd` handler as BLE frames.
+//! Unlike the BLE links it has no `LinkService` impl yet.
 //!
 //! There is no connection concept: the network is "up" immediately,
 //! losses come from CSMA collisions, noisy-channel retries running
 //! out, and MAC queue overflow — which is exactly the contrast with
 //! BLE the paper draws (fast-but-lossy vs slow-but-reliable).
 
-use mindgap_dot15d4::{MacConfig, MacFrame, Radio802154, MAX_MAC_PAYLOAD};
-use mindgap_phy::{Channel, LossConfig, TxId};
+use mindgap_dot15d4::{MacConfig, Radio802154, MAX_MAC_PAYLOAD};
+use mindgap_phy::{Channel, LossConfig};
 use mindgap_sim::{Duration, Instant, NodeId, Rng};
 use mindgap_sixlowpan::frag;
 
@@ -30,8 +33,6 @@ pub struct IeeeConfig {
     /// Channel-error process. The paper's Strasbourg site is noisier
     /// than the BLE room; see `LossConfig::ieee802154_default`.
     pub loss: LossConfig,
-    /// Records bucket width.
-    pub record_bucket: Duration,
 }
 
 impl IeeeConfig {
@@ -41,42 +42,6 @@ impl IeeeConfig {
             seed,
             mac: MacConfig::default(),
             loss: LossConfig::ieee802154_default(),
-            record_bucket: Duration::from_secs(60),
-        }
-    }
-}
-
-/// World-side 802.15.4 state: one link per node plus the MAC frames
-/// on air. `None` in BLE worlds.
-pub(crate) struct IeeeState {
-    /// The single channel every node shares.
-    pub(crate) channel: Channel,
-    pub(crate) nodes: Vec<IeeeLink>,
-    /// In-flight frames by slot; `Ev::MacTxEnd` carries the slot.
-    pub(crate) inflight: Vec<Option<(TxId, NodeId, MacFrame)>>,
-}
-
-impl IeeeState {
-    pub(crate) fn new(cfg: &IeeeConfig) -> Self {
-        IeeeState {
-            channel: Channel::ieee802154(cfg.mac.channel),
-            nodes: Vec::new(),
-            inflight: Vec::new(),
-        }
-    }
-
-    /// Park a frame that just went on air; returns its slot.
-    pub(crate) fn track(&mut self, tx: TxId, src: NodeId, frame: MacFrame) -> usize {
-        let fl = Some((tx, src, frame));
-        match self.inflight.iter().position(Option::is_none) {
-            Some(slot) => {
-                self.inflight[slot] = fl;
-                slot
-            }
-            None => {
-                self.inflight.push(fl);
-                self.inflight.len() - 1
-            }
         }
     }
 }
@@ -96,6 +61,11 @@ impl IeeeLink {
             reassembler: frag::Reassembler::new(REASSEMBLY_TIMEOUT.nanos()),
             next_frag_tag: 0,
         }
+    }
+
+    /// The single channel the MAC runs on.
+    pub(crate) fn channel(&self) -> Channel {
+        Channel::ieee802154(self.mac.channel())
     }
 
     /// Split a 6LoWPAN frame into MAC payloads: itself when it fits

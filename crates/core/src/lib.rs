@@ -13,9 +13,11 @@
 //! * [`World`] — the discrete-event testbed: BLE medium, per-node
 //!   clocks with drift, the full packet path from a CoAP producer
 //!   through 6LoWPAN/L2CAP/LL to the consumer and back, plus the
-//!   measurement records every experiment consumes.
-//!   [`World::new_ieee`] runs the same upper stack over the IEEE
-//!   802.15.4 CSMA/CA MAC (`mindgap-dot15d4`), the paper's §5.3
+//!   measurement records every experiment consumes. Each node runs
+//!   the same upper stack over exactly one link: the paper's L2CAP
+//!   connections, the extended-advertising transport
+//!   ([`TransportMode::Adv`]), or, built with [`World::new_ieee`], the
+//!   IEEE 802.15.4 CSMA/CA MAC (`mindgap-dot15d4`), the paper's §5.3
 //!   baseline, in the same event loop.
 //!
 //! The world is deterministic: a master seed fixes every random

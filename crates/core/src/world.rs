@@ -1,13 +1,25 @@
 //! The simulated testbed.
 //!
 //! [`World`] owns everything one experiment needs: the shared radio
-//! medium, one full node stack per board (link layer, L2CAP channel
-//! per connection, NimBLE-sized mbuf pool, 6LoWPAN, IPv6 router, CoAP
-//! endpoints, statconn), the event queue, and the measurement
-//! [`Records`]. [`World::new_ieee`] swaps the BLE link for the
-//! 802.15.4 baseline (`crate::ieee`) under the same upper stack.
+//! medium, one node stack per board, the event queue, and the
+//! measurement [`Records`]. Every node holds the same upper stack
+//! (6LoWPAN, IPv6 router, CoAP endpoints, optional routing agent) over
+//! exactly one link, the same kind for every node of a world:
 //!
-//! The data path reproduces the paper's Fig. 2/Fig. 5 stack exactly:
+//! * the paper's connection link: link layer, statconn (or a peer
+//!   manager), one L2CAP channel per connection and the NimBLE-sized
+//!   mbuf pool;
+//! * the connection-less advertising link ([`TransportMode::Adv`]);
+//! * the 802.15.4 CSMA/CA MAC with RFC 4944 fragmentation
+//!   ([`World::new_ieee`], `crate::ieee`).
+//!
+//! Every frame, whatever its link, goes on air through one in-flight
+//! slab and ends in one `TxEnd` handler: one candidate scan, one
+//! delivery-accounting step, then each listener's link gets the frame
+//! and the sender's link gets its completion.
+//!
+//! The connection data path reproduces the paper's Fig. 2/Fig. 5
+//! stack exactly:
 //!
 //! ```text
 //! CoAP ─ UDP ─ IPv6 (static routes) ─ 6LoWPAN IPHC ─ L2CAP CoC
@@ -26,7 +38,7 @@ use mindgap_ble::{
 };
 use mindgap_chaos::{labels, FaultKind, FaultSchedule, FOREVER_NS};
 use mindgap_coap::{Client, Code, Message, MsgType, Server};
-use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer};
+use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154};
 use mindgap_l2cap::frame::{self as l2frame, Signal, CID_LE_SIGNALING};
 use mindgap_l2cap::{BufPool, CocChannel, CocConfig, NIMBLE_BUF_BYTES};
 use mindgap_net::{
@@ -43,7 +55,7 @@ use mindgap_sim::{
 };
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
-use crate::ieee::{IeeeConfig, IeeeLink, IeeeState};
+use crate::ieee::{IeeeConfig, IeeeLink};
 use crate::records::Records;
 use crate::rpl::{RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
 use crate::statconn::{EdgeConfig, IntervalPolicy, ScAction, Statconn};
@@ -185,12 +197,8 @@ pub struct WorldConfig {
     pub policy: IntervalPolicy,
     /// Link-layer configuration shared by all nodes.
     pub ll: LlConfig,
-    /// Channel-error process.
-    pub loss: LossConfig,
     /// Per-node clock drift drawn uniformly from ±this (ppm).
     pub clock_ppm_range: f64,
-    /// Emulate the testbed's permanently jammed channel 22 (§4.2).
-    pub jam_channel_22: bool,
     /// Channel map for all initiated connections. The paper excludes
     /// the jammed channel statically; set `ChannelMap::ALL` together
     /// with `ll.afh_enabled` for the adaptive-hopping ablation.
@@ -205,8 +213,6 @@ pub struct WorldConfig {
     /// root, so near-root relays forward O(subtree) DAOs per refresh
     /// and exhaust their buffer pools when the cadence is too hot.
     pub rpl_dao_period_ticks: u32,
-    /// Time-bucket width for records.
-    pub record_bucket: Duration,
     /// Observability timeline capacity in events (ring buffer; `0`
     /// disables timeline recording; metrics counters are unaffected).
     pub timeline_cap: usize,
@@ -225,7 +231,9 @@ pub struct WorldConfig {
     pub radio_links: Option<Vec<(u16, u16)>>,
     /// Dynamic peer management (`Some` = cold start + discovery +
     /// policy-formed connections; `None` = statconn's static edges,
-    /// the paper's testbed).
+    /// the paper's testbed). Peers manage LL connections, so `Some`
+    /// needs `transport` = [`TransportMode::Conn`]; [`World::new`]
+    /// panics otherwise.
     pub peers: Option<PeersWorldConfig>,
 }
 
@@ -236,13 +244,10 @@ impl WorldConfig {
             seed,
             policy,
             ll: LlConfig::default(),
-            loss: LossConfig::ble_default(),
             clock_ppm_range: 3.0,
-            jam_channel_22: true,
             conn_channel_map: mindgap_ble::channels::ChannelMap::all_except_jammed(),
             dynamic_routing: false,
             rpl_dao_period_ticks: 1,
-            record_bucket: Duration::from_secs(60),
             timeline_cap: 1 << 16,
             supervision_timeout: None,
             transport: TransportMode::Conn,
@@ -251,6 +256,9 @@ impl WorldConfig {
         }
     }
 }
+
+/// Time-bucket width of the measurement [`Records`].
+const RECORD_BUCKET: Duration = Duration::from_secs(60);
 
 /// Canonical queue key for an event homed on `node`: node index + 1
 /// (key 0 is what the unkeyed schedule APIs use, so global events —
@@ -268,7 +276,8 @@ fn node_key(node: NodeId) -> u32 {
 /// Events in the world's queue.
 enum Ev {
     LlTimer(NodeId, Timer),
-    /// Carries the in-flight slab slot of the finished transmission.
+    /// End of a frame on air, whatever its link; carries the
+    /// in-flight slab slot.
     TxEnd(usize),
     /// Periodic producer request. Carries the node's boot epoch at
     /// scheduling time: a crash bumps the epoch, so chains scheduled
@@ -293,15 +302,19 @@ enum Ev {
     MobilityTick,
     /// 802.15.4 MAC timer (802.15.4 worlds only).
     MacTimer(NodeId, MacTimer),
-    /// End of an 802.15.4 frame; carries its `IeeeState::inflight`
-    /// slot.
-    MacTxEnd(usize),
+}
+
+/// A frame on air: a BLE PDU (connection or advertising link) or an
+/// 802.15.4 MAC frame.
+enum AirFrame {
+    Ble(Frame),
+    Mac(MacFrame),
 }
 
 struct InFlight {
     tx: TxId,
     src: NodeId,
-    frame: Frame,
+    frame: AirFrame,
     channel: Channel,
     start: Instant,
     /// Sender's boot epoch when the frame went on air; a mismatch at
@@ -316,13 +329,19 @@ struct CocState {
     pending_credits: u16,
 }
 
-/// The connection-oriented transport behind the [`LinkService`]
-/// boundary: L2CAP credit-based channels over LL connections plus the
-/// NimBLE-sized mbuf pool, exactly the paper's data path (§3). The
-/// data path itself stays in `World`'s hot loop; this struct owns the
-/// per-node transport state and answers the introspection/admission
-/// queries the trait defines.
+/// The connection-oriented link behind the [`LinkService`] boundary:
+/// the link layer, its connection manager (statconn's static edges
+/// or, in peers mode, a [`PeerManager`]), one L2CAP credit-based
+/// channel per connection and the NimBLE-sized mbuf pool, exactly the
+/// paper's data path (§3). The data path itself stays in `World`'s
+/// hot loop; this struct owns the per-node state and answers the
+/// introspection/admission queries the trait defines.
 pub(crate) struct ConnLink {
+    ll: LinkLayer,
+    statconn: Statconn,
+    /// Dynamic connection-manager policy (peers mode only; `None`
+    /// keeps statconn's static edges on the paper's data path).
+    peers: Option<PeerManager>,
     /// Live L2CAP channels, in connection-creation order. A node has
     /// a handful at most, so a linear scan beats hashing on the data
     /// path (and iteration order is deterministic, unlike a HashMap).
@@ -333,14 +352,6 @@ pub(crate) struct ConnLink {
 }
 
 impl ConnLink {
-    fn new() -> Self {
-        ConnLink {
-            cocs: Vec::new(),
-            pool: BufPool::new(NIMBLE_BUF_BYTES),
-            signals: SignalLog::new(LINK_SIGNAL_CAP),
-        }
-    }
-
     fn coc_mut(&mut self, conn: ConnId) -> Option<&mut CocState> {
         self.cocs
             .iter_mut()
@@ -351,6 +362,15 @@ impl ConnLink {
     fn coc_remove(&mut self, conn: ConnId) -> Option<CocState> {
         let i = self.cocs.iter().position(|(c, _)| *c == conn)?;
         Some(self.cocs.remove(i).1)
+    }
+
+    /// The connection towards `peer`, as whichever manager owns the
+    /// node's connections knows it.
+    fn conn_to(&self, peer: NodeId) -> Option<ConnId> {
+        match &self.peers {
+            Some(pm) => pm.conn_to(peer).map(ConnId),
+            None => self.statconn.conn_to(peer),
+        }
     }
 }
 
@@ -381,12 +401,6 @@ impl LinkService for ConnLink {
     }
 
     fn signals(&self) -> &[LinkSignal] {
-        self.link_signals()
-    }
-}
-
-impl ConnLink {
-    fn link_signals(&self) -> &[LinkSignal] {
         self.signals.as_slice()
     }
 }
@@ -396,53 +410,60 @@ impl ConnLink {
 /// chaos campaigns with endless reconnect churn cannot grow it.
 const LINK_SIGNAL_CAP: usize = 4096;
 
-struct BleNode {
-    ll: LinkLayer,
+/// A node's one link. Every node of a world has the same kind.
+enum Link {
+    /// The paper's connection-oriented data path (boxed: it is twice
+    /// the size of the others).
+    Conn(Box<ConnLink>),
+    /// Connection-less extended advertising (`mindgap-adv`,
+    /// DESIGN.md §10).
+    Adv(AdvLink),
+    /// The IEEE 802.15.4 baseline (`crate::ieee`).
+    Ieee(IeeeLink),
+}
+
+impl Link {
+    fn conn(&self) -> Option<&ConnLink> {
+        match self {
+            Link::Conn(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn conn_mut(&mut self) -> Option<&mut ConnLink> {
+        match self {
+            Link::Conn(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn peers_mut(&mut self) -> Option<&mut PeerManager> {
+        self.conn_mut().and_then(|c| c.peers.as_mut())
+    }
+}
+
+/// One board: the upper stack over its one link.
+struct Node {
+    link: Link,
     stack: Ipv6Stack,
-    statconn: Statconn,
-    /// Connection-oriented transport state (L2CAP channels + pool).
-    link: ConnLink,
-    /// Connection-less advertising transport (adv mode only; `None`
-    /// in connection mode, so the paper's data path carries no cost).
-    adv: Option<AdvLink>,
     client: Client,
     server: Server,
     rpl: Option<RplAgent>,
-    /// Dynamic connection-manager policy (peers mode only; `None`
-    /// keeps statconn's static edges on the paper's data path).
-    peers: Option<PeerManager>,
     rng: Rng,
 }
 
-impl BleNode {
-    fn coc_mut(&mut self, conn: ConnId) -> Option<&mut CocState> {
-        self.link.coc_mut(conn)
-    }
-
-    fn coc_remove(&mut self, conn: ConnId) -> Option<CocState> {
-        self.link.coc_remove(conn)
-    }
-
-    /// The active transport behind the link-service boundary.
-    fn link_service_ref(&self) -> &dyn LinkService {
-        match &self.adv {
-            Some(adv) => adv,
-            None => &self.link,
-        }
-    }
-}
-
-/// The BLE testbed world.
+/// The testbed world.
 pub struct World {
     queue: EventQueue<Ev>,
     medium: Medium,
-    nodes: Vec<BleNode>,
+    nodes: Vec<Node>,
     listening: Vec<Option<(ListenTag, Channel, Instant, Instant)>>,
     /// Node indices currently registered as listening, per channel
     /// (sorted ascending — the medium's RNG draw order is per-listener
     /// in order, so this ordering is part of the determinism contract).
     listeners_by_channel: Vec<Vec<u16>>,
-    /// Slab of in-flight transmissions; `Ev::TxEnd` carries the slot.
+    /// Slab of in-flight frames of every link; `Ev::TxEnd` carries
+    /// the slot.
     inflight: Vec<Option<InFlight>>,
     /// Recycled `inflight` slots.
     free_tx: Vec<usize>,
@@ -480,6 +501,8 @@ pub struct World {
     /// nothing remembered").
     cfg: WorldConfig,
     node_cfgs: Vec<NodeConfig>,
+    /// `Some` in an 802.15.4 world.
+    ieee_cfg: Option<IeeeConfig>,
     /// Current clock rate per node: the construction-time draw plus
     /// any injected drift steps. Survives reboots — crystal error is
     /// a hardware property, not state.
@@ -511,9 +534,6 @@ pub struct World {
     /// `None` on the paper's static data path: the hot loop carries
     /// no cost beyond this check.
     peers_world: Option<Box<PeersState>>,
-    /// The 802.15.4 link of every node (`None` = BLE: the hot loop
-    /// carries no cost beyond this check).
-    ieee: Option<Box<IeeeState>>,
 }
 
 /// One allocated connection: its endpoints plus the §6.3
@@ -561,30 +581,25 @@ struct ChaosState {
     scratch: Vec<f64>,
 }
 
-/// The independent RNG streams a node's stack draws from. The `adv`
-/// stream exists only in advertising mode — connection-mode runs draw
-/// exactly the sequence they always did.
-struct NodeRngs {
-    ll: Rng,
-    sc: Rng,
-    node: Rng,
-    adv: Option<Rng>,
-    /// Peer-manager stream (backoff jitter, interval draws). Exists
-    /// only in peers mode — same draw-neutrality contract as `adv`.
-    peers: Option<Rng>,
-}
-
-/// Build one node's full stack from its static config. Used at world
-/// construction and again on post-crash reboots, which is exactly the
-/// fault model: full LL + stack state loss.
+/// Build one node from its static config. Used at world construction
+/// and again on post-crash reboots, which is exactly the fault model:
+/// full link and stack state loss.
+///
+/// `fork(k)` yields the node's `k`-th RNG stream. The draw order is
+/// part of the determinism contract: 1 feeds the link layer (or the
+/// MAC), 2 statconn, 3 the node itself, then 4 the advertising link or
+/// 5 the peer manager. An advertising node still draws streams 1 and 2
+/// and drops them: each fork advances the source, so skipping them
+/// would change every later draw.
 fn make_node(
     cfg: &WorldConfig,
+    ieee: Option<&IeeeConfig>,
     consumer: NodeId,
     nc: &NodeConfig,
     id: NodeId,
     ppm: f64,
-    rngs: NodeRngs,
-) -> BleNode {
+    mut fork: impl FnMut(u64) -> Rng,
+) -> Node {
     let mut stack = Ipv6Stack::new(NetConfig::for_node(id.0));
     stack.bind_udp(COAP_PORT);
     let rpl = if cfg.dynamic_routing {
@@ -600,44 +615,60 @@ fn make_node(
     for (dst, via) in &nc.routes {
         stack.routing_mut().add_host(*dst, *via);
     }
-    let mut statconn =
-        Statconn::with_channel_map(id, &nc.edges, cfg.policy, cfg.conn_channel_map, rngs.sc);
-    if let Some(t) = cfg.supervision_timeout {
-        statconn.set_supervision_timeout(t);
-    }
-    let adv = match (&cfg.transport, rngs.adv) {
-        (TransportMode::Adv(ac), Some(r)) => {
-            Some(AdvLink::new(id, *ac, Clock::with_ppm(ppm), r))
+    let (link, rng) = match (ieee, cfg.transport) {
+        (Some(ic), _) => {
+            let mac = fork(1);
+            (Link::Ieee(IeeeLink::new(id, ic, mac)), fork(3))
         }
-        _ => None,
+        (None, TransportMode::Adv(ac)) => {
+            let _ = (fork(1), fork(2));
+            let node = fork(3);
+            let adv = AdvLink::new(id, ac, Clock::with_ppm(ppm), fork(4));
+            (Link::Adv(adv), node)
+        }
+        (None, TransportMode::Conn) => {
+            let (ll_rng, sc_rng, node) = (fork(1), fork(2), fork(3));
+            let mut statconn =
+                Statconn::with_channel_map(id, &nc.edges, cfg.policy, cfg.conn_channel_map, sc_rng);
+            if let Some(t) = cfg.supervision_timeout {
+                statconn.set_supervision_timeout(t);
+            }
+            let peers = cfg
+                .peers
+                .as_ref()
+                .map(|pc| PeerManager::new(id, pc.pool, fork(5)));
+            let mut ll_cfg = cfg.ll;
+            if peers.is_some() {
+                // Dynamic peer management needs every node to stay
+                // discoverable: resume advertising after accepting a
+                // connection instead of going dark (legacy-BLE default).
+                ll_cfg.resume_adv_on_connect = true;
+            }
+            let link = ConnLink {
+                ll: LinkLayer::new(id, Clock::with_ppm(ppm), ll_cfg, ll_rng),
+                statconn,
+                peers,
+                cocs: Vec::new(),
+                pool: BufPool::new(NIMBLE_BUF_BYTES),
+                signals: SignalLog::new(LINK_SIGNAL_CAP),
+            };
+            (Link::Conn(Box::new(link)), node)
+        }
     };
-    let peers = match (&cfg.peers, rngs.peers) {
-        (Some(pc), Some(r)) => Some(PeerManager::new(id, pc.pool, r)),
-        _ => None,
-    };
-    let mut ll_cfg = cfg.ll;
-    if peers.is_some() {
-        // Dynamic peer management needs every node to stay
-        // discoverable: resume advertising after accepting a
-        // connection instead of going dark (legacy-BLE default).
-        ll_cfg.resume_adv_on_connect = true;
-    }
-    BleNode {
-        ll: LinkLayer::new(id, Clock::with_ppm(ppm), ll_cfg, rngs.ll),
+    Node {
+        link,
         stack,
-        statconn,
-        link: ConnLink::new(),
-        adv,
         client: Client::new(id.0),
         server: Server::new(0x8000 | id.0),
         rpl,
-        peers,
-        rng: rngs.node,
+        rng,
     }
 }
 
 impl World {
-    /// Build a world. `nodes[i]` configures node `i`.
+    /// Build a world. `nodes[i]` configures node `i`. Panics when
+    /// `cfg.peers` is set together with `cfg.transport` =
+    /// [`TransportMode::Adv`].
     pub fn new(cfg: WorldConfig, node_cfgs: Vec<NodeConfig>, app: AppConfig) -> Self {
         Self::build(cfg, node_cfgs, app, None)
     }
@@ -647,76 +678,54 @@ impl World {
     /// edges in `node_cfgs` are ignored (802.15.4 needs none), as are
     /// chaos and peers: fault injection panics.
     pub fn new_ieee(cfg: IeeeConfig, node_cfgs: Vec<NodeConfig>, app: AppConfig) -> Self {
-        // Statconn never starts, so the interval policy is never read.
+        // No node has a link layer, so the interval policy is never read.
         let policy = IntervalPolicy::Static(Duration::from_millis(75));
-        let world_cfg = WorldConfig {
-            loss: cfg.loss,
-            jam_channel_22: false,
-            record_bucket: cfg.record_bucket,
-            ..WorldConfig::paper_default(cfg.seed, policy)
-        };
-        Self::build(world_cfg, node_cfgs, app, Some(&cfg))
+        let world_cfg = WorldConfig::paper_default(cfg.seed, policy);
+        Self::build(world_cfg, node_cfgs, app, Some(cfg))
     }
 
     fn build(
         cfg: WorldConfig,
         node_cfgs: Vec<NodeConfig>,
         app: AppConfig,
-        ieee_cfg: Option<&IeeeConfig>,
+        ieee_cfg: Option<IeeeConfig>,
     ) -> Self {
         let n = node_cfgs.len();
         assert!(n >= 2, "a testbed needs at least two nodes");
+        assert!(
+            cfg.peers.is_none() || cfg.transport == TransportMode::Conn,
+            "WorldConfig::peers needs WorldConfig::transport = TransportMode::Conn: \
+             peer management forms LL connections, which the advertising transport does not use"
+        );
         let mut rng = Rng::seed_from_u64(cfg.seed);
         let mut medium = Medium::new(MediumConfig {
             n_nodes: n,
-            loss: cfg.loss,
+            loss: ieee_cfg
+                .as_ref()
+                .map_or_else(LossConfig::ble_default, |c| c.loss),
             seed: rng.fork(0xF00D).next_u64(),
             radio_links: cfg.radio_links.clone(),
         });
-        if cfg.jam_channel_22 {
+        if ieee_cfg.is_none() {
+            // The testbed's permanently jammed BLE channel 22 (§4.2).
             medium.set_channel_interference(Channel::ble_data(BLE_JAMMED_CHANNEL), 0.97);
         }
-        let mut ieee = ieee_cfg.map(|c| Box::new(IeeeState::new(c)));
-        // The RNG draw order below (drift draw, then the three forks,
-        // per node in index order) is part of the determinism
-        // contract — fault-free runs stay byte-identical to builds
-        // without the chaos subsystem.
+        // Per node in index order: the drift draw (BLE only), then the
+        // node's forks (see `make_node`). This order is part of the
+        // determinism contract.
         let mut clock_ppms = Vec::with_capacity(n);
         let nodes = node_cfgs
             .iter()
             .enumerate()
             .map(|(i, nc)| {
-                let id = NodeId(i as u16);
-                if let (Some(ic), Some(ie)) = (ieee_cfg, ieee.as_mut()) {
-                    // 802.15.4 draws no drift and forks only the MAC's
-                    // stream, then the node's. The idle BLE link layer
-                    // and statconn draw nothing, so they get clones.
-                    let mac = rng.fork(1000 + i as u64);
-                    ie.nodes.push(IeeeLink::new(id, ic, mac.clone()));
-                    clock_ppms.push(0.0);
-                    let rngs = NodeRngs {
-                        ll: mac.clone(),
-                        sc: mac,
-                        node: rng.fork(3000 + i as u64),
-                        adv: None,
-                        peers: None,
-                    };
-                    return make_node(&cfg, app.consumer, nc, id, 0.0, rngs);
-                }
-                let ppm = rng.range_f64(-cfg.clock_ppm_range, cfg.clock_ppm_range);
-                clock_ppms.push(ppm);
-                let rngs = NodeRngs {
-                    ll: rng.fork(1000 + i as u64),
-                    sc: rng.fork(2000 + i as u64),
-                    node: rng.fork(3000 + i as u64),
-                    // The extra forks happen only in adv/peers mode,
-                    // so connection-mode runs keep their exact draw
-                    // order.
-                    adv: matches!(cfg.transport, TransportMode::Adv(_))
-                        .then(|| rng.fork(4000 + i as u64)),
-                    peers: cfg.peers.is_some().then(|| rng.fork(5000 + i as u64)),
+                let ppm = match ieee_cfg {
+                    Some(_) => 0.0,
+                    None => rng.range_f64(-cfg.clock_ppm_range, cfg.clock_ppm_range),
                 };
-                make_node(&cfg, app.consumer, nc, id, ppm, rngs)
+                clock_ppms.push(ppm);
+                let id = NodeId(i as u16);
+                let fork = |k: u64| rng.fork(k * 1000 + i as u64);
+                make_node(&cfg, ieee_cfg.as_ref(), app.consumer, nc, id, ppm, fork)
             })
             .collect();
         let mut obs = Obs::new(n, cfg.timeline_cap);
@@ -771,7 +780,7 @@ impl World {
             next_conn: vec![0; n],
             conn_ends: vec![Vec::new(); n],
             max_pdu: cfg.ll.max_pdu,
-            records: Records::new(cfg.record_bucket),
+            records: Records::new(RECORD_BUCKET),
             trace: Trace::default(),
             obs,
             app,
@@ -787,9 +796,9 @@ impl World {
             adv_m,
             peer_m,
             peers_world,
-            ieee,
             cfg,
             node_cfgs,
+            ieee_cfg,
         };
         // Apply the initial geometry: per-link PER for in-range pairs,
         // out-of-range for the rest. Medium mutators are draw-neutral,
@@ -862,87 +871,105 @@ impl World {
         self.records = Records::new(bucket);
     }
 
-    /// Link-layer counters of one node.
+    /// Link-layer counters of one node (all zero for a node without a
+    /// connection link).
     pub fn ll_counters(&self, node: NodeId) -> mindgap_ble::LlCounters {
-        self.nodes[node.index()].ll.counters()
+        self.conn_link(node)
+            .map(|c| c.ll.counters())
+            .unwrap_or_default()
     }
 
-    /// Advertising-transport counters of one node (`None` in
-    /// connection mode).
+    /// Advertising-transport counters of one node (`None` unless it
+    /// runs the advertising link).
     pub fn adv_counters(&self, node: NodeId) -> Option<mindgap_adv::AdvCounters> {
-        self.nodes[node.index()].adv.as_ref().map(|a| a.counters())
+        match &self.nodes[node.index()].link {
+            Link::Adv(adv) => Some(adv.counters()),
+            _ => None,
+        }
     }
 
     /// 802.15.4 MAC counters of one node (`None` in BLE worlds).
     pub fn mac_counters(&self, node: NodeId) -> Option<MacCounters> {
-        self.ieee.as_ref().map(|ie| ie.nodes[node.index()].mac.counters())
+        match &self.nodes[node.index()].link {
+            Link::Ieee(l) => Some(l.mac.counters()),
+            _ => None,
+        }
+    }
+
+    /// The connection link of `node` (`None` for other links).
+    fn conn_link(&self, node: NodeId) -> Option<&ConnLink> {
+        self.nodes[node.index()].link.conn()
     }
 
     /// Fold component-held counters (LL counters, `NetStats`, CoC
     /// credit stalls, routing rank) into the registry's sampled
     /// metrics and return a point-in-time snapshot of everything.
+    /// Components a node's link does not have are not sampled: their
+    /// registry slots keep their default of zero.
     pub fn obs_snapshot(&mut self) -> MetricsSnapshot {
         let m = self.obs.m;
+        let now = self.queue.now();
         for i in 0..self.nodes.len() {
             let id = NodeId(i as u16);
             let n = &self.nodes[i];
-            let c = n.ll.counters();
             let reg = &mut self.obs.reg;
-            reg.set_counter(m.phy_tx_airtime_ns, id, c.tx_ns);
-            reg.set_counter(m.phy_listen_ns, id, c.listen_ns);
-            reg.set_counter(m.ll_conn_events_coord, id, c.coord_events);
-            reg.set_counter(m.ll_conn_events_sub, id, c.sub_events);
-            reg.set_counter(m.ll_events_skipped, id, c.skipped_events);
-            reg.set_counter(m.ll_events_missed, id, c.sub_missed);
             let s = n.stack.stats();
             reg.set_counter(m.ipv6_originated, id, s.originated);
             reg.set_counter(m.ipv6_forwarded, id, s.forwarded);
             reg.set_counter(m.ipv6_delivered, id, s.delivered);
             reg.set_counter(m.ipv6_dropped, id, s.dropped);
             reg.set_counter(m.ipv6_no_route, id, s.no_route);
-            let stalls: u64 = n.link.cocs.iter().map(|(_, s)| s.chan.credit_stalls()).sum();
-            reg.set_counter(m.l2cap_credit_stalls, id, stalls);
             let rank = n.rpl.as_ref().map(|a| a.rank() as i64).unwrap_or(-1);
             reg.gauge_set(m.rpl_rank, id, rank);
-            if let (Some(adv), Some(am)) = (&n.adv, self.adv_m) {
-                let a = adv.counters();
-                // In adv mode the connection LL is idle, so the PHY
-                // radio-time samples come from the adv transport.
-                reg.set_counter(m.phy_tx_airtime_ns, id, c.tx_ns + a.tx_ns);
-                reg.set_counter(
-                    m.phy_listen_ns,
-                    id,
-                    c.listen_ns + adv.listen_ns_through(self.queue.now()),
-                );
-                reg.set_counter(am.adv_events, id, a.adv_events);
-                reg.set_counter(am.adv_trains, id, a.adv_trains);
-                reg.set_counter(am.adv_beacon_trains, id, a.beacon_trains);
-                reg.set_counter(am.adv_pdus_tx, id, a.pdus_tx);
-                reg.set_counter(am.adv_pdus_rx, id, a.pdus_rx);
-                reg.set_counter(am.adv_beacons_rx, id, a.beacons_rx);
-                reg.set_counter(am.adv_dups_suppressed, id, a.dups_suppressed);
-                reg.set_counter(am.adv_delivered, id, a.delivered);
-                reg.set_counter(am.adv_rebroadcasts, id, a.rebroadcasts);
-                reg.set_counter(am.adv_queue_drops, id, a.queue_drops);
-                reg.set_counter(am.adv_neighbor_ups, id, a.neighbor_ups);
-                reg.set_counter(am.adv_neighbor_downs, id, a.neighbor_downs);
-                reg.set_counter(am.adv_scan_windows, id, a.scan_windows);
-                reg.gauge_set(am.adv_neighbors, id, adv.neighbor_count() as i64);
-                reg.gauge_set(am.adv_queue_depth, id, adv.queue_len() as i64);
-            }
-            if let (Some(pm), Some(qm)) = (&n.peers, self.peer_m) {
-                let p = pm.counters();
-                reg.set_counter(qm.peer_sightings, id, p.sightings);
-                reg.set_counter(qm.peer_discoveries, id, p.discoveries);
-                reg.set_counter(qm.peer_attempts, id, p.attempts);
-                reg.set_counter(qm.peer_successes, id, p.successes);
-                reg.set_counter(qm.peer_failures, id, p.failures);
-                reg.set_counter(qm.peer_timeouts, id, p.timeouts);
-                reg.set_counter(qm.peer_rotations, id, p.rotations);
-                reg.set_counter(qm.peer_refusals, id, p.refusals);
-                reg.set_counter(qm.peer_losses, id, p.losses);
-                reg.gauge_set(qm.peer_pool_size, id, pm.connected_count() as i64);
-                reg.gauge_set(qm.peer_known, id, pm.known_count() as i64);
+            match &n.link {
+                Link::Conn(conn) => {
+                    let c = conn.ll.counters();
+                    reg.set_counter(m.phy_tx_airtime_ns, id, c.tx_ns);
+                    reg.set_counter(m.phy_listen_ns, id, c.listen_ns);
+                    reg.set_counter(m.ll_conn_events_coord, id, c.coord_events);
+                    reg.set_counter(m.ll_conn_events_sub, id, c.sub_events);
+                    reg.set_counter(m.ll_events_skipped, id, c.skipped_events);
+                    reg.set_counter(m.ll_events_missed, id, c.sub_missed);
+                    let stalls = conn.cocs.iter().map(|(_, s)| s.chan.credit_stalls()).sum();
+                    reg.set_counter(m.l2cap_credit_stalls, id, stalls);
+                    if let (Some(pm), Some(qm)) = (&conn.peers, self.peer_m) {
+                        let p = pm.counters();
+                        reg.set_counter(qm.peer_sightings, id, p.sightings);
+                        reg.set_counter(qm.peer_discoveries, id, p.discoveries);
+                        reg.set_counter(qm.peer_attempts, id, p.attempts);
+                        reg.set_counter(qm.peer_successes, id, p.successes);
+                        reg.set_counter(qm.peer_failures, id, p.failures);
+                        reg.set_counter(qm.peer_timeouts, id, p.timeouts);
+                        reg.set_counter(qm.peer_rotations, id, p.rotations);
+                        reg.set_counter(qm.peer_refusals, id, p.refusals);
+                        reg.set_counter(qm.peer_losses, id, p.losses);
+                        reg.gauge_set(qm.peer_pool_size, id, pm.connected_count() as i64);
+                        reg.gauge_set(qm.peer_known, id, pm.known_count() as i64);
+                    }
+                }
+                Link::Adv(adv) => {
+                    let a = adv.counters();
+                    reg.set_counter(m.phy_tx_airtime_ns, id, a.tx_ns);
+                    reg.set_counter(m.phy_listen_ns, id, adv.listen_ns_through(now));
+                    if let Some(am) = self.adv_m {
+                        reg.set_counter(am.adv_events, id, a.adv_events);
+                        reg.set_counter(am.adv_trains, id, a.adv_trains);
+                        reg.set_counter(am.adv_beacon_trains, id, a.beacon_trains);
+                        reg.set_counter(am.adv_pdus_tx, id, a.pdus_tx);
+                        reg.set_counter(am.adv_pdus_rx, id, a.pdus_rx);
+                        reg.set_counter(am.adv_beacons_rx, id, a.beacons_rx);
+                        reg.set_counter(am.adv_dups_suppressed, id, a.dups_suppressed);
+                        reg.set_counter(am.adv_delivered, id, a.delivered);
+                        reg.set_counter(am.adv_rebroadcasts, id, a.rebroadcasts);
+                        reg.set_counter(am.adv_queue_drops, id, a.queue_drops);
+                        reg.set_counter(am.adv_neighbor_ups, id, a.neighbor_ups);
+                        reg.set_counter(am.adv_neighbor_downs, id, a.neighbor_downs);
+                        reg.set_counter(am.adv_scan_windows, id, a.scan_windows);
+                        reg.gauge_set(am.adv_neighbors, id, adv.neighbor_count() as i64);
+                        reg.gauge_set(am.adv_queue_depth, id, adv.queue_len() as i64);
+                    }
+                }
+                Link::Ieee(_) => {}
             }
         }
         self.obs.snapshot()
@@ -999,47 +1026,55 @@ impl World {
     }
 
     /// Per-connection stats of one node: (conn, peer, role, stats).
+    /// Empty for a node without a connection link.
     pub fn conn_stats_of(
         &self,
         node: NodeId,
     ) -> Vec<(ConnId, NodeId, Role, mindgap_ble::ConnStats)> {
-        let n = &self.nodes[node.index()];
-        n.ll
-            .connections()
+        let Some(c) = self.conn_link(node) else {
+            return Vec::new();
+        };
+        c.ll.connections()
             .into_iter()
-            .filter_map(|(c, p, r)| n.ll.conn_stats(c).map(|s| (c, p, r, s)))
+            .filter_map(|(conn, p, r)| c.ll.conn_stats(conn).map(|s| (conn, p, r, s)))
             .collect()
     }
 
-    /// statconn reconnect count of one node.
+    /// statconn reconnect count of one node (0 without a connection
+    /// link).
     pub fn reconnects(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].statconn.reconnects
+        self.conn_link(node).map_or(0, |c| c.statconn.reconnects)
     }
 
-    /// statconn collision-close count of one node (§6.3 rejections).
+    /// statconn collision-close count of one node (§6.3 rejections;
+    /// 0 without a connection link).
     pub fn collision_closes(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].statconn.collision_closes
+        self.conn_link(node)
+            .map_or(0, |c| c.statconn.collision_closes)
     }
 
-    /// mbuf-pool drop count of one node.
+    /// mbuf-pool drop count of one node (0 without a connection link).
     pub fn pool_drops(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].link.pool.drops()
+        self.conn_link(node).map_or(0, |c| c.pool.drops())
     }
 
     /// `true` once every configured edge of every node is connected.
+    /// Nodes without a connection link have no edges to bring up.
     pub fn fully_connected(&self) -> bool {
-        self.nodes.iter().all(|n| n.statconn.fully_connected())
+        self.nodes
+            .iter()
+            .all(|n| n.link.conn().is_none_or(|c| c.statconn.fully_connected()))
     }
 
     /// Peer-manager counters of one node (`None` outside peers mode).
     pub fn peer_counters(&self, node: NodeId) -> Option<PeerCounters> {
-        self.nodes[node.index()].peers.as_ref().map(|p| p.counters())
+        self.conn_link(node)?.peers.as_ref().map(|p| p.counters())
     }
 
     /// Established pool size of one node's peer manager (`None`
     /// outside peers mode).
     pub fn peer_pool_size(&self, node: NodeId) -> Option<usize> {
-        self.nodes[node.index()]
+        self.conn_link(node)?
             .peers
             .as_ref()
             .map(|p| p.connected_count())
@@ -1057,7 +1092,7 @@ impl World {
     /// Receivers count it in `adv_counters().delivered`; the payload
     /// is not parsed as 6LoWPAN unless it is one.
     pub fn adv_broadcast(&mut self, node: NodeId, payload: Vec<u8>) -> bool {
-        let Some(adv) = self.nodes[node.index()].adv.as_mut() else {
+        let Link::Adv(adv) = &mut self.nodes[node.index()].link else {
             return false;
         };
         adv.send(Frame::ADV_BROADCAST, payload).is_ok()
@@ -1070,21 +1105,7 @@ impl World {
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            if self.nodes[i].peers.is_some() {
-                // Cold start: every node advertises (to be found) and
-                // discovery-scans (to find); the policy tick below
-                // turns sightings into connections.
-                self.start_peer_node(NodeId(i as u16));
-            } else if self.nodes[i].adv.is_some() {
-                // Connection-less transport: no statconn, no L2CAP —
-                // each node just starts advertising and scanning.
-                self.start_adv(NodeId(i as u16));
-            } else if self.ieee.is_none() {
-                // Statconn's static edges. (An 802.15.4 MAC needs no
-                // bring-up: it always listens.)
-                let actions = self.nodes[i].statconn.start();
-                self.apply_sc_actions(NodeId(i as u16), actions);
-            }
+            self.bring_up(NodeId(i as u16));
         }
         if let Some(ps) = self.peers_world.as_ref() {
             let (tick, mobile, mtick) = (ps.tick, ps.mobile, ps.mobility_tick);
@@ -1140,21 +1161,22 @@ impl World {
         assert!(lo <= hi);
         let span = (hi - lo) / INTERVAL_QUANTUM;
         let mut updated = 0;
-        for i in 0..self.nodes.len() {
-            let conns: Vec<(ConnId, Role)> = self.nodes[i]
-                .ll
-                .connections()
-                .into_iter()
-                .map(|(c, _, r)| (c, r))
-                .collect();
+        for n in &mut self.nodes {
+            let Link::Conn(c) = &mut n.link else {
+                continue;
+            };
+            let conns: Vec<(ConnId, Role)> =
+                c.ll.connections()
+                    .into_iter()
+                    .map(|(c, _, r)| (c, r))
+                    .collect();
             for (conn, role) in &conns {
                 if *role != Role::Coordinator {
                     continue;
                 }
-                let n = &mut self.nodes[i];
                 let used: Vec<Duration> = conns
                     .iter()
-                    .filter_map(|(c, _)| n.ll.conn_interval(*c))
+                    .filter_map(|(conn, _)| c.ll.conn_interval(*conn))
                     .collect();
                 let interval = loop {
                     let k = n.rng.range_inclusive(0, span);
@@ -1163,8 +1185,8 @@ impl World {
                         break candidate;
                     }
                 };
-                if n.ll.request_conn_update(*conn, interval).is_ok() {
-                    n.statconn.note_interval(*conn, interval);
+                if c.ll.request_conn_update(*conn, interval).is_ok() {
+                    c.statconn.note_interval(*conn, interval);
                     updated += 1;
                 }
             }
@@ -1173,13 +1195,13 @@ impl World {
     }
 
     /// Channel map currently used by a node's connection (diagnostics
-    /// for the AFH ablation).
+    /// for the AFH ablation; `None` without a connection link).
     pub fn conn_channel_map(
         &self,
         node: NodeId,
         conn: ConnId,
     ) -> Option<mindgap_ble::channels::ChannelMap> {
-        self.nodes[node.index()].ll.conn_channel_map(conn)
+        self.conn_link(node)?.ll.conn_channel_map(conn)
     }
 
     /// Physically sever the radio link between two nodes (they move
@@ -1203,20 +1225,21 @@ impl World {
         self.medium.set_link_loss(a, b, per, true);
     }
 
-    /// Bytes currently held in a node's NimBLE mbuf pool (diagnostics).
+    /// Bytes currently held in a node's NimBLE mbuf pool (diagnostics;
+    /// 0 without a connection link).
     pub fn pool_used(&self, node: NodeId) -> usize {
-        self.nodes[node.index()].link.pool.used()
+        self.conn_link(node).map_or(0, |c| c.pool.used())
     }
 
-    /// The node's transport viewed through the link-service boundary
-    /// (MTU, tx admission, neighbor set, link-up/down signal log).
-    pub fn link_service(&self, node: NodeId) -> &dyn LinkService {
-        self.nodes[node.index()].link_service_ref()
-    }
-
-    /// Ordered link-up/down signals observed by one node's transport.
-    pub fn link_signals(&self, node: NodeId) -> &[LinkSignal] {
-        self.link_service(node).signals()
+    /// The node's link viewed through the link-service boundary (MTU,
+    /// tx admission, neighbor set, link-up/down signal log). `None`
+    /// for 802.15.4 nodes: the MAC has no `LinkService` yet.
+    pub fn link_service(&self, node: NodeId) -> Option<&dyn LinkService> {
+        match &self.nodes[node.index()].link {
+            Link::Conn(c) => Some(&**c),
+            Link::Adv(a) => Some(a),
+            Link::Ieee(_) => None,
+        }
     }
 
     /// Routing-agent state of a node: (rank, parent), when dynamic
@@ -1256,10 +1279,7 @@ impl World {
         self.events += 1;
         match ev {
             Ev::LlTimer(node, timer) => {
-                let mut outs = self.take_out();
-                self.nodes[node.index()].ll.on_timer(now, timer, &mut outs);
-                self.apply_ll(node, &mut outs);
-                self.put_out(outs);
+                self.with_ll(node, |ll, outs| ll.on_timer(now, timer, outs))
             }
             Ev::TxEnd(slot) => self.tx_end(now, slot),
             Ev::AppSend(node, epoch) => {
@@ -1270,17 +1290,15 @@ impl World {
             Ev::CoapSweep => {
                 let timeout = self.app.coap_timeout.nanos();
                 for i in 0..self.nodes.len() {
-                    let expired =
-                        self.nodes[i].client.expire(now.nanos(), timeout).len() as u64;
+                    let n = &mut self.nodes[i];
+                    let expired = n.client.expire(now.nanos(), timeout).len() as u64;
                     if expired > 0 {
                         self.obs
                             .reg
                             .add(self.obs.m.coap_timeouts, NodeId(i as u16), expired);
                     }
-                }
-                if let Some(ie) = self.ieee.as_mut() {
-                    for link in &mut ie.nodes {
-                        let _ = link.reassembler.expire(now.nanos());
+                    if let Link::Ieee(l) = &mut n.link {
+                        let _ = l.reassembler.expire(now.nanos());
                     }
                 }
                 self.queue.schedule_in(Duration::from_secs(5), Ev::CoapSweep);
@@ -1294,28 +1312,40 @@ impl World {
             Ev::FaultClear(i) => self.clear_fault(now, i),
             Ev::SweepStep { fault, step } => self.sweep_step(now, fault, step),
             Ev::AdvTimer(node, timer) => {
-                let mut outs = Vec::new();
-                if let Some(adv) = self.nodes[node.index()].adv.as_mut() {
-                    adv.on_timer(now, timer, &mut outs);
-                }
-                self.apply_adv(node, outs);
+                self.with_adv(node, |adv, outs| adv.on_timer(now, timer, outs))
             }
             Ev::PeersTick => self.peers_tick(now),
             Ev::MobilityTick => self.mobility_tick(),
             Ev::MacTimer(node, timer) => self.mac_timer(now, node, timer),
-            Ev::MacTxEnd(slot) => self.mac_tx_end(now, slot),
         }
     }
 
-    /// (Re)start a peers-mode node: advertise so others can find it,
-    /// discovery-scan so it finds others.
-    fn start_peer_node(&mut self, node: NodeId) {
+    /// (Re)start a node's link, at world start and after a reboot.
+    fn bring_up(&mut self, node: NodeId) {
         let now = self.queue.now();
-        let mut outs = self.take_out();
-        self.nodes[node.index()].ll.start_advertising(now, &mut outs);
-        self.nodes[node.index()].ll.start_discovery(now, &mut outs);
-        self.apply_ll(node, &mut outs);
-        self.put_out(outs);
+        match &mut self.nodes[node.index()].link {
+            // Cold start: advertise (to be found) and discovery-scan
+            // (to find); the policy tick turns sightings into
+            // connections.
+            Link::Conn(c) if c.peers.is_some() => self.with_ll(node, |ll, outs| {
+                ll.start_advertising(now, outs);
+                ll.start_discovery(now, outs);
+            }),
+            // Statconn's static edges.
+            Link::Conn(c) => {
+                let actions = c.statconn.start();
+                self.apply_sc_actions(node, actions);
+            }
+            // Connection-less: no statconn, no L2CAP, just advertising
+            // and scanning.
+            Link::Adv(_) => self.with_adv(node, |adv, outs| adv.start(now, outs)),
+            // An 802.15.4 radio listens on its channel whenever it is
+            // not transmitting.
+            Link::Ieee(l) => {
+                let channel = l.channel();
+                self.listen(node, ListenTag::Scan, channel, Instant::MAX);
+            }
+        }
     }
 
     /// One policy round: every live node's manager expires stale
@@ -1331,7 +1361,7 @@ impl World {
             if self.down[i] {
                 continue;
             }
-            let Some(pm) = self.nodes[i].peers.as_mut() else {
+            let Some(pm) = self.nodes[i].link.peers_mut() else {
                 continue;
             };
             let actions = pm.tick(now);
@@ -1354,16 +1384,6 @@ impl World {
         ps.field.step(dt.nanos() as f64 / 1e9);
         self.refresh_geometry();
         self.queue.schedule_in(dt, Ev::MobilityTick);
-    }
-
-    /// (Re)start a node's advertising transport.
-    fn start_adv(&mut self, node: NodeId) {
-        let now = self.queue.now();
-        let mut outs = Vec::new();
-        if let Some(adv) = self.nodes[node.index()].adv.as_mut() {
-            adv.start(now, &mut outs);
-        }
-        self.apply_adv(node, outs);
     }
 
     fn rpl_tick(&mut self, now: Instant, node: NodeId) {
@@ -1391,6 +1411,16 @@ impl World {
             let bytes = s.msg.encode();
             self.send_udp(node, s.to, RPL_PORT, RPL_PORT, &bytes);
         }
+    }
+
+    /// Tell the routing agent (if any) that the link to `peer` is gone.
+    fn rpl_neighbor_down(&mut self, node: NodeId, peer: NodeId) {
+        let n = &mut self.nodes[node.index()];
+        let Some(agent) = n.rpl.as_mut() else {
+            return;
+        };
+        let sends = agent.on_neighbor_down(Ipv6Addr::of_node(peer.0), n.stack.routing_mut());
+        self.rpl_transmit(node, sends);
     }
 
     fn rpl_rx(&mut self, node: NodeId, src: Ipv6Addr, payload: &[u8]) {
@@ -1423,6 +1453,9 @@ impl World {
         self.rpl_transmit(node, sends);
     }
 
+    /// A frame of any link ended: find its listeners, account the
+    /// delivery, hand the frame to every listener that received it and
+    /// the completion to the sender.
     fn tx_end(&mut self, now: Instant, slot: usize) {
         let fl = self.inflight[slot].take().expect("tx tracked");
         self.free_tx.push(slot);
@@ -1450,109 +1483,129 @@ impl World {
         self.medium.finish_tx_into(fl.tx, &cand, &mut outcomes);
         cand.clear();
         self.cand_scratch = cand;
-        // Advertising-transport PDUs never touch the connection LL:
-        // dispatch to each listener's AdvLink and hand the completion
-        // back to the sender's.
-        if let Frame::AdvData { dst, payload, .. } = &fl.frame {
-            if *dst != Frame::ADV_BROADCAST && !payload.is_empty() {
-                let dstn = NodeId(*dst);
-                let ok = outcomes.iter().any(|(l, o)| *l == dstn && o.is_ok());
-                self.obs.reg.inc(self.obs.m.ll_data_attempts, fl.src);
-                if ok {
-                    self.obs.reg.inc(self.obs.m.ll_data_delivered, fl.src);
-                }
-                self.records
-                    .ll_attempt(fl.src, dstn, now, fl.channel.index(), ok);
+        // Link-layer delivery accounting for unicast data frames.
+        if let Some((dst, channel_slot)) = self.intended_rx(&fl) {
+            let ok = outcomes.iter().any(|&(l, o)| l == dst && o.is_ok());
+            self.obs.reg.inc(self.obs.m.ll_data_attempts, fl.src);
+            if ok {
+                self.obs.reg.inc(self.obs.m.ll_data_delivered, fl.src);
             }
-            for &(listener, outcome) in &outcomes {
-                if outcome.is_ok() {
-                    let mut outs = Vec::new();
-                    if let Some(adv) = self.nodes[listener.index()].adv.as_mut() {
-                        adv.on_frame_rx(now, &fl.frame, &mut outs);
-                    }
-                    self.apply_adv(listener, outs);
-                }
-            }
-            outcomes.clear();
-            self.outcome_scratch = outcomes;
-            if fl.src_epoch != self.boot_epoch[fl.src.index()] {
-                return;
-            }
-            let mut outs = Vec::new();
-            if let Some(adv) = self.nodes[fl.src.index()].adv.as_mut() {
-                adv.on_tx_done(now, &mut outs);
-            }
-            self.apply_adv(fl.src, outs);
-            return;
-        }
-        // Link-layer delivery accounting for data PDUs.
-        if let Frame::Data { conn, pdu, .. } = &fl.frame {
-            if !pdu.payload.is_empty() {
-                if let Some((a, b)) = self.conn_end_of(*conn) {
-                    let dst = if a == fl.src { b } else { a };
-                    let ok = outcomes
-                        .iter()
-                        .any(|(l, o)| *l == dst && o.is_ok());
-                    self.obs.reg.inc(self.obs.m.ll_data_attempts, fl.src);
-                    if ok {
-                        self.obs.reg.inc(self.obs.m.ll_data_delivered, fl.src);
-                    }
-                    self.records
-                        .ll_attempt(fl.src, dst, now, fl.channel.index(), ok);
-                }
-            }
+            self.records.ll_attempt(fl.src, dst, now, channel_slot, ok);
         }
         for &(listener, outcome) in &outcomes {
             if outcome.is_ok() {
-                let mut outs = self.take_out();
-                self.nodes[listener.index()]
-                    .ll
-                    .on_frame_rx(now, &fl.frame, fl.channel, &mut outs);
-                self.apply_ll(listener, &mut outs);
-                self.put_out(outs);
+                self.link_rx(now, listener, &fl);
             }
         }
         outcomes.clear();
         self.outcome_scratch = outcomes;
         // A sender that crashed mid-flight was rebuilt with a fresh
-        // link layer (and a fresh buffer pool): the completion and the
+        // link (and a fresh buffer pool): the completion and the
         // payload recycle belong to the dead incarnation.
         if fl.src_epoch != self.boot_epoch[fl.src.index()] {
             return;
         }
-        let mut outs = self.take_out();
-        self.nodes[fl.src.index()]
-            .ll
-            .on_tx_done(now, &fl.frame, &mut outs);
-        self.apply_ll(fl.src, &mut outs);
-        self.put_out(outs);
-        // The on-air payload copy came from the sender's LL buffer
-        // pool (see `Connection::next_pdu`); give it back.
-        if let Frame::Data { pdu, .. } = fl.frame {
-            if !pdu.payload.is_empty() {
-                self.nodes[fl.src.index()].ll.recycle(pdu.payload);
+        let src = fl.src;
+        match fl.frame {
+            AirFrame::Mac(_) => self.with_mac(src, |mac, _| mac.on_tx_done(now)),
+            AirFrame::Ble(_) if self.is_adv(src) => {
+                self.with_adv(src, |adv, outs| adv.on_tx_done(now, outs))
+            }
+            AirFrame::Ble(frame) => {
+                self.with_ll(src, |ll, outs| ll.on_tx_done(now, &frame, outs));
+                // The on-air payload copy came from the sender's LL
+                // buffer pool (see `Connection::next_pdu`); give it back.
+                if let (Frame::Data { pdu, .. }, Link::Conn(c)) =
+                    (frame, &mut self.nodes[src.index()].link)
+                {
+                    if !pdu.payload.is_empty() {
+                        c.ll.recycle(pdu.payload);
+                    }
+                }
             }
         }
+    }
+
+    /// The receiver a unicast data frame was meant for, with the
+    /// channel slot its link-layer attempt is recorded under; `None`
+    /// for control frames, empty PDUs and broadcasts. 802.15.4 runs on
+    /// a single channel and records under slot 0 (the per-channel axis
+    /// is BLE-specific).
+    fn intended_rx(&self, fl: &InFlight) -> Option<(NodeId, u8)> {
+        match &fl.frame {
+            AirFrame::Ble(Frame::Data { conn, pdu, .. }) if !pdu.payload.is_empty() => {
+                let (a, b) = self.conn_end_of(*conn)?;
+                Some((if a == fl.src { b } else { a }, fl.channel.index()))
+            }
+            AirFrame::Ble(Frame::AdvData { dst, payload, .. })
+                if *dst != Frame::ADV_BROADCAST && !payload.is_empty() =>
+            {
+                Some((NodeId(*dst), fl.channel.index()))
+            }
+            AirFrame::Mac(MacFrame::Data { dst: Some(dst), .. }) => Some((*dst, 0)),
+            _ => None,
+        }
+    }
+
+    /// Hand a received frame to `node`'s link.
+    fn link_rx(&mut self, now: Instant, node: NodeId, fl: &InFlight) {
+        match &fl.frame {
+            AirFrame::Mac(frame) => self.with_mac(node, |mac, _| mac.on_frame_rx(now, frame)),
+            AirFrame::Ble(frame) if self.is_adv(node) => {
+                self.with_adv(node, |adv, outs| adv.on_frame_rx(now, frame, outs))
+            }
+            AirFrame::Ble(frame) => self.with_ll(node, |ll, outs| {
+                ll.on_frame_rx(now, frame, fl.channel, outs)
+            }),
+        }
+    }
+
+    fn is_adv(&self, node: NodeId) -> bool {
+        matches!(self.nodes[node.index()].link, Link::Adv(_))
+    }
+
+    /// Run one call into `node`'s link layer and execute its outputs
+    /// (a no-op without a connection link). The `Output` buffer comes
+    /// from a free list: re-entrant chains (conn-up → statconn → close
+    /// → …) each hold their own, so the list may grow a few deep.
+    fn with_ll(&mut self, node: NodeId, f: impl FnOnce(&mut LinkLayer, &mut Vec<Output>)) {
+        let mut outs = self.out_scratch.pop().unwrap_or_default();
+        if let Link::Conn(c) = &mut self.nodes[node.index()].link {
+            f(&mut c.ll, &mut outs);
+        }
+        self.apply_ll(node, &mut outs);
+        if self.out_scratch.len() < 16 {
+            self.out_scratch.push(outs);
+        }
+    }
+
+    /// [`World::with_ll`] for the advertising link.
+    fn with_adv(&mut self, node: NodeId, f: impl FnOnce(&mut AdvLink, &mut Vec<AdvOut>)) {
+        let mut outs = Vec::new();
+        if let Link::Adv(adv) = &mut self.nodes[node.index()].link {
+            f(adv, &mut outs);
+        }
+        self.apply_adv(node, outs);
+    }
+
+    /// [`World::with_ll`] for the 802.15.4 MAC, which also gets the
+    /// medium for clear-channel assessment.
+    fn with_mac(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut Radio802154, &Medium) -> Vec<MacOutput>,
+    ) {
+        let World { nodes, medium, .. } = &mut *self;
+        let Link::Ieee(l) = &mut nodes[node.index()].link else {
+            return;
+        };
+        let outs = f(&mut l.mac, medium);
+        self.apply_mac(node, outs);
     }
 
     // ------------------------------------------------------------------
     // Link-layer output handling
     // ------------------------------------------------------------------
-
-    /// Grab a scratch `Output` buffer from the free list. Re-entrant
-    /// `apply_ll` chains (conn-up → statconn → close → …) each hold
-    /// their own buffer, so the list may grow a few entries deep.
-    fn take_out(&mut self) -> Vec<Output> {
-        self.out_scratch.pop().unwrap_or_default()
-    }
-
-    /// Return a scratch buffer (cleared) to the free list.
-    fn put_out(&mut self, mut v: Vec<Output>) {
-        v.clear();
-        if self.out_scratch.len() < 16 {
-            self.out_scratch.push(v);
-        }
-    }
 
     /// Register `node` under `channel` in the listener index, keeping
     /// each channel's list sorted by node index.
@@ -1571,6 +1624,28 @@ impl World {
         }
     }
 
+    /// Open `node`'s receive window on `channel` from now until
+    /// `until`, replacing any window it had.
+    fn listen(&mut self, node: NodeId, tag: ListenTag, channel: Channel, until: Instant) {
+        if let Some((_, old_ch, _, _)) = self.listening[node.index()] {
+            if old_ch != channel {
+                self.index_listen_off(node, old_ch);
+            }
+        }
+        self.index_listen_on(node, channel);
+        self.listening[node.index()] = Some((tag, channel, self.queue.now(), until));
+    }
+
+    /// Close `node`'s receive window if it is the one tagged `tag`.
+    fn listen_off(&mut self, node: NodeId, tag: ListenTag) {
+        if let Some((t, ch, _, _)) = self.listening[node.index()] {
+            if t == tag {
+                self.index_listen_off(node, ch);
+                self.listening[node.index()] = None;
+            }
+        }
+    }
+
     fn apply_ll(&mut self, node: NodeId, outputs: &mut Vec<Output>) {
         let now = self.queue.now();
         for o in outputs.drain(..) {
@@ -1585,25 +1660,14 @@ impl World {
                     self.track_ll_timer(node, conn, tok);
                 }
                 Output::Tx { channel, frame } => {
-                    self.begin_frame_tx(now, node, channel, frame);
+                    self.begin_tx(now, node, channel, AirFrame::Ble(frame));
                 }
-                Output::Listen { channel, until, tag } => {
-                    if let Some((_, old_ch, _, _)) = self.listening[node.index()] {
-                        if old_ch != channel {
-                            self.index_listen_off(node, old_ch);
-                        }
-                    }
-                    self.index_listen_on(node, channel);
-                    self.listening[node.index()] = Some((tag, channel, now, until));
-                }
-                Output::ListenOff { tag } => {
-                    if let Some((t, ch, _, _)) = self.listening[node.index()] {
-                        if t == tag {
-                            self.index_listen_off(node, ch);
-                            self.listening[node.index()] = None;
-                        }
-                    }
-                }
+                Output::Listen {
+                    channel,
+                    until,
+                    tag,
+                } => self.listen(node, tag, channel, until),
+                Output::ListenOff { tag } => self.listen_off(node, tag),
                 Output::ConnUp { conn, peer, role } => {
                     self.conn_up(node, conn, peer, role);
                 }
@@ -1644,7 +1708,7 @@ impl World {
             .distance(advertiser.index(), node.index())
             .max(0.01);
         let rssi = ps.geo.rssi_dbm(ps.geo_seed, advertiser.0, node.0, d);
-        let Some(pm) = self.nodes[node.index()].peers.as_mut() else {
+        let Some(pm) = self.nodes[node.index()].link.peers_mut() else {
             return;
         };
         if pm.on_sighting(now, advertiser, rssi) {
@@ -1665,16 +1729,19 @@ impl World {
             IntervalPolicy::Static(d) => d,
             IntervalPolicy::Randomized { lo, hi } => {
                 let span = (hi - lo) / INTERVAL_QUANTUM;
-                let n = &mut self.nodes[node.index()];
-                let used: Vec<Duration> = n
-                    .ll
-                    .connections()
-                    .into_iter()
-                    .filter_map(|(c, _, _)| n.ll.conn_interval(c))
-                    .collect();
-                let Some(pm) = n.peers.as_mut() else {
+                let Some(ConnLink {
+                    ll,
+                    peers: Some(pm),
+                    ..
+                }) = self.nodes[node.index()].link.conn_mut()
+                else {
                     return lo;
                 };
+                let used: Vec<Duration> = ll
+                    .connections()
+                    .into_iter()
+                    .filter_map(|(c, _, _)| ll.conn_interval(c))
+                    .collect();
                 loop {
                     let k = pm.rng_mut().range_inclusive(0, span);
                     let candidate = lo + INTERVAL_QUANTUM * k;
@@ -1700,7 +1767,7 @@ impl World {
                     }
                     params.channel_map = self.cfg.conn_channel_map;
                     let conn = self.alloc_conn(node, peer);
-                    if let Some(pm) = self.nodes[node.index()].peers.as_mut() {
+                    if let Some(pm) = self.nodes[node.index()].link.peers_mut() {
                         pm.attempt_started(conn.0);
                     }
                     self.obs.timeline.record(
@@ -1709,17 +1776,16 @@ impl World {
                         Span::PeerAttempt { conn: conn.0, peer },
                     );
                     self.trace.emit();
-                    let mut outs = self.take_out();
-                    self.nodes[node.index()]
-                        .ll
-                        .start_scanning(now, peer, conn, params, &mut outs);
-                    self.apply_ll(node, &mut outs);
-                    self.put_out(outs);
+                    self.with_ll(node, |ll, outs| {
+                        ll.start_scanning(now, peer, conn, params, outs)
+                    });
                 }
                 PeerAction::CancelAttempt { peer, rotated } => {
                     // Discovery keeps the scan alive; only the connect
                     // target is abandoned.
-                    self.nodes[node.index()].ll.cancel_scan_target(peer);
+                    if let Some(c) = self.nodes[node.index()].link.conn_mut() {
+                        c.ll.cancel_scan_target(peer);
+                    }
                     self.obs.timeline.record(
                         now,
                         node,
@@ -1747,19 +1813,29 @@ impl World {
 
     /// Put `frame` on air from `node`: PHY accounting, medium
     /// registration, in-flight slot, `TxEnd` scheduling. Shared by
-    /// both transports' output executors.
-    fn begin_frame_tx(&mut self, now: Instant, node: NodeId, channel: Channel, frame: Frame) {
-        let payload_bytes = match &frame {
-            Frame::AdvInd { payload_len, .. } => *payload_len as u64,
-            Frame::ConnectInd { .. } => 34,
-            Frame::Data { pdu, .. } => pdu.payload.len() as u64,
-            Frame::AdvData { payload, .. } => {
-                (payload.len() + Frame::ADV_DATA_OVERHEAD) as u64
-            }
-        };
+    /// every link's output executor.
+    fn begin_tx(&mut self, now: Instant, node: NodeId, channel: Channel, frame: AirFrame) {
         self.obs.reg.inc(self.obs.m.phy_tx_frames, node);
-        self.obs.reg.add(self.obs.m.phy_tx_bytes, node, payload_bytes);
-        let airtime = frame.airtime();
+        // MAC events stay unkeyed (see `apply_mac`); BLE events are
+        // homed on their node.
+        let (airtime, key) = match &frame {
+            AirFrame::Ble(f) => {
+                let payload_bytes = match f {
+                    Frame::AdvInd { payload_len, .. } => *payload_len as u64,
+                    Frame::ConnectInd { .. } => 34,
+                    Frame::Data { pdu, .. } => pdu.payload.len() as u64,
+                    Frame::AdvData { payload, .. } => {
+                        (payload.len() + Frame::ADV_DATA_OVERHEAD) as u64
+                    }
+                };
+                self.obs
+                    .reg
+                    .add(self.obs.m.phy_tx_bytes, node, payload_bytes);
+                (f.airtime(), node_key(node))
+            }
+            // 802.15.4 frames count in `phy_tx_frames` only.
+            AirFrame::Mac(f) => (f.airtime(), 0),
+        };
         let tx = self.medium.begin_tx(TxParams {
             src: node,
             channel,
@@ -1785,13 +1861,13 @@ impl World {
             }
         };
         self.queue
-            .schedule_at_keyed(now + airtime, node_key(node), Ev::TxEnd(slot));
+            .schedule_at_keyed(now + airtime, key, Ev::TxEnd(slot));
     }
 
     /// Execute the advertising transport's output actions — the adv
     /// counterpart of [`World::apply_ll`]. Listening uses
-    /// [`ListenTag::Scan`]; in adv mode statconn never runs, so the
-    /// tag cannot collide with connection-establishment scanning.
+    /// [`ListenTag::Scan`]; an adv node has no link layer, so the tag
+    /// cannot collide with connection-establishment scanning.
     fn apply_adv(&mut self, node: NodeId, outs: Vec<AdvOut>) {
         let now = self.queue.now();
         for o in outs {
@@ -1805,26 +1881,12 @@ impl World {
                     self.track_ll_timer(node, None, tok);
                 }
                 AdvOut::Tx { channel, frame } => {
-                    self.begin_frame_tx(now, node, channel, frame);
+                    self.begin_tx(now, node, channel, AirFrame::Ble(frame));
                 }
                 AdvOut::Listen { channel, until } => {
-                    if let Some((_, old_ch, _, _)) = self.listening[node.index()] {
-                        if old_ch != channel {
-                            self.index_listen_off(node, old_ch);
-                        }
-                    }
-                    self.index_listen_on(node, channel);
-                    self.listening[node.index()] =
-                        Some((ListenTag::Scan, channel, now, until));
+                    self.listen(node, ListenTag::Scan, channel, until)
                 }
-                AdvOut::ListenOff => {
-                    if let Some((t, ch, _, _)) = self.listening[node.index()] {
-                        if t == ListenTag::Scan {
-                            self.index_listen_off(node, ch);
-                            self.listening[node.index()] = None;
-                        }
-                    }
-                }
+                AdvOut::ListenOff => self.listen_off(node, ListenTag::Scan),
                 AdvOut::Deliver { src, sdu } => {
                     self.handle_sdu(node, src, sdu);
                 }
@@ -1839,20 +1901,7 @@ impl World {
                     self.obs
                         .timeline
                         .record(now, node, Span::NeighborDown { peer });
-                    // Mirror conn_down's routing notification so the
-                    // RPL agent reacts to lost adv neighbors too.
-                    let sends = {
-                        let n = &mut self.nodes[node.index()];
-                        n.rpl.as_mut().map(|agent| {
-                            agent.on_neighbor_down(
-                                Ipv6Addr::of_node(peer.0),
-                                n.stack.routing_mut(),
-                            )
-                        })
-                    };
-                    if let Some(sends) = sends {
-                        self.rpl_transmit(node, sends);
-                    }
+                    self.rpl_neighbor_down(node, peer);
                 }
                 AdvOut::Obs(ev) => {
                     if !self.obs.timeline.enabled() {
@@ -1907,17 +1956,14 @@ impl World {
         // The peer's statconn already rejected this connection
         // (interval collision) before our end finished setting up.
         if self.is_doomed(conn) {
-            let mut outs = self.take_out();
-            self.nodes[node.index()].ll.close(conn, now, &mut outs);
-            self.apply_ll(node, &mut outs);
-            self.put_out(outs);
+            self.with_ll(node, |ll, outs| ll.close(conn, now, outs));
             return;
         }
         self.trace.emit();
-        let interval = self.nodes[node.index()]
-            .ll
-            .conn_interval(conn)
-            .expect("fresh connection");
+        let Some(c) = self.nodes[node.index()].link.conn_mut() else {
+            return;
+        };
+        let interval = c.ll.conn_interval(conn).expect("fresh connection");
         self.obs.reg.inc(self.obs.m.ll_conn_established, node);
         self.obs.timeline.record(
             now,
@@ -1929,12 +1975,11 @@ impl World {
                 interval_ns: interval.nanos(),
             },
         );
-        if self.nodes[node.index()].peers.is_some() {
+        if let Some(pm) = self.nodes[node.index()].link.peers_mut() {
             // Peers mode: the policy decides whether to keep the
             // connection (pool capacity, duplicate pair) instead of
             // statconn's edge table.
             let initiated = role == Role::Coordinator;
-            let pm = self.nodes[node.index()].peers.as_mut().expect("peers mode");
             let actions = pm.on_conn_up(now, conn.0, peer, initiated);
             let rejected = actions
                 .iter()
@@ -1945,10 +1990,10 @@ impl World {
             self.apply_peer_actions(node, actions);
             return;
         }
-        let actions =
-            self.nodes[node.index()]
-                .statconn
-                .on_conn_up(conn, peer, role, interval);
+        let Some(c) = self.nodes[node.index()].link.conn_mut() else {
+            return;
+        };
+        let actions = c.statconn.on_conn_up(conn, peer, role, interval);
         // Register the L2CAP channel unless statconn rejects it.
         let rejected = actions
             .iter()
@@ -1962,7 +2007,9 @@ impl World {
     /// Open the L2CAP channel for a freshly accepted connection and
     /// log the link-up signal (shared by both connection managers).
     fn register_coc(&mut self, node: NodeId, conn: ConnId, peer: NodeId) {
-        let link = &mut self.nodes[node.index()].link;
+        let Some(link) = self.nodes[node.index()].link.conn_mut() else {
+            return;
+        };
         link.cocs.push((
             conn,
             CocState {
@@ -2004,29 +2051,23 @@ impl World {
         if reason == LossReason::SupervisionTimeout {
             self.records.conn_loss(now, node, peer);
         }
-        if let Some(coc) = self.nodes[node.index()].coc_remove(conn) {
-            // Release mbufs still queued for this channel.
-            let queued = coc.chan.queued_pool_cost();
-            if queued > 0 {
-                self.nodes[node.index()].link.pool.free(queued);
-            }
-            self.nodes[node.index()].link.signals.push(LinkSignal::Down {
-                peer: LlAddr::from_node_index(peer.0),
-            });
-        }
-        {
-            let sends = {
-                let n = &mut self.nodes[node.index()];
-                n.rpl.as_mut().map(|agent| {
-                    agent.on_neighbor_down(Ipv6Addr::of_node(peer.0), n.stack.routing_mut())
-                })
-            };
-            if let Some(sends) = sends {
-                self.rpl_transmit(node, sends);
+        if let Some(c) = self.nodes[node.index()].link.conn_mut() {
+            if let Some(coc) = c.coc_remove(conn) {
+                // Release mbufs still queued for this channel.
+                let queued = coc.chan.queued_pool_cost();
+                if queued > 0 {
+                    c.pool.free(queued);
+                }
+                c.signals.push(LinkSignal::Down {
+                    peer: LlAddr::from_node_index(peer.0),
+                });
             }
         }
-        if self.nodes[node.index()].peers.is_some() {
-            let pm = self.nodes[node.index()].peers.as_mut().expect("peers mode");
+        self.rpl_neighbor_down(node, peer);
+        let Some(c) = self.nodes[node.index()].link.conn_mut() else {
+            return;
+        };
+        if let Some(pm) = c.peers.as_mut() {
             let info = pm.on_conn_down(now, conn.0, peer);
             if info.was_attempt {
                 self.obs.timeline.record(
@@ -2046,7 +2087,7 @@ impl World {
             // The freed pool slot refills on the next PeersTick.
             return;
         }
-        let actions = self.nodes[node.index()].statconn.on_conn_down(conn, peer);
+        let actions = c.statconn.on_conn_down(conn, peer);
         self.apply_sc_actions(node, actions);
     }
 
@@ -2055,19 +2096,13 @@ impl World {
         for a in actions {
             match a {
                 ScAction::Advertise => {
-                    let mut outs = self.take_out();
-                    self.nodes[node.index()].ll.start_advertising(now, &mut outs);
-                    self.apply_ll(node, &mut outs);
-                    self.put_out(outs);
+                    self.with_ll(node, |ll, outs| ll.start_advertising(now, outs));
                 }
                 ScAction::Scan { peer, params } => {
                     let conn = self.alloc_conn(node, peer);
-                    let mut outs = self.take_out();
-                    self.nodes[node.index()]
-                        .ll
-                        .start_scanning(now, peer, conn, params, &mut outs);
-                    self.apply_ll(node, &mut outs);
-                    self.put_out(outs);
+                    self.with_ll(node, |ll, outs| {
+                        ll.start_scanning(now, peer, conn, params, outs)
+                    });
                 }
                 ScAction::Close { conn } => {
                     self.trace.emit();
@@ -2086,10 +2121,7 @@ impl World {
             return;
         };
         for node in [a, b] {
-            let mut outs = self.take_out();
-            self.nodes[node.index()].ll.close(conn, now, &mut outs);
-            self.apply_ll(node, &mut outs);
-            self.put_out(outs);
+            self.with_ll(node, |ll, outs| ll.close(conn, now, outs));
         }
     }
 
@@ -2105,7 +2137,7 @@ impl World {
     /// installed, or in an 802.15.4 world.
     pub fn install_faults(&mut self, schedule: &FaultSchedule) {
         assert!(
-            self.ieee.is_none(),
+            self.ieee_cfg.is_none(),
             "fault injection is not supported on the 802.15.4 baseline"
         );
         if schedule.is_empty() {
@@ -2251,9 +2283,10 @@ impl World {
                 // drift steps saturate just below that.
                 self.clock_ppms[i] = (self.clock_ppms[i] + delta_ppm).clamp(-9_999.0, 9_999.0);
                 let clock = Clock::with_ppm(self.clock_ppms[i]);
-                self.nodes[i].ll.set_clock(clock);
-                if let Some(adv) = self.nodes[i].adv.as_mut() {
-                    adv.set_clock(clock);
+                match &mut self.nodes[i].link {
+                    Link::Conn(c) => c.ll.set_clock(clock),
+                    Link::Adv(adv) => adv.set_clock(clock),
+                    Link::Ieee(_) => {}
                 }
             }
             FaultKind::MbufPressure { node, bytes, lasts } => {
@@ -2264,7 +2297,11 @@ impl World {
                     node as u64,
                     bytes as u64,
                 );
-                let seized = self.nodes[node as usize].link.pool.seize(bytes as usize);
+                // A node without a connection link has no mbuf pool.
+                let seized = match self.nodes[node as usize].link.conn_mut() {
+                    Some(c) => c.pool.seize(bytes as usize),
+                    None => 0,
+                };
                 self.chaos.as_mut().expect("checked above").scratch[idx as usize] = seized as f64;
                 self.schedule_clear(now, idx, lasts);
             }
@@ -2314,7 +2351,9 @@ impl World {
                 // A crash while the pressure was active rebuilt the
                 // pool and zeroed the scratch: nothing to release.
                 if seized > 0 {
-                    self.nodes[node as usize].link.pool.release(seized);
+                    if let Some(c) = self.nodes[node as usize].link.conn_mut() {
+                        c.pool.release(seized);
+                    }
                 }
             }
         }
@@ -2408,40 +2447,26 @@ impl World {
         // untouched; draws happen in event order, hence exactly
         // reproducible.
         let mut r = self.reboot_rng.fork(id.0 as u64);
-        let rngs = NodeRngs {
-            ll: r.fork(1),
-            sc: r.fork(2),
-            node: r.fork(3),
-            adv: matches!(self.cfg.transport, TransportMode::Adv(_)).then(|| r.fork(4)),
-            peers: self.cfg.peers.is_some().then(|| r.fork(5)),
-        };
         self.nodes[i] = make_node(
             &self.cfg,
+            self.ieee_cfg.as_ref(),
             self.app.consumer,
             &self.node_cfgs[i],
             id,
             self.clock_ppms[i],
-            rngs,
+            |k| r.fork(k),
         );
     }
 
-    /// Power the node back on: statconn starts from scratch
-    /// (advertise + scan its configured edges) and the periodic
-    /// drivers restart with fresh jitter.
+    /// Power the node back on: its link starts from scratch (see
+    /// [`World::bring_up`]) and the periodic drivers restart with
+    /// fresh jitter.
     fn reboot_node(&mut self, now: Instant, id: NodeId) {
         let i = id.index();
         debug_assert!(self.down[i], "reboot of a node that is not down");
         self.down[i] = false;
         self.record_fault(now, id, labels::NODE_REBOOT, id.0 as u64, u64::MAX);
-        if self.nodes[i].peers.is_some() {
-            // Rejoin from scratch: empty discovery cache, empty pool.
-            self.start_peer_node(id);
-        } else if self.nodes[i].adv.is_some() {
-            self.start_adv(id);
-        } else {
-            let actions = self.nodes[i].statconn.start();
-            self.apply_sc_actions(id, actions);
-        }
+        self.bring_up(id);
         let epoch = self.boot_epoch[i];
         if self.app.producers.contains(&id) {
             let jittered = self.nodes[i].rng.jittered_nanos(
@@ -2473,9 +2498,10 @@ impl World {
     fn pump(&mut self, node: NodeId, conn: ConnId) {
         let max_pdu = self.max_pdu;
         loop {
-            let n = &mut self.nodes[node.index()];
-            let BleNode { ll, link, .. } = n;
-            let ConnLink { cocs, pool, .. } = link;
+            let Some(ConnLink { ll, cocs, pool, .. }) = self.nodes[node.index()].link.conn_mut()
+            else {
+                return;
+            };
             let Some(coc) = cocs
                 .iter_mut()
                 .find(|(c, _)| *c == conn)
@@ -2538,29 +2564,28 @@ impl World {
     /// `Connection::process_rx`); it goes back once decoded, as does
     /// the pooled `body` copy.
     fn ll_rx(&mut self, node: NodeId, conn: ConnId, payload: Vec<u8>) {
-        let (cid, body) = {
-            let n = &mut self.nodes[node.index()];
-            match l2frame::decode_basic(&payload) {
-                Ok(p) => {
-                    let cid = p.cid;
-                    let body = n.ll.buffers().take_copy(p.payload);
-                    n.ll.recycle(payload);
-                    (cid, body)
-                }
-                Err(_) => {
-                    n.ll.recycle(payload);
-                    self.obs.reg.inc(self.obs.m.l2cap_rx_malformed, node);
-                    self.records.drop("l2cap_malformed");
-                    return;
-                }
+        let Link::Conn(c) = &mut self.nodes[node.index()].link else {
+            return;
+        };
+        let (cid, body) = match l2frame::decode_basic(&payload) {
+            Ok(p) => {
+                let cid = p.cid;
+                let body = c.ll.buffers().take_copy(p.payload);
+                c.ll.recycle(payload);
+                (cid, body)
+            }
+            Err(_) => {
+                c.ll.recycle(payload);
+                self.obs.reg.inc(self.obs.m.l2cap_rx_malformed, node);
+                self.records.drop("l2cap_malformed");
+                return;
             }
         };
         if cid == CID_LE_SIGNALING {
             let sig = Signal::decode(&body);
-            let n = &mut self.nodes[node.index()];
-            n.ll.recycle(body);
+            c.ll.recycle(body);
             if let Ok(Signal::Credit { credits, .. }) = sig {
-                if let Some(coc) = n.coc_mut(conn) {
+                if let Some(coc) = c.coc_mut(conn) {
                     coc.chan.grant(credits);
                 }
                 self.pump(node, conn);
@@ -2568,9 +2593,8 @@ impl World {
             return;
         }
         let (sdu, peer) = {
-            let BleNode { ll, link, .. } = &mut self.nodes[node.index()];
-            let Some(coc) = link
-                .cocs
+            let ConnLink { ll, cocs, .. } = &mut **c;
+            let Some(coc) = cocs
                 .iter_mut()
                 .find(|(c, _)| *c == conn)
                 .map(|(_, s)| s)
@@ -2707,44 +2731,30 @@ impl World {
 
     /// Hand an IPv6 packet to the link towards `next_hop_ll`.
     fn send_ip(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
-        if self.nodes[node.index()].adv.is_some() {
-            self.send_ip_adv(node, packet, next_hop_ll);
-            return;
-        }
-        if self.ieee.is_some() {
-            self.send_ip_ieee(node, packet, next_hop_ll);
-            return;
-        }
+        let c = match &self.nodes[node.index()].link {
+            Link::Conn(c) => c,
+            Link::Adv(_) => return self.send_ip_adv(node, packet, next_hop_ll),
+            Link::Ieee(_) => return self.send_ip_ieee(node, packet, next_hop_ll),
+        };
         if next_hop_ll == LlAddr::BROADCAST {
             // RFC 7668: multicast is replicated over every link.
-            let conns: Vec<(ConnId, NodeId)> = self.nodes[node.index()]
-                .link
-                .cocs
-                .iter()
-                .map(|(c, s)| (*c, s.peer))
-                .collect();
+            let conns: Vec<(ConnId, NodeId)> = c.cocs.iter().map(|(c, s)| (*c, s.peer)).collect();
             for (conn, peer) in conns {
                 self.send_on_conn(node, conn, peer, &packet);
             }
             return;
         }
         let peer = NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]]));
-        let conn = match self.nodes[node.index()].peers.as_ref() {
-            Some(pm) => pm.conn_to(peer).map(ConnId),
-            None => self.nodes[node.index()].statconn.conn_to(peer),
-        };
+        // Admission through the link-service boundary: no open L2CAP
+        // channel towards the hop means the frame cannot leave.
+        let conn = c
+            .conn_to(peer)
+            .filter(|_| c.admit(next_hop_ll) == TxAdmission::Ok);
         let Some(conn) = conn else {
             self.obs.reg.inc(self.obs.m.ipv6_send_failures, node);
             self.records.drop("link_down");
             return;
         };
-        // Admission through the link-service boundary: no open L2CAP
-        // channel towards the hop means the frame cannot leave.
-        if self.nodes[node.index()].link.admit(next_hop_ll) != TxAdmission::Ok {
-            self.obs.reg.inc(self.obs.m.ipv6_send_failures, node);
-            self.records.drop("link_down");
-            return;
-        }
         self.send_on_conn(node, conn, peer, &packet);
     }
 
@@ -2753,16 +2763,15 @@ impl World {
     /// neighbor as link-layer unicast, mirroring the conn path's
     /// per-link replication (RFC 7668 semantics).
     fn send_ip_adv(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
+        let Link::Adv(adv) = &self.nodes[node.index()].link else {
+            return;
+        };
         if next_hop_ll == LlAddr::BROADCAST {
-            let peers: Vec<NodeId> = {
-                let Some(adv) = self.nodes[node.index()].adv.as_ref() else {
-                    return;
-                };
-                adv.neighbors()
-                    .iter()
-                    .map(|a| NodeId(u16::from_be_bytes([a.0[6], a.0[7]])))
-                    .collect()
-            };
+            let peers: Vec<NodeId> = adv
+                .neighbors()
+                .iter()
+                .map(|a| NodeId(u16::from_be_bytes([a.0[6], a.0[7]])))
+                .collect();
             for peer in peers {
                 self.send_on_adv(node, peer, &packet);
             }
@@ -2771,7 +2780,7 @@ impl World {
         let peer = NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]]));
         // Admission through the link-service boundary: a next hop we
         // have never heard a beacon from cannot be reached yet.
-        match self.nodes[node.index()].link_service_ref().admit(next_hop_ll) {
+        match adv.admit(next_hop_ll) {
             TxAdmission::Ok => self.send_on_adv(node, peer, &packet),
             TxAdmission::NoLink => {
                 self.obs.reg.inc(self.obs.m.ipv6_send_failures, node);
@@ -2790,9 +2799,7 @@ impl World {
             dst: LlAddr::from_node_index(peer.0),
         };
         let frame = iphc::encode_frame(packet, &ctx);
-        let n = &mut self.nodes[node.index()];
-        let Some(adv) = n.adv.as_mut() else {
-            self.records.drop("link_down");
+        let Link::Adv(adv) = &mut self.nodes[node.index()].link else {
             return;
         };
         match adv.send(peer.0, frame) {
@@ -2819,60 +2826,20 @@ impl World {
             dst: dst.map_or(LlAddr::BROADCAST, |d| LlAddr::from_node_index(d.0)),
         };
         let frame6 = iphc::encode_frame(&packet, &ctx);
-        for f in self.ieee_link(node).frames(frame6) {
-            let outs = self.ieee_link(node).mac.enqueue(now, dst, f);
-            self.apply_mac(node, outs);
+        let Link::Ieee(l) = &mut self.nodes[node.index()].link else {
+            return;
+        };
+        for f in l.frames(frame6) {
+            self.with_mac(node, |mac, _| mac.enqueue(now, dst, f));
         }
-    }
-
-    /// The 802.15.4 link of `node` (802.15.4 worlds only).
-    fn ieee_link(&mut self, node: NodeId) -> &mut IeeeLink {
-        &mut self.ieee.as_mut().expect("802.15.4 world").nodes[node.index()]
     }
 
     fn mac_timer(&mut self, now: Instant, node: NodeId, timer: MacTimer) {
-        let World { ieee, medium, .. } = &mut *self;
-        let ie = ieee.as_mut().expect("802.15.4 world");
-        let channel = ie.channel;
-        // CCA consults the live medium.
-        let outs = ie.nodes[node.index()]
-            .mac
-            .on_timer(now, timer, || medium.carrier_sense(node, channel, now));
-        self.apply_mac(node, outs);
-    }
-
-    /// An 802.15.4 frame ended: every other node's receiver is on
-    /// (802.15.4 listens unless transmitting; the medium's collision
-    /// model accounts for a transmitting listener).
-    fn mac_tx_end(&mut self, now: Instant, slot: usize) {
-        let ie = self.ieee.as_mut().expect("802.15.4 world");
-        let (tx, src, frame) = ie.inflight[slot].take().expect("tx tracked");
-        let mut cand = std::mem::take(&mut self.cand_scratch);
-        cand.extend((0..self.nodes.len() as u16).map(NodeId).filter(|&l| l != src));
-        let mut outcomes = std::mem::take(&mut self.outcome_scratch);
-        self.medium.finish_tx_into(tx, &cand, &mut outcomes);
-        cand.clear();
-        self.cand_scratch = cand;
-        // Link-layer accounting for unicast data frames: channel slot 0
-        // (single channel — the per-channel axis is BLE-specific).
-        if let MacFrame::Data { dst: Some(dst), .. } = frame {
-            let ok = outcomes.iter().any(|&(l, o)| l == dst && o.is_ok());
-            self.obs.reg.inc(self.obs.m.ll_data_attempts, src);
-            if ok {
-                self.obs.reg.inc(self.obs.m.ll_data_delivered, src);
-            }
-            self.records.ll_attempt(src, dst, now, 0, ok);
-        }
-        for &(listener, outcome) in &outcomes {
-            if outcome.is_ok() {
-                let outs = self.ieee_link(listener).mac.on_frame_rx(now, &frame);
-                self.apply_mac(listener, outs);
-            }
-        }
-        outcomes.clear();
-        self.outcome_scratch = outcomes;
-        let outs = self.ieee_link(src).mac.on_tx_done(now);
-        self.apply_mac(src, outs);
+        self.with_mac(node, |mac, medium| {
+            // CCA consults the live medium.
+            let channel = Channel::ieee802154(mac.channel());
+            mac.on_timer(now, timer, || medium.carrier_sense(node, channel, now))
+        });
     }
 
     /// Execute the 802.15.4 MAC's output actions — the MAC
@@ -2888,20 +2855,17 @@ impl World {
                     self.queue.schedule_at(at.max(now), Ev::MacTimer(node, timer));
                 }
                 MacOutput::Tx { frame } => {
-                    let ie = self.ieee.as_mut().expect("802.15.4 world");
-                    self.obs.reg.inc(self.obs.m.phy_tx_frames, node);
-                    let airtime = frame.airtime();
-                    let tx = self.medium.begin_tx(TxParams {
-                        src: node,
-                        channel: ie.channel,
-                        start: now,
-                        airtime,
-                    });
-                    let slot = ie.track(tx, node, frame);
-                    self.queue.schedule_at(now + airtime, Ev::MacTxEnd(slot));
+                    let Link::Ieee(l) = &self.nodes[node.index()].link else {
+                        continue;
+                    };
+                    let channel = l.channel();
+                    self.begin_tx(now, node, channel, AirFrame::Mac(frame));
                 }
                 MacOutput::Rx { src, payload } => {
-                    match self.ieee_link(node).reassemble(src, payload, now) {
+                    let Link::Ieee(l) = &mut self.nodes[node.index()].link else {
+                        continue;
+                    };
+                    match l.reassemble(src, payload, now) {
                         Ok(Some(sdu)) => self.handle_sdu(node, src, sdu),
                         Ok(None) => {}
                         Err(()) => self.records.drop("bad_fragment"),
@@ -2922,8 +2886,9 @@ impl World {
             dst: LlAddr::from_node_index(peer.0),
         };
         let frame = iphc::encode_frame(packet, &ctx);
-        let n = &mut self.nodes[node.index()];
-        let ConnLink { cocs, pool, .. } = &mut n.link;
+        let Some(ConnLink { cocs, pool, .. }) = self.nodes[node.index()].link.conn_mut() else {
+            return;
+        };
         let Some(coc) = cocs
             .iter_mut()
             .find(|(c, _)| *c == conn)

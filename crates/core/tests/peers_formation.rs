@@ -4,7 +4,8 @@
 //! their own.
 
 use mindgap_core::{
-    AppConfig, IntervalPolicy, MobilityModel, NodeConfig, PeersWorldConfig, World, WorldConfig,
+    AdvConfig, AppConfig, IntervalPolicy, MobilityModel, NodeConfig, PeersWorldConfig,
+    TransportMode, World, WorldConfig,
 };
 use mindgap_sim::{Duration, Instant, NodeId};
 
@@ -112,4 +113,24 @@ fn mobility_keeps_network_alive() {
         with_links >= n - 2,
         "only {with_links}/{n} nodes connected under mobility"
     );
+}
+
+/// Peers mode forms LL connections, and an advertising-transport node
+/// has none: asking for both is a configuration error, not a world
+/// that quietly runs the two transports side by side.
+#[test]
+#[should_panic(expected = "WorldConfig::peers needs WorldConfig::transport")]
+fn peers_with_adv_transport_is_rejected() {
+    let pc = PeersWorldConfig::new(grid_positions(2, 10.0), (22.0, 22.0), 1);
+    let mut cfg = WorldConfig::paper_default(1, IntervalPolicy::Static(Duration::from_millis(75)));
+    cfg.peers = Some(pc);
+    cfg.transport = TransportMode::Adv(AdvConfig::default());
+    let nodes = (0..4)
+        .map(|_| NodeConfig {
+            edges: Vec::new(),
+            routes: Vec::new(),
+        })
+        .collect();
+    let app = AppConfig::paper_default(vec![NodeId(1)], NodeId(0));
+    let _ = World::new(cfg, nodes, app);
 }

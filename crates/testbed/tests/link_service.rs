@@ -11,9 +11,13 @@
 //! * **admission** — a current neighbor is admissible (or
 //!   backpressured), an address the transport has never seen is
 //!   `NoLink`.
+//!
+//! The 802.15.4 MAC has no `LinkService` yet: `World::link_service`
+//! answers `None` for its nodes.
 
 use mindgap_core::{
-    AppConfig, IntervalPolicy, LinkSignal, TransportMode, TxAdmission, World, WorldConfig,
+    AppConfig, IeeeConfig, IntervalPolicy, LinkSignal, TransportMode, TxAdmission, World,
+    WorldConfig,
 };
 use mindgap_sim::{Duration, Instant, NodeId};
 use mindgap_sixlowpan::LlAddr;
@@ -86,7 +90,9 @@ fn world_after_run(transport: TransportMode) -> World {
 fn check_signal_contract(world: &World, n_nodes: u16) {
     for i in 0..n_nodes {
         let node = NodeId(i);
-        let svc = world.link_service(node);
+        let svc = world
+            .link_service(node)
+            .expect("BLE links have a LinkService");
         let signals = svc.signals();
         assert!(
             !signals.is_empty(),
@@ -147,5 +153,18 @@ fn signal_contract_holds_for_adv_transport() {
     check_signal_contract(&world, 4);
     // Advertising is broadcast: interior nodes hear both line
     // neighbors, ends hear one.
-    assert!(world.link_service(NodeId(1)).neighbors().len() >= 2);
+    let svc = world
+        .link_service(NodeId(1))
+        .expect("adv link has a LinkService");
+    assert!(svc.neighbors().len() >= 2);
+}
+
+#[test]
+fn ieee_nodes_have_no_link_service() {
+    let topo = Topology::line(4);
+    let app = AppConfig::paper_default(topo.producers(), topo.consumer);
+    let world = World::new_ieee(IeeeConfig::paper_default(42), topo.node_configs(), app);
+    for i in 0..4 {
+        assert!(world.link_service(NodeId(i)).is_none(), "node {i}");
+    }
 }

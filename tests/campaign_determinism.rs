@@ -336,7 +336,8 @@ fn result_fingerprint(r: &mindgap_campaign::JobResult) -> u64 {
 /// Golden serial output at seed 42: the event count and a fingerprint
 /// of each run's campaign result must equal the values pinned here.
 /// The cells span both BLE transports, the 802.15.4 baseline, a crash
-/// mid-run and the widest determinism surface (peers mode: cold
+/// mid-run (on each BLE transport), clock drift on an advertising node
+/// and the widest determinism surface (peers mode: cold
 /// start, discovery, mobility and a crash burst). Every other test
 /// here compares two runs of the same build; this one catches a
 /// change that shifts all of them alike. An intended behaviour change
@@ -379,7 +380,7 @@ fn serial_output_matches_golden_fingerprints() {
     };
     type Runner = fn(&ExperimentSpec) -> ExperimentResult;
     // (cell, runner, spec, events_processed, result fingerprint)
-    let cells: [(_, Runner, _, _, _); 5] = [
+    let cells: [(_, Runner, _, _, _); 6] = [
         ("conn-tree", run_ble, tree(), 149_237u64, 0xa726_5f3d_e82a_eebd_u64),
         ("adv-tree", run_ble, tree().with_adv_transport(), 223_724, 0x5475_d0dd_dd98_b64c),
         (
@@ -392,6 +393,17 @@ fn serial_output_matches_golden_fingerprints() {
             )),
             148_365,
             0xb247_f5af_5100_391d,
+        ),
+        (
+            "adv-faults",
+            run_ble,
+            tree().with_adv_transport().with_faults(
+                FaultSchedule::new()
+                    .node_crash(Duration::from_secs(40), 1, Duration::from_secs(5))
+                    .clock_drift(Duration::from_secs(50), 2, 40.0),
+            ),
+            222_426,
+            0xe0f4_1d64_8825_8f24,
         ),
         ("peers-churn-walk", run_ble, churn(), 1_065_488, 0x6ba2_ebbe_1282_a08b),
         ("ieee-tree", run_ieee, tree(), 37_200, 0x7eb5_7e23_7b8c_1be6),
