@@ -70,10 +70,8 @@ enum Scope {
 impl Scope {
     fn of(label: &str, a: u64, b: u64) -> Scope {
         match label {
-            labels::NODE_CRASH | labels::CLOCK_DRIFT | labels::MBUF_PRESSURE => {
-                Scope::One(a as u16)
-            }
-            labels::LINK_BLACKOUT | labels::PER_RAMP => Scope::Pair(a as u16, b as u16),
+            labels::NODE_CRASH | labels::CLOCK_DRIFT => Scope::One(a as u16),
+            labels::LINK_BLACKOUT => Scope::Pair(a as u16, b as u16),
             _ => Scope::All,
         }
     }

@@ -136,7 +136,8 @@ pub enum TransportMode {
 /// runs a [`PeerManager`] that forms connections from beacon sightings
 /// ranked by modelled RSSI. Node geometry lives here too: per-link PER
 /// and sighting RSSI both derive from the same log-distance path-loss
-/// model, and an optional mobility model moves nodes on a fixed tick.
+/// model, and an optional mobility model moves nodes on a fixed 1 s
+/// tick.
 #[derive(Debug, Clone)]
 pub struct PeersWorldConfig {
     /// Per-node connection-pool policy (targets, RSSI thresholds,
@@ -160,8 +161,6 @@ pub struct PeersWorldConfig {
     pub tick: Duration,
     /// Node mobility (`None` = static field).
     pub mobility: Option<MobilityModel>,
-    /// Mobility step cadence.
-    pub mobility_tick: Duration,
     /// Nodes that never move (typically the consumer/root).
     pub pinned: Vec<u16>,
 }
@@ -169,20 +168,19 @@ pub struct PeersWorldConfig {
 impl PeersWorldConfig {
     /// Defaults for a field of `positions` inside `arena`: default
     /// pool policy and path loss, 500 ms policy tick, static nodes,
-    /// range cutoff at 1.5× the good-signal range (matching the
-    /// testbed topology generator's link radius).
+    /// range cutoff at [`PathLossConfig::link_range_m`] (the testbed
+    /// topology generator's link radius).
     pub fn new(positions: Vec<(f64, f64)>, arena: (f64, f64), geo_seed: u64) -> Self {
         let path_loss = PathLossConfig::default();
         PeersWorldConfig {
             pool: PeerConfig::default(),
-            max_link_m: 1.5 * path_loss.good_range_m(),
+            max_link_m: path_loss.link_range_m(),
             path_loss,
             geo_seed,
             positions,
             arena,
             tick: Duration::from_millis(500),
             mobility: None,
-            mobility_tick: Duration::from_secs(1),
             pinned: Vec::new(),
         }
     }
@@ -257,6 +255,9 @@ impl WorldConfig {
     }
 }
 
+/// Step cadence of peers-mode mobility.
+const MOBILITY_TICK: Duration = Duration::from_secs(1);
+
 /// Time-bucket width of the measurement [`Records`].
 const RECORD_BUCKET: Duration = Duration::from_secs(60);
 
@@ -290,8 +291,6 @@ enum Ev {
     Fault(u32),
     /// Clear (or, for crashes, reboot after) fault `i`.
     FaultClear(u32),
-    /// Move sweeping jammer `fault` to its `step`-th channel.
-    SweepStep { fault: u32, step: u8 },
     /// Advertising-transport timer (adv mode only).
     AdvTimer(NodeId, AdvTimer),
     /// Peer-manager policy evaluation, all nodes in index order
@@ -554,7 +553,6 @@ struct PeersState {
     geo_seed: u64,
     max_link_m: f64,
     tick: Duration,
-    mobility_tick: Duration,
     /// Positions + stepping. Built even for static fields (the model
     /// just never steps), so distance queries have one home.
     field: Mobility,
@@ -574,8 +572,8 @@ impl PeersState {
 }
 
 /// Injector state: the installed schedule plus one scratch slot per
-/// fault (previous channel interference for jammers, seized mbuf
-/// bytes for pool-pressure faults).
+/// fault (the channel interference a jammer burst found, restored
+/// when it clears).
 struct ChaosState {
     faults: Vec<mindgap_chaos::Fault>,
     scratch: Vec<f64>,
@@ -760,7 +758,6 @@ impl World {
                 geo_seed: pc.geo_seed,
                 max_link_m: pc.max_link_m,
                 tick: pc.tick,
-                mobility_tick: pc.mobility_tick,
                 field,
                 mobile: pc.mobility.is_some(),
                 in_range: vec![true; n * (n - 1) / 2],
@@ -1108,10 +1105,10 @@ impl World {
             self.bring_up(NodeId(i as u16));
         }
         if let Some(ps) = self.peers_world.as_ref() {
-            let (tick, mobile, mtick) = (ps.tick, ps.mobile, ps.mobility_tick);
+            let (tick, mobile) = (ps.tick, ps.mobile);
             self.queue.schedule_in(tick, Ev::PeersTick);
             if mobile {
-                self.queue.schedule_in(mtick, Ev::MobilityTick);
+                self.queue.schedule_in(MOBILITY_TICK, Ev::MobilityTick);
             }
         }
         for p in self.app.producers.clone() {
@@ -1310,7 +1307,6 @@ impl World {
             }
             Ev::Fault(i) => self.inject_fault(now, i),
             Ev::FaultClear(i) => self.clear_fault(now, i),
-            Ev::SweepStep { fault, step } => self.sweep_step(now, fault, step),
             Ev::AdvTimer(node, timer) => {
                 self.with_adv(node, |adv, outs| adv.on_timer(now, timer, outs))
             }
@@ -1380,10 +1376,9 @@ impl World {
         let Some(ps) = self.peers_world.as_mut() else {
             return;
         };
-        let dt = ps.mobility_tick;
-        ps.field.step(dt.nanos() as f64 / 1e9);
+        ps.field.step(MOBILITY_TICK.nanos() as f64 / 1e9);
         self.refresh_geometry();
-        self.queue.schedule_in(dt, Ev::MobilityTick);
+        self.queue.schedule_in(MOBILITY_TICK, Ev::MobilityTick);
     }
 
     fn rpl_tick(&mut self, now: Instant, node: NodeId) {
@@ -2237,11 +2232,6 @@ impl World {
                 self.medium.set_out_of_range(NodeId(a), NodeId(b), true);
                 self.schedule_clear(now, idx, lasts);
             }
-            FaultKind::PerRamp { a, b, per, lasts } => {
-                self.record_fault(now, NodeId(a), labels::PER_RAMP, a as u64, b as u64);
-                self.medium.set_link_loss(NodeId(a), NodeId(b), per, true);
-                self.schedule_clear(now, idx, lasts);
-            }
             FaultKind::JammerBurst { channel, per, lasts } => {
                 let ch = Channel::ble_data(channel);
                 let prev = self.medium.channel_interference(ch);
@@ -2256,26 +2246,6 @@ impl World {
                 self.medium.set_channel_interference(ch, per);
                 self.schedule_clear(now, idx, lasts);
             }
-            FaultKind::JammerSweep {
-                first_channel,
-                per,
-                dwell,
-                ..
-            } => {
-                let ch = Channel::ble_data(first_channel);
-                let prev = self.medium.channel_interference(ch);
-                self.chaos.as_mut().expect("checked above").scratch[idx as usize] = prev;
-                self.record_fault(
-                    now,
-                    NodeId(mindgap_chaos::recovery::NO_NODE),
-                    labels::JAMMER_SWEEP,
-                    first_channel as u64,
-                    u64::MAX,
-                );
-                self.medium.set_channel_interference(ch, per);
-                self.queue
-                    .schedule_at(now + dwell, Ev::SweepStep { fault: idx, step: 1 });
-            }
             FaultKind::ClockDrift { node, delta_ppm } => {
                 self.record_fault(now, NodeId(node), labels::CLOCK_DRIFT, node as u64, u64::MAX);
                 let i = node as usize;
@@ -2288,22 +2258,6 @@ impl World {
                     Link::Adv(adv) => adv.set_clock(clock),
                     Link::Ieee(_) => {}
                 }
-            }
-            FaultKind::MbufPressure { node, bytes, lasts } => {
-                self.record_fault(
-                    now,
-                    NodeId(node),
-                    labels::MBUF_PRESSURE,
-                    node as u64,
-                    bytes as u64,
-                );
-                // A node without a connection link has no mbuf pool.
-                let seized = match self.nodes[node as usize].link.conn_mut() {
-                    Some(c) => c.pool.seize(bytes as usize),
-                    None => 0,
-                };
-                self.chaos.as_mut().expect("checked above").scratch[idx as usize] = seized as f64;
-                self.schedule_clear(now, idx, lasts);
             }
         }
     }
@@ -2319,10 +2273,6 @@ impl World {
                 self.record_fault(now, NodeId(a), labels::LINK_RESTORE, a as u64, b as u64);
                 self.medium.set_in_range(NodeId(a), NodeId(b), true);
             }
-            FaultKind::PerRamp { a, b, .. } => {
-                self.record_fault(now, NodeId(a), labels::PER_CLEAR, a as u64, b as u64);
-                self.medium.set_link_loss(NodeId(a), NodeId(b), 0.0, true);
-            }
             FaultKind::JammerBurst { channel, .. } => {
                 let prev = chaos.scratch[idx as usize];
                 self.record_fault(
@@ -2335,75 +2285,8 @@ impl World {
                 self.medium
                     .set_channel_interference(Channel::ble_data(channel), prev);
             }
-            // Sweeps end via their last SweepStep; drifts are
-            // permanent steps — neither schedules a clear.
-            FaultKind::JammerSweep { .. } | FaultKind::ClockDrift { .. } => {}
-            FaultKind::MbufPressure { node, .. } => {
-                let seized = chaos.scratch[idx as usize] as usize;
-                self.chaos.as_mut().expect("checked above").scratch[idx as usize] = 0.0;
-                self.record_fault(
-                    now,
-                    NodeId(node),
-                    labels::MBUF_RELEASE,
-                    node as u64,
-                    seized as u64,
-                );
-                // A crash while the pressure was active rebuilt the
-                // pool and zeroed the scratch: nothing to release.
-                if seized > 0 {
-                    if let Some(c) = self.nodes[node as usize].link.conn_mut() {
-                        c.pool.release(seized);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advance a sweeping jammer: restore the channel it just left,
-    /// jam the next one (or finish).
-    fn sweep_step(&mut self, now: Instant, idx: u32, step: u8) {
-        let Some(chaos) = self.chaos.as_ref() else {
-            return;
-        };
-        let FaultKind::JammerSweep {
-            first_channel,
-            channels,
-            per,
-            dwell,
-        } = chaos.faults[idx as usize].kind
-        else {
-            return;
-        };
-        let prev_per = chaos.scratch[idx as usize];
-        self.medium
-            .set_channel_interference(Channel::ble_data(first_channel + step - 1), prev_per);
-        if step < channels {
-            let ch = Channel::ble_data(first_channel + step);
-            self.chaos.as_mut().expect("checked above").scratch[idx as usize] =
-                self.medium.channel_interference(ch);
-            self.medium.set_channel_interference(ch, per);
-            self.record_fault(
-                now,
-                NodeId(mindgap_chaos::recovery::NO_NODE),
-                labels::SWEEP_STEP,
-                (first_channel + step) as u64,
-                u64::MAX,
-            );
-            self.queue.schedule_at(
-                now + dwell,
-                Ev::SweepStep {
-                    fault: idx,
-                    step: step + 1,
-                },
-            );
-        } else {
-            self.record_fault(
-                now,
-                NodeId(mindgap_chaos::recovery::NO_NODE),
-                labels::JAMMER_CLEAR,
-                (first_channel + step - 1) as u64,
-                u64::MAX,
-            );
+            // Drifts are permanent steps: they schedule no clear.
+            FaultKind::ClockDrift { .. } => {}
         }
     }
 
@@ -2431,17 +2314,6 @@ impl World {
         }
         self.down[i] = true;
         self.boot_epoch[i] = self.boot_epoch[i].wrapping_add(1);
-        // Any mbuf bytes a pressure fault seized lived in the pool
-        // that just died with the node.
-        if let Some(chaos) = self.chaos.as_mut() {
-            for (k, f) in chaos.faults.iter().enumerate() {
-                if let FaultKind::MbufPressure { node, .. } = f.kind {
-                    if node == id.0 {
-                        chaos.scratch[k] = 0.0;
-                    }
-                }
-            }
-        }
         // Rebuild the node from its static config. RNG streams come
         // from the dedicated reboot stream so fault-free runs are
         // untouched; draws happen in event order, hence exactly

@@ -61,26 +61,6 @@ impl BufPool {
         self.used -= bytes;
     }
 
-    /// Reserve up to `bytes` without counting a drop or an alloc —
-    /// models an external consumer (e.g. a fault injector squeezing
-    /// the mbuf pool) rather than a packet. Returns the amount
-    /// actually seized (clamped to what is available), which must be
-    /// handed back via [`BufPool::release`].
-    #[must_use = "the seized amount must be released later"]
-    pub fn seize(&mut self, bytes: usize) -> usize {
-        let taken = bytes.min(self.available());
-        self.used += taken;
-        if self.used > self.highwater {
-            self.highwater = self.used;
-        }
-        taken
-    }
-
-    /// Return bytes taken with [`BufPool::seize`].
-    pub fn release(&mut self, bytes: usize) {
-        self.free(bytes);
-    }
-
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -20,9 +20,8 @@
 //!   authors observed in the IoT-lab (§4.2).
 //! * **Geometry** — log-distance path loss with deterministic
 //!   shadowing ([`PathLossConfig`]) turning node positions into
-//!   per-link RSSI and PER, and [`mobility`] models (random walk,
-//!   random waypoint) that move the positions mid-run so link quality
-//!   evolves.
+//!   per-link RSSI and PER, and a random-walk [`mobility`] model that
+//!   moves the positions mid-run so link quality evolves.
 //!
 //! The medium is *passive*: protocol crates decide when to transmit
 //! and when to listen; the medium only answers "did this frame arrive

@@ -484,6 +484,14 @@ impl PathLossConfig {
         let budget = self.tx_power_dbm - self.sensitivity_dbm - self.good_margin_db;
         10f64.powf((budget - self.ref_loss_db) / (10.0 * self.exponent))
     }
+
+    /// Radio-range cutoff of generated fields: pairs farther apart
+    /// hear nothing at all. 1.5× the zero-PER range admits the lossy
+    /// waterfall region without linking pairs whose margin is pure
+    /// shadowing luck.
+    pub fn link_range_m(&self) -> f64 {
+        1.5 * self.good_range_m()
+    }
 }
 
 #[cfg(test)]

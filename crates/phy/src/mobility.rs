@@ -1,17 +1,11 @@
-//! Node mobility models.
+//! Node mobility.
 //!
 //! Static topologies freeze the geometry that [`PathLossConfig`]
-//! turns into per-link PER; this module makes the geometry move. Two
-//! classic models from the MANET literature are provided:
-//!
-//! * **Random walk** — each node keeps a heading and speed, turning to
-//!   a fresh uniform heading on a fixed period and reflecting off the
-//!   arena walls. Good for "everything drifts slowly" background
-//!   motion.
-//! * **Random waypoint** — each node picks a uniform destination in
-//!   the arena, travels toward it in a straight line, pauses, then
-//!   picks the next. The standard churn driver: links break and form
-//!   in bursts as nodes cross each other's radio range.
+//! turns into per-link PER; this module makes the geometry move with
+//! the classic **random walk** from the MANET literature: each node
+//! keeps a heading and speed, turns to a fresh uniform heading on a
+//! fixed period and reflects off the arena walls, so links break and
+//! form as nodes drift in and out of each other's radio range.
 //!
 //! Determinism contract: a [`Mobility`] owns its RNG, every
 //! [`Mobility::step`] draws in node-index order, and all arithmetic is
@@ -26,61 +20,32 @@
 
 use mindgap_sim::Rng;
 
-/// Which motion law drives the nodes.
+/// The random-walk motion law: constant speed, periodic uniform
+/// re-orientation, wall reflection.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MobilityModel {
-    /// Constant-speed walk with periodic uniform re-orientation and
-    /// wall reflection.
-    RandomWalk {
-        /// Speed in metres per second.
-        speed_mps: f64,
-        /// Seconds between heading changes.
-        turn_every_s: f64,
-    },
-    /// Random waypoint: travel to a uniform destination, pause, repeat.
-    Waypoint {
-        /// Speed in metres per second.
-        speed_mps: f64,
-        /// Pause at each waypoint in seconds.
-        pause_s: f64,
-    },
+pub struct MobilityModel {
+    /// Speed in metres per second.
+    pub speed_mps: f64,
+    /// Seconds between heading changes.
+    pub turn_every_s: f64,
 }
 
 impl MobilityModel {
     /// A gentle indoor walking pace (1 m/s), re-orienting every 10 s.
     pub fn walk_default() -> MobilityModel {
-        MobilityModel::RandomWalk {
+        MobilityModel {
             speed_mps: 1.0,
             turn_every_s: 10.0,
         }
     }
-
-    /// Waypoint motion at 1 m/s with a 5 s pause per stop.
-    pub fn waypoint_default() -> MobilityModel {
-        MobilityModel::Waypoint {
-            speed_mps: 1.0,
-            pause_s: 5.0,
-        }
-    }
-
-    /// The configured speed in m/s.
-    pub fn speed_mps(&self) -> f64 {
-        match *self {
-            MobilityModel::RandomWalk { speed_mps, .. } => speed_mps,
-            MobilityModel::Waypoint { speed_mps, .. } => speed_mps,
-        }
-    }
 }
 
-/// Per-node motion state.
+/// Per-node motion state: heading in radians and seconds until the
+/// next turn.
 #[derive(Debug, Clone, Copy)]
-enum Motion {
-    /// Heading in radians + seconds until the next turn.
-    Walking { heading: f64, until_turn_s: f64 },
-    /// En route to a waypoint.
-    Travelling { target: (f64, f64) },
-    /// Paused at a waypoint for the remaining seconds.
-    Paused { remaining_s: f64 },
+struct Walking {
+    heading: f64,
+    until_turn_s: f64,
 }
 
 /// The moving geometry: positions, per-node motion state, and the RNG
@@ -94,7 +59,7 @@ pub struct Mobility {
     bounds: (f64, f64),
     positions: Vec<(f64, f64)>,
     pinned: Vec<bool>,
-    motion: Vec<Motion>,
+    motion: Vec<Walking>,
     rng: Rng,
 }
 
@@ -119,7 +84,12 @@ impl Mobility {
             .collect();
         let motion = positions
             .iter()
-            .map(|_| Self::fresh_motion(model, bounds, &mut rng))
+            .map(|_| Walking {
+                heading: rng.unit_f64() * std::f64::consts::TAU,
+                // Desynchronize the first turn so the whole field does
+                // not re-orient on the same tick.
+                until_turn_s: rng.unit_f64() * model.turn_every_s,
+            })
             .collect();
         Mobility {
             model,
@@ -128,23 +98,6 @@ impl Mobility {
             positions,
             motion,
             rng,
-        }
-    }
-
-    fn fresh_motion(model: MobilityModel, bounds: (f64, f64), rng: &mut Rng) -> Motion {
-        match model {
-            MobilityModel::RandomWalk { turn_every_s, .. } => Motion::Walking {
-                heading: rng.unit_f64() * std::f64::consts::TAU,
-                // Desynchronize the first turn so the whole field does
-                // not re-orient on the same tick.
-                until_turn_s: rng.unit_f64() * turn_every_s,
-            },
-            MobilityModel::Waypoint { .. } => Motion::Travelling {
-                target: (
-                    rng.unit_f64() * bounds.0,
-                    rng.unit_f64() * bounds.1,
-                ),
-            },
         }
     }
 
@@ -190,78 +143,37 @@ impl Mobility {
 
     fn step_node(&mut self, i: usize, dt_s: f64) {
         let (w, h) = self.bounds;
-        match self.model {
-            MobilityModel::RandomWalk {
-                speed_mps,
-                turn_every_s,
-            } => {
-                let Motion::Walking {
-                    mut heading,
-                    mut until_turn_s,
-                } = self.motion[i]
-                else {
-                    unreachable!("walk model with non-walk state")
-                };
-                until_turn_s -= dt_s;
-                if until_turn_s <= 0.0 {
-                    heading = self.rng.unit_f64() * std::f64::consts::TAU;
-                    until_turn_s = turn_every_s;
-                }
-                let (x, y) = self.positions[i];
-                let mut nx = x + heading.cos() * speed_mps * dt_s;
-                let mut ny = y + heading.sin() * speed_mps * dt_s;
-                // Reflect off the walls: fold the overshoot back in and
-                // mirror the heading component that crossed.
-                if nx < 0.0 || nx > w {
-                    nx = nx.clamp(0.0, w) * 2.0 - nx;
-                    heading = std::f64::consts::PI - heading;
-                }
-                if ny < 0.0 || ny > h {
-                    ny = ny.clamp(0.0, h) * 2.0 - ny;
-                    heading = -heading;
-                }
-                self.positions[i] = (nx.clamp(0.0, w), ny.clamp(0.0, h));
-                self.motion[i] = Motion::Walking {
-                    heading,
-                    until_turn_s,
-                };
-            }
-            MobilityModel::Waypoint { speed_mps, pause_s } => match self.motion[i] {
-                Motion::Travelling { target } => {
-                    let (x, y) = self.positions[i];
-                    let (dx, dy) = (target.0 - x, target.1 - y);
-                    let dist = (dx * dx + dy * dy).sqrt();
-                    let hop = speed_mps * dt_s;
-                    if dist <= hop {
-                        // Arrived (residual distance is forfeited — a
-                        // fixed tick keeps trajectories reproducible).
-                        self.positions[i] = target;
-                        self.motion[i] = Motion::Paused {
-                            remaining_s: pause_s,
-                        };
-                    } else {
-                        let f = hop / dist;
-                        self.positions[i] = (x + dx * f, y + dy * f);
-                    }
-                }
-                Motion::Paused { remaining_s } => {
-                    let remaining_s = remaining_s - dt_s;
-                    if remaining_s <= 0.0 {
-                        self.motion[i] = Motion::Travelling {
-                            target: (
-                                self.rng.unit_f64() * w,
-                                self.rng.unit_f64() * h,
-                            ),
-                        };
-                    } else {
-                        self.motion[i] = Motion::Paused { remaining_s };
-                    }
-                }
-                Motion::Walking { .. } => {
-                    unreachable!("waypoint model with walk state")
-                }
-            },
+        let MobilityModel {
+            speed_mps,
+            turn_every_s,
+        } = self.model;
+        let Walking {
+            mut heading,
+            mut until_turn_s,
+        } = self.motion[i];
+        until_turn_s -= dt_s;
+        if until_turn_s <= 0.0 {
+            heading = self.rng.unit_f64() * std::f64::consts::TAU;
+            until_turn_s = turn_every_s;
         }
+        let (x, y) = self.positions[i];
+        let mut nx = x + heading.cos() * speed_mps * dt_s;
+        let mut ny = y + heading.sin() * speed_mps * dt_s;
+        // Reflect off the walls: fold the overshoot back in and
+        // mirror the heading component that crossed.
+        if nx < 0.0 || nx > w {
+            nx = nx.clamp(0.0, w) * 2.0 - nx;
+            heading = std::f64::consts::PI - heading;
+        }
+        if ny < 0.0 || ny > h {
+            ny = ny.clamp(0.0, h) * 2.0 - ny;
+            heading = -heading;
+        }
+        self.positions[i] = (nx.clamp(0.0, w), ny.clamp(0.0, h));
+        self.motion[i] = Walking {
+            heading,
+            until_turn_s,
+        };
     }
 }
 
@@ -286,21 +198,16 @@ mod tests {
         )
     }
 
-    /// Property: same seed → bit-identical position trajectory, for
-    /// both models, across many ticks.
+    /// Property: same seed → bit-identical position trajectory across
+    /// many ticks.
     #[test]
     fn same_seed_same_trajectory() {
-        for model in [
-            MobilityModel::walk_default(),
-            MobilityModel::waypoint_default(),
-        ] {
-            let mut a = build(model, 42);
-            let mut b = build(model, 42);
-            for step in 0..500 {
-                a.step(1.0);
-                b.step(1.0);
-                assert_eq!(a.positions(), b.positions(), "diverged at step {step}");
-            }
+        let mut a = build(MobilityModel::walk_default(), 42);
+        let mut b = build(MobilityModel::walk_default(), 42);
+        for step in 0..500 {
+            a.step(1.0);
+            b.step(1.0);
+            assert_eq!(a.positions(), b.positions(), "diverged at step {step}");
         }
     }
 
@@ -309,8 +216,8 @@ mod tests {
     #[test]
     fn same_seed_same_per_trajectory() {
         let pl = PathLossConfig::default();
-        let mut a = build(MobilityModel::waypoint_default(), 7);
-        let mut b = build(MobilityModel::waypoint_default(), 7);
+        let mut a = build(MobilityModel::walk_default(), 7);
+        let mut b = build(MobilityModel::walk_default(), 7);
         for _ in 0..200 {
             a.step(1.0);
             b.step(1.0);
@@ -337,17 +244,12 @@ mod tests {
     /// Property: every position stays inside the arena forever.
     #[test]
     fn positions_stay_in_bounds() {
-        for model in [
-            MobilityModel::walk_default(),
-            MobilityModel::waypoint_default(),
-        ] {
-            let mut m = build(model, 9);
-            for _ in 0..2_000 {
-                m.step(1.0);
-                for &(x, y) in m.positions() {
-                    assert!((0.0..=100.0).contains(&x), "x escaped: {x}");
-                    assert!((0.0..=100.0).contains(&y), "y escaped: {y}");
-                }
+        let mut m = build(MobilityModel::walk_default(), 9);
+        for _ in 0..2_000 {
+            m.step(1.0);
+            for &(x, y) in m.positions() {
+                assert!((0.0..=100.0).contains(&x), "x escaped: {x}");
+                assert!((0.0..=100.0).contains(&y), "y escaped: {y}");
             }
         }
     }
@@ -356,8 +258,8 @@ mod tests {
     /// change anyone else's trajectory.
     #[test]
     fn pinned_node_is_inert() {
-        let mut free = build(MobilityModel::waypoint_default(), 11);
-        let mut pinned = build(MobilityModel::waypoint_default(), 11);
+        let mut free = build(MobilityModel::walk_default(), 11);
+        let mut pinned = build(MobilityModel::walk_default(), 11);
         pinned.pin(0);
         let origin = pinned.positions()[0];
         for _ in 0..300 {
@@ -370,7 +272,7 @@ mod tests {
             // differ. What must hold is that the pinned field is
             // internally deterministic, checked by rebuilding:
         }
-        let mut pinned2 = build(MobilityModel::waypoint_default(), 11);
+        let mut pinned2 = build(MobilityModel::walk_default(), 11);
         pinned2.pin(0);
         for _ in 0..300 {
             pinned2.step(1.0);

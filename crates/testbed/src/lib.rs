@@ -63,4 +63,4 @@ pub mod topology;
 
 pub use runner::{run_ble, run_ieee, ExperimentResult, ExperimentSpec};
 pub use throughput::{measure_single_link, measure_single_link_cfg, ThroughputResult};
-pub use topology::{GeoConfig, MeshTopology, Topology};
+pub use topology::{MeshTopology, Topology};

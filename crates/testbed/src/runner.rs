@@ -242,7 +242,9 @@ pub struct ExperimentResult {
     pub timeline: mindgap_obs::Timeline,
     /// Per-fault recovery metrics derived from the timeline (empty
     /// without a fault schedule, for IEEE runs, when `timeline_cap`
-    /// is 0, and under `obs-off`).
+    /// is 0, and under `obs-off`). Otherwise [`run_ble`] guarantees
+    /// one record per fault the run reached: it panics when the
+    /// timeline ring evicted fault markers.
     pub recovery: Vec<FaultRecovery>,
     /// Cold-start convergence time in seconds: first 1 s-granular
     /// instant at which every non-root node holds an RPL parent
@@ -317,8 +319,10 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         cfg.dynamic_routing = true;
         // Geometry gates radio range (max_link_m) and derives per-link
         // PER from positions — which is what lets mobility re-shape
-        // the radio graph. The mesh's precomputed adjacency would pin
-        // the world to the initial positions, so drop it.
+        // the radio graph. `PeersWorldConfig::new` uses the mesh
+        // generator's path loss and range cutoff. The mesh's
+        // precomputed adjacency would pin the world to the initial
+        // positions, so drop it.
         cfg.radio_links = None;
         let (mut w, mut h) = (0.0f64, 0.0f64);
         for &(x, y) in &m.positions {
@@ -327,8 +331,6 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         }
         let mut pc = PeersWorldConfig::new(m.positions.clone(), (w + 1.0, h + 1.0), m.seed);
         pc.pool = p.pool;
-        pc.path_loss = m.geo.path_loss;
-        pc.max_link_m = m.geo.max_link_m;
         pc.mobility = p.mobility;
         pc.pinned = vec![consumer.0];
         cfg.peers = Some(pc);
@@ -383,7 +385,8 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         world.run_until(end);
     }
     // Drain: let in-flight exchanges finish so PDR is not truncated.
-    world.run_until(end + Duration::from_secs(10));
+    let drained = end + Duration::from_secs(10);
+    world.run_until(drained);
 
     let transport_label = match spec.transport {
         TransportMode::Conn => spec.policy.label(),
@@ -397,7 +400,25 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         transport_label,
         spec.producer_interval.millis()
     );
-    harvest(world, n, label, convergence_s)
+    let res = harvest(world, n, label, convergence_s);
+    if let Some(faults) = &spec.faults {
+        // Recovery analysis reads the fault markers back from the
+        // timeline ring; a ring too small for the run evicts them and
+        // would silently return a partial report.
+        let fired = faults
+            .faults
+            .iter()
+            .filter(|f| f.at_ns <= drained.nanos())
+            .count();
+        assert!(
+            !mindgap_obs::enabled() || spec.timeline_cap == 0 || res.recovery.len() == fired,
+            "recovery analysis found {} of {fired} injected faults: the timeline ring \
+             (ExperimentSpec::timeline_cap = {}) evicted their markers; raise timeline_cap",
+            res.recovery.len(),
+            spec.timeline_cap
+        );
+    }
+    res
 }
 
 /// Collect a finished run's counters, metrics, timeline and records.
@@ -666,6 +687,33 @@ mod tests {
                 .iter()
                 .any(|r| r.detect_ns.is_some() && r.reconnect_ns.is_some());
             assert!(healed, "no crash healed: {:?}", res.recovery);
+        }
+    }
+
+    /// A ring too small for the run evicts the fault markers, which
+    /// used to leave `recovery` short without any error.
+    #[test]
+    fn evicted_fault_markers_panic_naming_timeline_cap() {
+        let spec = ExperimentSpec::paper_default(
+            Topology::paper_tree(),
+            IntervalPolicy::Static(Duration::from_millis(75)),
+            42,
+        )
+        .with_duration(Duration::from_secs(60))
+        .with_timeline_cap(1 << 10)
+        .with_faults(mindgap_chaos::FaultSchedule::new().node_crash(
+            Duration::from_secs(40),
+            1,
+            Duration::from_secs(5),
+        ));
+        let run = std::panic::catch_unwind(|| run_ble(&spec));
+        if mindgap_obs::enabled() {
+            let err = run.err().expect("a partial recovery report must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("timeline_cap = 1024"), "{msg}");
+        } else {
+            let res = run.expect("obs-off runs record no markers and must not panic");
+            assert!(res.recovery.is_empty());
         }
     }
 

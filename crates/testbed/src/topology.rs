@@ -16,7 +16,7 @@ use mindgap_net::Ipv6Addr;
 use mindgap_sim::NodeId;
 
 pub mod geo;
-pub use geo::{GeoConfig, MeshTopology, MAX_CONN_DEGREE};
+pub use geo::{MeshTopology, MAX_CONN_DEGREE};
 
 /// A tree-shaped testbed topology.
 #[derive(Debug, Clone)]

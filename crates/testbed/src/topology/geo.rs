@@ -3,8 +3,9 @@
 //! The paper's testbed stops at 15 nodes; the scaling question
 //! (Rondón et al., PAPERS.md) needs hundreds. A [`MeshTopology`]
 //! places nodes on a 2-D floor, derives the *radio graph* (which pairs
-//! can hear each other at all) from the `phy::loss` log-distance model,
-//! and selects a degree-bounded *connection graph* (which pairs run a
+//! can hear each other at all) from the `phy::loss` log-distance model
+//! (the default [`PathLossConfig`], cut off at
+//! [`PathLossConfig::link_range_m`]), and selects a degree-bounded *connection graph* (which pairs run a
 //! BLE connection) as a distance-greedy spanning structure plus
 //! redundant shortcuts. Three generators are provided:
 //!
@@ -27,32 +28,6 @@ use mindgap_sim::{NodeId, Rng};
 /// paper mentions in §4.3 and `Topology::node_configs` also respects.
 pub const MAX_CONN_DEGREE: usize = 4;
 
-/// Radio-geometry knobs shared by all generators.
-#[derive(Debug, Clone, Copy)]
-pub struct GeoConfig {
-    /// Log-distance path-loss model used to derive per-link PER (and,
-    /// with [`GeoConfig::max_link_m`], the radio graph itself).
-    pub path_loss: PathLossConfig,
-    /// Hard distance cutoff for radio links in metres. Pairs farther
-    /// apart never share a link even if a lucky shadowing draw would
-    /// give them margin; pairs within the cutoff still need RSSI above
-    /// sensitivity (PER < 1).
-    pub max_link_m: f64,
-}
-
-impl Default for GeoConfig {
-    fn default() -> Self {
-        let path_loss = PathLossConfig::default();
-        // 1.5× the zero-PER range admits the lossy waterfall region
-        // without linking pairs whose margin is pure shadowing luck.
-        let max_link_m = 1.5 * path_loss.good_range_m();
-        GeoConfig {
-            path_loss,
-            max_link_m,
-        }
-    }
-}
-
 /// A generated large-mesh topology: node positions, the radio graph,
 /// and a degree-bounded connection graph for statconn + RPL.
 #[derive(Debug, Clone)]
@@ -70,8 +45,6 @@ pub struct MeshTopology {
     pub edges: Vec<(u16, u16)>,
     /// The consumer / DODAG root (always node 0, placed at a corner).
     pub consumer: NodeId,
-    /// Geometry configuration the graph was derived from.
-    pub geo: GeoConfig,
     /// Seed the placement and shadowing derive from.
     pub seed: u64,
 }
@@ -81,14 +54,9 @@ impl MeshTopology {
     /// neighbours. Node `r * cols + c` sits at `(c, r) * spacing`;
     /// node 0 (the consumer) is the corner.
     pub fn grid(cols: usize, rows: usize, spacing_m: f64, seed: u64) -> Self {
-        Self::grid_with(cols, rows, spacing_m, seed, GeoConfig::default())
-    }
-
-    /// [`MeshTopology::grid`] with explicit radio geometry.
-    pub fn grid_with(cols: usize, rows: usize, spacing_m: f64, seed: u64, geo: GeoConfig) -> Self {
         assert!(cols >= 2 && rows >= 1, "grid needs at least 2×1 nodes");
         assert!(
-            spacing_m > 0.0 && spacing_m <= geo.max_link_m,
+            spacing_m > 0.0 && spacing_m <= PathLossConfig::default().link_range_m(),
             "grid spacing must keep lattice neighbours in radio range"
         );
         let mut positions = Vec::with_capacity(cols * rows);
@@ -97,7 +65,7 @@ impl MeshTopology {
                 positions.push((c as f64 * spacing_m, r as f64 * spacing_m));
             }
         }
-        Self::from_positions(format!("grid{cols}x{rows}"), positions, seed, geo)
+        Self::from_positions(format!("grid{cols}x{rows}"), positions, seed)
             .expect("a lattice with in-range spacing is connected")
     }
 
@@ -107,11 +75,6 @@ impl MeshTopology {
     /// connected; the node closest to the origin corner is swapped to
     /// id 0 and becomes the consumer.
     pub fn random_geometric(n: usize, side_m: f64, seed: u64) -> Self {
-        Self::random_geometric_with(n, side_m, seed, GeoConfig::default())
-    }
-
-    /// [`MeshTopology::random_geometric`] with explicit radio geometry.
-    pub fn random_geometric_with(n: usize, side_m: f64, seed: u64, geo: GeoConfig) -> Self {
         assert!((2..=u16::MAX as usize).contains(&n));
         assert!(side_m > 0.0);
         for attempt in 0..64u64 {
@@ -130,9 +93,7 @@ impl MeshTopology {
                 })
                 .unwrap();
             positions.swap(0, corner);
-            if let Some(t) =
-                Self::from_positions(format!("geo{n}"), positions, seed, geo)
-            {
+            if let Some(t) = Self::from_positions(format!("geo{n}"), positions, seed) {
                 return t;
             }
         }
@@ -146,21 +107,9 @@ impl MeshTopology {
     /// metres a side, `per_room` nodes jittered inside each room. The
     /// consumer (node 0) sits at the building corner in room (0, 0).
     pub fn building(rooms_x: usize, rooms_y: usize, room_m: f64, per_room: usize, seed: u64) -> Self {
-        Self::building_with(rooms_x, rooms_y, room_m, per_room, seed, GeoConfig::default())
-    }
-
-    /// [`MeshTopology::building`] with explicit radio geometry.
-    pub fn building_with(
-        rooms_x: usize,
-        rooms_y: usize,
-        room_m: f64,
-        per_room: usize,
-        seed: u64,
-        geo: GeoConfig,
-    ) -> Self {
         assert!(rooms_x >= 1 && rooms_y >= 1 && per_room >= 1);
         assert!(
-            room_m > 0.0 && room_m * 1.5 <= geo.max_link_m,
+            room_m > 0.0 && room_m * 1.5 <= PathLossConfig::default().link_range_m(),
             "rooms must be small enough that adjacent rooms stay in radio range"
         );
         let mut rng = Rng::seed_from_u64(seed).fork(0xB1D_0000);
@@ -181,29 +130,25 @@ impl MeshTopology {
                 }
             }
         }
-        Self::from_positions(format!("bldg{rooms_x}x{rooms_y}"), positions, seed, geo)
+        Self::from_positions(format!("bldg{rooms_x}x{rooms_y}"), positions, seed)
             .expect("adjacent rooms are in radio range, so the building is connected")
     }
 
     /// Derive radio links and the connection graph from positions.
     /// Returns `None` if the radio graph does not connect node 0 to
     /// every other node.
-    fn from_positions(
-        name: String,
-        positions: Vec<(f64, f64)>,
-        seed: u64,
-        geo: GeoConfig,
-    ) -> Option<Self> {
-        let links = radio_links(&positions, seed, &geo);
+    fn from_positions(name: String, positions: Vec<(f64, f64)>, seed: u64) -> Option<Self> {
+        let links = radio_links(&positions, seed);
         if !connected(positions.len(), &links) {
             return None;
         }
+        let path_loss = PathLossConfig::default();
         let pers: Vec<f64> = links
             .iter()
             .map(|&(a, b)| {
                 let (ax, ay) = positions[a as usize];
                 let (bx, by) = positions[b as usize];
-                geo.path_loss.link_per(seed, a, b, (ax - bx).hypot(ay - by))
+                path_loss.link_per(seed, a, b, (ax - bx).hypot(ay - by))
             })
             .collect();
         let edges = select_conn_edges(positions.len(), &links, &pers, &positions);
@@ -213,7 +158,6 @@ impl MeshTopology {
             links,
             edges,
             consumer: NodeId(0),
-            geo,
             seed,
         })
     }
@@ -263,9 +207,7 @@ impl MeshTopology {
     /// (shadowing keys on the unordered pair, so both directions
     /// match).
     pub fn link_per(&self, a: u16, b: u16) -> f64 {
-        self.geo
-            .path_loss
-            .link_per(self.seed, a, b, self.distance(a, b))
+        PathLossConfig::default().link_per(self.seed, a, b, self.distance(a, b))
     }
 
     /// The lossy subset of the radio graph: `(a, b, per)` for every
@@ -307,12 +249,16 @@ impl MeshTopology {
     }
 }
 
-/// All pairs within the hard cutoff whose shadowed link budget leaves
-/// PER < 1 (i.e. the receiver is above sensitivity at least some of
-/// the time). Uses a uniform cell grid so candidate enumeration is
+/// All pairs within the hard cutoff ([`PathLossConfig::link_range_m`])
+/// whose shadowed link budget leaves PER < 1 (i.e. the receiver is
+/// above sensitivity at least some of the time). Pairs farther apart
+/// never share a link even if a lucky shadowing draw would give them
+/// margin. Uses a uniform cell grid so candidate enumeration is
 /// O(n · local density), not O(n²).
-fn radio_links(positions: &[(f64, f64)], seed: u64, geo: &GeoConfig) -> Vec<(u16, u16)> {
-    let cell = geo.max_link_m.max(1e-9);
+fn radio_links(positions: &[(f64, f64)], seed: u64) -> Vec<(u16, u16)> {
+    let path_loss = PathLossConfig::default();
+    let max_link_m = path_loss.link_range_m();
+    let cell = max_link_m.max(1e-9);
     let key = |x: f64, y: f64| ((x / cell).floor() as i64, (y / cell).floor() as i64);
     let mut grid: std::collections::HashMap<(i64, i64), Vec<u16>> = std::collections::HashMap::new();
     for (i, &(x, y)) in positions.iter().enumerate() {
@@ -333,7 +279,7 @@ fn radio_links(positions: &[(f64, f64)], seed: u64, geo: &GeoConfig) -> Vec<(u16
                     }
                     let (jx, jy) = positions[j as usize];
                     let d = (x - jx).hypot(y - jy);
-                    if d <= geo.max_link_m && geo.path_loss.link_per(seed, i, j, d) < 1.0 {
+                    if d <= max_link_m && path_loss.link_per(seed, i, j, d) < 1.0 {
                         links.push((i, j));
                     }
                 }
@@ -533,7 +479,7 @@ mod tests {
                     "seed {seed} node {node}: conn degree {cd}"
                 );
                 // Radio degree is bounded by disc packing: nodes
-                // within max_link_m of each other. At this density the
+                // within the link range of each other. At this density the
                 // expected degree is ~12; 64 is a generous regression
                 // bound that a dense-matrix bug would blow through.
                 assert!(t.radio_degree(node) <= 64);
