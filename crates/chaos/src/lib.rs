@@ -84,7 +84,10 @@ pub mod labels {
     /// `true` for labels that *start* a fault (and hence an
     /// attribution window in [`crate::recovery::analyze`]).
     pub fn is_injection(label: &str) -> bool {
-        matches!(label, NODE_CRASH | LINK_BLACKOUT | JAMMER_BURST | CLOCK_DRIFT)
+        matches!(
+            label,
+            NODE_CRASH | LINK_BLACKOUT | JAMMER_BURST | CLOCK_DRIFT
+        )
     }
 }
 
@@ -164,9 +167,7 @@ impl FaultKind {
         match *self {
             FaultKind::NodeCrash { node, down_for } => Some((0, (node, node), down_for)),
             FaultKind::LinkBlackout { a, b, lasts } => Some((1, (a.min(b), a.max(b)), lasts)),
-            FaultKind::JammerBurst { channel, lasts, .. } => {
-                Some((2, (channel as u16, 0), lasts))
-            }
+            FaultKind::JammerBurst { channel, lasts, .. } => Some((2, (channel as u16, 0), lasts)),
             FaultKind::ClockDrift { .. } => None,
         }
     }
@@ -357,7 +358,12 @@ impl FaultSchedule {
             .enumerate()
             .filter_map(|(i, f)| {
                 let (kind, target, lasts) = f.kind.occupies()?;
-                Some(((kind, target), f.at_ns, f.at_ns.saturating_add(lasts.nanos()), i))
+                Some((
+                    (kind, target),
+                    f.at_ns,
+                    f.at_ns.saturating_add(lasts.nanos()),
+                    i,
+                ))
             })
             .collect();
         spans.sort_unstable();
@@ -367,7 +373,9 @@ impl FaultSchedule {
             };
             if key == next_key && next_at <= end {
                 let tag = self.faults[j].kind.tag();
-                return Err(format!("fault #{j} ({tag}): overlaps fault #{i} on the same target"));
+                return Err(format!(
+                    "fault #{j} ({tag}): overlaps fault #{i} on the same target"
+                ));
             }
         }
         Ok(())
@@ -441,9 +449,9 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    /// `churn --full`'s walk and static jobs at seed 45 drew node 6
-    /// twice inside one 10 s outage (478.4 s and 482.1 s), and the
-    /// injector panicked on the second crash.
+    /// The seed-45 churn of `churn --full` draws node 6 twice inside
+    /// one 10 s outage (478.4 s and 482.1 s): the second crash must go
+    /// to a node that is up, or the injector panics.
     #[test]
     fn churn_never_crashes_a_node_that_is_down() {
         let s = Duration::from_secs;

@@ -690,8 +690,8 @@ mod tests {
         }
     }
 
-    /// A ring too small for the run evicts the fault markers, which
-    /// used to leave `recovery` short without any error.
+    /// A ring too small for the run evicts the fault markers: `run_ble`
+    /// must say so instead of returning a short recovery report.
     #[test]
     fn evicted_fault_markers_panic_naming_timeline_cap() {
         let spec = ExperimentSpec::paper_default(

@@ -31,5 +31,8 @@ fn link_blackout_clears_and_the_edge_reforms() {
 
     // Cleared at 30 s: statconn's standing advertise/scan re-forms it.
     w.run_until(Instant::from_secs(40));
-    assert!(w.fully_connected(), "edge 1 — 4 did not re-form after the clear");
+    assert!(
+        w.fully_connected(),
+        "edge 1 — 4 did not re-form after the clear"
+    );
 }
