@@ -159,15 +159,15 @@ impl FaultKind {
         }
     }
 
-    /// What the fault occupies while active and for how long, for
-    /// the overlap check: `(kind, target, active for)`. Two faults of
-    /// one kind on one target must not be active at once. `None` for
-    /// clock drift, which steps and never clears.
-    fn occupies(&self) -> Option<(u8, (u16, u16), Duration)> {
+    /// The target the fault occupies while active and for how long:
+    /// a node, a link (ends in ascending order) or a channel. Two
+    /// faults of one kind on one target must not be active at once.
+    /// `None` for clock drift, which steps and never clears.
+    fn occupies(&self) -> Option<((u16, u16), Duration)> {
         match *self {
-            FaultKind::NodeCrash { node, down_for } => Some((0, (node, node), down_for)),
-            FaultKind::LinkBlackout { a, b, lasts } => Some((1, (a.min(b), a.max(b)), lasts)),
-            FaultKind::JammerBurst { channel, lasts, .. } => Some((2, (channel as u16, 0), lasts)),
+            FaultKind::NodeCrash { node, down_for } => Some(((node, node), down_for)),
+            FaultKind::LinkBlackout { a, b, lasts } => Some(((a.min(b), a.max(b)), lasts)),
+            FaultKind::JammerBurst { channel, lasts, .. } => Some(((channel as u16, 0), lasts)),
             FaultKind::ClockDrift { .. } => None,
         }
     }
@@ -357,9 +357,9 @@ impl FaultSchedule {
             .iter()
             .enumerate()
             .filter_map(|(i, f)| {
-                let (kind, target, lasts) = f.kind.occupies()?;
+                let (target, lasts) = f.kind.occupies()?;
                 Some((
-                    (kind, target),
+                    (f.kind.tag(), target),
                     f.at_ns,
                     f.at_ns.saturating_add(lasts.nanos()),
                     i,
@@ -372,7 +372,7 @@ impl FaultSchedule {
                 unreachable!("windows of two")
             };
             if key == next_key && next_at <= end {
-                let tag = self.faults[j].kind.tag();
+                let (tag, _) = next_key;
                 return Err(format!(
                     "fault #{j} ({tag}): overlaps fault #{i} on the same target"
                 ));
