@@ -16,8 +16,13 @@
 //!   between two nodes' clocks is what makes independently scheduled
 //!   connection events slide past each other.
 //! * [`EventQueue`] — a time-ordered, insertion-stable priority queue
-//!   generic over the event payload. Ties in timestamp are broken by
-//!   insertion order so simulations are bit-reproducible.
+//!   generic over the event payload. Ties in timestamp are broken by a
+//!   caller key, then insertion order, so simulations are
+//!   bit-reproducible. It is a calendar queue: a sorted front bucket, a
+//!   wheel of fixed-width buckets spanning ~134 ms (one connection
+//!   interval and then some) and a small overflow heap for farther
+//!   timers, so the near-future events that dominate a BLE simulation
+//!   are scheduled and popped in O(1).
 //! * [`Rng`] — a seedable xoshiro256★★ generator. We ship our own small
 //!   implementation (public-domain algorithm) instead of depending on
 //!   the `rand` crate in the kernel so that simulation results can never

@@ -1,6 +1,6 @@
 //! The event queue at the heart of the discrete-event simulation.
 //!
-//! [`EventQueue`] is a min-heap ordered by `(time, key, seq)`: firing
+//! [`EventQueue`] pops events in `(time, key, seq)` order: firing
 //! time first, then a caller-supplied *canonical key*, then a
 //! monotonically increasing sequence number. Events scheduled through
 //! the plain [`schedule_at`]/[`schedule_in`] APIs carry key 0, so for
@@ -15,19 +15,71 @@
 //! [`schedule_in`]: EventQueue::schedule_in
 //! [`schedule_at_keyed`]: EventQueue::schedule_at_keyed
 //!
+//! ## A calendar queue
+//!
+//! The simulated BLE connections fire every 65–85 ms whether or not
+//! they carry data, so almost every pending event lies a few
+//! milliseconds to one connection interval ahead of `now`. The queue
+//! exploits that clustering (R. Brown, "Calendar queues", CACM 31(10),
+//! 1988) with three tiers, split by *bucket* `at >> BUCKET_SHIFT`:
+//!
+//! * the **front**: every entry whose bucket is at most
+//!   `front_bucket`, kept sorted (descending, so the next event is
+//!   the last element);
+//! * the **wheel**: [`WHEEL_BUCKETS`] fixed-width buckets holding the
+//!   entries of the following buckets up to one horizon
+//!   (`WHEEL_BUCKETS << BUCKET_SHIFT` ns ≈ 134 ms) past the front,
+//!   each an unsorted intrusive list in one shared arena, with an
+//!   occupancy bitmap to skip empty buckets;
+//! * the **overflow**: a 4-ary min-heap of the entries beyond the
+//!   horizon (supervision timers, CoAP sweeps, producer sends, RPL
+//!   ticks), moved into the wheel as the front advances.
+//!
+//! Scheduling into the front is a binary-search insert into a short
+//! vector, into the wheel an O(1) list push. When the front drains,
+//! the next occupied bucket is found in the bitmap and sorted into the
+//! front. Both are O(1) per event for the near-future events that
+//! dominate; only the few far timers pay the heap's O(log n).
+//!
+//! Correctness rests on two facts. `(at, key, seq)` is a *total*
+//! order (`seq` is unique), so any structure that always yields the
+//! minimum pops the identical event sequence. And the tiers partition
+//! the pending entries by bucket, which is monotone in `at`: every
+//! front entry precedes every wheel entry, which precedes every
+//! overflow entry, so the front's last element is the global minimum.
+//! A wheel bucket holds entries of one bucket number only (the wheel
+//! spans less than one lap past the front), so a bucket moved into
+//! the front never drags a later lap's entries with it.
+//!
+//! ## Cancellation
+//!
 //! Scheduled events can be cancelled by token. Liveness is tracked
 //! with a generation-stamped slot table instead of a hash set: every
 //! entry carries a `(slot, gen)` pair, and an entry is live iff its
 //! generation still matches `slots[slot]`. Cancelling (and popping)
 //! bumps the slot's generation, so the liveness test on the hot pop
 //! path is a single array compare — no hashing, no probe — and
-//! `cancel` stays O(1) (amortized; it may pop already-dead heap heads
-//! to keep the head live, which restores `&self` peeks). Teardown
-//! storms that cancel many timers at once are bounded by periodic
-//! compaction: when dead entries outnumber live ones the heap is
-//! rebuilt without them.
+//! `cancel` stays O(1) (amortized; it may drop already-dead entries
+//! at the head to keep the head live, which keeps peeks `&self`).
+//! Dead entries elsewhere are dropped when their bucket reaches the
+//! front. Teardown storms that cancel many timers at once are bounded
+//! by periodic compaction: when dead entries outnumber live ones all
+//! three tiers are rebuilt without them.
 
 use crate::{Duration, Instant};
+
+/// log₂ of a wheel bucket's width in nanoseconds: 2¹⁶ ns ≈ 65.5 µs,
+/// about one empty connection event's worth of kernel events.
+const BUCKET_SHIFT: u32 = 16;
+/// Buckets on the wheel (a power of two). With [`BUCKET_SHIFT`] the
+/// wheel spans 2048 × 65.5 µs ≈ 134 ms, past the longest (85 ms)
+/// connection interval, so an LL timer never lands in the overflow.
+const WHEEL_BUCKETS: usize = 2048;
+const WHEEL_MASK: u64 = WHEEL_BUCKETS as u64 - 1;
+/// Words of the wheel's occupancy bitmap.
+const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
+/// End of an arena list.
+const NIL: u32 = u32::MAX;
 
 /// Token identifying a scheduled event, used for cancellation.
 ///
@@ -43,22 +95,26 @@ pub struct ScheduledEvent {
     gen: u32,
 }
 
-/// A heap node: ordering key plus the slot holding the payload.
-/// Payloads live in the slot table, not the heap, so a sift moves 32
-/// bytes regardless of the event type's size.
+/// A queued entry: ordering key plus the slot holding the payload.
+/// Payloads live in the slot table, not the tiers, so moving an entry
+/// between tiers copies 32 bytes regardless of the event type's size.
+#[derive(Clone, Copy)]
 struct Entry {
     /// Firing time in nanoseconds (primary key).
     at: u64,
+    /// Tie-breaking sequence number — unique, so `(at, key, seq)` is
+    /// a *total* order and the pop sequence is independent of the
+    /// queue's internal layout.
+    seq: u64,
     /// Caller-supplied canonical tie key (secondary). 0 for events
     /// scheduled through the unkeyed APIs.
     key: u32,
-    /// Tie-breaking sequence number — unique, so `(at, key, seq)` is
-    /// a *total* order: any correct min-heap pops the exact same
-    /// sequence, and the heap's internal layout is free to change
-    /// without touching determinism.
-    seq: u64,
     slot: u32,
     gen: u32,
+    /// Next entry of the same wheel bucket (an arena index, or
+    /// [`NIL`]); also links the arena's free list. Unused in the
+    /// front and the overflow.
+    next: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 32);
@@ -68,16 +124,39 @@ impl Entry {
     fn key(&self) -> (u64, u32, u64) {
         (self.at, self.key, self.seq)
     }
+
+    #[inline]
+    fn bucket(&self) -> u64 {
+        self.at >> BUCKET_SHIFT
+    }
 }
 
-/// Time-ordered, insertion-stable event queue.
-///
-/// The heap is a hand-rolled 4-ary min-heap: half the depth of a
-/// binary heap and four children per cache line's worth of entries,
-/// which measurably beats `std::collections::BinaryHeap` on the
-/// kernel's push/pop-dominated hot path.
+/// Time-ordered, insertion-stable event queue (a calendar queue; see
+/// the module docs).
 pub struct EventQueue<E> {
-    heap: Vec<Entry>,
+    /// Entries of buckets `<= front_bucket`, sorted by descending
+    /// `(at, key, seq)`. Invariant after every mutation: if it is
+    /// non-empty its last entry is live, and if it is empty the wheel
+    /// is empty too.
+    front: Vec<Entry>,
+    /// Bucket number the front covers up to (inclusive).
+    front_bucket: u64,
+    /// Storage of wheel entries; buckets are lists through
+    /// [`Entry::next`].
+    arena: Vec<Entry>,
+    /// Head of the arena's free list.
+    free_node: u32,
+    /// `heads[b & WHEEL_MASK]`: first arena index of wheel bucket `b`,
+    /// for `front_bucket < b < front_bucket + WHEEL_BUCKETS`.
+    heads: Box<[u32]>,
+    /// Bit `i` set iff `heads[i]` is a non-empty list.
+    occupied: [u64; WHEEL_WORDS],
+    /// Entries (live or dead) on the wheel.
+    wheel_len: usize,
+    /// 4-ary min-heap of entries at buckets
+    /// `>= front_bucket + WHEEL_BUCKETS`. Its head is live whenever
+    /// the front is empty.
+    overflow: Vec<Entry>,
     /// `slots[s]` is the generation a live entry in slot `s` must
     /// carry. Bumped when the slot's event fires or is cancelled.
     slots: Vec<u32>,
@@ -86,7 +165,7 @@ pub struct EventQueue<E> {
     payloads: Vec<Option<E>>,
     /// Slots whose event has fired or been cancelled, ready for reuse.
     free_slots: Vec<u32>,
-    /// Dead entries still buried in the heap (cancelled, not yet
+    /// Dead entries still held in some tier (cancelled, not yet
     /// removed). Drives compaction.
     stale: usize,
     next_seq: u64,
@@ -103,7 +182,14 @@ impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            front: Vec::new(),
+            front_bucket: 0,
+            arena: Vec::new(),
+            free_node: NIL,
+            heads: vec![NIL; WHEEL_BUCKETS].into_boxed_slice(),
+            occupied: [0; WHEEL_WORDS],
+            wheel_len: 0,
+            overflow: Vec::new(),
             slots: Vec::new(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
@@ -161,13 +247,21 @@ impl<E> EventQueue<E> {
         };
         let gen = self.slots[slot as usize];
         self.payloads[slot as usize] = Some(payload);
-        self.heap_push(Entry {
+        let front_was_empty = self.front.is_empty();
+        self.place(Entry {
             at: at.nanos(),
-            key,
             seq,
+            key,
             slot,
             gen,
+            next: NIL,
         });
+        // A new entry is live, so only an empty front can need work:
+        // the entry may have gone to the wheel, which the front must
+        // then advance to.
+        if front_was_empty && self.wheel_len > 0 {
+            self.settle();
+        }
         ScheduledEvent { slot, gen }
     }
 
@@ -187,21 +281,76 @@ impl<E> EventQueue<E> {
     /// Cancel a previously scheduled event. Cancelling an event that
     /// already fired (or was already cancelled) is a no-op.
     pub fn cancel(&mut self, token: ScheduledEvent) {
-        if self.slots.get(token.slot as usize).copied() != Some(token.gen) {
+        if !self.token_is_live(token) {
             return;
         }
         self.payloads[token.slot as usize] = None;
         self.retire_slot(token.slot);
         self.stale += 1;
-        // Keep the heap head live so `peek_time` stays `&self`.
-        self.purge_dead_head();
+        // Keep the head live so `peek_time` stays `&self`.
+        self.settle();
         self.maybe_compact();
     }
 
-    /// Pop dead entries off the heap head. Invariant maintained after
-    /// every mutation: if the heap is non-empty, its head is live.
-    fn purge_dead_head(&mut self) {
-        while let Some(head) = self.heap.first() {
+    /// Pop the next live event, advancing `now` to its timestamp.
+    /// Returns `None` when the queue is exhausted.
+    pub fn pop(&mut self) -> Option<(Instant, E)> {
+        // Both heads are live by invariant (see `settle`).
+        let entry = match self.front.pop() {
+            Some(e) => e,
+            None => {
+                // Front and wheel are empty: jump to the overflow's
+                // head and pull its horizon onto the wheel.
+                let e = self.heap_pop()?;
+                self.front_bucket = e.bucket();
+                self.refill_from_overflow();
+                self.sort_front();
+                e
+            }
+        };
+        let payload = self.payloads[entry.slot as usize]
+            .take()
+            .expect("live entry has a payload");
+        self.retire_slot(entry.slot);
+        self.settle();
+        let at = Instant::from_nanos(entry.at);
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        Some((at, payload))
+    }
+
+    /// Put an entry into the tier its bucket belongs to.
+    #[inline]
+    fn place(&mut self, entry: Entry) {
+        let bucket = entry.bucket();
+        if bucket <= self.front_bucket {
+            let key = entry.key();
+            let at = self.front.partition_point(|e| e.key() > key);
+            self.front.insert(at, entry);
+        } else if bucket - self.front_bucket < WHEEL_BUCKETS as u64 {
+            self.wheel_push(bucket, entry);
+        } else {
+            self.heap_push(entry);
+        }
+    }
+
+    /// Restore the head invariant: drop dead entries off the front's
+    /// end, advance the front through the wheel while it is empty,
+    /// and, once front and wheel are both empty, drop dead entries off
+    /// the overflow's head.
+    fn settle(&mut self) {
+        loop {
+            match self.front.last() {
+                Some(e) if self.is_live(e) => return,
+                Some(_) => {
+                    self.front.pop();
+                    self.stale -= 1;
+                }
+                None if self.wheel_len > 0 => self.advance(),
+                None => break,
+            }
+        }
+        while let Some(head) = self.overflow.first() {
             if self.is_live(head) {
                 break;
             }
@@ -210,74 +359,166 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Rebuild the heap without dead entries once they dominate, so a
-    /// teardown storm does not leave the heap bloated for the rest of
-    /// a long run. O(live) via bulk heapify; amortized against the
-    /// cancels that created the dead entries.
-    fn maybe_compact(&mut self) {
-        if self.stale > 64 && self.stale * 2 > self.heap.len() {
-            let slots = &self.slots;
-            self.heap.retain(|e| slots[e.slot as usize] == e.gen);
-            self.heapify();
-            self.stale = 0;
+    /// Move the front to the next occupied wheel bucket. Requires an
+    /// empty front and a non-empty wheel.
+    fn advance(&mut self) {
+        debug_assert!(self.front.is_empty() && self.wheel_len > 0);
+        let bucket = self.next_occupied();
+        self.front_bucket = bucket;
+        // The horizon moved with the front; overflow entries now
+        // inside it land on slots of the buckets just skipped, which
+        // are empty, and never in `bucket` itself.
+        self.refill_from_overflow();
+        let slot = (bucket & WHEEL_MASK) as usize;
+        let mut node = std::mem::replace(&mut self.heads[slot], NIL);
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+        while node != NIL {
+            let entry = self.arena[node as usize];
+            self.arena[node as usize].next = self.free_node;
+            self.free_node = node;
+            self.wheel_len -= 1;
+            node = entry.next;
+            if self.is_live(&entry) {
+                self.front.push(entry);
+            } else {
+                self.stale -= 1;
+            }
+        }
+        self.sort_front();
+    }
+
+    /// First occupied wheel bucket after `front_bucket`. The wheel
+    /// spans less than one lap, so a circular scan of the bitmap from
+    /// the slot after the front finds the earliest one.
+    fn next_occupied(&self) -> u64 {
+        let start = (self.front_bucket + 1) & WHEEL_MASK;
+        let mut word = start as usize / 64;
+        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
+        for _ in 0..=WHEEL_WORDS {
+            if bits != 0 {
+                let slot = (word * 64) as u64 + u64::from(bits.trailing_zeros());
+                return self.front_bucket + 1 + (slot.wrapping_sub(start) & WHEEL_MASK);
+            }
+            word = (word + 1) % WHEEL_WORDS;
+            bits = self.occupied[word];
+        }
+        unreachable!("advance on an empty wheel")
+    }
+
+    /// Move overflow entries that the horizon now covers onto the
+    /// wheel (or, when the front jumped onto their bucket, into the
+    /// unsorted front; callers sort it). Dead ones are dropped.
+    fn refill_from_overflow(&mut self) {
+        let horizon = self.front_bucket + WHEEL_BUCKETS as u64;
+        while self.overflow.first().is_some_and(|e| e.bucket() < horizon) {
+            let entry = self.heap_pop().expect("non-empty overflow");
+            if !self.is_live(&entry) {
+                self.stale -= 1;
+            } else if entry.bucket() <= self.front_bucket {
+                self.front.push(entry);
+            } else {
+                self.wheel_push(entry.bucket(), entry);
+            }
         }
     }
 
-    /// Pop the next live event, advancing `now` to its timestamp.
-    /// Returns `None` when the queue is exhausted.
-    pub fn pop(&mut self) -> Option<(Instant, E)> {
-        loop {
-            let entry = self.heap_pop()?;
-            if !self.is_live(&entry) {
-                self.stale -= 1;
-                continue;
-            }
-            let payload = self.payloads[entry.slot as usize]
-                .take()
-                .expect("live entry has a payload");
-            self.retire_slot(entry.slot);
-            // Restore the live-head invariant for `&self` peeks.
-            self.purge_dead_head();
-            let at = Instant::from_nanos(entry.at);
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            return Some((at, payload));
+    fn sort_front(&mut self) {
+        self.front.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+    }
+
+    fn wheel_push(&mut self, bucket: u64, mut entry: Entry) {
+        let slot = (bucket & WHEEL_MASK) as usize;
+        entry.next = self.heads[slot];
+        let node = if self.free_node != NIL {
+            let node = self.free_node;
+            self.free_node = self.arena[node as usize].next;
+            self.arena[node as usize] = entry;
+            node
+        } else {
+            self.arena.push(entry);
+            u32::try_from(self.arena.len() - 1)
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("fewer than 2^32 - 1 wheel entries")
+        };
+        self.heads[slot] = node;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.wheel_len += 1;
+    }
+
+    /// Rebuild all three tiers without dead entries once they
+    /// dominate, so a teardown storm does not leave the queue bloated
+    /// for the rest of a long run. O(entries); amortized against the
+    /// cancels that created the dead entries.
+    fn maybe_compact(&mut self) {
+        if self.stale <= 64 || self.stale * 2 <= self.raw_len() {
+            return;
         }
+        let slots = &self.slots;
+        let live = |e: &Entry| slots[e.slot as usize] == e.gen;
+        self.front.retain(live);
+        self.overflow.retain(live);
+        for slot in 0..WHEEL_BUCKETS {
+            let mut node = self.heads[slot];
+            let mut kept = NIL;
+            while node != NIL {
+                let entry = self.arena[node as usize];
+                if live(&entry) {
+                    self.arena[node as usize].next = kept;
+                    kept = node;
+                } else {
+                    self.arena[node as usize].next = self.free_node;
+                    self.free_node = node;
+                    self.wheel_len -= 1;
+                }
+                node = entry.next;
+            }
+            self.heads[slot] = kept;
+            if kept == NIL {
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+            }
+        }
+        self.heapify();
+        self.stale = 0;
+        self.settle();
     }
 
     // ------------------------------------------------------------------
-    // 4-ary min-heap primitives (root at 0; children of i are
-    // 4i+1..=4i+4). Only `key` ordering matters, and keys are unique.
+    // 4-ary min-heap primitives for the overflow (root at 0; children
+    // of i are 4i+1..=4i+4). Only `key` ordering matters, and keys are
+    // unique.
     // ------------------------------------------------------------------
 
     fn heap_push(&mut self, entry: Entry) {
-        self.heap.push(entry);
-        self.sift_up(self.heap.len() - 1);
+        self.overflow.push(entry);
+        self.sift_up(self.overflow.len() - 1);
     }
 
     fn heap_pop(&mut self) -> Option<Entry> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let entry = self.heap.pop();
-        if !self.heap.is_empty() {
+        let last = self.overflow.len().checked_sub(1)?;
+        self.overflow.swap(0, last);
+        let entry = self.overflow.pop();
+        if !self.overflow.is_empty() {
             self.sift_down(0);
         }
         entry
     }
 
     fn sift_up(&mut self, mut i: usize) {
+        let heap = &mut self.overflow;
         while i > 0 {
             let parent = (i - 1) / 4;
-            if self.heap[i].key() >= self.heap[parent].key() {
+            if heap[i].key() >= heap[parent].key() {
                 break;
             }
-            self.heap.swap(i, parent);
+            heap.swap(i, parent);
             i = parent;
         }
     }
 
     fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
+        let heap = &mut self.overflow;
+        let len = heap.len();
         loop {
             let first_child = 4 * i + 1;
             if first_child >= len {
@@ -286,22 +527,22 @@ impl<E> EventQueue<E> {
             let mut min = first_child;
             let last_child = (first_child + 3).min(len - 1);
             for c in first_child + 1..=last_child {
-                if self.heap[c].key() < self.heap[min].key() {
+                if heap[c].key() < heap[min].key() {
                     min = c;
                 }
             }
-            if self.heap[min].key() >= self.heap[i].key() {
+            if heap[min].key() >= heap[i].key() {
                 break;
             }
-            self.heap.swap(i, min);
+            heap.swap(i, min);
             i = min;
         }
     }
 
-    /// Re-establish the heap property over the whole vector (Floyd's
-    /// bottom-up heapify, O(n)). Used after compaction.
+    /// Re-establish the heap property over the whole overflow
+    /// (Floyd's bottom-up heapify, O(n)). Used after compaction.
     fn heapify(&mut self) {
-        let len = self.heap.len();
+        let len = self.overflow.len();
         if len < 2 {
             return;
         }
@@ -313,20 +554,25 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next live event without popping it.
     #[inline]
     pub fn peek_time(&self) -> Option<Instant> {
-        // The head is live by invariant (see `purge_dead_head`).
-        self.heap.first().map(|e| Instant::from_nanos(e.at))
+        // The front's last entry is the live minimum; an empty front
+        // means an empty wheel, leaving the overflow's live head.
+        self.front
+            .last()
+            .or_else(|| self.overflow.first())
+            .map(|e| Instant::from_nanos(e.at))
     }
 
-    /// Number of entries in the heap, *including* dead ones awaiting
+    /// Number of queued entries, *including* dead ones awaiting
     /// removal or compaction.
     pub fn raw_len(&self) -> usize {
-        self.heap.len()
+        self.front.len() + self.wheel_len + self.overflow.len()
     }
 
-    /// `true` if no live events remain. The live-head invariant makes
-    /// this a plain emptiness check: a non-empty heap has a live head.
+    /// `true` if no live events remain. The head invariant makes this
+    /// a plain emptiness check: a non-empty front or overflow has a
+    /// live head, and the wheel is empty whenever the front is.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.front.is_empty() && self.overflow.is_empty()
     }
 
     /// `true` if the token still refers to a pending (not yet fired,
@@ -585,7 +831,7 @@ mod tests {
         for tok in kill {
             q.cancel(tok); // triggers compaction on the way
         }
-        assert!(q.raw_len() < 1000, "compaction should have shrunk the heap");
+        assert!(q.raw_len() < 1000, "compaction should have shrunk the queue");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, keep);
     }

@@ -66,6 +66,175 @@ fn queue_cancellation_is_exact() {
     }
 }
 
+/// The queue's wheel horizon (2048 buckets of 2¹⁶ ns ≈ 134 ms):
+/// delays are drawn around and well beyond it so events cross all
+/// three tiers of the calendar queue.
+const HORIZON_NS: u64 = 2048 << 16;
+
+/// A delay from one of the shapes the simulator produces: at `now`,
+/// within one bucket, within the horizon, a few horizons out, or far
+/// beyond (seconds). `sparse` cases skip the near shapes more often,
+/// so the front jumps across empty buckets and the overflow.
+fn draw_delay(rng: &mut Rng, sparse: bool) -> u64 {
+    match rng.below(if sparse { 4 } else { 8 }) {
+        0 => rng.below(4) * HORIZON_NS + rng.below(3),
+        1 => rng.range_inclusive(HORIZON_NS / 2, 5 * HORIZON_NS),
+        2 => rng.range_inclusive(1_000_000_000, 30_000_000_000),
+        3 => rng.below(HORIZON_NS),
+        4 => 0,
+        5 => rng.below(1 << 16),
+        _ => rng.below(200_000),
+    }
+}
+
+/// Differential test against a `BTreeMap` keyed by `(at, key, seq)`:
+/// random mixes of every scheduling entry point, cancels (of live and
+/// stale tokens, singly and in storms that trigger compaction), pops,
+/// peeks and liveness probes, with delays from zero to many wheel
+/// horizons and same-instant keyed ties, must agree on every pop,
+/// every peek and every token's liveness.
+#[test]
+fn queue_matches_a_sorted_map_reference() {
+    use std::collections::BTreeMap;
+    type Key = (u64, u32, u64);
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0x51ED_0003 ^ case);
+        let sparse = case % 4 == 0;
+        let mut q = EventQueue::new();
+        let mut reference: BTreeMap<Key, u64> = BTreeMap::new();
+        // Every token ever issued, with its reference key.
+        let mut issued: Vec<(mindgap_sim::ScheduledEvent, Key)> = Vec::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut recent = vec![0u64];
+        let mut storms = 0;
+        for step in 0..3_000u64 {
+            match rng.below(16) {
+                // Schedule through each entry point: one event or, now
+                // and then, a burst like a world's start-up.
+                0..=6 => {
+                    let burst = if rng.chance(0.05) {
+                        rng.range_inclusive(50, 300)
+                    } else {
+                        1
+                    };
+                    for _ in 0..burst {
+                        let (at, key) = if rng.chance(0.2) {
+                            // A same-instant keyed tie with a recent time.
+                            (now.max(*rng.pick(&recent)), rng.below(4) as u32)
+                        } else {
+                            (now + draw_delay(&mut rng, sparse), rng.below(3) as u32)
+                        };
+                        let delay = Duration::from_nanos(at - now);
+                        let (tok, key) = match rng.below(4) {
+                            0 => (q.schedule_at(Instant::from_nanos(at), seq), 0),
+                            1 => (q.schedule_at_keyed(Instant::from_nanos(at), key, seq), key),
+                            2 => (q.schedule_in(delay, seq), 0),
+                            _ => (q.schedule_in_keyed(delay, key, seq), key),
+                        };
+                        reference.insert((at, key, seq), seq);
+                        issued.push((tok, (at, key, seq)));
+                        if recent.len() < 16 {
+                            recent.push(at);
+                        } else {
+                            recent[(seq % 16) as usize] = at;
+                        }
+                        seq += 1;
+                    }
+                }
+                // Cancel a random issued token (live, fired or cancelled).
+                7 | 8 => {
+                    if let Some(&(tok, k)) = issued.get(rng.below(issued.len() as u64 + 1) as usize)
+                    {
+                        q.cancel(tok);
+                        reference.remove(&k);
+                    }
+                }
+                // A cancel storm over most live tokens: dead entries
+                // must stay bounded by compaction throughout.
+                9 if rng.chance(0.1) => {
+                    let victims: Vec<_> = issued
+                        .iter()
+                        .filter(|(_, k)| reference.contains_key(k))
+                        .copied()
+                        .collect();
+                    for (tok, k) in victims {
+                        if rng.chance(0.9) {
+                            q.cancel(tok);
+                            reference.remove(&k);
+                            let live = reference.len();
+                            assert!(
+                                q.raw_len() <= (2 * live).max(live + 64),
+                                "compaction keeps dead entries bounded: raw {} for {live} live",
+                                q.raw_len()
+                            );
+                        }
+                    }
+                    storms += 1;
+                }
+                // Pop a few, or drain a window.
+                10..=13 => {
+                    let (count, until) = if rng.chance(0.8) {
+                        (rng.range_inclusive(1, 24), u64::MAX)
+                    } else {
+                        (u64::MAX, now + draw_delay(&mut rng, sparse))
+                    };
+                    for _ in 0..count {
+                        let expect = reference.first_key_value().map(|(k, v)| (*k, *v));
+                        assert_eq!(q.peek_time().map(Instant::nanos), expect.map(|e| e.0 .0));
+                        let Some(((at, _, _), payload)) = expect else {
+                            assert!(q.pop().is_none());
+                            break;
+                        };
+                        if at > until {
+                            break;
+                        }
+                        assert_eq!(q.pop(), Some((Instant::from_nanos(at), payload)));
+                        reference.pop_first();
+                        now = at;
+                    }
+                }
+                // Probe liveness of a random issued token.
+                _ => {
+                    if let Some(&(tok, k)) = issued.get(rng.below(issued.len() as u64 + 1) as usize)
+                    {
+                        assert_eq!(q.token_is_live(tok), reference.contains_key(&k));
+                    }
+                }
+            }
+            assert_eq!(q.now().nanos(), now, "step {step}");
+            assert_eq!(q.is_empty(), reference.is_empty());
+            assert!(q.raw_len() >= reference.len());
+        }
+        while let Some((at, payload)) = q.pop() {
+            let ((rat, _, _), rp) = reference.pop_first().expect("reference not exhausted");
+            assert_eq!((at.nanos(), payload), (rat, rp));
+        }
+        assert!(reference.is_empty());
+        assert!(
+            storms > 0 || case % 2 == 1,
+            "case {case} drew no cancel storm"
+        );
+    }
+}
+
+/// Release builds clamp a schedule in the past to `now` (debug builds
+/// assert instead): the event fires at `now`, after the events already
+/// queued there, and the queue stays ordered.
+#[cfg(not(debug_assertions))]
+#[test]
+fn queue_clamps_past_schedules_in_release() {
+    let mut q = EventQueue::new();
+    q.schedule_at(Instant::from_millis(500), "far");
+    q.schedule_at(Instant::from_millis(200), "near");
+    assert_eq!(q.pop(), Some((Instant::from_millis(200), "near")));
+    q.schedule_at(Instant::from_millis(200), "tie");
+    q.schedule_at(Instant::from_millis(1), "past");
+    assert_eq!(q.pop(), Some((Instant::from_millis(200), "tie")));
+    assert_eq!(q.pop(), Some((Instant::from_millis(200), "past")));
+    assert_eq!(q.pop(), Some((Instant::from_millis(500), "far")));
+}
+
 /// `Rng::below` is always within bounds.
 #[test]
 fn rng_below_in_bounds() {
