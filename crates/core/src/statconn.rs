@@ -25,6 +25,33 @@ use mindgap_sim::{Duration, NodeId, Rng};
 /// BLE connection intervals are multiples of 1.25 ms.
 pub const INTERVAL_QUANTUM: Duration = Duration::from_micros(1_250);
 
+/// Draw an interval from `[lo, hi]` in [`INTERVAL_QUANTUM`] steps,
+/// redrawing until it equals no entry of `used`. A one-quantum window
+/// (`lo == hi`) returns `lo` even when it is in use.
+///
+/// # Panics
+///
+/// If `used` holds every quantum of a wider window, where no draw
+/// could ever succeed.
+pub(crate) fn draw_unused_interval(
+    rng: &mut Rng,
+    lo: Duration,
+    hi: Duration,
+    used: &[Duration],
+) -> Duration {
+    let span = (hi - lo) / INTERVAL_QUANTUM;
+    assert!(
+        span == 0 || (0..=span).any(|k| !used.contains(&(lo + INTERVAL_QUANTUM * k))),
+        "window too narrow for per-node-unique intervals"
+    );
+    loop {
+        let candidate = lo + INTERVAL_QUANTUM * rng.range_inclusive(0, span);
+        if span == 0 || !used.contains(&candidate) {
+            return candidate;
+        }
+    }
+}
+
 /// How the coordinator picks connection intervals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntervalPolicy {
@@ -180,19 +207,8 @@ impl Statconn {
         match self.policy {
             IntervalPolicy::Static(d) => d,
             IntervalPolicy::Randomized { lo, hi } => {
-                let span = (hi - lo) / INTERVAL_QUANTUM;
-                loop {
-                    let k = self.rng.range_inclusive(0, span);
-                    let candidate = lo + INTERVAL_QUANTUM * k;
-                    let used = self
-                        .edges
-                        .iter()
-                        .filter_map(|e| e.interval)
-                        .any(|i| i == candidate);
-                    if !used {
-                        return candidate;
-                    }
-                }
+                let used: Vec<Duration> = self.edges.iter().filter_map(|e| e.interval).collect();
+                draw_unused_interval(&mut self.rng, lo, hi, &used)
             }
         }
     }

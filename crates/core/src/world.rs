@@ -60,7 +60,7 @@ use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 use crate::ieee::{IeeeConfig, IeeeLink};
 use crate::records::Records;
 use crate::rpl::{RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
-use crate::statconn::{EdgeConfig, IntervalPolicy, ScAction, Statconn};
+use crate::statconn::{draw_unused_interval, EdgeConfig, IntervalPolicy, ScAction, Statconn};
 use crate::{BENCH_PATH, COAP_PAYLOAD};
 
 mod chaos;
@@ -1152,9 +1152,7 @@ impl World {
     /// design-space alternative to closing and reopening connections.
     /// Returns how many updates were initiated.
     pub fn rerandomize_intervals(&mut self, lo: Duration, hi: Duration) -> usize {
-        use crate::statconn::INTERVAL_QUANTUM;
         assert!(lo <= hi);
-        let span = (hi - lo) / INTERVAL_QUANTUM;
         let mut updated = 0;
         for n in &mut self.nodes {
             let Link::Conn(c) = &mut n.link else {
@@ -1173,13 +1171,7 @@ impl World {
                     .iter()
                     .filter_map(|(conn, _)| c.ll.conn_interval(*conn))
                     .collect();
-                let interval = loop {
-                    let k = n.rng.range_inclusive(0, span);
-                    let candidate = lo + INTERVAL_QUANTUM * k;
-                    if !used.contains(&candidate) || span == 0 {
-                        break candidate;
-                    }
-                };
+                let interval = draw_unused_interval(&mut n.rng, lo, hi, &used);
                 if c.ll.request_conn_update(*conn, interval).is_ok() {
                     c.statconn.note_interval(*conn, interval);
                     updated += 1;
@@ -1717,11 +1709,9 @@ impl World {
     /// unique among the node's live connection intervals (the same
     /// §6.3 collision-avoidance statconn's randomized policy applies).
     fn draw_peer_interval(&mut self, node: NodeId) -> Duration {
-        use crate::statconn::INTERVAL_QUANTUM;
         match self.cfg.policy {
             IntervalPolicy::Static(d) => d,
             IntervalPolicy::Randomized { lo, hi } => {
-                let span = (hi - lo) / INTERVAL_QUANTUM;
                 let Some(ConnLink {
                     ll,
                     peers: Some(pm),
@@ -1735,13 +1725,7 @@ impl World {
                     .into_iter()
                     .filter_map(|(c, _, _)| ll.conn_interval(c))
                     .collect();
-                loop {
-                    let k = pm.rng_mut().range_inclusive(0, span);
-                    let candidate = lo + INTERVAL_QUANTUM * k;
-                    if !used.contains(&candidate) || span == 0 {
-                        break candidate;
-                    }
-                }
+                draw_unused_interval(pm.rng_mut(), lo, hi, &used)
             }
         }
     }
@@ -2118,14 +2102,14 @@ impl World {
         }
     }
 
-    /// Test probe: tracked, still-pending LL timers bound to `conn`.
-    /// After a connection dies this must drop to zero — a positive
-    /// count is the timer leak the teardown path used to have.
+    /// Test probe: tracked, still-pending LL timers `node` holds for
+    /// `conn`. Once the connection is gone at `node` (torn down, or the
+    /// node crashed) this must be zero — a positive count is the timer
+    /// leak the teardown path used to have.
     #[doc(hidden)]
-    pub fn live_conn_timers(&self, conn: ConnId) -> usize {
-        self.ll_timers
+    pub fn live_conn_timers(&self, node: NodeId, conn: ConnId) -> usize {
+        self.ll_timers[node.index()]
             .iter()
-            .flatten()
             .filter(|(c, tok)| *c == Some(conn) && self.queue.token_is_live(*tok))
             .count()
     }

@@ -3,12 +3,19 @@
 //! an earlier revision and must never fail again.
 
 use mindgap_core::{
-    AppConfig, EdgeConfig, EdgeRole, IntervalPolicy, NodeConfig, World, WorldConfig,
+    AppConfig, EdgeConfig, EdgeRole, IntervalPolicy, NodeConfig, PeersWorldConfig, World,
+    WorldConfig,
 };
 use mindgap_net::Ipv6Addr;
 use mindgap_sim::{Duration, Instant, NodeId};
 
 fn line3(seed: u64) -> World {
+    line3_with(seed, IntervalPolicy::Static(Duration::from_millis(75)))
+}
+
+/// A three-node line: node 1 coordinates its connection to node 0 and
+/// is the subordinate of node 2's connection to it.
+fn line3_with(seed: u64, policy: IntervalPolicy) -> World {
     let addr = |i: u16| Ipv6Addr::of_node(i);
     let nodes = vec![
         NodeConfig {
@@ -43,11 +50,7 @@ fn line3(seed: u64) -> World {
         warmup: Duration::from_secs(10),
         ..AppConfig::paper_default(vec![NodeId(2)], NodeId(0))
     };
-    World::new(
-        WorldConfig::paper_default(seed, IntervalPolicy::Static(Duration::from_millis(75))),
-        nodes,
-        app,
-    )
+    World::new(WorldConfig::paper_default(seed, policy), nodes, app)
 }
 
 /// Regression: the mbuf pool must never leak. Early revisions freed
@@ -96,31 +99,41 @@ fn connection_teardown_cancels_pending_timers() {
     use mindgap_ble::ConnId;
     let mut w = line3(19);
     w.run_until(Instant::from_secs(30));
-    // Sever the middle link and run just past the supervision
-    // timeout: the dead connection's timers would still be pending
-    // here if teardown leaked them.
+    // Sever the middle link.
     w.break_link(NodeId(1), NodeId(2));
-    w.run_until(Instant::from_secs(40));
-    assert!(!w.records().conn_losses.is_empty(), "link break must kill the conn");
-    // More churn: reconnect attempts mint fresh conn ids that fail
-    // and tear down repeatedly while the link stays dark.
-    w.run_until(Instant::from_secs(80));
-    let live: std::collections::HashSet<u64> = (0..3u16)
-        .flat_map(|n| {
-            w.conn_stats_of(NodeId(n))
+    // Step past the supervision timeout and on through reconnect
+    // attempts that mint fresh conn ids and fail while the link stays
+    // dark. Every 50 ms, no node holds a pending timer of a connection
+    // it no longer has: a leaked event timer stays queued for up to
+    // one interval, a leaked supervision timer for seconds.
+    for step in 1..=1_000u64 {
+        w.run_until(Instant::from_millis(30_000 + step * 50));
+        // World-assigned ids are `(initiator + 1) << 32 | slot`, slots
+        // issued in order from 0 per initiator.
+        for n in 0..3u16 {
+            let live: Vec<ConnId> = w
+                .conn_stats_of(NodeId(n))
                 .into_iter()
-                .map(|(c, _, _, _)| c.0)
-        })
-        .collect();
-    for c in 1..200u64 {
-        if !live.contains(&c) {
-            assert_eq!(
-                w.live_conn_timers(ConnId(c)),
-                0,
-                "dead conn {c} still owns pending timers — teardown leak"
-            );
+                .map(|(c, ..)| c)
+                .collect();
+            for initiator in 0..3u64 {
+                for slot in 0..32 {
+                    let c = ConnId(((initiator + 1) << 32) | slot);
+                    if !live.contains(&c) {
+                        assert_eq!(
+                            w.live_conn_timers(NodeId(n), c),
+                            0,
+                            "node {n} still holds timers of dead conn {c:?} — teardown leak"
+                        );
+                    }
+                }
+            }
         }
     }
+    assert!(
+        !w.records().conn_losses.is_empty(),
+        "link break must kill the conn"
+    );
 }
 
 /// Regression: ARQ sequence numbers must survive empty keep-alives.
@@ -209,4 +222,52 @@ fn connection_survives_heavy_neighbour_scanning() {
         "permanent scanning must not kill live connections"
     );
     assert!(r.coap_pdr() > 0.99, "PDR {}", r.coap_pdr());
+}
+
+/// The two-quantum window the interval-draw regressions below use.
+fn narrow_window() -> IntervalPolicy {
+    IntervalPolicy::Randomized {
+        lo: Duration::from_millis(75),
+        hi: Duration::from_micros(76_250),
+    }
+}
+
+/// Regression: `rerandomize_intervals` redraws until it finds a
+/// quantum none of the node's connections uses. Over a two-quantum
+/// window, node 1's two connections hold both quanta (statconn's §6.3
+/// collision check forces them apart), so the redraw never ended. It
+/// must fail loudly instead.
+#[test]
+#[should_panic(expected = "window too narrow for per-node-unique intervals")]
+fn rerandomizing_into_a_covered_window_panics() {
+    let mut w = line3_with(5, narrow_window());
+    w.run_until(Instant::from_secs(30));
+    assert!(w.fully_connected(), "the line forms first");
+    w.rerandomize_intervals(Duration::from_millis(75), Duration::from_micros(76_250));
+}
+
+/// Regression: a peers world draws each new connection's interval
+/// unique among the node's connections. With `max_peers` above the
+/// window's two quanta, a node holding both quanta that opens a third
+/// connection redrew forever. It must fail loudly instead.
+#[test]
+#[should_panic(expected = "window too narrow for per-node-unique intervals")]
+fn peers_world_beyond_the_window_panics() {
+    let k = 3;
+    let positions: Vec<(f64, f64)> = (0..k * k)
+        .map(|i| ((i % k) as f64 * 10.0 + 1.0, (i / k) as f64 * 10.0 + 1.0))
+        .collect();
+    let pc = PeersWorldConfig::new(positions, (32.0, 32.0), 3);
+    let mut cfg = WorldConfig::paper_default(3, narrow_window());
+    cfg.dynamic_routing = true;
+    cfg.peers = Some(pc);
+    let nodes = (0..k * k)
+        .map(|_| NodeConfig {
+            edges: Vec::new(),
+            routes: Vec::new(),
+        })
+        .collect();
+    let app = AppConfig::paper_default(vec![NodeId(1)], NodeId(0));
+    let mut w = World::new(cfg, nodes, app);
+    w.run_until(Instant::from_secs(120));
 }

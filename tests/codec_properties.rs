@@ -303,3 +303,85 @@ fn access_addresses_valid() {
         assert!(aa::is_valid(a));
     }
 }
+
+/// Inputs for the decoder-totality checks below: `cases` byte strings
+/// of up to `max_len` bytes. Half are short (up to 24 bytes, where the
+/// fixed-length checks live), and half start with one of `leads` (the
+/// decoder's type or opcode bytes) so the inputs get past the first
+/// dispatch.
+fn arbitrary_inputs(seed: u64, max_len: u64, leads: &[u8]) -> Vec<Vec<u8>> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..16 * CASES)
+        .map(|_| {
+            let cap = if rng.chance(0.5) { 24 } else { max_len };
+            let mut bytes = random_bytes(&mut rng, cap);
+            if !bytes.is_empty() && rng.chance(0.5) {
+                bytes[0] = *rng.pick(leads);
+            }
+            bytes
+        })
+        .collect()
+}
+
+/// The LL control-PDU decoder is total on arbitrary bytes.
+#[test]
+fn ble_control_pdu_decoder_total() {
+    use mindgap::ble::ctrl::{ControlPdu, OP_CHANNEL_MAP_IND, OP_CONN_UPDATE_IND};
+    for bytes in arbitrary_inputs(0xC0DE_C00E, 64, &[OP_CONN_UPDATE_IND, OP_CHANNEL_MAP_IND]) {
+        let _ = ControlPdu::decode(&bytes);
+    }
+}
+
+/// The L2CAP basic-frame and signaling decoders are total on
+/// arbitrary bytes, including frames whose length field disagrees
+/// with their size.
+#[test]
+fn l2cap_decoders_total() {
+    use mindgap::l2cap::frame::{decode_basic, Signal};
+    for bytes in arbitrary_inputs(0xC0DE_C00F, 299, &[0x00, 0x04, 0x05, 0x40]) {
+        let _ = decode_basic(&bytes);
+    }
+    for bytes in arbitrary_inputs(0xC0DE_C010, 64, &[0x14, 0x15, 0x16]) {
+        let _ = Signal::decode(&bytes);
+    }
+}
+
+/// The ICMPv6 and UDP decoders are total on arbitrary bytes. Every
+/// other input gets a correct checksum, so the decoders' body parsing
+/// runs on garbage too, not only their checksum rejection.
+#[test]
+fn icmpv6_and_udp_decoders_total() {
+    use mindgap::net::icmpv6::Icmpv6;
+    let src = Ipv6Addr::of_node(3);
+    let dst = Ipv6Addr::of_node(7);
+    let fix = |bytes: &mut Vec<u8>, at: usize, next_header: u8, i: usize| {
+        if i.is_multiple_of(2) && bytes.len() >= at + 2 {
+            bytes[at..at + 2].fill(0);
+            let csum = udp::pseudo_checksum(&src, &dst, next_header, bytes);
+            bytes[at..at + 2].copy_from_slice(&csum.to_be_bytes());
+        }
+    };
+    for (i, mut bytes) in arbitrary_inputs(0xC0DE_C011, 299, &[1, 3, 128, 129])
+        .into_iter()
+        .enumerate()
+    {
+        fix(&mut bytes, 2, 58, i);
+        let _ = Icmpv6::decode(&src, &dst, &bytes);
+    }
+    for (i, mut bytes) in arbitrary_inputs(0xC0DE_C012, 299, &[0x16, 0x33])
+        .into_iter()
+        .enumerate()
+    {
+        fix(&mut bytes, 6, 17, i);
+        let _ = udp::decode(&src, &dst, &bytes);
+    }
+}
+
+/// The RPL control-message decoder is total on arbitrary bytes.
+#[test]
+fn rpl_decoder_total() {
+    use mindgap::core::rpl::RplMsg;
+    for bytes in arbitrary_inputs(0xC0DE_C013, 64, &[0x01, 0x02]) {
+        let _ = RplMsg::decode(&bytes);
+    }
+}
