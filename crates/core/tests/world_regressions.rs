@@ -109,7 +109,7 @@ fn connection_teardown_cancels_pending_timers() {
     for step in 1..=1_000u64 {
         w.run_until(Instant::from_millis(30_000 + step * 50));
         // World-assigned ids are `(initiator + 1) << 32 | slot`, slots
-        // issued in order from 0 per initiator.
+        // handed out in order from 0 per initiator.
         for n in 0..3u16 {
             let live: Vec<ConnId> = w
                 .conn_stats_of(NodeId(n))

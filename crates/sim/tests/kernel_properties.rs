@@ -102,8 +102,8 @@ fn queue_matches_a_sorted_map_reference() {
         let sparse = case % 4 == 0;
         let mut q = EventQueue::new();
         let mut reference: BTreeMap<Key, u64> = BTreeMap::new();
-        // Every token ever issued, with its reference key.
-        let mut issued: Vec<(mindgap_sim::ScheduledEvent, Key)> = Vec::new();
+        // Every token ever handed out, with its reference key.
+        let mut minted: Vec<(mindgap_sim::ScheduledEvent, Key)> = Vec::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         let mut recent = vec![0u64];
@@ -133,7 +133,7 @@ fn queue_matches_a_sorted_map_reference() {
                             _ => (q.schedule_in_keyed(delay, key, seq), key),
                         };
                         reference.insert((at, key, seq), seq);
-                        issued.push((tok, (at, key, seq)));
+                        minted.push((tok, (at, key, seq)));
                         if recent.len() < 16 {
                             recent.push(at);
                         } else {
@@ -142,9 +142,9 @@ fn queue_matches_a_sorted_map_reference() {
                         seq += 1;
                     }
                 }
-                // Cancel a random issued token (live, fired or cancelled).
+                // Cancel a random token handed out (live, fired or cancelled).
                 7 | 8 => {
-                    if let Some(&(tok, k)) = issued.get(rng.below(issued.len() as u64 + 1) as usize)
+                    if let Some(&(tok, k)) = minted.get(rng.below(minted.len() as u64 + 1) as usize)
                     {
                         q.cancel(tok);
                         reference.remove(&k);
@@ -153,7 +153,7 @@ fn queue_matches_a_sorted_map_reference() {
                 // A cancel storm over most live tokens: dead entries
                 // must stay bounded by compaction throughout.
                 9 if rng.chance(0.1) => {
-                    let victims: Vec<_> = issued
+                    let victims: Vec<_> = minted
                         .iter()
                         .filter(|(_, k)| reference.contains_key(k))
                         .copied()
@@ -194,9 +194,9 @@ fn queue_matches_a_sorted_map_reference() {
                         now = at;
                     }
                 }
-                // Probe liveness of a random issued token.
+                // Probe liveness of a random token handed out.
                 _ => {
-                    if let Some(&(tok, k)) = issued.get(rng.below(issued.len() as u64 + 1) as usize)
+                    if let Some(&(tok, k)) = minted.get(rng.below(minted.len() as u64 + 1) as usize)
                     {
                         assert_eq!(q.token_is_live(tok), reference.contains_key(&k));
                     }

@@ -69,9 +69,9 @@ fn no_timers_outlive_their_connection_under_chaos() {
             .link_blackout(s(62), 6, 12, s(20)),
     );
     // World-assigned ids are `(initiator + 1) << 32 | slot`, with slots
-    // issued in order from 0 per initiator.
+    // handed out in order from 0 per initiator.
     let id = |i: usize, slot: u64| ConnId(((i as u64 + 1) << 32) | slot);
-    let mut issued = vec![0u64; n as usize];
+    let mut minted = vec![0u64; n as usize];
     let mut held: HashSet<(u16, ConnId)> = HashSet::new();
     let mut checked = 0;
     for step in 1..=2_000u64 {
@@ -89,11 +89,11 @@ fn no_timers_outlive_their_connection_under_chaos() {
         for &(_, c) in &now {
             let i = (c.0 >> 32) as usize - 1;
             let newest = (c.0 & 0xFFFF_FFFF) + 1;
-            for slot in issued[i]..newest {
+            for slot in minted[i]..newest {
                 let c = id(i, slot);
                 gone.extend((0..n).map(|end| (end, c)).filter(|e| !now.contains(e)));
             }
-            issued[i] = issued[i].max(newest);
+            minted[i] = minted[i].max(newest);
         }
         for (end, c) in gone {
             assert_eq!(
