@@ -816,6 +816,23 @@ mod tests {
     }
 
     #[test]
+    fn extreme_instants_pop_in_order() {
+        // Bucket arithmetic at the top of the time range must neither
+        // overflow nor alias a far entry onto a near wheel bucket.
+        let mut q = EventQueue::new();
+        let max = Instant::from_nanos(u64::MAX);
+        q.schedule_at(max, "max");
+        q.schedule_at(Instant::from_nanos(u64::MAX - 1), "max-1");
+        q.schedule_at(Instant::from_secs(10), "10s");
+        q.schedule_at(Instant::from_millis(1), "1ms");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["1ms", "10s", "max-1", "max"]);
+        assert_eq!(q.now(), max);
+        q.schedule_at(max, "again");
+        assert_eq!(q.pop(), Some((max, "again")));
+    }
+
+    #[test]
     fn compaction_preserves_order_and_liveness() {
         let mut q = EventQueue::new();
         let mut keep = Vec::new();
