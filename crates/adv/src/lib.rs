@@ -379,21 +379,37 @@ impl AdvLink {
         self.gen += 1;
         self.started = true;
         let first = self.rng.below(self.cfg.adv_interval.nanos().max(1));
-        self.arm(now, Duration::from_nanos(first), AdvTimerKind::AdvEvent, out);
+        self.arm(
+            now,
+            Duration::from_nanos(first),
+            AdvTimerKind::AdvEvent,
+            out,
+        );
         // Open the first scan window immediately; rotation proceeds
         // from here. `ScanRotate` at `now` keeps all scheduling on the
         // timer path so start() and steady state share one code path.
         out.push(AdvOut::Arm {
             at: now,
-            timer: AdvTimer { kind: AdvTimerKind::ScanRotate, gen: self.gen },
+            timer: AdvTimer {
+                kind: AdvTimerKind::ScanRotate,
+                gen: self.gen,
+            },
         });
-        self.arm(now, self.cfg.neighbor_timeout, AdvTimerKind::NeighborSweep, out);
+        self.arm(
+            now,
+            self.cfg.neighbor_timeout,
+            AdvTimerKind::NeighborSweep,
+            out,
+        );
     }
 
     fn arm(&mut self, now: Instant, local: Duration, kind: AdvTimerKind, out: &mut Vec<AdvOut>) {
         out.push(AdvOut::Arm {
             at: self.clock.fires_at(now, local),
-            timer: AdvTimer { kind, gen: self.gen },
+            timer: AdvTimer {
+                kind,
+                gen: self.gen,
+            },
         });
     }
 
@@ -444,7 +460,9 @@ impl AdvLink {
 
     fn on_adv_event(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
         // Book the next event first: interval + advDelay in local time.
-        let jitter = self.rng.below(self.cfg.adv_jitter.nanos().saturating_add(1));
+        let jitter = self
+            .rng
+            .below(self.cfg.adv_jitter.nanos().saturating_add(1));
         let local = Duration::from_nanos(self.cfg.adv_interval.nanos().saturating_add(jitter));
         self.arm(now, local, AdvTimerKind::AdvEvent, out);
         self.counters.adv_events += 1;
@@ -563,7 +581,10 @@ impl AdvLink {
     fn arm_global(&mut self, at: Instant, kind: AdvTimerKind, out: &mut Vec<AdvOut>) {
         out.push(AdvOut::Arm {
             at,
-            timer: AdvTimer { kind, gen: self.gen },
+            timer: AdvTimer {
+                kind,
+                gen: self.gen,
+            },
         });
     }
 
@@ -611,8 +632,9 @@ impl AdvLink {
             if now.saturating_since(last) > timeout {
                 self.neighbors.remove(i);
                 self.counters.neighbor_downs += 1;
-                self.signals
-                    .push(LinkSignal::Down { peer: LlAddr::from_node_index(peer.0) });
+                self.signals.push(LinkSignal::Down {
+                    peer: LlAddr::from_node_index(peer.0),
+                });
                 out.push(AdvOut::NeighborDown { peer });
             } else {
                 i += 1;
@@ -630,8 +652,9 @@ impl AdvLink {
         }
         self.neighbors.push((peer, now));
         self.counters.neighbor_ups += 1;
-        self.signals
-            .push(LinkSignal::Up { peer: LlAddr::from_node_index(peer.0) });
+        self.signals.push(LinkSignal::Up {
+            peer: LlAddr::from_node_index(peer.0),
+        });
         out.push(AdvOut::NeighborUp { peer });
     }
 
@@ -650,7 +673,14 @@ impl AdvLink {
 
     /// A PDU arrived intact while we were listening.
     pub fn on_frame_rx(&mut self, now: Instant, frame: &Frame, out: &mut Vec<AdvOut>) {
-        let Frame::AdvData { advertiser, dst, seq, hops, payload } = frame else {
+        let Frame::AdvData {
+            advertiser,
+            dst,
+            seq,
+            hops,
+            payload,
+        } = frame
+        else {
             return;
         };
         if *advertiser == self.me {
@@ -836,7 +866,11 @@ mod tests {
         let mut d = Driver::new(mk(0));
         d.run_until(Instant::from_millis(200));
         let c = d.link.counters();
-        assert!(c.beacon_trains >= 2, "beacons in 200 ms: {}", c.beacon_trains);
+        assert!(
+            c.beacon_trains >= 2,
+            "beacons in 200 ms: {}",
+            c.beacon_trains
+        );
         assert_eq!(c.pdus_tx, 3 * (c.beacon_trains + c.adv_trains));
         // First train covers 37, 38, 39 in order.
         let chans: Vec<u8> = d.txs.iter().take(3).map(|(_, ch, _)| ch.index()).collect();
@@ -857,9 +891,9 @@ mod tests {
             .txs
             .iter()
             .filter_map(|(_, _, f)| match f {
-                Frame::AdvData { dst, seq, payload, .. } if !payload.is_empty() => {
-                    Some((*dst, *seq))
-                }
+                Frame::AdvData {
+                    dst, seq, payload, ..
+                } if !payload.is_empty() => Some((*dst, *seq)),
                 _ => None,
             })
             .collect();
@@ -876,7 +910,10 @@ mod tests {
         }
         assert_eq!(link.send(1, vec![1]), Err(AdvSendError::QueueFull));
         assert_eq!(link.counters().queue_drops, 1);
-        assert_eq!(link.admit(LlAddr::from_node_index(1)), TxAdmission::Backpressure);
+        assert_eq!(
+            link.admit(LlAddr::from_node_index(1)),
+            TxAdmission::Backpressure
+        );
         assert_eq!(
             link.send(1, vec![0; link.config().mtu() + 1]),
             Err(AdvSendError::TooBig)
@@ -894,8 +931,10 @@ mod tests {
             payload: vec![1, 2, 3],
         };
         let mut out = Vec::new();
-        d.link.on_frame_rx(Instant::from_millis(1), &frame, &mut out);
-        d.link.on_frame_rx(Instant::from_millis(2), &frame, &mut out);
+        d.link
+            .on_frame_rx(Instant::from_millis(1), &frame, &mut out);
+        d.link
+            .on_frame_rx(Instant::from_millis(2), &frame, &mut out);
         d.absorb(out);
         assert_eq!(d.delivered.len(), 1);
         assert_eq!(d.delivered[0], (NodeId(3), vec![1, 2, 3]));
@@ -915,11 +954,15 @@ mod tests {
             payload: Vec::new(),
         };
         let mut out = Vec::new();
-        d.link.on_frame_rx(Instant::from_millis(10), &beacon, &mut out);
+        d.link
+            .on_frame_rx(Instant::from_millis(10), &beacon, &mut out);
         d.absorb(out);
         assert_eq!(d.link.neighbor_count(), 1);
         assert_eq!(d.link.admit(LlAddr::from_node_index(2)), TxAdmission::Ok);
-        assert_eq!(d.link.admit(LlAddr::from_node_index(3)), TxAdmission::NoLink);
+        assert_eq!(
+            d.link.admit(LlAddr::from_node_index(3)),
+            TxAdmission::NoLink
+        );
         // Run past the timeout with no further beacons: Down fires.
         d.run_until(Instant::from_secs(4));
         assert_eq!(d.link.neighbor_count(), 0);

@@ -26,7 +26,11 @@ struct Variant {
 
 fn main() {
     let opts = Opts::parse();
-    banner("Ablation", "Static exclusion vs AFH vs nothing (jammed channel 22)", &opts);
+    banner(
+        "Ablation",
+        "Static exclusion vs AFH vs nothing (jammed channel 22)",
+        &opts,
+    );
     let minutes = if opts.full { 60 } else { 20 };
     println!("tree, static 75 ms, producer 1 s ±0.5 s, {minutes} min each\n");
 

@@ -29,10 +29,8 @@ fn run(
         warmup: Duration::from_secs(30),
         ..AppConfig::paper_default(topo.producers(), topo.consumer)
     };
-    let mut cfg = WorldConfig::paper_default(
-        seed,
-        IntervalPolicy::Static(Duration::from_millis(75)),
-    );
+    let mut cfg =
+        WorldConfig::paper_default(seed, IntervalPolicy::Static(Duration::from_millis(75)));
     cfg.clock_ppm_range = 6.0;
     let mut world = World::new(cfg, topo.node_configs(), app);
     let end = Instant::from_secs(hours * 3600);
@@ -75,7 +73,13 @@ fn main() {
     let hours = if opts.full { 12 } else { 3 };
     println!("simulated duration per run: {hours} h, drift ±6 ppm\n");
     let mut rows = Vec::new();
-    run("no mitigation (static 75 ms)", None, hours, opts.seed, &mut rows);
+    run(
+        "no mitigation (static 75 ms)",
+        None,
+        hours,
+        opts.seed,
+        &mut rows,
+    );
     run(
         "periodic updates every 10 min → [65:85] ms",
         Some(Duration::from_secs(600)),

@@ -125,11 +125,9 @@ fn fault_schedule(fault: &str, duration: Duration) -> Option<FaultSchedule> {
         // connection hopping sequence (channel 22 alone would be
         // invisible: the default map already excludes it, §4.2), never
         // the advertising channels.
-        "jam" => Some(
-            (10u8..=15).fold(FaultSchedule::new(), |f, ch| {
-                f.jammer_burst(start, ch, 0.9, lasts)
-            }),
-        ),
+        "jam" => Some((10u8..=15).fold(FaultSchedule::new(), |f, ch| {
+            f.jammer_burst(start, ch, 0.9, lasts)
+        })),
         // The first relay drifts 40 ppm away from its peers.
         "drift" => Some(FaultSchedule::new().clock_drift(start, 1, 40.0)),
         other => panic!("unknown fault axis value {other}"),
@@ -196,18 +194,25 @@ fn main() {
         let res = run_ble(&spec);
         let currents = node_currents(&res.metrics, adv, elapsed_s);
         let mut jr = to_job_result(&res, &[]);
-        jr.metric(
-            "energy_mean_ua",
-            stats::mean(&currents).unwrap_or(f64::NAN),
-        )
-        .metric(
-            "energy_max_ua",
-            currents.iter().cloned().fold(f64::NAN, f64::max),
-        );
+        jr.metric("energy_mean_ua", stats::mean(&currents).unwrap_or(f64::NAN))
+            .metric(
+                "energy_max_ua",
+                currents.iter().cloned().fold(f64::NAN, f64::max),
+            );
         // Per-producer delivery, for the hop-count breakdown.
         for p in topo.producers() {
-            let sent: u64 = res.records.coap_sent.get(&p).map(|v| v.iter().sum()).unwrap_or(0);
-            let done: u64 = res.records.coap_done.get(&p).map(|v| v.iter().sum()).unwrap_or(0);
+            let sent: u64 = res
+                .records
+                .coap_sent
+                .get(&p)
+                .map(|v| v.iter().sum())
+                .unwrap_or(0);
+            let done: u64 = res
+                .records
+                .coap_done
+                .get(&p)
+                .map(|v| v.iter().sum())
+                .unwrap_or(0);
             jr.metric(&format!("sent_node_{}", p.0), sent as f64)
                 .metric(&format!("done_node_{}", p.0), done as f64);
         }
@@ -218,7 +223,16 @@ fn main() {
     let mut hop_rows = Vec::new();
     println!(
         "\n{:>5} {:>5} {:>8} {:>6} {:>9} {:>8} {:>8} {:>8} {:>9} {:>9}",
-        "trans", "topo", "payload", "fault", "CoAP PDR", "LL PDR", "RTT p50", "RTT p99", "mean µA", "max µA"
+        "trans",
+        "topo",
+        "payload",
+        "fault",
+        "CoAP PDR",
+        "LL PDR",
+        "RTT p50",
+        "RTT p99",
+        "mean µA",
+        "max µA"
     );
     for transport in &transports {
         for topo_name in &topos {
@@ -230,15 +244,13 @@ fn main() {
                     );
                     let results = report.results_for_config(&config);
                     let n = results.len() as f64;
-                    let coap: f64 =
-                        results.iter().map(|r| r.get(keys::COAP_PDR)).sum::<f64>() / n;
+                    let coap: f64 = results.iter().map(|r| r.get(keys::COAP_PDR)).sum::<f64>() / n;
                     let ll: f64 = results.iter().map(|r| r.get(keys::LL_PDR)).sum::<f64>() / n;
                     let e_mean: f64 =
                         results.iter().map(|r| r.get("energy_mean_ua")).sum::<f64>() / n;
                     let e_max: f64 =
                         results.iter().map(|r| r.get("energy_max_ua")).sum::<f64>() / n;
-                    let rtts =
-                        mindgap_campaign::agg::concat_series(&report, &config, keys::RTT_S);
+                    let rtts = mindgap_campaign::agg::concat_series(&report, &config, keys::RTT_S);
                     let p50 = stats::quantile(&rtts, 0.5).unwrap_or(f64::NAN);
                     let p99 = stats::quantile(&rtts, 0.99).unwrap_or(f64::NAN);
                     println!(

@@ -48,11 +48,7 @@ fn crash_schedule(victim: u16, end_s: u64) -> FaultSchedule {
     let mut faults = FaultSchedule::new();
     let mut t = 60;
     while t + 60 <= end_s {
-        faults = faults.node_crash(
-            Duration::from_secs(t),
-            victim,
-            Duration::from_secs(5),
-        );
+        faults = faults.node_crash(Duration::from_secs(t), victim, Duration::from_secs(5));
         t += 60;
     }
     faults
@@ -98,12 +94,11 @@ fn main() {
             Topology::paper_tree()
         };
         let v = victim(topo_name);
-        let spec =
-            ExperimentSpec::paper_default(topo, IntervalPolicy::Static(ms(conn)), job.seed)
-                .with_duration(duration)
-                .with_timeline_cap(timeline_cap)
-                .with_supervision_timeout(ms(sup))
-                .with_faults(crash_schedule(v, end_s));
+        let spec = ExperimentSpec::paper_default(topo, IntervalPolicy::Static(ms(conn)), job.seed)
+            .with_duration(duration)
+            .with_timeline_cap(timeline_cap)
+            .with_supervision_timeout(ms(sup))
+            .with_faults(crash_schedule(v, end_s));
         to_job_result(&run_ble(&spec), &[])
     });
 
@@ -133,17 +128,12 @@ fn main() {
                     .iter()
                     .map(|r| nan0(r.get(keys::CHAOS_RECONNECTED)))
                     .sum();
-                let ttd =
-                    mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_TTD_S);
-                let ttr =
-                    mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_TTR_S);
-                let lost: f64 = mindgap_campaign::agg::concat_series(
-                    &report,
-                    &config,
-                    keys::CHAOS_PKTS_LOST,
-                )
-                .iter()
-                .sum();
+                let ttd = mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_TTD_S);
+                let ttr = mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_TTR_S);
+                let lost: f64 =
+                    mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_PKTS_LOST)
+                        .iter()
+                        .sum();
                 total_faults += faults as u64;
                 total_detected += detected as u64;
                 total_reconnected += reconnected as u64;
@@ -172,9 +162,7 @@ fn main() {
                     let hi = vals.iter().cloned().fold(f64::MIN, f64::max) * 1.02;
                     let grid = stats::linspace(0.0, hi, 33);
                     for (x, c) in grid.iter().zip(stats::cdf_at(vals, &grid)) {
-                        cdf_rows.push(format!(
-                            "{metric},{topo},{sup},{conn},{x:.4},{c:.5}"
-                        ));
+                        cdf_rows.push(format!("{metric},{topo},{sup},{conn},{x:.4},{c:.5}"));
                     }
                 }
             }
@@ -199,8 +187,7 @@ fn main() {
          {total_reconnected} reconnected"
     );
     if mindgap_obs::enabled() {
-        if total_faults > 0 && total_detected == total_faults && total_reconnected == total_faults
-        {
+        if total_faults > 0 && total_detected == total_faults && total_reconnected == total_faults {
             println!("all faults detected & reconnected");
         } else {
             println!(

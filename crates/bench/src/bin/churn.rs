@@ -118,10 +118,16 @@ fn main() {
             let unconverged = results.len() - convs.len();
             let conv_mean = stats::mean(&convs).unwrap_or(f64::NAN);
             let pdr = stats::mean(
-                &results.iter().map(|r| r.get(keys::COAP_PDR)).collect::<Vec<_>>(),
+                &results
+                    .iter()
+                    .map(|r| r.get(keys::COAP_PDR))
+                    .collect::<Vec<_>>(),
             )
             .unwrap_or(f64::NAN);
-            let faults: f64 = results.iter().map(|r| nan0(r.get(keys::CHAOS_FAULTS))).sum();
+            let faults: f64 = results
+                .iter()
+                .map(|r| nan0(r.get(keys::CHAOS_FAULTS)))
+                .sum();
             let detected: f64 = results
                 .iter()
                 .map(|r| nan0(r.get(keys::CHAOS_DETECTED)))

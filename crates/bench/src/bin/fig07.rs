@@ -44,8 +44,7 @@ fn main() {
             "line" => Topology::paper_line(),
             _ => Topology::paper_tree(),
         };
-        let spec =
-            ExperimentSpec::paper_default(topo, policy, job.seed).with_duration(duration);
+        let spec = ExperimentSpec::paper_default(topo, policy, job.seed).with_duration(duration);
         to_job_result(&run_ble(&spec), &[])
     });
 

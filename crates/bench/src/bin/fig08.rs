@@ -25,7 +25,11 @@ use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
 fn main() {
     let opts = Opts::parse();
-    banner("Figure 8", "RTT vs connection interval and producer interval (tree)", &opts);
+    banner(
+        "Figure 8",
+        "RTT vs connection interval and producer interval (tree)",
+        &opts,
+    );
     let duration = if opts.full {
         Duration::from_secs(3600)
     } else {
@@ -56,11 +60,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for ms in conn_ms {
-        let rtt = mindgap_campaign::agg::concat_series(
-            &report_a,
-            &format!("conn={ms}"),
-            keys::RTT_S,
-        );
+        let rtt =
+            mindgap_campaign::agg::concat_series(&report_a, &format!("conn={ms}"), keys::RTT_S);
         let q = |p: f64| stats::quantile(&rtt, p).unwrap_or(f64::NAN);
         let max_ratio = q(1.0) / (ms as f64 / 1000.0);
         println!(

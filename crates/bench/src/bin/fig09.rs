@@ -22,7 +22,11 @@ use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
 fn main() {
     let opts = Opts::parse();
-    banner("Figure 9", "High load and slow connection intervals (tree)", &opts);
+    banner(
+        "Figure 9",
+        "High load and slow connection intervals (tree)",
+        &opts,
+    );
     let duration = if opts.full {
         Duration::from_secs(3600)
     } else {
@@ -31,7 +35,10 @@ fn main() {
 
     let producers: Vec<u16> = (1..15).collect();
     let campaign = GridBuilder::new(&format!("fig09-{}", opts.mode()), opts.seed)
-        .axis("case", ["high_load", "slow_conn"].iter().map(|s| s.to_string()))
+        .axis(
+            "case",
+            ["high_load", "slow_conn"].iter().map(|s| s.to_string()),
+        )
         .explicit_seeds(&[opts.seed])
         .build();
     let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
@@ -88,7 +95,12 @@ fn main() {
                 .join(";")
         ));
     }
-    write_csv(&opts, "fig09a_per_node_pdr.csv", "node,avg_pdr,series", &rows);
+    write_csv(
+        &opts,
+        "fig09a_per_node_pdr.csv",
+        "node,avg_pdr,series",
+        &rows,
+    );
     let series = r.get_series(keys::PDR_SERIES);
     write_csv(
         &opts,

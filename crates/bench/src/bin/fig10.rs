@@ -14,7 +14,11 @@ use mindgap_testbed::{run_ble, run_ieee, ExperimentSpec, Topology};
 
 fn main() {
     let opts = Opts::parse();
-    banner("Figure 10", "BLE vs IEEE 802.15.4 (tree, 1 s ±0.5 s)", &opts);
+    banner(
+        "Figure 10",
+        "BLE vs IEEE 802.15.4 (tree, 1 s ±0.5 s)",
+        &opts,
+    );
     let duration = if opts.full {
         Duration::from_secs(3600)
     } else {

@@ -20,7 +20,11 @@ use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
 fn main() {
     let opts = Opts::parse();
-    banner("Figure 12", "Link degradation through connection shading", &opts);
+    banner(
+        "Figure 12",
+        "Link degradation through connection shading",
+        &opts,
+    );
     let duration = if opts.full {
         Duration::from_secs(3600)
     } else {
@@ -78,7 +82,11 @@ fn main() {
     println!("\nLink-layer PDR over time (paper: drop towards ≈50% during shading):");
     let mut rows = Vec::new();
     for (i, &(att, ok)) in s.buckets.iter().enumerate() {
-        let pdr = if att == 0 { 1.0 } else { ok as f64 / att as f64 };
+        let pdr = if att == 0 {
+            1.0
+        } else {
+            ok as f64 / att as f64
+        };
         println!(
             "  t={:>5}s  {}  {}  ({} attempts)",
             i as u64 * r.bucket.millis() / 1000,
@@ -88,7 +96,12 @@ fn main() {
         );
         rows.push(format!("{i},{att},{ok},{pdr:.4}"));
     }
-    write_csv(&opts, "fig12_link_pdr_series.csv", "bucket,attempts,ok,pdr", &rows);
+    write_csv(
+        &opts,
+        "fig12_link_pdr_series.csv",
+        "bucket,attempts,ok,pdr",
+        &rows,
+    );
 
     println!("\nPer-channel LL PDR on this link (paper: degradation is even");
     println!("across channels — events are skipped, not jammed):");
@@ -113,7 +126,12 @@ fn main() {
         pct(mean),
         spread
     );
-    write_csv(&opts, "fig12_per_channel.csv", "channel,attempts,ok,pdr", &ch_rows);
+    write_csv(
+        &opts,
+        "fig12_per_channel.csv",
+        "channel,attempts,ok,pdr",
+        &ch_rows,
+    );
 
     println!(
         "\nCoAP impact: overall PDR {}   connection losses {}   partial/missed events at the consumer side propagate to whole subtrees",

@@ -16,7 +16,11 @@ use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
 fn main() {
     let opts = Opts::parse();
-    banner("Figure 13", "24 h static vs randomized connection intervals", &opts);
+    banner(
+        "Figure 13",
+        "24 h static vs randomized connection intervals",
+        &opts,
+    );
     let duration = if opts.full {
         Duration::from_secs(24 * 3600)
     } else {
@@ -34,9 +38,14 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    for topo_fn in [Topology::paper_tree as fn() -> Topology, Topology::paper_line] {
-        for (policy, pname) in [(static_policy, "static 75ms"), (random_policy, "random [65:85]ms")]
-        {
+    for topo_fn in [
+        Topology::paper_tree as fn() -> Topology,
+        Topology::paper_line,
+    ] {
+        for (policy, pname) in [
+            (static_policy, "static 75ms"),
+            (random_policy, "random [65:85]ms"),
+        ] {
             let topo = topo_fn();
             let tname = topo.name;
             let spec = ExperimentSpec::paper_default(topo, policy, opts.seed)

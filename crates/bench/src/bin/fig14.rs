@@ -22,7 +22,11 @@ use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
 fn main() {
     let opts = Opts::parse();
-    banner("Figure 14", "Connection losses per interval configuration", &opts);
+    banner(
+        "Figure 14",
+        "Connection losses per interval configuration",
+        &opts,
+    );
     let duration = if opts.full {
         Duration::from_secs(3600)
     } else {
@@ -37,23 +41,38 @@ fn main() {
         ("500".into(), IntervalPolicy::Static(ms(500))),
         (
             "[15:35]".into(),
-            IntervalPolicy::Randomized { lo: ms(15), hi: ms(35) },
+            IntervalPolicy::Randomized {
+                lo: ms(15),
+                hi: ms(35),
+            },
         ),
         (
             "[40:60]".into(),
-            IntervalPolicy::Randomized { lo: ms(40), hi: ms(60) },
+            IntervalPolicy::Randomized {
+                lo: ms(40),
+                hi: ms(60),
+            },
         ),
         (
             "[65:85]".into(),
-            IntervalPolicy::Randomized { lo: ms(65), hi: ms(85) },
+            IntervalPolicy::Randomized {
+                lo: ms(65),
+                hi: ms(85),
+            },
         ),
         (
             "[90:110]".into(),
-            IntervalPolicy::Randomized { lo: ms(90), hi: ms(110) },
+            IntervalPolicy::Randomized {
+                lo: ms(90),
+                hi: ms(110),
+            },
         ),
         (
             "[490:510]".into(),
-            IntervalPolicy::Randomized { lo: ms(490), hi: ms(510) },
+            IntervalPolicy::Randomized {
+                lo: ms(490),
+                hi: ms(510),
+            },
         ),
     ];
     let policies: BTreeMap<String, IntervalPolicy> = configs.iter().cloned().collect();
@@ -75,7 +94,10 @@ fn main() {
         opts.seeds().len(),
         duration.millis() / 1000
     );
-    println!("{:>12} {:>10} {:>12} {:>12}", "conn itvl", "losses", "CoAP PDR", "LL PDR");
+    println!(
+        "{:>12} {:>10} {:>12} {:>12}",
+        "conn itvl", "losses", "CoAP PDR", "LL PDR"
+    );
     let mut rows = Vec::new();
     let mut static_losses = 0usize;
     let mut random_losses = 0usize;
@@ -106,11 +128,14 @@ fn main() {
             ll_sum / n
         ));
     }
-    write_csv(&opts, "fig14_losses.csv", "config,losses,coap_pdr,ll_pdr", &rows);
-
-    println!(
-        "\nStatic configurations: {static_losses} losses total; randomized: {random_losses}."
+    write_csv(
+        &opts,
+        "fig14_losses.csv",
+        "config,losses,coap_pdr,ll_pdr",
+        &rows,
     );
+
+    println!("\nStatic configurations: {static_losses} losses total; randomized: {random_losses}.");
     println!("Shape check vs paper: static ≫ randomized; the randomized");
     println!("windows largely eliminate shading-induced losses.");
 }

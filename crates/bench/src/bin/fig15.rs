@@ -41,11 +41,41 @@ fn main() {
         ("75".into(), IntervalPolicy::Static(ms(75))),
         ("100".into(), IntervalPolicy::Static(ms(100))),
         ("500".into(), IntervalPolicy::Static(ms(500))),
-        ("[15:35]".into(), IntervalPolicy::Randomized { lo: ms(15), hi: ms(35) }),
-        ("[40:60]".into(), IntervalPolicy::Randomized { lo: ms(40), hi: ms(60) }),
-        ("[65:85]".into(), IntervalPolicy::Randomized { lo: ms(65), hi: ms(85) }),
-        ("[90:110]".into(), IntervalPolicy::Randomized { lo: ms(90), hi: ms(110) }),
-        ("[490:510]".into(), IntervalPolicy::Randomized { lo: ms(490), hi: ms(510) }),
+        (
+            "[15:35]".into(),
+            IntervalPolicy::Randomized {
+                lo: ms(15),
+                hi: ms(35),
+            },
+        ),
+        (
+            "[40:60]".into(),
+            IntervalPolicy::Randomized {
+                lo: ms(40),
+                hi: ms(60),
+            },
+        ),
+        (
+            "[65:85]".into(),
+            IntervalPolicy::Randomized {
+                lo: ms(65),
+                hi: ms(85),
+            },
+        ),
+        (
+            "[90:110]".into(),
+            IntervalPolicy::Randomized {
+                lo: ms(90),
+                hi: ms(110),
+            },
+        ),
+        (
+            "[490:510]".into(),
+            IntervalPolicy::Randomized {
+                lo: ms(490),
+                hi: ms(510),
+            },
+        ),
     ];
     let policies: BTreeMap<String, IntervalPolicy> = conn_configs.iter().cloned().collect();
 

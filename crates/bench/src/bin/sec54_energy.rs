@@ -22,7 +22,10 @@ fn main() {
     };
 
     println!("\nPer-event charge constants (measured in the paper, model inputs):");
-    println!("  coordinator event {:.1} µC, subordinate event {:.1} µC, idle {:.0} µA\n", 2.3, 2.6, 15.0);
+    println!(
+        "  coordinator event {:.1} µC, subordinate event {:.1} µC, idle {:.0} µA\n",
+        2.3, 2.6, 15.0
+    );
 
     row(
         "idle connection @75ms, coordinator",
@@ -43,14 +46,24 @@ fn main() {
         "uA",
     );
     let total = 15.0 + m.forwarder_extra_ua(0, 3, 75.0, 4.0, 1_000.0);
-    row("  → 230 mAh coin cell lifetime", m.battery_days(230.0, total), 69.0, "days");
+    row(
+        "  → 230 mAh coin cell lifetime",
+        m.battery_days(230.0, total),
+        69.0,
+        "days",
+    );
     row(
         "  → 2500 mAh 18650 lifetime",
         m.battery_days(2500.0, total) / 365.0,
         2.05,
         "years",
     );
-    row("BLE beacon, 31 B @1 s advertising", m.beacon_ua(1_000.0, 31), 12.0, "uA");
+    row(
+        "BLE beacon, 31 B @1 s advertising",
+        m.beacon_ua(1_000.0, 31),
+        12.0,
+        "uA",
+    );
     row(
         "IP-over-BLE node, 1 conn, 1 CoAP/s (250 ms itvl)",
         m.ip_node_ua(250.0, 1.0, 560.0),
@@ -78,10 +91,7 @@ fn main() {
         producer_interval: spec.producer_interval,
         producer_jitter: spec.producer_jitter,
         warmup: spec.warmup,
-        ..mindgap_core::AppConfig::paper_default(
-            spec.topology.producers(),
-            spec.topology.consumer,
-        )
+        ..mindgap_core::AppConfig::paper_default(spec.topology.producers(), spec.topology.consumer)
     };
     let cfg = mindgap_core::WorldConfig::paper_default(spec.seed, spec.policy);
     let mut world = mindgap_core::World::new(cfg, spec.topology.node_configs(), app);
@@ -93,10 +103,16 @@ fn main() {
         // event ≈ 160 µs of the budget is inside the per-event charge.
         let events = c.coord_events + c.sub_events;
         let allowance_us = events as f64 * 160.0;
-        let extra_us =
-            ((c.tx_ns as f64 / 1_000.0) + (c.listen_ns as f64 / 1_000.0) * 0.12 - allowance_us)
-                .max(0.0);
-        let ua = m.node_current_ua(elapsed, c.coord_events, c.sub_events, c.adv_trains, extra_us);
+        let extra_us = ((c.tx_ns as f64 / 1_000.0) + (c.listen_ns as f64 / 1_000.0) * 0.12
+            - allowance_us)
+            .max(0.0);
+        let ua = m.node_current_ua(
+            elapsed,
+            c.coord_events,
+            c.sub_events,
+            c.adv_trains,
+            extra_us,
+        );
         let role = match node {
             0 => "consumer (3 subordinate conns)",
             1 => "forwarder (3 conns)",
@@ -108,7 +124,12 @@ fn main() {
         );
         rows.push(format!("sim node {node} {role},{ua:.1},,uA"));
     }
-    write_csv(&opts, "sec54_energy.csv", "quantity,model,paper,unit", &rows);
+    write_csv(
+        &opts,
+        "sec54_energy.csv",
+        "quantity,model,paper,unit",
+        &rows,
+    );
 
     println!("\nConclusion (paper's): battery-powered IP-over-BLE routers are");
     println!("feasible — months on a coin cell, years on an 18650 — and an IP");

@@ -30,9 +30,17 @@ fn main() {
             "{itvl_ms:>10}ms {drift:>9}ppm {:>15.2}h {per_h:>16.3}",
             t.as_secs_f64() / 3600.0
         );
-        rows.push(format!("{itvl_ms},{drift},{:.4},{per_h:.4}", t.as_secs_f64() / 3600.0));
+        rows.push(format!(
+            "{itvl_ms},{drift},{:.4},{per_h:.4}",
+            t.as_secs_f64() / 3600.0
+        ));
     }
-    write_csv(&opts, "sec62_model.csv", "itvl_ms,drift_ppm,hours_to_overlap,events_per_hour", &rows);
+    write_csv(
+        &opts,
+        "sec62_model.csv",
+        "itvl_ms,drift_ppm,hours_to_overlap,events_per_hour",
+        &rows,
+    );
 
     println!("\nPaper's network estimate: 14 links × 0.24/h = 3.4 events/h");
     println!("→ 80.6 per 24 h; measured 95 connection losses in 24 h.\n");
@@ -53,9 +61,7 @@ fn main() {
     // Expected: mean |Δppm| of two independent U(−3,3) draws = 2 ppm.
     let per_h = analysis::network_shading_events_per_hour(Duration::from_millis(75), 2.0, 14);
     let expected = per_h * hours as f64;
-    println!(
-        "simulated {hours} h tree, static 75 ms, drift ±3 ppm/node:"
-    );
+    println!("simulated {hours} h tree, static 75 ms, drift ±3 ppm/node:");
     println!(
         "  connection losses measured: {}   model expectation: {expected:.1}",
         res.conn_losses

@@ -51,7 +51,8 @@ fn parse_args() -> Args {
     };
     let mut args = std::env::args().skip(1);
     let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().unwrap_or_else(|| panic!("{flag} needs a value"))
+        args.next()
+            .unwrap_or_else(|| panic!("{flag} needs a value"))
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -132,11 +133,8 @@ fn demo(args: &Args) -> TimelineData {
     // we still know the run parameters; detection itself is data-only).
     let hours = minutes as f64 / 60.0;
     let mean_rel_ppm = 2.0 * DEMO_PPM / 3.0; // E|U−U| over ±ppm
-    let per_h = analysis::network_shading_events_per_hour(
-        Duration::from_millis(75),
-        mean_rel_ppm,
-        pairs,
-    );
+    let per_h =
+        analysis::network_shading_events_per_hour(Duration::from_millis(75), mean_rel_ppm, pairs);
     println!(
         "closed-form §6.2: {pairs} shading pairs × {:.3}/h (mean rel drift {mean_rel_ppm:.1} ppm) \
          → {:.1} overlap episodes expected in {hours:.1} h",
@@ -146,7 +144,9 @@ fn demo(args: &Args) -> TimelineData {
 
     let mut kind_counts = BTreeMap::new();
     for ev in tl.iter() {
-        *kind_counts.entry(ev.span.kind().to_string()).or_insert(0u64) += 1;
+        *kind_counts
+            .entry(ev.span.kind().to_string())
+            .or_insert(0u64) += 1;
     }
     TimelineData {
         samples: anchor_samples(tl.iter()),
@@ -345,9 +345,7 @@ fn analyze(data: &TimelineData, args: &Args) -> Vec<OverlapWindow> {
         content.push_str(r);
         content.push('\n');
     }
-    if std::fs::create_dir_all(&args.out_dir).is_ok()
-        && std::fs::write(&path, content).is_ok()
-    {
+    if std::fs::create_dir_all(&args.out_dir).is_ok() && std::fs::write(&path, content).is_ok() {
         println!("[csv] wrote {path:?}");
     }
     windows
@@ -374,9 +372,9 @@ fn anchor_chart(data: &TimelineData, windows: &[OverlapWindow], node: u16) {
     let Some(interval) = samples.iter().map(|s| s.interval_ns).find(|&i| i > 0) else {
         return;
     };
-    let (t0, t1) = samples
-        .iter()
-        .fold((u64::MAX, 0u64), |(lo, hi), s| (lo.min(s.t_ns), hi.max(s.t_ns)));
+    let (t0, t1) = samples.iter().fold((u64::MAX, 0u64), |(lo, hi), s| {
+        (lo.min(s.t_ns), hi.max(s.t_ns))
+    });
     if t0 >= t1 {
         return;
     }
@@ -400,7 +398,11 @@ fn anchor_chart(data: &TimelineData, windows: &[OverlapWindow], node: u16) {
         let col = ((s.anchor_ns % interval) as u128 * COLS as u128 / interval as u128) as usize;
         let sym = b'A' + (sym_idx % 26) as u8;
         let cell = &mut grid[row.min(ROWS - 1)][col.min(COLS - 1)];
-        *cell = if *cell == b' ' || *cell == sym { sym } else { b'X' };
+        *cell = if *cell == b' ' || *cell == sym {
+            sym
+        } else {
+            b'X'
+        };
     }
     for (i, row) in grid.iter().enumerate() {
         let t_lo = t0 + i as u64 * bucket;

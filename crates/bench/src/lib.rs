@@ -117,7 +117,11 @@ pub fn banner(id: &str, title: &str, opts: &Opts) {
     println!("{id}: {title}");
     println!(
         "mode: {}   base seed: {}",
-        if opts.full { "FULL (paper scale)" } else { "QUICK" },
+        if opts.full {
+            "FULL (paper scale)"
+        } else {
+            "QUICK"
+        },
         opts.seed
     );
     println!("================================================================");

@@ -92,7 +92,11 @@ impl ChannelSelector {
         if let Csa::One { hop } = csa {
             assert!((5..=16).contains(&hop), "hop increment {hop} out of spec");
         }
-        ChannelSelector { map, csa, access_address }
+        ChannelSelector {
+            map,
+            csa,
+            access_address,
+        }
     }
 
     /// The channel map in use.
@@ -236,9 +240,7 @@ mod tests {
     fn csa2_differs_between_connections() {
         let map = ChannelMap::ALL;
         let same = (0..100u16)
-            .filter(|&ev| {
-                csa2_channel(0x5713_9AD6, ev, map) == csa2_channel(0x1234_5678, ev, map)
-            })
+            .filter(|&ev| csa2_channel(0x5713_9AD6, ev, map) == csa2_channel(0x1234_5678, ev, map))
             .count();
         assert!(same < 30, "{same} matching events for different AAs");
     }

@@ -77,7 +77,10 @@ impl ConnParams {
             self.interval >= Duration::from_micros(7_500),
             "interval below 7.5 ms"
         );
-        assert!(self.interval <= Duration::from_secs(4), "interval above 4 s");
+        assert!(
+            self.interval <= Duration::from_secs(4),
+            "interval above 4 s"
+        );
         assert!(
             self.supervision_timeout > self.interval,
             "supervision timeout {} shorter than interval {}",
@@ -159,8 +162,7 @@ impl LlConfig {
     /// Host processing delay before the next exchange carrying a PDU
     /// of `len` payload bytes.
     pub fn exchange_overhead(&self, len: usize) -> Duration {
-        self.host_overhead_base
-            + Duration::from_nanos(self.host_overhead_per_byte_ns * len as u64)
+        self.host_overhead_base + Duration::from_nanos(self.host_overhead_per_byte_ns * len as u64)
     }
 }
 
@@ -203,7 +205,10 @@ mod tests {
         let p = ConnParams::with_interval_nimble(Duration::from_secs(2));
         p.validate(); // functional: fine
         let spec = std::panic::catch_unwind(|| p.validate_spec());
-        assert!(spec.is_err(), "2 s interval with 2.56 s timeout breaks the spec bound");
+        assert!(
+            spec.is_err(),
+            "2 s interval with 2.56 s timeout breaks the spec bound"
+        );
     }
 
     #[test]

@@ -269,7 +269,14 @@ impl Connection {
                 if !p.is_empty() {
                     self.stats.retransmissions += 1;
                 }
-                (*l, if p.is_empty() { Vec::new() } else { bufs.take_copy(p) })
+                (
+                    *l,
+                    if p.is_empty() {
+                        Vec::new()
+                    } else {
+                        bufs.take_copy(p)
+                    },
+                )
             }
             None => {
                 let (l, p) = self
@@ -280,7 +287,11 @@ impl Connection {
                     self.stats.data_pdus_tx += 1;
                     self.stats.bytes_tx += p.len() as u64;
                 }
-                let copy = if p.is_empty() { Vec::new() } else { bufs.take_copy(&p) };
+                let copy = if p.is_empty() {
+                    Vec::new()
+                } else {
+                    bufs.take_copy(&p)
+                };
                 self.in_flight = Some((l, p));
                 (l, copy)
             }
@@ -339,7 +350,14 @@ mod tests {
 
     fn conn(role: Role) -> Connection {
         let params = ConnParams::with_interval(Duration::from_millis(75));
-        Connection::new(ConnId(1), NodeId(2), role, 0x5713_9AD6, params, Instant::ZERO)
+        Connection::new(
+            ConnId(1),
+            NodeId(2),
+            role,
+            0x5713_9AD6,
+            params,
+            Instant::ZERO,
+        )
     }
 
     /// Run one lossless exchange in both directions and return what

@@ -44,8 +44,8 @@ pub mod pdu;
 pub mod sched;
 
 mod config;
-pub mod ctrl;
 mod conn;
+pub mod ctrl;
 mod ll;
 
 pub use config::{BlePhy, ConnParams, LlConfig};

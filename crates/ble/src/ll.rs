@@ -46,15 +46,14 @@
 //! * Connection termination is host-driven on both ends at once
 //!   (`close`); the LL_TERMINATE_IND exchange is not simulated.
 
-
 use mindgap_phy::{airtime, Channel};
 use mindgap_sim::{BytePool, Clock, Duration, Instant, NodeId, Rng};
 
 use crate::aa;
 use crate::channels::ChannelMap;
 use crate::config::{BlePhy, ConnParams, LlConfig};
-use crate::ctrl::{ControlPdu, MIN_INSTANT_LEAD};
 use crate::conn::{CeState, ConnId, ConnStats, Connection, LossReason, Role};
+use crate::ctrl::{ControlPdu, MIN_INSTANT_LEAD};
 use crate::pdu::{DataPdu, Llid};
 use crate::sched::{RadioScheduler, ResKind};
 
@@ -204,9 +203,9 @@ impl Frame {
             Frame::AdvInd { payload_len, .. } => airtime::ble_adv_1m(*payload_len as u32),
             Frame::ConnectInd { .. } => CONNECT_IND_AIR,
             Frame::Data { pdu, phy, .. } => data_air(*phy, pdu.payload.len()),
-            Frame::AdvData { payload, .. } => airtime::ble_adv_ext_1m(
-                (payload.len() + Frame::ADV_DATA_OVERHEAD) as u32,
-            ),
+            Frame::AdvData { payload, .. } => {
+                airtime::ble_adv_ext_1m((payload.len() + Frame::ADV_DATA_OVERHEAD) as u32)
+            }
         }
     }
 }
@@ -522,10 +521,7 @@ impl LinkLayer {
 
     /// Ids, peers and roles of live connections.
     pub fn connections(&self) -> Vec<(ConnId, NodeId, Role)> {
-        self.conns
-            .iter()
-            .map(|c| (c.id, c.peer, c.role))
-            .collect()
+        self.conns.iter().map(|c| (c.id, c.peer, c.role)).collect()
     }
 
     /// Interval of a live connection (local units).
@@ -709,8 +705,7 @@ impl LinkLayer {
         new_interval: Duration,
     ) -> Result<(), &'static str> {
         let max_off = new_interval.nanos().max(1_250_000);
-        let win_offset =
-            Duration::from_nanos(self.rng.below(max_off) / 1_250_000 * 1_250_000);
+        let win_offset = Duration::from_nanos(self.rng.below(max_off) / 1_250_000 * 1_250_000);
         let Some(c) = find_conn_mut(&mut self.conns, conn) else {
             return Err("unknown connection");
         };
@@ -888,9 +883,7 @@ impl LinkLayer {
                 let step = self.adv.as_ref().map(|a| a.current_step).unwrap_or(0);
                 self.adv_tx_done(now, step, out);
             }
-            Frame::ConnectInd { conn_id, .. } => {
-                self.connect_ind_tx_done(now, *conn_id, out)
-            }
+            Frame::ConnectInd { conn_id, .. } => self.connect_ind_tx_done(now, *conn_id, out),
             Frame::AdvData { .. } => {}
         }
     }
@@ -955,11 +948,15 @@ impl LinkLayer {
     // ------------------------------------------------------------------
 
     fn gen_ok(&self, id: ConnId, gen: u64) -> bool {
-        find_conn(&self.conns, id).map(|c| c.gen == gen).unwrap_or(false)
+        find_conn(&self.conns, id)
+            .map(|c| c.gen == gen)
+            .unwrap_or(false)
     }
 
     fn xgen_ok(&self, id: ConnId, gen: u64) -> bool {
-        find_conn(&self.conns, id).map(|c| c.xgen == gen).unwrap_or(false)
+        find_conn(&self.conns, id)
+            .map(|c| c.xgen == gen)
+            .unwrap_or(false)
     }
 
     // ------------------------------------------------------------------
@@ -1019,8 +1016,7 @@ impl LinkLayer {
 
         match role {
             Role::Coordinator => {
-                let len =
-                    exchange_len(cfg.phy, cfg.max_pdu, head_len).max(cfg.min_event_len);
+                let len = exchange_len(cfg.phy, cfg.max_pdu, head_len).max(cfg.min_event_len);
                 let mut booked = self
                     .sched
                     .try_book(anchor, anchor + len, ResKind::ConnEvent(id));
@@ -1338,8 +1334,7 @@ impl LinkLayer {
                     let anchor = now - data_air(cfg.phy, pdu.payload.len());
                     let tol = Duration::from_millis(1);
                     let in_window = anchor + tol >= conn.next_anchor
-                        && anchor.saturating_since(conn.next_anchor)
-                            <= conn.sync_uncertainty + tol;
+                        && anchor.saturating_since(conn.next_anchor) <= conn.sync_uncertainty + tol;
                     if in_window {
                         conn.next_anchor = anchor;
                         conn.last_sync = now;
@@ -1589,7 +1584,11 @@ impl LinkLayer {
             };
             self.teardown(id, now, reason, out);
         } else {
-            out.push(arm_out(conn.last_rx + timeout, TimerKind::Supervision(id), 0));
+            out.push(arm_out(
+                conn.last_rx + timeout,
+                TimerKind::Supervision(id),
+                0,
+            ));
         }
     }
 
@@ -1641,9 +1640,7 @@ impl LinkLayer {
                 continue;
             }
             let rate = fail as f64 / att as f64;
-            if rate > (3.0 * overall).max(0.35)
-                && worst.map(|(_, w)| rate > w).unwrap_or(true)
-            {
+            if rate > (3.0 * overall).max(0.35) && worst.map(|(_, w)| rate > w).unwrap_or(true) {
                 worst = Some((ch, rate));
             }
         }
@@ -1691,8 +1688,7 @@ impl LinkLayer {
 
     fn adv_train_begin(&mut self, now: Instant, out: &mut Vec<Output>) {
         let cfg = self.cfg;
-        let step_len =
-            airtime::ble_adv_1m(cfg.adv_payload as u32) + IFS + CONNECT_IND_AIR + SLACK;
+        let step_len = airtime::ble_adv_1m(cfg.adv_payload as u32) + IFS + CONNECT_IND_AIR + SLACK;
         let train_len = step_len * 3;
         match self.sched.try_book(now, now + train_len, ResKind::Adv) {
             Ok(res) => {
@@ -1732,7 +1728,12 @@ impl LinkLayer {
     fn adv_tx_done(&mut self, now: Instant, step: u8, out: &mut Vec<Output>) {
         // The train may have been preempted by a connection booking
         // while this PDU was on the air.
-        if self.adv.as_ref().map(|a| a.reservation.is_none()).unwrap_or(true) {
+        if self
+            .adv
+            .as_ref()
+            .map(|a| a.reservation.is_none())
+            .unwrap_or(true)
+        {
             return;
         }
         // Listen for a CONNECT_IND answering this ADV_IND.
@@ -1766,8 +1767,8 @@ impl LinkLayer {
         }
         let train_start = adv.train_start;
         // Next train: advInterval + advDelay ∈ [0, 10 ms] (spec).
-        let delay = clock.to_global(cfg.adv_interval)
-            + Duration::from_nanos(self.rng.below(10_000_000));
+        let delay =
+            clock.to_global(cfg.adv_interval) + Duration::from_nanos(self.rng.below(10_000_000));
         let at = (train_start + delay).max(now);
         out.push(arm_out(at, TimerKind::AdvEvent, self.adv_gen));
     }
@@ -1885,10 +1886,8 @@ impl LinkLayer {
         // down at once) must not let back-to-back scan windows starve
         // its advertising trains — real controllers interleave the two.
         if self.adv.is_some() {
-            let step_len = airtime::ble_adv_1m(self.cfg.adv_payload as u32)
-                + IFS
-                + CONNECT_IND_AIR
-                + SLACK;
+            let step_len =
+                airtime::ble_adv_1m(self.cfg.adv_payload as u32) + IFS + CONNECT_IND_AIR + SLACK;
             idle = idle.max(step_len * 3 + Duration::from_micros(500));
         }
         let Some(scan) = self.scan.as_mut() else {
@@ -1909,11 +1908,7 @@ impl LinkLayer {
         if scan.pending.is_some() || scan.reservation.is_none() {
             return;
         }
-        let Some(idx) = scan
-            .targets
-            .iter()
-            .position(|t| t.advertiser == advertiser)
-        else {
+        let Some(idx) = scan.targets.iter().position(|t| t.advertiser == advertiser) else {
             // Not someone we are trying to connect to — but in
             // discovery mode a foreign ADV_IND is a neighbor sighting
             // the policy layer wants. The receiver stays open.

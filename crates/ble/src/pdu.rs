@@ -79,7 +79,10 @@ impl DataPdu {
 
     /// Encode into header + payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        assert!(self.payload.len() <= MAX_PAYLOAD_DLE, "payload over DLE max");
+        assert!(
+            self.payload.len() <= MAX_PAYLOAD_DLE,
+            "payload over DLE max"
+        );
         let mut out = Vec::with_capacity(self.wire_len());
         let mut h0 = self.llid.bits();
         if self.nesn {

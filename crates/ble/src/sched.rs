@@ -88,7 +88,12 @@ impl RadioScheduler {
 
     /// Try to book `[start, end)`. On overlap, returns the earliest
     /// blocker's end so the caller can attempt a shortened booking.
-    pub fn try_book(&mut self, start: Instant, end: Instant, kind: ResKind) -> Result<ResId, Conflict> {
+    pub fn try_book(
+        &mut self,
+        start: Instant,
+        end: Instant,
+        kind: ResKind,
+    ) -> Result<ResId, Conflict> {
         assert!(end > start, "empty reservation");
         let mut busy_from: Option<Instant> = None;
         let mut busy_until: Option<Instant> = None;
@@ -114,9 +119,7 @@ impl RadioScheduler {
         }
         let id = ResId(self.next_id);
         self.next_id += 1;
-        let pos = self
-            .items
-            .partition_point(|r| r.start <= start);
+        let pos = self.items.partition_point(|r| r.start <= start);
         self.items.insert(
             pos,
             Reservation {
@@ -174,11 +177,7 @@ impl RadioScheduler {
     /// background activities, as in real controllers. Returns `None`
     /// (removing nothing) when a *connection* reservation also
     /// overlaps, because connections never preempt each other.
-    pub fn preempt_non_conn(
-        &mut self,
-        start: Instant,
-        end: Instant,
-    ) -> Option<Vec<Reservation>> {
+    pub fn preempt_non_conn(&mut self, start: Instant, end: Instant) -> Option<Vec<Reservation>> {
         let mut any_conn = false;
         let victims: Vec<Reservation> = self
             .items
@@ -234,7 +233,9 @@ mod tests {
     #[test]
     fn overlap_refused_first_come_wins() {
         let mut s = RadioScheduler::new();
-        let _ = s.try_book(ms(10), ms(12), ResKind::ConnEvent(ConnId(1))).unwrap();
+        let _ = s
+            .try_book(ms(10), ms(12), ResKind::ConnEvent(ConnId(1)))
+            .unwrap();
         let err = s
             .try_book(ms(11), ms(13), ResKind::ConnEvent(ConnId(2)))
             .unwrap_err();
@@ -270,9 +271,15 @@ mod tests {
     #[test]
     fn remove_conn_clears_all_its_reservations() {
         let mut s = RadioScheduler::new();
-        let _ = s.try_book(ms(0), ms(1), ResKind::ConnEvent(ConnId(7))).unwrap();
-        let _ = s.try_book(ms(2), ms(3), ResKind::Listen(ConnId(7))).unwrap();
-        let _ = s.try_book(ms(4), ms(5), ResKind::ConnEvent(ConnId(8))).unwrap();
+        let _ = s
+            .try_book(ms(0), ms(1), ResKind::ConnEvent(ConnId(7)))
+            .unwrap();
+        let _ = s
+            .try_book(ms(2), ms(3), ResKind::Listen(ConnId(7)))
+            .unwrap();
+        let _ = s
+            .try_book(ms(4), ms(5), ResKind::ConnEvent(ConnId(8)))
+            .unwrap();
         s.remove_conn(ConnId(7));
         assert_eq!(s.len(), 1);
     }
@@ -289,8 +296,12 @@ mod tests {
     #[test]
     fn next_start_after_excludes_own() {
         let mut s = RadioScheduler::new();
-        let own = s.try_book(ms(0), ms(1), ResKind::ConnEvent(ConnId(1))).unwrap();
-        let _ = s.try_book(ms(8), ms(9), ResKind::ConnEvent(ConnId(2))).unwrap();
+        let own = s
+            .try_book(ms(0), ms(1), ResKind::ConnEvent(ConnId(1)))
+            .unwrap();
+        let _ = s
+            .try_book(ms(8), ms(9), ResKind::ConnEvent(ConnId(2)))
+            .unwrap();
         assert_eq!(s.next_start_after(ms(0), own), Some(ms(8)));
         let t = ms(8) + Duration::from_micros(1);
         assert_eq!(s.next_start_after(t, own), None);
@@ -302,7 +313,10 @@ mod tests {
         let id = s.try_book(ms(5), ms(7), ResKind::Adv).unwrap();
         assert!(!s.is_free(ms(6), ms(8), None));
         assert!(s.is_free(ms(6), ms(8), Some(id)));
-        assert!(s.is_free(ms(7), ms(8), None), "touching ends do not overlap");
+        assert!(
+            s.is_free(ms(7), ms(8), None),
+            "touching ends do not overlap"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! `mindgap-core`, kept here so link-layer behaviour (connection
 //! setup, ARQ, supervision, shading) can be tested in isolation.
 
-use mindgap_ble::{ConnId, ConnParams, Frame, LinkLayer, ListenTag, LlConfig, LossReason, Output, Role, Timer};
+use mindgap_ble::{
+    ConnId, ConnParams, Frame, LinkLayer, ListenTag, LlConfig, LossReason, Output, Role, Timer,
+};
 use mindgap_phy::{Channel, LossConfig, Medium, MediumConfig, TxId};
 use mindgap_sim::{Clock, EventQueue, Instant, NodeId, Rng};
 
@@ -112,7 +114,11 @@ impl MiniWorld {
                     });
                     self.queue.schedule_at(now + airtime, Ev::TxEnd(id));
                 }
-                Output::Listen { channel, until, tag } => {
+                Output::Listen {
+                    channel,
+                    until,
+                    tag,
+                } => {
                     self.listening[node.index()] = Some((tag, channel, now, until));
                 }
                 Output::ListenOff { tag } => {
@@ -199,7 +205,8 @@ impl MiniWorld {
                 let mut outs = Vec::new();
                 for (listener, outcome) in outcomes {
                     if outcome.is_ok() {
-                        self.lls[listener.index()].on_frame_rx(now, &fl.frame, fl.channel, &mut outs);
+                        self.lls[listener.index()]
+                            .on_frame_rx(now, &fl.frame, fl.channel, &mut outs);
                         self.apply(listener, &mut outs);
                     }
                 }
@@ -251,7 +258,10 @@ impl MiniWorld {
                 return;
             }
             assert!(
-                self.queue.peek_time().map(|t| t <= deadline).unwrap_or(false),
+                self.queue
+                    .peek_time()
+                    .map(|t| t <= deadline)
+                    .unwrap_or(false),
                 "connection {conn:?} not established before {deadline}"
             );
             self.step();

@@ -57,12 +57,26 @@ fn data_flows_both_directions() {
     let mut w = MiniWorld::new(&[0.0, 0.0], LossConfig::LOSSLESS, 3);
     w.connect(NodeId(0), NodeId(1), ConnId(1), params_ms(50));
     w.await_up(ConnId(1), Instant::from_secs(2));
-    w.lls[0].enqueue(ConnId(1), b"from-coordinator".to_vec()).unwrap();
-    w.lls[1].enqueue(ConnId(1), b"from-subordinate".to_vec()).unwrap();
+    w.lls[0]
+        .enqueue(ConnId(1), b"from-coordinator".to_vec())
+        .unwrap();
+    w.lls[1]
+        .enqueue(ConnId(1), b"from-subordinate".to_vec())
+        .unwrap();
     let t = w.now();
     w.run_until(t + Duration::from_millis(300));
-    let to_sub: Vec<_> = w.log.rx.iter().filter(|(n, _, _)| *n == NodeId(1)).collect();
-    let to_coord: Vec<_> = w.log.rx.iter().filter(|(n, _, _)| *n == NodeId(0)).collect();
+    let to_sub: Vec<_> = w
+        .log
+        .rx
+        .iter()
+        .filter(|(n, _, _)| *n == NodeId(1))
+        .collect();
+    let to_coord: Vec<_> = w
+        .log
+        .rx
+        .iter()
+        .filter(|(n, _, _)| *n == NodeId(0))
+        .collect();
     assert_eq!(to_sub.len(), 1);
     assert_eq!(to_sub[0].2, b"from-coordinator");
     assert_eq!(to_coord.len(), 1);
@@ -152,8 +166,14 @@ fn dead_peer_triggers_supervision_timeout() {
     let timeout = params_ms(75).supervision_timeout;
     for (_, _, _, at) in losses {
         let waited = at.saturating_since(t);
-        assert!(waited >= timeout - Duration::from_millis(200), "waited {waited}");
-        assert!(waited <= timeout + Duration::from_secs(1), "waited {waited}");
+        assert!(
+            waited >= timeout - Duration::from_millis(200),
+            "waited {waited}"
+        );
+        assert!(
+            waited <= timeout + Duration::from_secs(1),
+            "waited {waited}"
+        );
     }
 }
 
@@ -294,7 +314,9 @@ fn connection_update_switches_interval_without_loss() {
         "expected ≈300 events at 100 ms over 30 s, saw {events}"
     );
     // And data still flows.
-    w.lls[0].enqueue(ConnId(1), b"post-update".to_vec()).unwrap();
+    w.lls[0]
+        .enqueue(ConnId(1), b"post-update".to_vec())
+        .unwrap();
     let t2 = w.now();
     w.run_until(t2 + Duration::from_millis(300));
     assert!(w
@@ -403,7 +425,9 @@ fn subordinate_latency_skips_idle_events() {
         coord.events
     );
     // Data from the subordinate still arrives (it wakes for it).
-    w.lls[1].enqueue(ConnId(1), b"from-lazy-sub".to_vec()).unwrap();
+    w.lls[1]
+        .enqueue(ConnId(1), b"from-lazy-sub".to_vec())
+        .unwrap();
     let t = w.now();
     w.run_until(t + Duration::from_millis(400));
     assert!(w

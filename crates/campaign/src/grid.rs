@@ -127,9 +127,7 @@ impl GridBuilder {
             let config = key_parts.join(",");
             for idx in 0..n_seeds {
                 let seed = match &self.seeds {
-                    SeedPlan::Derived(_) => {
-                        derive_seed(self.master_seed, &config, idx as u32)
-                    }
+                    SeedPlan::Derived(_) => derive_seed(self.master_seed, &config, idx as u32),
                     SeedPlan::Explicit(s) => s[idx],
                 };
                 let id = format!("{}-s{idx}", sanitize(&config));

@@ -181,7 +181,10 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}", pos = *pos));
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {pos}",
+            pos = *pos
+        ));
     }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
@@ -265,9 +268,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
+                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
                         let code = u32::from_str_radix(
                             std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                             16,
@@ -298,9 +299,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    while *pos < b.len()
-        && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
         *pos += 1;
     }
     let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
@@ -369,8 +368,7 @@ mod tests {
     #[test]
     fn malformed_inputs_error_not_panic() {
         for bad in [
-            "", "{", "[1,", "\"abc", "{\"a\"1}", "tru", "nul", "1.2.3", "{} x", "[01,]",
-            "1e999",
+            "", "{", "[1,", "\"abc", "{\"a\"1}", "tru", "nul", "1.2.3", "{} x", "[01,]", "1e999",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }

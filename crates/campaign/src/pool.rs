@@ -186,7 +186,9 @@ where
                 let (cursor, pending, body, store) = (&cursor, &pending, &body, &store);
                 scope.spawn(move || loop {
                     let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&job_idx) = pending.get(k) else { break };
+                    let Some(&job_idx) = pending.get(k) else {
+                        break;
+                    };
                     let job = &campaign.jobs[job_idx];
                     let outcome = match catch_unwind(AssertUnwindSafe(|| body(job))) {
                         Ok(result) => match store.save(job, &result) {
@@ -250,10 +252,12 @@ where
             JobStatus::Failed(e) => (j.id.clone(), "failed", e.clone()),
         })
         .collect();
-    if let Err(e) =
-        store.write_manifest(&campaign.name, campaign.master_seed, &statuses, wall_secs)
+    if let Err(e) = store.write_manifest(&campaign.name, campaign.master_seed, &statuses, wall_secs)
     {
-        eprintln!("[campaign {}] warning: cannot write manifest: {e}", campaign.name);
+        eprintln!(
+            "[campaign {}] warning: cannot write manifest: {e}",
+            campaign.name
+        );
     }
 
     let report = CampaignReport {
@@ -299,10 +303,8 @@ mod tests {
     use crate::grid::GridBuilder;
 
     fn temp_cfg(tag: &str, workers: usize) -> RunConfig {
-        let dir = std::env::temp_dir().join(format!(
-            "mindgap-pool-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("mindgap-pool-test-{tag}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         RunConfig {
             workers,
@@ -380,7 +382,9 @@ mod tests {
 
     #[test]
     fn failed_jobs_rerun_on_next_launch() {
-        let c = GridBuilder::new("pool-retry", 1).axis("a", ["x", "y"]).build();
+        let c = GridBuilder::new("pool-retry", 1)
+            .axis("a", ["x", "y"])
+            .build();
         let cfg = temp_cfg("retry", 1);
         let first = run(&c, &cfg, |job| {
             if job.params["a"] == "y" {

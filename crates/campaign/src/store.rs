@@ -211,7 +211,8 @@ mod tests {
     }
 
     fn temp_store(tag: &str) -> ArtifactStore {
-        let dir = std::env::temp_dir().join(format!("mindgap-store-test-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("mindgap-store-test-{tag}-{}", std::process::id()));
         fs::remove_dir_all(&dir).ok();
         ArtifactStore::new(&dir, "unit")
     }
@@ -269,7 +270,10 @@ mod tests {
         let doc = Value::parse(&fs::read_to_string(store.manifest_path()).unwrap()).unwrap();
         let obj = doc.as_obj().unwrap();
         assert_eq!(obj["total_jobs"].as_num(), Some(3.0));
-        assert_eq!(obj["counts"].as_obj().unwrap()["failed"].as_num(), Some(1.0));
+        assert_eq!(
+            obj["counts"].as_obj().unwrap()["failed"].as_num(),
+            Some(1.0)
+        );
         fs::remove_dir_all(store.dir().parent().unwrap()).ok();
     }
 }

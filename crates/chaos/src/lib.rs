@@ -240,7 +240,14 @@ impl FaultSchedule {
 
     /// Jam one data channel at `at` for `lasts`.
     pub fn jammer_burst(self, at: Duration, channel: u8, per: f64, lasts: Duration) -> Self {
-        self.push(at, FaultKind::JammerBurst { channel, per, lasts })
+        self.push(
+            at,
+            FaultKind::JammerBurst {
+                channel,
+                per,
+                lasts,
+            },
+        )
     }
 
     /// Step `node`'s clock rate by `delta_ppm` at `at`.

@@ -235,26 +235,45 @@ mod tests {
         tl.record(
             at(10),
             NodeId(3),
-            Span::ConnUp { conn: 1, peer: NodeId(4), coord: true, interval_ns: 75_000_000 },
+            Span::ConnUp {
+                conn: 1,
+                peer: NodeId(4),
+                coord: true,
+                interval_ns: 75_000_000,
+            },
         );
         crash_marker(&mut tl, at(60), 4, 10_000_000_000);
         // Peer 3 detects via supervision timeout 2.5 s later …
         tl.record(
             at(62) + Duration::from_millis(500),
             NodeId(3),
-            Span::ConnDown { conn: 1, peer: NodeId(4), reason: "supervision_timeout" },
+            Span::ConnDown {
+                conn: 1,
+                peer: NodeId(4),
+                reason: "supervision_timeout",
+            },
         );
         // … an unrelated pair reconnects (must not count: nodes 7/8) …
         tl.record(
             at(63),
             NodeId(7),
-            Span::ConnUp { conn: 9, peer: NodeId(8), coord: true, interval_ns: 75_000_000 },
+            Span::ConnUp {
+                conn: 9,
+                peer: NodeId(8),
+                coord: true,
+                interval_ns: 75_000_000,
+            },
         );
         // … and the crashed node is reconnected at +12 s.
         tl.record(
             at(72),
             NodeId(3),
-            Span::ConnUp { conn: 2, peer: NodeId(4), coord: true, interval_ns: 75_000_000 },
+            Span::ConnUp {
+                conn: 2,
+                peer: NodeId(4),
+                coord: true,
+                interval_ns: 75_000_000,
+            },
         );
         let rs = analyze(&tl);
         assert_eq!(rs.len(), 1);
@@ -277,13 +296,21 @@ mod tests {
         tl.record(
             at(12),
             NodeId(0),
-            Span::ConnDown { conn: 1, peer: NodeId(1), reason: "supervision_timeout" },
+            Span::ConnDown {
+                conn: 1,
+                peer: NodeId(1),
+                reason: "supervision_timeout",
+            },
         );
         crash_marker(&mut tl, at(50), 2, 1);
         tl.record(
             at(53),
             NodeId(0),
-            Span::ConnDown { conn: 2, peer: NodeId(2), reason: "supervision_timeout" },
+            Span::ConnDown {
+                conn: 2,
+                peer: NodeId(2),
+                reason: "supervision_timeout",
+            },
         );
         let rs = analyze(&tl);
         assert_eq!(rs.len(), 2);

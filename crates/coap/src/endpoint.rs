@@ -214,7 +214,13 @@ mod tests {
     fn non_request_response_matching() {
         let mut c = Client::new(100);
         let mut s = Server::new(500);
-        let req = c.request(1_000, MsgType::NonConfirmable, Code::GET, "/sensor", vec![1; 39]);
+        let req = c.request(
+            1_000,
+            MsgType::NonConfirmable,
+            Code::GET,
+            "/sensor",
+            vec![1; 39],
+        );
         assert_eq!(req.uri_path(), "/sensor");
         let reply = s.respond(&req, Code::CONTENT, b"ok".to_vec()).unwrap();
         assert_eq!(reply.message.mtype, MsgType::NonConfirmable);
@@ -291,7 +297,13 @@ mod tests {
     fn expire_only_old_requests() {
         let mut c = Client::new(1);
         let _ = c.request(0, MsgType::NonConfirmable, Code::GET, "/a", Vec::new());
-        let _ = c.request(900_000_000, MsgType::NonConfirmable, Code::GET, "/b", Vec::new());
+        let _ = c.request(
+            900_000_000,
+            MsgType::NonConfirmable,
+            Code::GET,
+            "/b",
+            Vec::new(),
+        );
         let expired = c.expire(1_000_000_000, 500_000_000);
         assert_eq!(expired.len(), 1);
         assert_eq!(c.outstanding(), 1);
@@ -324,7 +336,13 @@ mod tests {
     fn roundtrip_through_wire_format() {
         let mut c = Client::new(7);
         let mut s = Server::new(9);
-        let req = c.request(100, MsgType::NonConfirmable, Code::GET, "/p/q", vec![0xAB; 39]);
+        let req = c.request(
+            100,
+            MsgType::NonConfirmable,
+            Code::GET,
+            "/p/q",
+            vec![0xAB; 39],
+        );
         let wire = req.encode();
         let parsed = Message::decode(&wire).unwrap();
         let reply = s.respond(&parsed, Code::CONTENT, vec![1, 2, 3]).unwrap();

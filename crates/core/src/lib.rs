@@ -33,7 +33,6 @@ pub mod rpl;
 mod statconn;
 mod world;
 
-
 pub use ieee::IeeeConfig;
 pub use mindgap_adv::{AdvConfig, AdvCounters};
 pub use mindgap_net::{LinkService, LinkSignal, TxAdmission};

@@ -236,12 +236,7 @@ impl Records {
 
     /// CoAP PDR time series over all producers: one value per bucket.
     pub fn coap_pdr_series(&self) -> Vec<f64> {
-        let n = self
-            .coap_sent
-            .values()
-            .map(|v| v.len())
-            .max()
-            .unwrap_or(0);
+        let n = self.coap_sent.values().map(|v| v.len()).max().unwrap_or(0);
         (0..n)
             .map(|i| {
                 let sent: u64 = self

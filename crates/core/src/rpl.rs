@@ -108,7 +108,9 @@ impl RplMsg {
             0x02 if bytes.len() == 17 => {
                 let mut a = [0u8; 16];
                 a.copy_from_slice(&bytes[1..]);
-                Some(RplMsg::Dao { origin: Ipv6Addr(a) })
+                Some(RplMsg::Dao {
+                    origin: Ipv6Addr(a),
+                })
             }
             _ => None,
         }
@@ -307,11 +309,7 @@ impl RplAgent {
     /// The link to `peer` died (connection loss). When the peer was
     /// the parent, detach and return a poison beacon for the world to
     /// broadcast immediately (children must not lure us back).
-    pub fn on_neighbor_down(
-        &mut self,
-        peer: Ipv6Addr,
-        routing: &mut RoutingTable,
-    ) -> Vec<RplSend> {
+    pub fn on_neighbor_down(&mut self, peer: Ipv6Addr, routing: &mut RoutingTable) -> Vec<RplSend> {
         routing.remove_via(&peer);
         if self.parent == Some(peer) {
             self.detach(routing);

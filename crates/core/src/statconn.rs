@@ -273,9 +273,7 @@ impl Statconn {
         // collides with any other live connection is closed
         // immediately, forcing the coordinator to redraw. Only active
         // under the randomized policy (the paper's enhanced manager).
-        if matches!(self.policy, IntervalPolicy::Randomized { .. })
-            && role == Role::Subordinate
-        {
+        if matches!(self.policy, IntervalPolicy::Randomized { .. }) && role == Role::Subordinate {
             let collides = self
                 .edges
                 .iter()
@@ -367,10 +365,8 @@ mod tests {
         );
         let actions = sc.start();
         assert_eq!(actions[0], ScAction::Advertise);
-        assert!(
-            matches!(&actions[1], ScAction::Scan { peer, params }
-                if *peer == NodeId(2) && params.interval == ms(75))
-        );
+        assert!(matches!(&actions[1], ScAction::Scan { peer, params }
+                if *peer == NodeId(2) && params.interval == ms(75)));
     }
 
     #[test]

@@ -49,12 +49,10 @@ use mindgap_net::{
 use mindgap_obs::{AdvMetrics, MetricsSnapshot, Obs, PeerMetrics, Span};
 use mindgap_peers::{PeerAction, PeerConfig, PeerCounters, PeerManager};
 use mindgap_phy::{
-    Channel, LossConfig, Medium, MediumConfig, Mobility, MobilityModel, PathLossConfig,
-    RxOutcome, TxId, TxParams, BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
+    Channel, LossConfig, Medium, MediumConfig, Mobility, MobilityModel, PathLossConfig, RxOutcome,
+    TxId, TxParams, BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
 };
-use mindgap_sim::{
-    Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace,
-};
+use mindgap_sim::{Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace};
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
 use crate::ieee::{IeeeConfig, IeeeLink};
@@ -727,7 +725,10 @@ impl World {
         let mut obs = Obs::new(n, cfg.timeline_cap);
         let adv_m = matches!(cfg.transport, TransportMode::Adv(_))
             .then(|| AdvMetrics::register(&mut obs.reg));
-        let peer_m = cfg.peers.is_some().then(|| PeerMetrics::register(&mut obs.reg));
+        let peer_m = cfg
+            .peers
+            .is_some()
+            .then(|| PeerMetrics::register(&mut obs.reg));
         // Peers mode: the world owns geometry. One dedicated fork
         // feeds mobility (drawn after the node loop, gated on the
         // mode, so non-peers runs never see it).
@@ -742,12 +743,7 @@ impl World {
                 "peers mode derives radio range from geometry; leave radio_links None"
             );
             let model = pc.mobility.unwrap_or_else(MobilityModel::walk_default);
-            let mut field = Mobility::new(
-                model,
-                pc.arena,
-                pc.positions.clone(),
-                rng.fork(0x3050),
-            );
+            let mut field = Mobility::new(model, pc.arena, pc.positions.clone(), rng.fork(0x3050));
             for &p in &pc.pinned {
                 field.pin(p as usize);
             }
@@ -811,7 +807,9 @@ impl World {
     /// peers mode.
     fn refresh_geometry(&mut self) {
         let World {
-            peers_world, medium, ..
+            peers_world,
+            medium,
+            ..
         } = &mut *self;
         let Some(ps) = peers_world.as_mut() else {
             return;
@@ -1288,7 +1286,8 @@ impl World {
                         let _ = l.reassembler.expire(now.nanos());
                     }
                 }
-                self.queue.schedule_in(Duration::from_secs(5), Ev::CoapSweep);
+                self.queue
+                    .schedule_in(Duration::from_secs(5), Ev::CoapSweep);
             }
             Ev::RplTick(node, epoch) => {
                 if epoch == self.boot_epoch[node.index()] {
@@ -1747,11 +1746,9 @@ impl World {
                     if let Some(pm) = self.nodes[node.index()].link.peers_mut() {
                         pm.attempt_started(conn.0);
                     }
-                    self.obs.timeline.record(
-                        now,
-                        node,
-                        Span::PeerAttempt { conn: conn.0, peer },
-                    );
+                    self.obs
+                        .timeline
+                        .record(now, node, Span::PeerAttempt { conn: conn.0, peer });
                     self.trace.emit();
                     self.with_ll(node, |ll, outs| {
                         ll.start_scanning(now, peer, conn, params, outs)
@@ -1885,9 +1882,15 @@ impl World {
                         continue;
                     }
                     let span = match ev {
-                        AdvObsEvent::TrainStart { seq, queued, beacon } => {
-                            Span::AdvTrain { seq, queued, beacon }
-                        }
+                        AdvObsEvent::TrainStart {
+                            seq,
+                            queued,
+                            beacon,
+                        } => Span::AdvTrain {
+                            seq,
+                            queued,
+                            beacon,
+                        },
                         AdvObsEvent::ScanWindow { channel } => Span::ScanWindow { channel },
                         AdvObsEvent::Duplicate { advertiser, seq } => {
                             Span::AdvDuplicate { advertiser, seq }
@@ -1916,10 +1919,9 @@ impl World {
                 anchor_ns: anchor.nanos(),
                 interval_ns: interval.nanos(),
             },
-            LlObsEvent::ChannelMapUpdate { conn, used } => Span::ChannelMapUpdate {
-                conn: conn.0,
-                used,
-            },
+            LlObsEvent::ChannelMapUpdate { conn, used } => {
+                Span::ChannelMapUpdate { conn: conn.0, used }
+            }
             LlObsEvent::ConnParamUpdate { conn, interval } => Span::ConnParamUpdate {
                 conn: conn.0,
                 interval_ns: interval.nanos(),
@@ -2156,11 +2158,7 @@ impl World {
             else {
                 return;
             };
-            let Some(coc) = cocs
-                .iter_mut()
-                .find(|(c, _)| *c == conn)
-                .map(|(_, s)| s)
-            else {
+            let Some(coc) = cocs.iter_mut().find(|(c, _)| *c == conn).map(|(_, s)| s) else {
                 return;
             };
             // Fast exit for the common case: every received PDU and
@@ -2188,8 +2186,7 @@ impl World {
             }
             match coc.chan.next_pdu(max_pdu, pool, ll.buffers()) {
                 Some(pdu) => {
-                    ll.enqueue(conn, pdu)
-                        .expect("space checked before pull");
+                    ll.enqueue(conn, pdu).expect("space checked before pull");
                 }
                 None => {
                     // A zero-credit stall with data queued is the §5.2
@@ -2248,11 +2245,7 @@ impl World {
         }
         let (sdu, peer) = {
             let ConnLink { ll, cocs, .. } = &mut **c;
-            let Some(coc) = cocs
-                .iter_mut()
-                .find(|(c, _)| *c == conn)
-                .map(|(_, s)| s)
-            else {
+            let Some(coc) = cocs.iter_mut().find(|(c, _)| *c == conn).map(|(_, s)| s) else {
                 ll.recycle(body);
                 return;
             };
@@ -2506,7 +2499,8 @@ impl World {
         for o in outputs {
             match o {
                 MacOutput::Arm { at, timer } => {
-                    self.queue.schedule_at(at.max(now), Ev::MacTimer(node, timer));
+                    self.queue
+                        .schedule_at(at.max(now), Ev::MacTimer(node, timer));
                 }
                 MacOutput::Tx { frame } => {
                     let Link::Ieee(l) = &self.nodes[node.index()].link else {
@@ -2543,11 +2537,7 @@ impl World {
         let Some(ConnLink { cocs, pool, .. }) = self.nodes[node.index()].link.conn_mut() else {
             return;
         };
-        let Some(coc) = cocs
-            .iter_mut()
-            .find(|(c, _)| *c == conn)
-            .map(|(_, s)| s)
-        else {
+        let Some(coc) = cocs.iter_mut().find(|(c, _)| *c == conn).map(|(_, s)| s) else {
             self.records.drop("link_down");
             return;
         };
@@ -2579,8 +2569,13 @@ impl World {
         let payload = vec![0xA5; self.app.payload];
         let msg = {
             let n = &mut self.nodes[node.index()];
-            n.client
-                .request(now.nanos(), MsgType::NonConfirmable, Code::GET, BENCH_PATH, payload)
+            n.client.request(
+                now.nanos(),
+                MsgType::NonConfirmable,
+                Code::GET,
+                BENCH_PATH,
+                payload,
+            )
         };
         self.obs.reg.inc(self.obs.m.coap_req_tx, node);
         self.records.coap_sent(node, now);

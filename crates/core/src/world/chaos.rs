@@ -37,7 +37,10 @@ impl World {
         if let Err(e) = schedule.validate(self.nodes.len()) {
             panic!("invalid fault schedule: {e}");
         }
-        assert!(self.chaos.is_none(), "a fault schedule is already installed");
+        assert!(
+            self.chaos.is_none(),
+            "a fault schedule is already installed"
+        );
         let faults = schedule.faults.clone();
         let now = self.queue.now();
         for (i, f) in faults.iter().enumerate() {
@@ -53,7 +56,9 @@ impl World {
     /// Record a fault marker on the timeline (the ground truth the
     /// recovery analysis keys off).
     fn record_fault(&mut self, now: Instant, node: NodeId, label: &'static str, a: u64, b: u64) {
-        self.obs.timeline.record(now, node, Span::Fault { label, a, b });
+        self.obs
+            .timeline
+            .record(now, node, Span::Fault { label, a, b });
         self.trace.emit();
     }
 
@@ -87,7 +92,11 @@ impl World {
                 self.medium.set_out_of_range(NodeId(a), NodeId(b), true);
                 self.schedule_clear(now, idx, lasts);
             }
-            FaultKind::JammerBurst { channel, per, lasts } => {
+            FaultKind::JammerBurst {
+                channel,
+                per,
+                lasts,
+            } => {
                 let ch = Channel::ble_data(channel);
                 let prev = self.medium.channel_interference(ch);
                 self.chaos.as_mut().expect("checked above").scratch[idx as usize] = prev;
@@ -102,7 +111,13 @@ impl World {
                 self.schedule_clear(now, idx, lasts);
             }
             FaultKind::ClockDrift { node, delta_ppm } => {
-                self.record_fault(now, NodeId(node), labels::CLOCK_DRIFT, node as u64, u64::MAX);
+                self.record_fault(
+                    now,
+                    NodeId(node),
+                    labels::CLOCK_DRIFT,
+                    node as u64,
+                    u64::MAX,
+                );
                 let i = node as usize;
                 // Clock::with_ppm rejects |ppm| ≥ 10_000; repeated
                 // drift steps saturate just below that.

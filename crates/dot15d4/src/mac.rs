@@ -172,7 +172,10 @@ struct Outgoing {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MacState {
     Idle,
-    Backoff { nb: u8, be: u8 },
+    Backoff {
+        nb: u8,
+        be: u8,
+    },
     Transmitting,
     AwaitAck,
     /// Turnaround gap before sending an ACK we owe.
@@ -241,7 +244,10 @@ impl Radio802154 {
         dst: Option<NodeId>,
         payload: Vec<u8>,
     ) -> Vec<MacOutput> {
-        assert!(payload.len() <= MAX_MAC_PAYLOAD, "payload exceeds 127 B PSDU");
+        assert!(
+            payload.len() <= MAX_MAC_PAYLOAD,
+            "payload exceeds 127 B PSDU"
+        );
         self.counters.enqueued += 1;
         if self.queue.len() >= self.cfg.queue_cap {
             self.counters.drop_queue_full += 1;
@@ -482,7 +488,11 @@ mod tests {
     use super::*;
 
     fn mac(node: u16) -> Radio802154 {
-        Radio802154::new(NodeId(node), MacConfig::default(), Rng::seed_from_u64(node as u64))
+        Radio802154::new(
+            NodeId(node),
+            MacConfig::default(),
+            Rng::seed_from_u64(node as u64),
+        )
     }
 
     fn fire_backoffs(
@@ -519,11 +529,16 @@ mod tests {
         let outs = m.enqueue(Instant::ZERO, Some(NodeId(2)), vec![0]);
         let res = fire_backoffs(&mut m, outs, &mut || true);
         assert!(
-            res.contains(&MacOutput::TxFailed { reason: "channel_access_failure" }),
+            res.contains(&MacOutput::TxFailed {
+                reason: "channel_access_failure"
+            }),
             "{res:?}"
         );
         let c = m.counters();
-        assert_eq!(c.cca_busy, 1 + MacConfig::default().max_csma_backoffs as u64);
+        assert_eq!(
+            c.cca_busy,
+            1 + MacConfig::default().max_csma_backoffs as u64
+        );
         assert_eq!(c.drop_channel_access, 1);
     }
 
@@ -590,7 +605,10 @@ mod tests {
             }
         }
         assert!(dropped);
-        assert_eq!(tx_count, 1 + MacConfig::default().max_frame_retries as usize);
+        assert_eq!(
+            tx_count,
+            1 + MacConfig::default().max_frame_retries as usize
+        );
         assert_eq!(a.counters().retries, 3);
         assert_eq!(a.counters().drop_no_ack, 1);
     }
@@ -679,7 +697,9 @@ mod tests {
             let _ = a.enqueue(Instant::ZERO, Some(NodeId(2)), vec![i as u8]);
         }
         let outs = a.enqueue(Instant::ZERO, Some(NodeId(2)), vec![0xFF]);
-        assert!(outs.contains(&MacOutput::TxFailed { reason: "queue_full" }));
+        assert!(outs.contains(&MacOutput::TxFailed {
+            reason: "queue_full"
+        }));
         assert_eq!(a.counters().drop_queue_full, 1);
     }
 
@@ -722,11 +742,7 @@ mod tests {
     fn backoff_delay_is_bounded() {
         // First backoff with BE=3 must be within [0, 7] unit periods.
         for seed in 0..50 {
-            let mut m = Radio802154::new(
-                NodeId(1),
-                MacConfig::default(),
-                Rng::seed_from_u64(seed),
-            );
+            let mut m = Radio802154::new(NodeId(1), MacConfig::default(), Rng::seed_from_u64(seed));
             let outs = m.enqueue(Instant::ZERO, None, vec![0]);
             let MacOutput::Arm { at, .. } = outs[0] else {
                 panic!()

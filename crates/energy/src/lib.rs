@@ -121,7 +121,8 @@ impl EnergyModel {
     ) -> f64 {
         let conns = coordinator_conns as f64
             * self.idle_connection_ua(interval_ms, ConnRole::Coordinator)
-            + subordinate_conns as f64 * self.idle_connection_ua(interval_ms, ConnRole::Subordinate);
+            + subordinate_conns as f64
+                * self.idle_connection_ua(interval_ms, ConnRole::Subordinate);
         conns + self.data_airtime_ua(data_packets_per_s * packet_air_us)
     }
 
@@ -136,12 +137,7 @@ impl EnergyModel {
     /// Average current added by an IP-over-BLE coordinator with one
     /// connection at `interval_ms` sending `packets_per_s` CoAP
     /// packets of `packet_air_us` airtime (plus their responses).
-    pub fn ip_node_ua(
-        &self,
-        interval_ms: f64,
-        packets_per_s: f64,
-        packet_air_us: f64,
-    ) -> f64 {
+    pub fn ip_node_ua(&self, interval_ms: f64, packets_per_s: f64, packet_air_us: f64) -> f64 {
         self.idle_connection_ua(interval_ms, ConnRole::Coordinator)
             + self.data_airtime_ua(packets_per_s * packet_air_us * 2.0)
     }
@@ -161,7 +157,9 @@ impl EnergyModel {
         assert!(elapsed_s > 0.0);
         let events_uc = coord_events as f64 * self.coord_event_uc
             + sub_events as f64 * self.sub_event_uc
-            + adv_trains as f64 * (self.adv_event_base_uc + self.radio_active_ma * adv_train_radio_us(22) / 1_000.0);
+            + adv_trains as f64
+                * (self.adv_event_base_uc
+                    + self.radio_active_ma * adv_train_radio_us(22) / 1_000.0);
         self.idle_ua + (events_uc + self.radio_active_ma * extra_radio_us / 1_000.0) / elapsed_s
     }
 
@@ -218,8 +216,16 @@ mod tests {
     fn idle_connection_matches_paper() {
         let m = EnergyModel::default();
         // §5.4: 75 ms interval → 30.7 µA (coordinator), 34.7 µA (sub).
-        assert!(close(m.idle_connection_ua(75.0, ConnRole::Coordinator), 30.7, 0.1));
-        assert!(close(m.idle_connection_ua(75.0, ConnRole::Subordinate), 34.7, 0.1));
+        assert!(close(
+            m.idle_connection_ua(75.0, ConnRole::Coordinator),
+            30.7,
+            0.1
+        ));
+        assert!(close(
+            m.idle_connection_ua(75.0, ConnRole::Subordinate),
+            34.7,
+            0.1
+        ));
     }
 
     #[test]
@@ -322,6 +328,10 @@ mod tests {
         assert!(close(ua, 570.64, 0.01), "{ua:.2}");
         // And the conn-path pinned numbers are untouched.
         let events = 3_600_000 / 75;
-        assert!(close(m.node_current_ua(3_600.0, events, 0, 0, 0.0), 45.7, 0.5));
+        assert!(close(
+            m.node_current_ua(3_600.0, events, 0, 0, 0.0),
+            45.7,
+            0.5
+        ));
     }
 }

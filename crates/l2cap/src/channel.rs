@@ -159,7 +159,14 @@ impl CocChannel {
 
     /// Convenience constructor for two symmetric endpoints.
     pub fn symmetric(cfg: CocConfig, local_cid: u16, peer_cid: u16) -> Self {
-        CocChannel::new(cfg, local_cid, peer_cid, cfg.mtu, cfg.mps, cfg.initial_credits)
+        CocChannel::new(
+            cfg,
+            local_cid,
+            peer_cid,
+            cfg.mtu,
+            cfg.mps,
+            cfg.initial_credits,
+        )
     }
 
     /// Our CID (the one the peer addresses).

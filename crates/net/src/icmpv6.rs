@@ -289,6 +289,9 @@ mod tests {
     #[test]
     fn truncated_rejected() {
         let (s, d) = addrs();
-        assert_eq!(Icmpv6::decode(&s, &d, &[128, 0]), Err(CodecError::Truncated));
+        assert_eq!(
+            Icmpv6::decode(&s, &d, &[128, 0]),
+            Err(CodecError::Truncated)
+        );
     }
 }

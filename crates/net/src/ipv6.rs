@@ -122,7 +122,12 @@ impl Ipv6Header {
     }
 
     /// Build a complete datagram: header + payload.
-    pub fn build_packet(next_header: NextHeader, src: Ipv6Addr, dst: Ipv6Addr, payload: &[u8]) -> Vec<u8> {
+    pub fn build_packet(
+        next_header: NextHeader,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        payload: &[u8],
+    ) -> Vec<u8> {
         assert!(payload.len() <= u16::MAX as usize);
         let hdr = Ipv6Header::new(next_header, src, dst, payload.len() as u16);
         let mut out = Vec::with_capacity(IPV6_HEADER_LEN + payload.len());

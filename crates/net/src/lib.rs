@@ -28,8 +28,8 @@ mod stack;
 pub mod udp;
 
 pub use addr::Ipv6Addr;
-pub use link::{LinkService, LinkSignal, SignalLog, TxAdmission};
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
+pub use link::{LinkService, LinkSignal, SignalLog, TxAdmission};
 pub use neighbor::NeighborCache;
 pub use routing::RoutingTable;
 pub use stack::{Ipv6Stack, NetConfig, NetError, NetStats, StackEvent};

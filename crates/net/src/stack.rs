@@ -206,8 +206,7 @@ impl Ipv6Stack {
         }
         let ll = self.resolve_counted(&dst)?;
         let dgram = udp::encode(&self.cfg.addr, &dst, src_port, dst_port, payload);
-        let mut packet =
-            Ipv6Header::build_packet(NextHeader::Udp, self.cfg.addr, dst, &dgram);
+        let mut packet = Ipv6Header::build_packet(NextHeader::Udp, self.cfg.addr, dst, &dgram);
         packet[7] = self.cfg.hop_limit;
         self.stats.originated += 1;
         Ok((packet, ll))
@@ -228,8 +227,7 @@ impl Ipv6Stack {
             payload: payload.to_vec(),
         }
         .encode(&self.cfg.addr, &dst);
-        let mut packet =
-            Ipv6Header::build_packet(NextHeader::Icmpv6, self.cfg.addr, dst, &msg);
+        let mut packet = Ipv6Header::build_packet(NextHeader::Icmpv6, self.cfg.addr, dst, &msg);
         packet[7] = self.cfg.hop_limit;
         self.stats.originated += 1;
         Ok((packet, ll))
@@ -360,8 +358,7 @@ impl Ipv6Stack {
                     hdr.src,
                     Icmpv6::DestUnreachable {
                         code: 0,
-                        invoking: packet[..packet.len().min(crate::icmpv6::MAX_INVOKING)]
-                            .to_vec(),
+                        invoking: packet[..packet.len().min(crate::icmpv6::MAX_INVOKING)].to_vec(),
                     },
                 ));
                 evs
@@ -473,7 +470,12 @@ mod tests {
         a.routing_mut().add_host(c_addr, Ipv6Addr::of_node(2));
         let (pkt, _) = a.send_udp(c_addr, 1, 2, b"fw").unwrap();
         let evs = b.on_datagram(&pkt);
-        assert_eq!(evs, vec![StackEvent::Dropped { reason: "not_router" }]);
+        assert_eq!(
+            evs,
+            vec![StackEvent::Dropped {
+                reason: "not_router"
+            }]
+        );
     }
 
     #[test]
@@ -485,7 +487,12 @@ mod tests {
         let (mut pkt, _) = a.send_udp(c_addr, 1, 2, b"fw").unwrap();
         pkt[7] = 1; // about to expire
         let evs = b.on_datagram(&pkt);
-        assert!(matches!(evs[0], StackEvent::Dropped { reason: "hop_limit" }));
+        assert!(matches!(
+            evs[0],
+            StackEvent::Dropped {
+                reason: "hop_limit"
+            }
+        ));
         match &evs[1] {
             StackEvent::Transmit { packet, .. } => {
                 let h = Ipv6Header::decode(packet).unwrap();
@@ -520,19 +527,14 @@ mod tests {
         let mut g = [0u8; 16];
         g[0] = 0x20;
         g[15] = 9;
-        assert_eq!(
-            a.send_udp(Ipv6Addr(g), 1, 2, b"x"),
-            Err(NetError::NoRoute)
-        );
+        assert_eq!(a.send_udp(Ipv6Addr(g), 1, 2, b"x"), Err(NetError::NoRoute));
     }
 
     #[test]
     fn echo_request_answered() {
         let mut a = stack(1);
         let mut b = stack(2);
-        let (pkt, _) = a
-            .send_echo_request(b.addr(), 7, 1, b"probe")
-            .unwrap();
+        let (pkt, _) = a.send_echo_request(b.addr(), 7, 1, b"probe").unwrap();
         let evs = b.on_datagram(&pkt);
         let reply_pkt = match &evs[0] {
             StackEvent::Transmit { packet, .. } => packet.clone(),
@@ -569,7 +571,12 @@ mod tests {
         let n = pkt.len() - 1;
         pkt[n] ^= 0xFF;
         let evs = b.on_datagram(&pkt);
-        assert_eq!(evs, vec![StackEvent::Dropped { reason: "bad_checksum" }]);
+        assert_eq!(
+            evs,
+            vec![StackEvent::Dropped {
+                reason: "bad_checksum"
+            }]
+        );
     }
 
     #[test]

@@ -274,12 +274,7 @@ impl StackMetrics {
                 "frames",
                 "malformed/protocol-violating frames dropped",
             ),
-            l2cap_sdu_bytes: reg.histogram(
-                L2cap,
-                "l2cap_sdu_bytes",
-                "bytes",
-                "received SDU sizes",
-            ),
+            l2cap_sdu_bytes: reg.histogram(L2cap, "l2cap_sdu_bytes", "bytes", "received SDU sizes"),
             sixlowpan_frames_decoded: reg.counter(
                 Sixlowpan,
                 "sixlowpan_frames_decoded",
@@ -467,10 +462,30 @@ impl PeerMetrics {
     pub fn register(reg: &mut MetricsRegistry) -> Self {
         use Layer::*;
         PeerMetrics {
-            peer_sightings: reg.sampled(Ll, "ll_peer_sightings", "sightings", "adv sightings fed to policy"),
-            peer_discoveries: reg.sampled(Ll, "ll_peer_discoveries", "peers", "first-time discoveries"),
-            peer_attempts: reg.sampled(Ll, "ll_peer_attempts", "attempts", "connect attempts started"),
-            peer_successes: reg.sampled(Ll, "ll_peer_successes", "attempts", "attempts established"),
+            peer_sightings: reg.sampled(
+                Ll,
+                "ll_peer_sightings",
+                "sightings",
+                "adv sightings fed to policy",
+            ),
+            peer_discoveries: reg.sampled(
+                Ll,
+                "ll_peer_discoveries",
+                "peers",
+                "first-time discoveries",
+            ),
+            peer_attempts: reg.sampled(
+                Ll,
+                "ll_peer_attempts",
+                "attempts",
+                "connect attempts started",
+            ),
+            peer_successes: reg.sampled(
+                Ll,
+                "ll_peer_successes",
+                "attempts",
+                "attempts established",
+            ),
             peer_failures: reg.sampled(Ll, "ll_peer_failures", "attempts", "attempts failed"),
             peer_timeouts: reg.sampled(Ll, "ll_peer_timeouts", "attempts", "attempts timed out"),
             peer_rotations: reg.sampled(Ll, "ll_peer_rotations", "peers", "peers rotated away"),

@@ -235,7 +235,8 @@ impl MetricsRegistry {
             },
             base,
         ));
-        self.hist_sums.resize(self.hist_sums.len() + self.n_nodes, 0);
+        self.hist_sums
+            .resize(self.hist_sums.len() + self.n_nodes, 0);
         self.hist_buckets
             .resize(self.hist_buckets.len() + self.n_nodes * HIST_BUCKETS, 0);
         HistId(base)
@@ -304,8 +305,7 @@ impl MetricsRegistry {
         {
             let bucket = bucket_of(v);
             let hist = id.0 as usize;
-            self.hist_buckets
-                [(hist + node.index()) * HIST_BUCKETS + bucket] += 1;
+            self.hist_buckets[(hist + node.index()) * HIST_BUCKETS + bucket] += 1;
             self.hist_sums[hist + node.index()] += v;
         }
         #[cfg(feature = "off")]
@@ -447,7 +447,9 @@ impl MetricsSnapshot {
                     out.push((format!("{prefix}{}", e.def.name), e.total()));
                 }
                 SnapValue::Histogram {
-                    per_node_count, sum, ..
+                    per_node_count,
+                    sum,
+                    ..
                 } => {
                     let count: u64 = per_node_count.iter().sum();
                     out.push((format!("{prefix}{}.count", e.def.name), count as f64));
@@ -499,10 +501,7 @@ impl MetricsSnapshot {
                     }
                     for (b, v) in buckets.iter().enumerate() {
                         if *v > 0 {
-                            s.push_str(&format!(
-                                "{head},bucket_ge_{},{v}\n",
-                                bucket_floor(b)
-                            ));
+                            s.push_str(&format!("{head},bucket_ge_{},{v}\n", bucket_floor(b)));
                         }
                     }
                     s.push_str(&format!("{head},sum,{sum}\n"));

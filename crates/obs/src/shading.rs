@@ -115,7 +115,7 @@ pub fn find_overlap_windows(samples: &[AnchorSample], overlap_ns: u64) -> Vec<Ov
     // Per (node, conn): latest anchor + interval + sample time, in
     // first-seen order so output order is deterministic.
     let mut latest: Vec<(u16, u64, u64, u64, u64)> = Vec::new(); // node, conn, anchor, interval, t
-    // Open windows per (node, conn_a, conn_b).
+                                                                 // Open windows per (node, conn_a, conn_b).
     let mut open: Vec<OverlapWindow> = Vec::new();
     let mut done: Vec<OverlapWindow> = Vec::new();
 

@@ -305,31 +305,21 @@ impl Timeline {
                     interval_ns,
                     ..
                 } => (Some(conn), Some(peer.0 as u64), Some(interval_ns)),
-                Span::ConnDown { conn, peer, .. } => {
-                    (Some(conn), Some(peer.0 as u64), None)
-                }
+                Span::ConnDown { conn, peer, .. } => (Some(conn), Some(peer.0 as u64), None),
                 Span::EventSkipped { conn } => (Some(conn), None, None),
-                Span::ChannelMapUpdate { conn, used } => {
-                    (Some(conn), Some(used as u64), None)
-                }
+                Span::ChannelMapUpdate { conn, used } => (Some(conn), Some(used as u64), None),
                 Span::ConnParamUpdate { conn, interval_ns } => {
                     (Some(conn), Some(interval_ns), None)
                 }
-                Span::CreditStall { conn, queued_bytes } => {
-                    (Some(conn), Some(queued_bytes), None)
-                }
-                Span::RplParentSwitch { old, new } => {
-                    (None, Some(old as u64), Some(new as u64))
-                }
+                Span::CreditStall { conn, queued_bytes } => (Some(conn), Some(queued_bytes), None),
+                Span::RplParentSwitch { old, new } => (None, Some(old as u64), Some(new as u64)),
                 Span::MbufExhausted { conn } => (Some(conn), None, None),
                 Span::Fault { a, b, .. } => (
                     None,
                     (a != u64::MAX).then_some(a),
                     (b != u64::MAX).then_some(b),
                 ),
-                Span::AdvTrain { seq, queued, .. } => {
-                    (None, Some(seq as u64), Some(queued as u64))
-                }
+                Span::AdvTrain { seq, queued, .. } => (None, Some(seq as u64), Some(queued as u64)),
                 Span::ScanWindow { channel } => (None, Some(channel as u64), None),
                 Span::AdvDuplicate { advertiser, seq } => {
                     (None, Some(advertiser as u64), Some(seq as u64))
@@ -337,9 +327,7 @@ impl Timeline {
                 Span::NeighborUp { peer } => (None, Some(peer.0 as u64), None),
                 Span::NeighborDown { peer } => (None, Some(peer.0 as u64), None),
                 Span::Discovery { peer } => (None, Some(peer.0 as u64), None),
-                Span::PeerAttempt { conn, peer } => {
-                    (Some(conn), Some(peer.0 as u64), None)
-                }
+                Span::PeerAttempt { conn, peer } => (Some(conn), Some(peer.0 as u64), None),
                 Span::PeerAttemptFail { peer, timeout } => {
                     (None, Some(peer.0 as u64), Some(timeout as u64))
                 }
@@ -492,7 +480,10 @@ mod tests {
             "{\"t_ns\":9000000,\"node\":3,\"kind\":\"fault_node_crash\",\"a\":3,\"b\":10000000000}\n"
         );
         let csv = tl.to_csv();
-        assert!(csv.ends_with("9000000,3,fault_node_crash,,3,10000000000\n"), "{csv}");
+        assert!(
+            csv.ends_with("9000000,3,fault_node_crash,,3,10000000000\n"),
+            "{csv}"
+        );
     }
 
     #[test]

@@ -311,7 +311,8 @@ impl PeerManager {
         // signal) or mid-attempt toward them.
         let stale_before = now.checked_since(Instant::ZERO).map(|since_start| {
             if since_start.nanos() > self.cfg.stale_after.nanos() {
-                Instant::ZERO + Duration::from_nanos(since_start.nanos() - self.cfg.stale_after.nanos())
+                Instant::ZERO
+                    + Duration::from_nanos(since_start.nanos() - self.cfg.stale_after.nanos())
             } else {
                 Instant::ZERO
             }
@@ -530,10 +531,7 @@ mod tests {
         let mut pm = mgr();
         pm.on_sighting(t(1), NodeId(9), -70.0);
         pm.on_sighting(t(1), NodeId(4), -70.0);
-        assert_eq!(
-            pm.tick(t(1)),
-            vec![PeerAction::Connect { peer: NodeId(4) }]
-        );
+        assert_eq!(pm.tick(t(1)), vec![PeerAction::Connect { peer: NodeId(4) }]);
     }
 
     #[test]

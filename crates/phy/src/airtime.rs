@@ -57,7 +57,10 @@ pub fn ble_data_2m(payload_len: u32) -> Duration {
 /// Airtime of a BLE advertising PDU with `payload_len` bytes of
 /// advertising data (AdvA 6 B + AD payload).
 pub fn ble_adv_1m(payload_len: u32) -> Duration {
-    debug_assert!(payload_len <= 31, "legacy advertising payload limit is 31 B");
+    debug_assert!(
+        payload_len <= 31,
+        "legacy advertising payload limit is 31 B"
+    );
     Duration::from_micros(((BLE_1M_OVERHEAD_BYTES + 6 + payload_len) * 8) as u64)
 }
 
@@ -102,7 +105,9 @@ pub fn ieee802154_frame(psdu_len: u32) -> Duration {
         psdu_len <= IEEE802154_MAX_PSDU,
         "PSDU {psdu_len} exceeds 127 B"
     );
-    Duration::from_micros(((IEEE802154_PHY_OVERHEAD_BYTES + psdu_len) as u64) * IEEE802154_US_PER_BYTE)
+    Duration::from_micros(
+        ((IEEE802154_PHY_OVERHEAD_BYTES + psdu_len) as u64) * IEEE802154_US_PER_BYTE,
+    )
 }
 
 /// Airtime of an 802.15.4 immediate acknowledgement frame (5 B PSDU).
@@ -152,7 +157,10 @@ mod tests {
         // frame fits in one extended-advertising PDU at ~1 ms on air.
         assert_eq!(ble_adv_ext_1m(100), Duration::from_micros(960));
         // Largest PDU stays close to a full DLE data PDU.
-        assert_eq!(ble_adv_ext_1m(BLE_EXT_ADV_MAX_PAYLOAD), Duration::from_micros(2120));
+        assert_eq!(
+            ble_adv_ext_1m(BLE_EXT_ADV_MAX_PAYLOAD),
+            Duration::from_micros(2120)
+        );
     }
 
     #[test]

@@ -36,8 +36,14 @@ pub const BLE_JAMMED_CHANNEL: u8 = 22;
 impl Channel {
     /// A BLE data channel (index 0–36).
     pub fn ble_data(index: u8) -> Self {
-        assert!(index < BLE_DATA_CHANNELS, "BLE data channel {index} out of range");
-        Channel { band: Band::Ble, index }
+        assert!(
+            index < BLE_DATA_CHANNELS,
+            "BLE data channel {index} out of range"
+        );
+        Channel {
+            band: Band::Ble,
+            index,
+        }
     }
 
     /// A BLE advertising channel (index 37–39).
@@ -46,12 +52,18 @@ impl Channel {
             (BLE_ADV_FIRST..40).contains(&index),
             "BLE advertising channel {index} out of range"
         );
-        Channel { band: Band::Ble, index }
+        Channel {
+            band: Band::Ble,
+            index,
+        }
     }
 
     /// An IEEE 802.15.4 channel (11–26).
     pub fn ieee802154(index: u8) -> Self {
-        assert!((11..=26).contains(&index), "802.15.4 channel {index} out of range");
+        assert!(
+            (11..=26).contains(&index),
+            "802.15.4 channel {index} out of range"
+        );
         Channel {
             band: Band::Ieee802154,
             index,

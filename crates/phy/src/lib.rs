@@ -42,5 +42,5 @@ pub use channel::{
     CHANNEL_TABLE_SIZE,
 };
 pub use loss::{GilbertElliott, LossConfig, NoiseModel, PathLossConfig};
-pub use mobility::{Mobility, MobilityModel};
 pub use medium::{Medium, MediumConfig, RxOutcome, TxId, TxParams};
+pub use mobility::{Mobility, MobilityModel};

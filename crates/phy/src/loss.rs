@@ -210,9 +210,7 @@ impl NoiseModel {
         NoiseModel {
             store: LinkStore::Dense(
                 (0..n_nodes * n_nodes)
-                    .map(|i| {
-                        LinkState::new(cfg, seed, (i / n_nodes) as u16, (i % n_nodes) as u16)
-                    })
+                    .map(|i| LinkState::new(cfg, seed, (i / n_nodes) as u16, (i % n_nodes) as u16))
                     .collect(),
             ),
             cfg,
@@ -292,11 +290,9 @@ impl NoiseModel {
                 let row = &col[row_start[src] as usize..row_start[src + 1] as usize];
                 match row.binary_search(&(dst as u16)) {
                     Ok(i) => &mut state[row_start[src] as usize + i],
-                    Err(_) => overflow
-                        .entry((src as u16, dst as u16))
-                        .or_insert_with(|| {
-                            LinkState::new(self.cfg, self.seed, src as u16, dst as u16)
-                        }),
+                    Err(_) => overflow.entry((src as u16, dst as u16)).or_insert_with(|| {
+                        LinkState::new(self.cfg, self.seed, src as u16, dst as u16)
+                    }),
                 }
             }
         }
@@ -717,12 +713,9 @@ mod tests {
         assert_ne!(pl.shadow_db(42, 3, 7), pl.shadow_db(43, 3, 7));
         assert_ne!(pl.shadow_db(42, 3, 7), pl.shadow_db(42, 3, 8));
         // Roughly zero-mean, roughly the configured sigma.
-        let draws: Vec<f64> = (0..500u16)
-            .map(|i| pl.shadow_db(42, i, i + 1))
-            .collect();
+        let draws: Vec<f64> = (0..500u16).map(|i| pl.shadow_db(42, i, i + 1)).collect();
         let mean = draws.iter().sum::<f64>() / draws.len() as f64;
-        let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>()
-            / draws.len() as f64;
+        let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / draws.len() as f64;
         assert!(mean.abs() < 0.3, "mean {mean}");
         assert!((var.sqrt() - 2.0).abs() < 0.5, "sigma {}", var.sqrt());
     }

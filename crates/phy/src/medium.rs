@@ -38,9 +38,9 @@
 
 use crate::channel::{Channel, CHANNEL_TABLE_SIZE};
 use crate::loss::{LossConfig, NoiseModel};
-use mindgap_sim::{Duration, Instant, NodeId};
 #[cfg(test)]
 use mindgap_sim::Rng;
+use mindgap_sim::{Duration, Instant, NodeId};
 
 /// Handle to an in-flight transmission.
 ///
@@ -383,7 +383,10 @@ impl Medium {
         {
             return RxOutcome::Collision;
         }
-        if self.noise.frame_lost(src.index(), listener.index(), channel) {
+        if self
+            .noise
+            .frame_lost(src.index(), listener.index(), channel)
+        {
             return RxOutcome::ChannelError;
         }
         RxOutcome::Ok
@@ -567,8 +570,7 @@ mod tests {
         // handle must not resolve to it.
         let b = m.begin_tx(tx(1, 5, 2000, 10));
         assert_ne!(a, b);
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.finish_tx(a, &[])));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.finish_tx(a, &[])));
         assert!(caught.is_err(), "stale TxId must panic");
     }
 
@@ -737,8 +739,7 @@ mod tests {
         // Drain the rest, oldest first.
         open.sort_by_key(|&(_, _, e)| e);
         for (mid, rid, _) in open {
-            let listeners: Vec<NodeId> =
-                (0..n).filter(|_| fuzz.chance(0.25)).map(NodeId).collect();
+            let listeners: Vec<NodeId> = (0..n).filter(|_| fuzz.chance(0.25)).map(NodeId).collect();
             assert_eq!(m.finish_tx(mid, &listeners), r.finish(rid, &listeners));
         }
         assert_eq!(m.in_flight(), 0);

@@ -291,9 +291,7 @@ mod tests {
         let moved = start
             .iter()
             .zip(m.positions())
-            .filter(|(&(ax, ay), &(bx, by))| {
-                ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt() > 1.0
-            })
+            .filter(|(&(ax, ay), &(bx, by))| ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt() > 1.0)
             .count();
         assert!(moved >= 20, "only {moved}/25 nodes moved");
     }

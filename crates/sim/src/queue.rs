@@ -233,7 +233,11 @@ impl<E> EventQueue<E> {
     /// keys fall back to insertion order. Unkeyed events carry key 0
     /// and therefore fire before any keyed event at the same instant.
     pub fn schedule_at_keyed(&mut self, at: Instant, key: u32, payload: E) -> ScheduledEvent {
-        debug_assert!(at >= self.now, "scheduling in the past: {at} < {}", self.now);
+        debug_assert!(
+            at >= self.now,
+            "scheduling in the past: {at} < {}",
+            self.now
+        );
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -423,7 +427,8 @@ impl<E> EventQueue<E> {
     }
 
     fn sort_front(&mut self) {
-        self.front.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        self.front
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
     }
 
     fn wheel_push(&mut self, bucket: u64, mut entry: Entry) {
@@ -700,7 +705,14 @@ mod tests {
         let mut q = EventQueue::new();
         let t = Instant::from_millis(5);
         // Insert in scrambled key order, with two entries per key.
-        for (key, tag) in [(3u32, "c0"), (1, "a0"), (2, "b0"), (1, "a1"), (3, "c1"), (2, "b1")] {
+        for (key, tag) in [
+            (3u32, "c0"),
+            (1, "a0"),
+            (2, "b0"),
+            (1, "a1"),
+            (3, "c1"),
+            (2, "b1"),
+        ] {
             q.schedule_at_keyed(t, key, tag);
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -812,7 +824,10 @@ mod tests {
         let cancelled = expected.len() - popped.len();
         assert!(cancelled > 0, "stress must exercise cancellation");
         // No duplicates: sorted pops are strictly increasing.
-        assert!(popped.windows(2).all(|w| w[0] < w[1]), "no event pops twice");
+        assert!(
+            popped.windows(2).all(|w| w[0] < w[1]),
+            "no event pops twice"
+        );
     }
 
     #[test]
@@ -848,7 +863,10 @@ mod tests {
         for tok in kill {
             q.cancel(tok); // triggers compaction on the way
         }
-        assert!(q.raw_len() < 1000, "compaction should have shrunk the queue");
+        assert!(
+            q.raw_len() < 1000,
+            "compaction should have shrunk the queue"
+        );
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, keep);
     }

@@ -39,7 +39,10 @@ pub fn is_fragment(frame: &[u8]) -> bool {
 /// (headers included). Panics on a datagram too large for the size
 /// field or an MTU too small to make progress.
 pub fn fragment(datagram: &[u8], tag: u16, link_mtu: usize) -> Vec<Vec<u8>> {
-    assert!(datagram.len() <= MAX_DATAGRAM, "datagram too large to fragment");
+    assert!(
+        datagram.len() <= MAX_DATAGRAM,
+        "datagram too large to fragment"
+    );
     assert!(
         link_mtu > FRAGN_HDR + OFFSET_UNIT,
         "link MTU {link_mtu} cannot carry fragments"
@@ -319,7 +322,10 @@ mod tests {
     #[test]
     fn non_fragment_dispatch_rejected() {
         let mut r = Reassembler::new(1_000_000);
-        assert_eq!(r.on_fragment(1, &[0x60, 0, 0, 0], 0), Err(Error::Unsupported));
+        assert_eq!(
+            r.on_fragment(1, &[0x60, 0, 0, 0], 0),
+            Err(Error::Unsupported)
+        );
         assert!(!is_fragment(&[0x60]));
     }
 

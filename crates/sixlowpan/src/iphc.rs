@@ -166,7 +166,11 @@ pub fn compress(packet: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
         (0, bits, inline)
     };
 
-    let sam_bits = if unspecified { 0b00 } else { addr_mode_bits(&sam_mode) };
+    let sam_bits = if unspecified {
+        0b00
+    } else {
+        addr_mode_bits(&sam_mode)
+    };
 
     let byte1 = DISPATCH_IPHC | (tf_bits << 3) | (nh_bit << 2) | hlim_bits;
     let byte2 = (sac << 6) | (sam_bits << 4) | (m_bit << 3) | dam_bits;
@@ -294,12 +298,18 @@ pub fn decompress(frame: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
     let (traffic_class, flow_label) = match tf {
         0b00 => {
             let b = r.take(4)?;
-            (b[0], ((b[1] as u32 & 0x0F) << 16) | ((b[2] as u32) << 8) | b[3] as u32)
+            (
+                b[0],
+                ((b[1] as u32 & 0x0F) << 16) | ((b[2] as u32) << 8) | b[3] as u32,
+            )
         }
         0b01 => {
             let b = r.take(3)?;
             // ECN in top 2 bits, DSCP elided.
-            (b[0] & 0xC0, ((b[0] as u32 & 0x0F) << 16) | ((b[1] as u32) << 8) | b[2] as u32)
+            (
+                b[0] & 0xC0,
+                ((b[0] as u32 & 0x0F) << 16) | ((b[1] as u32) << 8) | b[2] as u32,
+            )
         }
         0b10 => (r.byte()?, 0),
         _ => (0, 0),
@@ -541,7 +551,15 @@ mod tests {
         src[12] = 0xfe;
         src[14] = 0x12;
         src[15] = 0x34;
-        let p = ipv6(0, 0, 59, 64, src, LlAddr::from_node_index(2).link_local(), b"z");
+        let p = ipv6(
+            0,
+            0,
+            59,
+            64,
+            src,
+            LlAddr::from_node_index(2).link_local(),
+            b"z",
+        );
         let (clen, d) = roundtrip(&p);
         assert_eq!(d, p);
         // 2 IPHC + 1 NH + 2 src + 0 dst + 1 payload
@@ -574,7 +592,15 @@ mod tests {
         src[0] = 0xfe;
         src[1] = 0x80;
         src[8..].copy_from_slice(&[0xAA, 0xBB, 0xCC, 0xDD, 0xEE, 0xFF, 0x11, 0x22]);
-        let p = ipv6(0, 0, 59, 64, src, LlAddr::from_node_index(2).link_local(), b"z");
+        let p = ipv6(
+            0,
+            0,
+            59,
+            64,
+            src,
+            LlAddr::from_node_index(2).link_local(),
+            b"z",
+        );
         let (clen, d) = roundtrip(&p);
         assert_eq!(d, p);
         assert_eq!(clen, 2 + 1 + 8 + 1);
@@ -608,7 +634,15 @@ mod tests {
         dst[1] = 0x05;
         dst[13] = 0x01;
         dst[15] = 0x03;
-        let p = ipv6(0, 0, 59, 64, LlAddr::from_node_index(1).link_local(), dst, b"");
+        let p = ipv6(
+            0,
+            0,
+            59,
+            64,
+            LlAddr::from_node_index(1).link_local(),
+            dst,
+            b"",
+        );
         let (_, d) = roundtrip(&p);
         assert_eq!(d, p);
         // 48-bit form.
@@ -617,13 +651,29 @@ mod tests {
         dst2[1] = 0x08;
         dst2[11] = 0xAA;
         dst2[15] = 0x01;
-        let p2 = ipv6(0, 0, 59, 64, LlAddr::from_node_index(1).link_local(), dst2, b"");
+        let p2 = ipv6(
+            0,
+            0,
+            59,
+            64,
+            LlAddr::from_node_index(1).link_local(),
+            dst2,
+            b"",
+        );
         let (_, d2) = roundtrip(&p2);
         assert_eq!(d2, p2);
         // Full 128-bit multicast.
         let mut dst3 = [0xEEu8; 16];
         dst3[0] = 0xff;
-        let p3 = ipv6(0, 0, 59, 64, LlAddr::from_node_index(1).link_local(), dst3, b"");
+        let p3 = ipv6(
+            0,
+            0,
+            59,
+            64,
+            LlAddr::from_node_index(1).link_local(),
+            dst3,
+            b"",
+        );
         let (_, d3) = roundtrip(&p3);
         assert_eq!(d3, p3);
     }

@@ -10,8 +10,8 @@
 use mindgap_chaos::recovery::FaultRecovery;
 use mindgap_chaos::FaultSchedule;
 use mindgap_core::{
-    AdvConfig, AppConfig, IeeeConfig, IntervalPolicy, MobilityModel, NodeConfig,
-    PeerConfig, PeersWorldConfig, Records, TransportMode, World, WorldConfig,
+    AdvConfig, AppConfig, IeeeConfig, IntervalPolicy, MobilityModel, NodeConfig, PeerConfig,
+    PeersWorldConfig, Records, TransportMode, World, WorldConfig,
 };
 use mindgap_sim::{Duration, Instant, NodeId};
 
@@ -518,7 +518,11 @@ mod tests {
         )
         .with_duration(Duration::from_secs(60));
         let res = run_ble(&spec);
-        assert!(res.records.total_sent() > 500, "{}", res.records.total_sent());
+        assert!(
+            res.records.total_sent() > 500,
+            "{}",
+            res.records.total_sent()
+        );
         assert!(
             res.records.coap_pdr() > 0.95,
             "tree PDR {}",
@@ -542,7 +546,11 @@ mod tests {
         .with_duration(Duration::from_secs(120));
         let res = run_ble(&spec);
         assert!(res.label.starts_with("geo60"), "{}", res.label);
-        assert!(res.records.total_sent() > 200, "{}", res.records.total_sent());
+        assert!(
+            res.records.total_sent() > 200,
+            "{}",
+            res.records.total_sent()
+        );
         assert!(
             res.records.coap_pdr() > 0.7,
             "mesh PDR {}",
@@ -591,7 +599,11 @@ mod tests {
         .with_adv_transport();
         let res = run_ble(&spec);
         assert!(res.label.contains("adv"), "{}", res.label);
-        assert!(res.records.total_sent() > 50, "{}", res.records.total_sent());
+        assert!(
+            res.records.total_sent() > 50,
+            "{}",
+            res.records.total_sent()
+        );
         assert!(
             res.records.coap_pdr() > 0.5,
             "adv line PDR {}",
@@ -609,7 +621,11 @@ mod tests {
         .with_duration(Duration::from_secs(60))
         .with_adv_transport();
         let res = run_ble(&spec);
-        assert!(res.records.total_sent() > 100, "{}", res.records.total_sent());
+        assert!(
+            res.records.total_sent() > 100,
+            "{}",
+            res.records.total_sent()
+        );
         assert!(
             res.records.coap_pdr() > 0.5,
             "adv tree PDR {}",
@@ -626,7 +642,12 @@ mod tests {
         )
         .with_duration(Duration::from_secs(60));
         let clean = run_ble(&base);
-        let lossy = run_ble(&base.clone().with_link_per(0, 1, 0.6).with_link_per(1, 2, 0.6));
+        let lossy = run_ble(
+            &base
+                .clone()
+                .with_link_per(0, 1, 0.6)
+                .with_link_per(1, 2, 0.6),
+        );
         assert!(
             lossy.records.ll_attempts() > clean.records.ll_attempts(),
             "loss must force LL retransmissions ({} vs {})",
@@ -672,7 +693,11 @@ mod tests {
             conv < 120.0,
             "DODAG took {conv} s to cover 50 nodes (warmup is 120 s)"
         );
-        assert!(res.records.total_sent() > 100, "{}", res.records.total_sent());
+        assert!(
+            res.records.total_sent() > 100,
+            "{}",
+            res.records.total_sent()
+        );
         assert!(
             res.records.coap_pdr() > 0.5,
             "PDR under churn collapsed: {}",
@@ -748,7 +773,11 @@ mod tests {
         let cases = [
             ("mesh", mesh),
             ("peers", base.clone().with_peers()),
-            ("faults", base.clone().with_faults(mindgap_chaos::FaultSchedule::new())),
+            (
+                "faults",
+                base.clone()
+                    .with_faults(mindgap_chaos::FaultSchedule::new()),
+            ),
             ("link_per", base.clone().with_link_per(0, 1, 0.5)),
             ("transport", base.clone().with_adv_transport()),
             ("dynamic_routing", routed),
@@ -757,10 +786,7 @@ mod tests {
             let err = std::panic::catch_unwind(|| run_ieee(&spec))
                 .err()
                 .unwrap_or_else(|| panic!("run_ieee accepted `{field}`"));
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(
                 msg.ends_with(&format!("ExperimentSpec::{field}")),
                 "`{field}` spec panicked with {msg:?}"

@@ -111,9 +111,7 @@ mod tests {
         // Known sample: 1..5 has sample variance 2.5.
         let v = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert!((std_dev(&v).unwrap() - 2.5f64.sqrt()).abs() < 1e-12);
-        assert!(
-            (ci95_half_width(&v).unwrap() - 1.96 * 2.5f64.sqrt() / 5f64.sqrt()).abs() < 1e-12
-        );
+        assert!((ci95_half_width(&v).unwrap() - 1.96 * 2.5f64.sqrt() / 5f64.sqrt()).abs() < 1e-12);
         assert_eq!(std_dev(&[1.0]), None);
         assert_eq!(ci95_half_width(&[]), None);
     }

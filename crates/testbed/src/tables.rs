@@ -138,9 +138,7 @@ pub const TABLE2: [Implementation; 4] = [
 
 /// Render Table 1 for the terminal.
 pub fn render_table1() -> String {
-    let mut out = String::from(
-        "Table 1: Comparison of common IoT radios (● high … ○ low)\n\n",
-    );
+    let mut out = String::from("Table 1: Comparison of common IoT radios (● high … ○ low)\n\n");
     out.push_str(&format!(
         "{:<22}{:>12}{:>8}{:>12}{:>19}{:>14}\n",
         "Radio", "Throughput", "Range", "Node count", "Energy efficiency", "Availability"

@@ -76,7 +76,16 @@ pub fn measure_single_link_cfg(
     {
         let mut outs = Vec::new();
         lls[1].start_advertising(Instant::ZERO, &mut outs);
-        apply(&mut queue, &mut medium, &mut inflight, &mut next_tx, &mut listening, NodeId(1), &mut outs, &mut connected);
+        apply(
+            &mut queue,
+            &mut medium,
+            &mut inflight,
+            &mut next_tx,
+            &mut listening,
+            NodeId(1),
+            &mut outs,
+            &mut connected,
+        );
         lls[0].start_scanning(
             Instant::ZERO,
             NodeId(1),
@@ -84,7 +93,16 @@ pub fn measure_single_link_cfg(
             ConnParams::with_interval(interval),
             &mut outs,
         );
-        apply(&mut queue, &mut medium, &mut inflight, &mut next_tx, &mut listening, NodeId(0), &mut outs, &mut connected);
+        apply(
+            &mut queue,
+            &mut medium,
+            &mut inflight,
+            &mut next_tx,
+            &mut listening,
+            NodeId(0),
+            &mut outs,
+            &mut connected,
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -124,13 +142,18 @@ pub fn measure_single_link_cfg(
                     });
                     queue.schedule_at(now + airtime, Ev::TxEnd(id));
                 }
-                Output::Listen { channel, until, tag } => {
+                Output::Listen {
+                    channel,
+                    until,
+                    tag,
+                } => {
                     listening[node.index()] = Some((tag, channel, now, until));
                 }
                 Output::ListenOff { tag }
-                    if listening[node.index()].map(|(t, ..)| t) == Some(tag) => {
-                        listening[node.index()] = None;
-                    }
+                    if listening[node.index()].map(|(t, ..)| t) == Some(tag) =>
+                {
+                    listening[node.index()] = None;
+                }
                 Output::ConnUp { .. } => *connected += 1,
                 _ => {}
             }
@@ -151,7 +174,16 @@ pub fn measure_single_link_cfg(
             Ev::Timer(node, timer) => {
                 let mut outs = Vec::new();
                 lls[node.index()].on_timer(now, timer, &mut outs);
-                apply(queue, medium, inflight, &mut next_tx, listening, node, &mut outs, connected);
+                apply(
+                    queue,
+                    medium,
+                    inflight,
+                    &mut next_tx,
+                    listening,
+                    node,
+                    &mut outs,
+                    connected,
+                );
             }
             Ev::TxEnd(id) => {
                 let idx = inflight.iter().position(|f| f.id == id).expect("tracked");
@@ -169,11 +201,29 @@ pub fn measure_single_link_cfg(
                 for (listener, outcome) in medium.finish_tx(fl.tx, &listeners) {
                     if outcome.is_ok() {
                         lls[listener.index()].on_frame_rx(now, &fl.frame, fl.channel, &mut outs);
-                        apply(queue, medium, inflight, &mut next_tx, listening, listener, &mut outs, connected);
+                        apply(
+                            queue,
+                            medium,
+                            inflight,
+                            &mut next_tx,
+                            listening,
+                            listener,
+                            &mut outs,
+                            connected,
+                        );
                     }
                 }
                 lls[fl.src.index()].on_tx_done(now, &fl.frame, &mut outs);
-                apply(queue, medium, inflight, &mut next_tx, listening, fl.src, &mut outs, connected);
+                apply(
+                    queue,
+                    medium,
+                    inflight,
+                    &mut next_tx,
+                    listening,
+                    fl.src,
+                    &mut outs,
+                    connected,
+                );
             }
         }
         true
@@ -185,7 +235,14 @@ pub fn measure_single_link_cfg(
             queue.now() < Instant::from_secs(30),
             "link failed to form for throughput test"
         );
-        if !step(&mut queue, &mut medium, &mut lls, &mut listening, &mut inflight, &mut connected) {
+        if !step(
+            &mut queue,
+            &mut medium,
+            &mut lls,
+            &mut listening,
+            &mut inflight,
+            &mut connected,
+        ) {
             panic!("queue drained before connection");
         }
     }
@@ -193,7 +250,14 @@ pub fn measure_single_link_cfg(
     let start = queue.now() + Duration::from_millis(200);
     while queue.now() < start {
         refill(&mut lls[0], conn, pdu_len);
-        if !step(&mut queue, &mut medium, &mut lls, &mut listening, &mut inflight, &mut connected) {
+        if !step(
+            &mut queue,
+            &mut medium,
+            &mut lls,
+            &mut listening,
+            &mut inflight,
+            &mut connected,
+        ) {
             break;
         }
     }
@@ -201,7 +265,14 @@ pub fn measure_single_link_cfg(
     let end = start + span;
     while queue.now() < end {
         refill(&mut lls[0], conn, pdu_len);
-        if !step(&mut queue, &mut medium, &mut lls, &mut listening, &mut inflight, &mut connected) {
+        if !step(
+            &mut queue,
+            &mut medium,
+            &mut lls,
+            &mut listening,
+            &mut inflight,
+            &mut connected,
+        ) {
             break;
         }
     }
@@ -227,12 +298,7 @@ mod tests {
 
     #[test]
     fn throughput_near_paper_value() {
-        let r = measure_single_link(
-            7,
-            Duration::from_millis(75),
-            247,
-            Duration::from_secs(5),
-        );
+        let r = measure_single_link(7, Duration::from_millis(75), 247, Duration::from_secs(5));
         assert!(
             (380.0..650.0).contains(&r.kbps),
             "throughput {:.0} kbps",
@@ -267,6 +333,11 @@ mod tests {
     fn small_pdus_cost_throughput() {
         let big = measure_single_link(7, Duration::from_millis(75), 247, Duration::from_secs(3));
         let small = measure_single_link(7, Duration::from_millis(75), 27, Duration::from_secs(3));
-        assert!(big.kbps > 2.0 * small.kbps, "{} vs {}", big.kbps, small.kbps);
+        assert!(
+            big.kbps > 2.0 * small.kbps,
+            "{} vs {}",
+            big.kbps,
+            small.kbps
+        );
     }
 }

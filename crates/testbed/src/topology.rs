@@ -184,10 +184,7 @@ impl Topology {
                     }
                     let nh = self.next_hop(i, dst);
                     if nh != dst {
-                        routes.push((
-                            Ipv6Addr::of_node(dst as u16),
-                            Ipv6Addr::of_node(nh as u16),
-                        ));
+                        routes.push((Ipv6Addr::of_node(dst as u16), Ipv6Addr::of_node(nh as u16)));
                     }
                 }
                 NodeConfig { edges, routes }
@@ -247,7 +244,12 @@ mod tests {
         assert_eq!(t.len(), 15);
         assert_eq!(t.producers().len(), 14);
         assert!((t.mean_hops() - 2.142).abs() < 0.01, "{}", t.mean_hops());
-        let max = t.producers().iter().map(|p| t.hops(p.index())).max().unwrap();
+        let max = t
+            .producers()
+            .iter()
+            .map(|p| t.hops(p.index()))
+            .max()
+            .unwrap();
         assert_eq!(max, 3);
         // Fig. 12: the consumer subordinates exactly three connections.
         assert_eq!(t.children(0).len(), 3);

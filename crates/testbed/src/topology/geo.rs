@@ -106,7 +106,13 @@ impl MeshTopology {
     /// A building floorplan: `rooms_x × rooms_y` rooms of `room_m`
     /// metres a side, `per_room` nodes jittered inside each room. The
     /// consumer (node 0) sits at the building corner in room (0, 0).
-    pub fn building(rooms_x: usize, rooms_y: usize, room_m: f64, per_room: usize, seed: u64) -> Self {
+    pub fn building(
+        rooms_x: usize,
+        rooms_y: usize,
+        room_m: f64,
+        per_room: usize,
+        seed: u64,
+    ) -> Self {
         assert!(rooms_x >= 1 && rooms_y >= 1 && per_room >= 1);
         assert!(
             room_m > 0.0 && room_m * 1.5 <= PathLossConfig::default().link_range_m(),
@@ -260,7 +266,8 @@ fn radio_links(positions: &[(f64, f64)], seed: u64) -> Vec<(u16, u16)> {
     let max_link_m = path_loss.link_range_m();
     let cell = max_link_m.max(1e-9);
     let key = |x: f64, y: f64| ((x / cell).floor() as i64, (y / cell).floor() as i64);
-    let mut grid: std::collections::HashMap<(i64, i64), Vec<u16>> = std::collections::HashMap::new();
+    let mut grid: std::collections::HashMap<(i64, i64), Vec<u16>> =
+        std::collections::HashMap::new();
     for (i, &(x, y)) in positions.iter().enumerate() {
         grid.entry(key(x, y)).or_default().push(i as u16);
     }

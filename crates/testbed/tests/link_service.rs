@@ -103,8 +103,7 @@ fn check_signal_contract(world: &World, n_nodes: u16) {
         peers.sort_unstable_by_key(|p| p.0);
         peers.dedup();
         for peer in peers {
-            let per_peer: Vec<&LinkSignal> =
-                signals.iter().filter(|s| s.peer() == peer).collect();
+            let per_peer: Vec<&LinkSignal> = signals.iter().filter(|s| s.peer() == peer).collect();
             assert!(
                 per_peer[0].is_up(),
                 "node {i}: first signal for {peer:?} must be Up, log {per_peer:?}"

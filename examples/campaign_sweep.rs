@@ -54,7 +54,10 @@ fn main() {
         report.cached(),
         report.failures().len()
     );
-    println!("{:>10} {:>3} {:>22} {:>22}", "conn itvl", "n", "CoAP PDR (mean±CI95)", "LL PDR (mean±CI95)");
+    println!(
+        "{:>10} {:>3} {:>22} {:>22}",
+        "conn itvl", "n", "CoAP PDR (mean±CI95)", "LL PDR (mean±CI95)"
+    );
     for ms in conn_ms {
         let config = format!("conn={ms}");
         let coap = campaign::summarize_metric(&report, &config, keys::COAP_PDR);

@@ -81,7 +81,10 @@ fn main() {
     let mesh = MeshTopology::random_geometric(N, 230.0, 7);
     let dist = hop_distances(&mesh.links, N, SOURCE);
     let direct = dist.iter().filter(|&&d| d == 1).count();
-    let beyond = dist.iter().filter(|&&d| (2..usize::MAX).contains(&d)).count();
+    let beyond = dist
+        .iter()
+        .filter(|&&d| (2..usize::MAX).contains(&d))
+        .count();
     println!(
         "mesh: {N} nodes, {} radio links; node {SOURCE} has {direct} direct \
          neighbours, {beyond} nodes beyond direct range",
@@ -106,7 +109,10 @@ fn main() {
                 heard.iter().all(|&i| dist[i] == 1),
                 "rebroadcast disabled but a multi-hop node got the frame"
             );
-            assert_eq!(delivered[SOURCE as usize], 0, "nobody echoed, yet the source heard one");
+            assert_eq!(
+                delivered[SOURCE as usize], 0,
+                "nobody echoed, yet the source heard one"
+            );
         } else {
             assert!(
                 heard.iter().any(|&i| dist[i] >= 2),

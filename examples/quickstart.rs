@@ -53,10 +53,7 @@ fn main() {
         warmup: Duration::from_secs(5),
         ..AppConfig::paper_default(vec![NodeId(2)], NodeId(0))
     };
-    let cfg = WorldConfig::paper_default(
-        42,
-        IntervalPolicy::Static(Duration::from_millis(75)),
-    );
+    let cfg = WorldConfig::paper_default(42, IntervalPolicy::Static(Duration::from_millis(75)));
     let mut world = World::new(cfg, nodes, app);
 
     // Let statconn form the network.
@@ -77,9 +74,7 @@ fn main() {
     // Run the CoAP producer/consumer workload for a minute.
     world.run_until(Instant::from_secs(65));
     let r = world.records();
-    println!(
-        "\nafter 60 s of CoAP traffic (1 req/s, 39 B payloads over 2 hops):"
-    );
+    println!("\nafter 60 s of CoAP traffic (1 req/s, 39 B payloads over 2 hops):");
     println!("  requests sent      : {}", r.total_sent());
     println!("  responses matched  : {}", r.total_done());
     println!("  CoAP PDR           : {:.3} %", r.coap_pdr() * 100.0);
@@ -88,8 +83,5 @@ fn main() {
         r.rtt_quantile_secs(0.5).unwrap_or(0.0) * 1000.0,
         r.rtt_quantile_secs(0.99).unwrap_or(0.0) * 1000.0
     );
-    println!(
-        "  link-layer PDR     : {:.2} %",
-        r.ll_pdr() * 100.0
-    );
+    println!("  link-layer PDR     : {:.2} %", r.ll_pdr() * 100.0);
 }

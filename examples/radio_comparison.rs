@@ -29,7 +29,10 @@ fn main() {
         "{:<28} {:>10} {:>10} {:>10} {:>10}",
         "stack", "PDR", "p50 RTT", "p99 RTT", "max RTT"
     );
-    for (name, res) in [("BLE (75 ms interval)", &ble), ("IEEE 802.15.4 CSMA/CA", &ieee)] {
+    for (name, res) in [
+        ("BLE (75 ms interval)", &ble),
+        ("IEEE 802.15.4 CSMA/CA", &ieee),
+    ] {
         let rtt = res.records.rtt_sorted_secs();
         let q = |p| stats::quantile(&rtt, p).unwrap_or(f64::NAN);
         println!(

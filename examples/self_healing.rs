@@ -42,7 +42,11 @@ fn print_dodag(w: &World) {
         let (rank, parent) = w.rpl_state(NodeId(n)).unwrap();
         println!(
             "  node {n}: rank {}{}",
-            if rank == u16::MAX { "∞".into() } else { rank.to_string() },
+            if rank == u16::MAX {
+                "∞".into()
+            } else {
+                rank.to_string()
+            },
             parent
                 .map(|p| format!(", parent {p}"))
                 .unwrap_or_else(|| " (root)".into())

@@ -97,9 +97,7 @@ fn run(label: &str, file: &str, policy: IntervalPolicy) {
     // Keep the artifact around: `timeline --load` re-runs this exact
     // analysis (EXPERIMENTS.md walks through it).
     let path = format!("results/{file}");
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write(&path, tl.to_jsonl()).is_ok()
-    {
+    if std::fs::create_dir_all("results").is_ok() && std::fs::write(&path, tl.to_jsonl()).is_ok() {
         println!("  [jsonl] wrote {path} ({} events)", tl.len());
     }
 

@@ -91,9 +91,17 @@ fn artifacts_identical_across_worker_counts_and_resume_skips() {
         calls.fetch_add(1, Ordering::SeqCst);
         run_job(job)
     });
-    assert_eq!(calls.load(Ordering::SeqCst), 0, "resume must skip completed jobs");
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        0,
+        "resume must skip completed jobs"
+    );
     assert_eq!(resumed.cached(), 4);
-    assert_eq!(bytes1, artifact_bytes(&root1), "resume must not rewrite artifacts");
+    assert_eq!(
+        bytes1,
+        artifact_bytes(&root1),
+        "resume must not rewrite artifacts"
+    );
 
     let _ = fs::remove_dir_all(&root1);
     let _ = fs::remove_dir_all(&root4);
@@ -128,7 +136,10 @@ fn figure_workloads_are_bytewise_reproducible() {
             "line-75" => (Topology::paper_line(), IntervalPolicy::Static(ms(75))),
             "tree-40-60" => (
                 Topology::paper_tree(),
-                IntervalPolicy::Randomized { lo: ms(40), hi: ms(60) },
+                IntervalPolicy::Randomized {
+                    lo: ms(40),
+                    hi: ms(60),
+                },
             ),
             _ => (Topology::paper_tree(), IntervalPolicy::Static(ms(75))),
         };
@@ -325,12 +336,18 @@ fn result_fingerprint(r: &mindgap_campaign::JobResult) -> u64 {
     let metrics = r.metrics.iter().map(|(k, v)| (k.clone(), Value::Num(*v)));
     doc.insert("metrics".into(), Value::Obj(metrics.collect()));
     let series = r.series.iter().map(|(k, vs)| {
-        (k.clone(), Value::Arr(vs.iter().map(|&v| Value::Num(v)).collect()))
+        (
+            k.clone(),
+            Value::Arr(vs.iter().map(|&v| Value::Num(v)).collect()),
+        )
     });
     doc.insert("series".into(), Value::Obj(series.collect()));
-    Value::Obj(doc).encode().bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    Value::Obj(doc)
+        .encode()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 /// Golden serial output at seed 42: the event count and a fingerprint
@@ -381,8 +398,20 @@ fn serial_output_matches_golden_fingerprints() {
     type Runner = fn(&ExperimentSpec) -> ExperimentResult;
     // (cell, runner, spec, events_processed, result fingerprint)
     let cells: [(_, Runner, _, _, _); 6] = [
-        ("conn-tree", run_ble, tree(), 149_237u64, 0xa726_5f3d_e82a_eebd_u64),
-        ("adv-tree", run_ble, tree().with_adv_transport(), 223_724, 0x5475_d0dd_dd98_b64c),
+        (
+            "conn-tree",
+            run_ble,
+            tree(),
+            149_237u64,
+            0xa726_5f3d_e82a_eebd_u64,
+        ),
+        (
+            "adv-tree",
+            run_ble,
+            tree().with_adv_transport(),
+            223_724,
+            0x5475_d0dd_dd98_b64c,
+        ),
         (
             "chaos-crash",
             run_ble,
@@ -405,7 +434,13 @@ fn serial_output_matches_golden_fingerprints() {
             222_426,
             0xe0f4_1d64_8825_8f24,
         ),
-        ("peers-churn-walk", run_ble, churn(), 1_065_488, 0x6ba2_ebbe_1282_a08b),
+        (
+            "peers-churn-walk",
+            run_ble,
+            churn(),
+            1_065_488,
+            0x6ba2_ebbe_1282_a08b,
+        ),
         ("ieee-tree", run_ieee, tree(), 37_200, 0x7eb5_7e23_7b8c_1be6),
     ];
     let mut got = Vec::new();

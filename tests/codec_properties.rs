@@ -187,8 +187,10 @@ fn coap_roundtrip() {
             payload,
         };
         for i in 0..nopts {
-            msg.options
-                .push((OptionNumber::from(opt_base + i as u16 * 37), vec![i as u8; i]));
+            msg.options.push((
+                OptionNumber::from(opt_base + i as u16 * 37),
+                vec![i as u8; i],
+            ));
         }
         let enc = msg.encode();
         let dec = Message::decode(&enc).expect("roundtrip");

@@ -27,7 +27,11 @@ fn tree_moderate_load_matches_paper_operating_point() {
     let r = &res.records;
     assert!(r.total_sent() > 3_500, "workload ran: {}", r.total_sent());
     assert!(r.coap_pdr() > 0.99, "PDR {}", r.coap_pdr());
-    assert!(r.ll_pdr() > 0.96 && r.ll_pdr() < 1.0, "LL PDR {}", r.ll_pdr());
+    assert!(
+        r.ll_pdr() > 0.96 && r.ll_pdr() < 1.0,
+        "LL PDR {}",
+        r.ll_pdr()
+    );
     let p50 = r.rtt_quantile_secs(0.5).unwrap();
     // Mean 2.14 hops each way at 75 ms → roughly 2–4 intervals.
     assert!(p50 > 0.075 && p50 < 0.35, "p50 {p50}");
@@ -71,8 +75,16 @@ fn overload_loses_packets_unevenly() {
     // Uneven distribution: at least one producer far below another.
     let per_node: Vec<f64> = (1..15u16)
         .map(|n| {
-            let s: u64 = r.coap_sent.get(&NodeId(n)).map(|v| v.iter().sum()).unwrap_or(0);
-            let d: u64 = r.coap_done.get(&NodeId(n)).map(|v| v.iter().sum()).unwrap_or(0);
+            let s: u64 = r
+                .coap_sent
+                .get(&NodeId(n))
+                .map(|v| v.iter().sum())
+                .unwrap_or(0);
+            let d: u64 = r
+                .coap_done
+                .get(&NodeId(n))
+                .map(|v| v.iter().sum())
+                .unwrap_or(0);
             d as f64 / s.max(1) as f64
         })
         .collect();

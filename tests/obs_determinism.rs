@@ -40,7 +40,9 @@ fn same_seed_timeline_and_metrics_are_identical() {
             "no conn_event spans recorded"
         );
         assert!(
-            metrics_a.iter().any(|(k, v)| k == "obs.coap_req_tx" && *v > 0.0),
+            metrics_a
+                .iter()
+                .any(|(k, v)| k == "obs.coap_req_tx" && *v > 0.0),
             "no CoAP traffic counted"
         );
         // The ring cap caps the export: 2^14 spans max.
@@ -73,7 +75,11 @@ fn fault_schedule_exports_are_identical_across_runs() {
         .with_timeline_cap(1 << 18)
         .with_faults(faults);
         let res = run_ble(&spec);
-        (res.timeline.to_jsonl(), res.metrics.flat("obs."), res.recovery)
+        (
+            res.timeline.to_jsonl(),
+            res.metrics.flat("obs."),
+            res.recovery,
+        )
     };
     let (jsonl_a, metrics_a, rec_a) = run_faulted();
     let (jsonl_b, metrics_b, rec_b) = run_faulted();
@@ -106,6 +112,9 @@ fn different_seeds_differ() {
     let (jsonl_a, _, _) = run(7);
     let (jsonl_b, _, _) = run(8);
     if mindgap::obs::enabled() {
-        assert_ne!(jsonl_a, jsonl_b, "different seeds produced identical timelines");
+        assert_ne!(
+            jsonl_a, jsonl_b,
+            "different seeds produced identical timelines"
+        );
     }
 }

@@ -71,8 +71,8 @@ fn coap_to_air_and_back() {
 fn corruption_at_any_layer_is_caught() {
     let src = Ipv6Addr::of_node(1);
     let dst = Ipv6Addr::of_node(2);
-    let req = Message::request(MsgType::NonConfirmable, Code::GET, 7, b"t")
-        .with_payload(vec![1, 2, 3]);
+    let req =
+        Message::request(MsgType::NonConfirmable, Code::GET, 7, b"t").with_payload(vec![1, 2, 3]);
     let udp_dgram = udp::encode(&src, &dst, 5683, 5683, &req.encode());
     let packet = Ipv6Header::build_packet(NextHeader::Udp, src, dst, &udp_dgram);
     let frame = iphc::encode_frame(&packet, &context(1, 2));
