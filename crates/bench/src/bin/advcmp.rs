@@ -174,11 +174,7 @@ fn main() {
             job.seed,
         )
         .with_duration(duration)
-        .with_payload(payload)
-        // Generous timeline ring: recovery analysis reads the fault
-        // markers at 60 s back from the span stream, which the
-        // advertising transport floods past the default ring.
-        .with_timeline_cap(1 << 19);
+        .with_payload(payload);
         if adv {
             let duty = scan_duty_pct(transport);
             let base = AdvConfig::default();

@@ -73,10 +73,6 @@ fn main() {
     // Warmup (30 s) + measured window, in whole seconds; fault times
     // are absolute simulated time.
     let end_s = 30 + duration.nanos() / 1_000_000_000;
-    // Generous timeline ring: recovery analysis reads fault markers
-    // from the span stream, which per-connection-event spans flood at
-    // short intervals.
-    let timeline_cap = if opts.full { 1 << 21 } else { 1 << 19 };
 
     let campaign = GridBuilder::new(&format!("chaos-{}", opts.mode()), opts.seed)
         .axis("topo", topos.iter().map(|s| s.to_string()))
@@ -96,7 +92,6 @@ fn main() {
         let v = victim(topo_name);
         let spec = ExperimentSpec::paper_default(topo, IntervalPolicy::Static(ms(conn)), job.seed)
             .with_duration(duration)
-            .with_timeline_cap(timeline_cap)
             .with_supervision_timeout(ms(sup))
             .with_faults(crash_schedule(v, end_s));
         to_job_result(&run_ble(&spec), &[])
@@ -116,18 +111,10 @@ fn main() {
             for &conn in &conn_intervals_ms {
                 let config = format!("topo={topo},sup={sup},conn={conn}");
                 let results = report.results_for_config(&config);
-                let faults: f64 = results
-                    .iter()
-                    .map(|r| nan0(r.get(keys::CHAOS_FAULTS)))
-                    .sum();
-                let detected: f64 = results
-                    .iter()
-                    .map(|r| nan0(r.get(keys::CHAOS_DETECTED)))
-                    .sum();
-                let reconnected: f64 = results
-                    .iter()
-                    .map(|r| nan0(r.get(keys::CHAOS_RECONNECTED)))
-                    .sum();
+                let sum = |key| results.iter().map(|r| r.get(key)).sum::<f64>();
+                let faults = sum(keys::CHAOS_FAULTS);
+                let detected = sum(keys::CHAOS_DETECTED);
+                let reconnected = sum(keys::CHAOS_RECONNECTED);
                 let ttd = mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_TTD_S);
                 let ttr = mindgap_campaign::agg::concat_series(&report, &config, keys::CHAOS_TTR_S);
                 let lost: f64 =
@@ -186,18 +173,14 @@ fn main() {
         "\ninjected {total_faults} faults: {total_detected} detected, \
          {total_reconnected} reconnected"
     );
-    if mindgap_obs::enabled() {
-        if total_faults > 0 && total_detected == total_faults && total_reconnected == total_faults {
-            println!("all faults detected & reconnected");
-        } else {
-            println!(
-                "WARNING: {} faults missing detection, {} missing reconnection",
-                total_faults - total_detected,
-                total_faults - total_reconnected
-            );
-        }
+    if total_faults > 0 && total_detected == total_faults && total_reconnected == total_faults {
+        println!("all faults detected & reconnected");
     } else {
-        println!("note: obs-off build — recovery analysis is compiled out");
+        println!(
+            "WARNING: {} faults missing detection, {} missing reconnection",
+            total_faults - total_detected,
+            total_faults - total_reconnected
+        );
     }
     println!("\nShape checks:");
     println!("  * time-to-detect p50 sits just below the supervision timeout");
@@ -206,13 +189,4 @@ fn main() {
     println!("  * time-to-reconnect ≈ scripted downtime (5 s) + statconn");
     println!("    re-formation;");
     println!("  * every injected fault is detected and reconnected.");
-}
-
-/// Treat a missing metric (NaN under `obs-off`) as zero.
-fn nan0(v: f64) -> f64 {
-    if v.is_nan() {
-        0.0
-    } else {
-        v
-    }
 }

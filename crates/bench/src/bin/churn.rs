@@ -57,7 +57,6 @@ fn main() {
     // its end so the last reboot's recovery stays observable.
     let churn_start = warmup + Duration::from_secs(30);
     let churn_window = duration - Duration::from_secs(60);
-    let timeline_cap = 1 << 21;
 
     let campaign = GridBuilder::new(&format!("churn-{}", opts.mode()), opts.seed)
         .axis("mobility", mobility.iter().map(|s| s.to_string()))
@@ -78,8 +77,7 @@ fn main() {
             job.seed,
         )
         .with_producer_interval(Duration::from_secs(10))
-        .with_duration(duration)
-        .with_timeline_cap(timeline_cap);
+        .with_duration(duration);
         spec = if mob == "walk" {
             spec.with_peers_mobility(MobilityModel::walk_default())
         } else {

@@ -1,10 +1,9 @@
 //! Aggregation of per-seed results into per-configuration summaries.
 //!
 //! The paper reports each Fig. 14/15 cell as an aggregate over five
-//! seeds; this module is the campaign-side fold. The formulas match
-//! `mindgap_testbed::stats` (same mean, same sample standard
-//! deviation) so figure code can mix the two freely — a cross-crate
-//! test in the testbed pins that equivalence.
+//! seeds; this module is the campaign-side fold and the repository's
+//! one copy of the sample standard deviation and 95 % confidence
+//! interval.
 
 use crate::pool::CampaignReport;
 
@@ -60,18 +59,6 @@ pub fn summarize_metric(report: &CampaignReport, config: &str, metric: &str) -> 
         .map(|r| r.get(metric))
         .collect();
     summarize(&values)
-}
-
-/// Sum one scalar metric over all completed seeds of a configuration
-/// (for counters like connection losses, where the paper reports
-/// totals, not means).
-pub fn sum_metric(report: &CampaignReport, config: &str, metric: &str) -> f64 {
-    report
-        .results_for_config(config)
-        .iter()
-        .map(|r| r.get(metric))
-        .filter(|v| v.is_finite())
-        .sum()
 }
 
 /// Concatenate one series over all completed seeds of a configuration

@@ -60,7 +60,7 @@ pub mod json;
 pub mod pool;
 pub mod store;
 
-pub use agg::{concat_series, sum_metric, summarize, summarize_metric, Summary};
+pub use agg::{concat_series, summarize, summarize_metric, Summary};
 pub use grid::{Campaign, GridBuilder};
 pub use job::{derive_seed, Job, JobResult};
 pub use pool::{run, CampaignReport, JobStatus, RunConfig};

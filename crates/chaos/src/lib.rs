@@ -17,8 +17,9 @@
 //!   timing is exact simulated time and byte-reproducible under any
 //!   worker count. When no schedule is installed the hot path pays
 //!   nothing.
-//! * [`recovery`] — consumes the observability [`Timeline`]
-//!   (`mindgap-obs`) and computes, per injected fault, time-to-detect
+//! * [`recovery`] — a [`RecoveryTracker`] the world feeds with the
+//!   recovery spans it records on the observability [`Timeline`]
+//!   (`mindgap-obs`); it computes, per injected fault, time-to-detect
 //!   (supervision-timeout latency), time-to-reconnect,
 //!   time-to-RPL-repair and packets lost, ready for aggregation with
 //!   `testbed::stats`.
@@ -54,11 +55,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mindgap_sim::Duration;
+use mindgap_obs::Span;
+use mindgap_sim::{Duration, NodeId};
 
 pub mod recovery;
 
-pub use recovery::{analyze, FaultRecovery};
+pub use recovery::{analyze, FaultRecovery, RecoveryTracker};
 
 /// The `fault_`-prefixed labels the injector records as
 /// [`mindgap_obs::Span::Fault`] markers. Injection labels start each
@@ -82,7 +84,7 @@ pub mod labels {
     pub const JAMMER_CLEAR: &str = "fault_jammer_clear";
 
     /// `true` for labels that *start* a fault (and hence an
-    /// attribution window in [`crate::recovery::analyze`]).
+    /// attribution window of a [`crate::RecoveryTracker`]).
     pub fn is_injection(label: &str) -> bool {
         matches!(
             label,
@@ -157,6 +159,34 @@ impl FaultKind {
             FaultKind::JammerBurst { .. } => "jammer_burst",
             FaultKind::ClockDrift { .. } => "clock_drift",
         }
+    }
+
+    /// The injection marker the injector records for this fault: the
+    /// node it is recorded on ([`recovery::NO_NODE`] for network-wide
+    /// faults) and the [`Span::Fault`] itself, whose payloads are the
+    /// fault's primary numbers (DESIGN.md §9).
+    ///
+    /// [`Span::Fault`]: mindgap_obs::Span::Fault
+    pub fn marker(&self) -> (NodeId, Span) {
+        let (node, label, a, b) = match *self {
+            FaultKind::NodeCrash { node, down_for } => (
+                node,
+                labels::NODE_CRASH,
+                node as u64,
+                down_for.nanos().min(FOREVER_NS),
+            ),
+            FaultKind::LinkBlackout { a, b, .. } => (a, labels::LINK_BLACKOUT, a as u64, b as u64),
+            FaultKind::JammerBurst { channel, .. } => (
+                recovery::NO_NODE,
+                labels::JAMMER_BURST,
+                channel as u64,
+                u64::MAX,
+            ),
+            FaultKind::ClockDrift { node, .. } => {
+                (node, labels::CLOCK_DRIFT, node as u64, u64::MAX)
+            }
+        };
+        (NodeId(node), Span::Fault { label, a, b })
     }
 
     /// The target the fault occupies while active and for how long:

@@ -138,17 +138,16 @@ pub enum TransportMode {
 /// no edges and every node instead advertises, discovery-scans, and
 /// runs a [`PeerManager`] that forms connections from beacon sightings
 /// ranked by modelled RSSI. Node geometry lives here too: per-link PER
-/// and sighting RSSI both derive from the same log-distance path-loss
-/// model, and an optional mobility model moves nodes on a fixed 1 s
-/// tick.
+/// and sighting RSSI both derive from the default log-distance
+/// [`PathLossConfig`] (the testbed mesh generator's model), pairs
+/// beyond its [`PathLossConfig::link_range_m`] hear nothing, the
+/// policy runs every 500 ms, and an optional mobility model moves
+/// nodes on a fixed 1 s tick.
 #[derive(Debug, Clone)]
 pub struct PeersWorldConfig {
     /// Per-node connection-pool policy (targets, RSSI thresholds,
     /// backoff, rotation).
     pub pool: PeerConfig,
-    /// Geometric path-loss model both the sighting RSSI and the
-    /// per-link PER derive from.
-    pub path_loss: PathLossConfig,
     /// Seed of the deterministic shadowing term. Use the topology
     /// seed so link PER matches the generated radio graph.
     pub geo_seed: u64,
@@ -156,12 +155,6 @@ pub struct PeersWorldConfig {
     pub positions: Vec<(f64, f64)>,
     /// Arena bounds in metres; mobility reflects off these walls.
     pub arena: (f64, f64),
-    /// Radio-range cutoff: pairs farther apart than this hear
-    /// nothing at all (beyond it the PER ramp has hit 1.0 anyway).
-    pub max_link_m: f64,
-    /// Policy-evaluation cadence (stale expiry, attempt timeout,
-    /// new attempts).
-    pub tick: Duration,
     /// Node mobility (`None` = static field).
     pub mobility: Option<MobilityModel>,
     /// Nodes that never move (typically the consumer/root).
@@ -170,19 +163,13 @@ pub struct PeersWorldConfig {
 
 impl PeersWorldConfig {
     /// Defaults for a field of `positions` inside `arena`: default
-    /// pool policy and path loss, 500 ms policy tick, static nodes,
-    /// range cutoff at [`PathLossConfig::link_range_m`] (the testbed
-    /// topology generator's link radius).
+    /// pool policy, static nodes.
     pub fn new(positions: Vec<(f64, f64)>, arena: (f64, f64), geo_seed: u64) -> Self {
-        let path_loss = PathLossConfig::default();
         PeersWorldConfig {
             pool: PeerConfig::default(),
-            max_link_m: path_loss.link_range_m(),
-            path_loss,
             geo_seed,
             positions,
             arena,
-            tick: Duration::from_millis(500),
             mobility: None,
             pinned: Vec::new(),
         }
@@ -214,8 +201,9 @@ pub struct WorldConfig {
     /// root, so near-root relays forward O(subtree) DAOs per refresh
     /// and exhaust their buffer pools when the cadence is too hot.
     pub rpl_dao_period_ticks: u32,
-    /// Observability timeline capacity in events (ring buffer; `0`
-    /// disables timeline recording; metrics counters are unaffected).
+    /// Observability timeline capacity in events: a ring buffer kept
+    /// for export and inspection (`0` disables timeline recording;
+    /// metrics counters and fault recovery are unaffected).
     pub timeline_cap: usize,
     /// Override the supervision timeout statconn requests for every
     /// connection (`None` keeps the policy's default). Must exceed the
@@ -260,6 +248,10 @@ impl WorldConfig {
 
 /// Step cadence of peers-mode mobility.
 const MOBILITY_TICK: Duration = Duration::from_secs(1);
+
+/// Policy-evaluation cadence of peers mode (stale expiry, attempt
+/// timeout, new attempts).
+const PEERS_TICK: Duration = Duration::from_millis(500);
 
 /// Time-bucket width of the measurement [`Records`].
 const RECORD_BUCKET: Duration = Duration::from_secs(60);
@@ -553,10 +545,7 @@ struct ConnSlot {
 /// mobility steps only flip links that actually crossed the range
 /// cutoff.
 struct PeersState {
-    geo: PathLossConfig,
     geo_seed: u64,
-    max_link_m: f64,
-    tick: Duration,
     /// Positions + stepping. Built even for static fields (the model
     /// just never steps), so distance queries have one home.
     field: Mobility,
@@ -748,10 +737,7 @@ impl World {
                 field.pin(p as usize);
             }
             Box::new(PeersState {
-                geo: pc.path_loss,
                 geo_seed: pc.geo_seed,
-                max_link_m: pc.max_link_m,
-                tick: pc.tick,
                 field,
                 mobile: pc.mobility.is_some(),
                 in_range: vec![true; n * (n - 1) / 2],
@@ -814,6 +800,8 @@ impl World {
         let Some(ps) = peers_world.as_mut() else {
             return;
         };
+        let geo = PathLossConfig::default();
+        let max_link_m = geo.link_range_m();
         let n = ps.field.len();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -821,13 +809,13 @@ impl World {
                 let idx = PeersState::pair(n, a, b);
                 let (na, nb) = (NodeId(a as u16), NodeId(b as u16));
                 let was = ps.in_range[idx];
-                let now_in = d <= ps.max_link_m;
+                let now_in = d <= max_link_m;
                 ps.in_range[idx] = now_in;
                 if now_in {
                     if !was {
                         medium.set_in_range(na, nb, true);
                     }
-                    let per = ps.geo.link_per(ps.geo_seed, a as u16, b as u16, d);
+                    let per = geo.link_per(ps.geo_seed, a as u16, b as u16, d);
                     medium.set_link_loss(na, nb, per, true);
                 } else if was {
                     medium.set_out_of_range(na, nb, true);
@@ -1101,8 +1089,8 @@ impl World {
             self.bring_up(NodeId(i as u16));
         }
         if let Some(ps) = self.peers_world.as_ref() {
-            let (tick, mobile) = (ps.tick, ps.mobile);
-            self.queue.schedule_in(tick, Ev::PeersTick);
+            let mobile = ps.mobile;
+            self.queue.schedule_in(PEERS_TICK, Ev::PeersTick);
             if mobile {
                 self.queue.schedule_in(MOBILITY_TICK, Ev::MobilityTick);
             }
@@ -1338,10 +1326,9 @@ impl World {
     /// attempt when below target — in node-index order, so the draw
     /// sequence is independent of sighting arrival order.
     fn peers_tick(&mut self, now: Instant) {
-        let Some(ps) = self.peers_world.as_ref() else {
+        if self.peers_world.is_none() {
             return;
-        };
-        let tick = ps.tick;
+        }
         for i in 0..self.nodes.len() {
             if self.down[i] {
                 continue;
@@ -1354,7 +1341,7 @@ impl World {
                 self.apply_peer_actions(NodeId(i as u16), actions);
             }
         }
-        self.queue.schedule_in(tick, Ev::PeersTick);
+        self.queue.schedule_in(PEERS_TICK, Ev::PeersTick);
     }
 
     /// One mobility step: advance positions, re-derive every link's
@@ -1425,7 +1412,7 @@ impl World {
         };
         if let Some((old, new)) = switch {
             self.obs.reg.inc(self.obs.m.rpl_parent_switches, node);
-            self.obs.timeline.record(
+            self.record_recovery_span(
                 self.queue.now(),
                 node,
                 Span::RplParentSwitch {
@@ -1691,7 +1678,7 @@ impl World {
             .field
             .distance(advertiser.index(), node.index())
             .max(0.01);
-        let rssi = ps.geo.rssi_dbm(ps.geo_seed, advertiser.0, node.0, d);
+        let rssi = PathLossConfig::default().rssi_dbm(ps.geo_seed, advertiser.0, node.0, d);
         let Some(pm) = self.nodes[node.index()].link.peers_mut() else {
             return;
         };
@@ -1944,7 +1931,7 @@ impl World {
         };
         let interval = c.ll.conn_interval(conn).expect("fresh connection");
         self.obs.reg.inc(self.obs.m.ll_conn_established, node);
-        self.obs.timeline.record(
+        self.record_recovery_span(
             now,
             node,
             Span::ConnUp {
@@ -2014,7 +2001,7 @@ impl World {
         if reason == LossReason::SupervisionTimeout {
             self.obs.reg.inc(self.obs.m.ll_supervision_timeouts, node);
         }
-        self.obs.timeline.record(
+        self.record_recovery_span(
             now,
             node,
             Span::ConnDown {
@@ -2194,7 +2181,7 @@ impl World {
                     let stalled = coc.chan.take_stall_event();
                     let queued = coc.chan.queued_bytes() as u64;
                     if stalled {
-                        self.obs.timeline.record(
+                        self.record_recovery_span(
                             self.queue.now(),
                             node,
                             Span::CreditStall {
@@ -2549,7 +2536,7 @@ impl World {
             Err(_) => {
                 // The paper's §5.2 loss mechanism: mbuf pool exhausted.
                 self.obs.reg.inc(self.obs.m.l2cap_mbuf_drops, node);
-                self.obs.timeline.record(
+                self.record_recovery_span(
                     self.queue.now(),
                     node,
                     Span::MbufExhausted { conn: conn.0 },

@@ -1,22 +1,24 @@
 //! Fault injection (`mindgap-chaos`): an installed [`FaultSchedule`]
 //! becomes `Ev::Fault`/`Ev::FaultClear` events on the world's queue,
 //! and their handlers crash and reboot nodes, black out links, jam
-//! channels and step clocks. A child module of `world`, so it works on
-//! `World`'s fields directly.
+//! channels and step clocks. The schedule's [`RecoveryTracker`] folds
+//! the recovery spans as the world records them. A child module of
+//! `world`, so it works on `World`'s fields directly.
 
-use mindgap_chaos::{labels, FaultKind, FaultSchedule, FOREVER_NS};
+use mindgap_chaos::{labels, FaultKind, FaultRecovery, FaultSchedule, RecoveryTracker, FOREVER_NS};
 use mindgap_obs::Span;
 use mindgap_phy::Channel;
 use mindgap_sim::{Clock, Duration, Instant, NodeId};
 
 use super::{make_node, node_key, Ev, Link, World};
 
-/// Injector state: the installed schedule plus one scratch slot per
-/// fault (the channel interference a jammer burst found, restored
-/// when it clears).
+/// Injector state: the installed schedule, one scratch slot per fault
+/// (the channel interference a jammer burst found, restored when it
+/// clears) and the recovery fold.
 pub(super) struct ChaosState {
     faults: Vec<mindgap_chaos::Fault>,
     scratch: Vec<f64>,
+    recovery: RecoveryTracker,
 }
 
 impl World {
@@ -49,16 +51,34 @@ impl World {
         }
         self.chaos = Some(Box::new(ChaosState {
             scratch: vec![0.0; faults.len()],
+            recovery: RecoveryTracker::new(schedule, now.nanos()),
             faults,
         }));
     }
 
-    /// Record a fault marker on the timeline (the ground truth the
-    /// recovery analysis keys off).
+    /// Per-fault recovery metrics of the faults fired so far, in
+    /// firing order (empty without an installed schedule). They are
+    /// folded as spans are recorded, so neither `timeline_cap` nor an
+    /// `obs-off` build changes them.
+    pub fn recovery(&self) -> Vec<FaultRecovery> {
+        self.chaos
+            .as_ref()
+            .map_or_else(Vec::new, |c| c.recovery.finish())
+    }
+
+    /// Record a span the recovery fold reads: on the timeline, and
+    /// into the tracker when a schedule is installed.
+    #[inline]
+    pub(super) fn record_recovery_span(&mut self, now: Instant, node: NodeId, span: Span) {
+        self.obs.timeline.record(now, node, span);
+        if let Some(chaos) = self.chaos.as_mut() {
+            chaos.recovery.observe(now.nanos(), node.0, &span);
+        }
+    }
+
+    /// Record a fault marker (the ground truth recovery keys off).
     fn record_fault(&mut self, now: Instant, node: NodeId, label: &'static str, a: u64, b: u64) {
-        self.obs
-            .timeline
-            .record(now, node, Span::Fault { label, a, b });
+        self.record_recovery_span(now, node, Span::Fault { label, a, b });
         self.trace.emit();
     }
 
@@ -74,21 +94,15 @@ impl World {
             return;
         };
         let fault = chaos.faults[idx as usize];
+        let (node, marker) = fault.kind.marker();
+        self.record_recovery_span(now, node, marker);
+        self.trace.emit();
         match fault.kind {
             FaultKind::NodeCrash { node, down_for } => {
-                let id = NodeId(node);
-                self.record_fault(
-                    now,
-                    id,
-                    labels::NODE_CRASH,
-                    node as u64,
-                    down_for.nanos().min(FOREVER_NS),
-                );
-                self.crash_node(id);
+                self.crash_node(NodeId(node));
                 self.schedule_clear(now, idx, down_for);
             }
             FaultKind::LinkBlackout { a, b, lasts } => {
-                self.record_fault(now, NodeId(a), labels::LINK_BLACKOUT, a as u64, b as u64);
                 self.medium.set_out_of_range(NodeId(a), NodeId(b), true);
                 self.schedule_clear(now, idx, lasts);
             }
@@ -100,24 +114,10 @@ impl World {
                 let ch = Channel::ble_data(channel);
                 let prev = self.medium.channel_interference(ch);
                 self.chaos.as_mut().expect("checked above").scratch[idx as usize] = prev;
-                self.record_fault(
-                    now,
-                    NodeId(mindgap_chaos::recovery::NO_NODE),
-                    labels::JAMMER_BURST,
-                    channel as u64,
-                    u64::MAX,
-                );
                 self.medium.set_channel_interference(ch, per);
                 self.schedule_clear(now, idx, lasts);
             }
             FaultKind::ClockDrift { node, delta_ppm } => {
-                self.record_fault(
-                    now,
-                    NodeId(node),
-                    labels::CLOCK_DRIFT,
-                    node as u64,
-                    u64::MAX,
-                );
                 let i = node as usize;
                 // Clock::with_ppm rejects |ppm| ≥ 10_000; repeated
                 // drift steps saturate just below that.

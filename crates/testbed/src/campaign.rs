@@ -177,16 +177,4 @@ mod tests {
             assert!(jr.get("obs.coap_req_tx") > 0.0);
         }
     }
-
-    /// The campaign aggregation formulas must agree with
-    /// `crate::stats` — figure code mixes the two freely.
-    #[test]
-    fn campaign_summary_matches_stats() {
-        let values = [0.97, 0.99, 0.995, 0.98, 0.991];
-        let s = mindgap_campaign::summarize(&values).unwrap();
-        assert!((s.mean - crate::stats::mean(&values).unwrap()).abs() < 1e-15);
-        let sd = crate::stats::std_dev(&values).unwrap();
-        assert!((s.ci95 - crate::stats::ci95_half_width(&values).unwrap()).abs() < 1e-15);
-        assert!((s.ci95 - 1.96 * sd / (values.len() as f64).sqrt()).abs() < 1e-15);
-    }
 }

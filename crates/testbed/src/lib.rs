@@ -18,9 +18,11 @@
 //! * [`campaign`] — the canonical flattening of an experiment result
 //!   into a `mindgap_campaign` job artifact (shared metric keys), so
 //!   the figure binaries can shard their grids across a worker pool.
-//! * [`stats`] — CDF/percentile/CI helpers for the figures.
-//! * [`tables`] — the qualitative data of Table 1 (radio comparison)
-//!   and Table 2 (open-source IP-over-BLE implementations).
+//! * [`stats`] — CDF/percentile helpers for the figures.
+//!
+//! The paper's two qualitative tables (radio comparison, open-source
+//! IP-over-BLE implementations) measure nothing; EXPERIMENTS.md §T1/T2
+//! reproduces them as text.
 //!
 //! ## Example
 //!
@@ -57,7 +59,6 @@ pub mod analysis;
 pub mod campaign;
 pub mod runner;
 pub mod stats;
-pub mod tables;
 pub mod throughput;
 pub mod topology;
 

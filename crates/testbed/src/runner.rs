@@ -63,7 +63,7 @@ pub struct ExperimentSpec {
     /// to 6 µs/s relative drift between board pairs (§6.2).
     pub clock_ppm_range: f64,
     /// Timeline ring capacity in events (0 disables span recording;
-    /// metrics counters are unaffected). BLE only.
+    /// metrics counters and fault recovery are unaffected). BLE only.
     pub timeline_cap: usize,
     /// Scripted faults to inject (BLE only; see `mindgap-chaos`).
     /// `None` runs fault-free with zero chaos overhead.
@@ -238,13 +238,13 @@ pub struct ExperimentResult {
     /// built with `obs-off`.
     pub metrics: mindgap_obs::MetricsSnapshot,
     /// The run's span timeline, moved out of the world before record
-    /// extraction. Empty when `timeline_cap` is 0 and under `obs-off`.
+    /// extraction: an export window of the last `timeline_cap` spans.
+    /// Empty when `timeline_cap` is 0 and under `obs-off`.
     pub timeline: mindgap_obs::Timeline,
-    /// Per-fault recovery metrics derived from the timeline (empty
-    /// without a fault schedule, for IEEE runs, when `timeline_cap`
-    /// is 0, and under `obs-off`). Otherwise [`run_ble`] guarantees
-    /// one record per fault the run reached: it panics when the
-    /// timeline ring evicted fault markers.
+    /// Per-fault recovery metrics, one per fault the run reached, in
+    /// firing order (empty without a fault schedule and for IEEE
+    /// runs). The world folds them as it records the spans, so they
+    /// do not depend on `timeline_cap` or on `obs-off`.
     pub recovery: Vec<FaultRecovery>,
     /// Cold-start convergence time in seconds: first 1 s-granular
     /// instant at which every non-root node holds an RPL parent
@@ -317,12 +317,11 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
             .as_ref()
             .expect("peers mode needs a generated mesh for node positions");
         cfg.dynamic_routing = true;
-        // Geometry gates radio range (max_link_m) and derives per-link
-        // PER from positions — which is what lets mobility re-shape
-        // the radio graph. `PeersWorldConfig::new` uses the mesh
-        // generator's path loss and range cutoff. The mesh's
-        // precomputed adjacency would pin the world to the initial
-        // positions, so drop it.
+        // Geometry gates radio range and derives per-link PER from
+        // positions — which is what lets mobility re-shape the radio
+        // graph. Peers mode uses the mesh generator's path loss and
+        // range cutoff. The mesh's precomputed adjacency would pin the
+        // world to the initial positions, so drop it.
         cfg.radio_links = None;
         let (mut w, mut h) = (0.0f64, 0.0f64);
         for &(x, y) in &m.positions {
@@ -400,25 +399,7 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
         transport_label,
         spec.producer_interval.millis()
     );
-    let res = harvest(world, n, label, convergence_s);
-    if let Some(faults) = &spec.faults {
-        // Recovery analysis reads the fault markers back from the
-        // timeline ring; a ring too small for the run evicts them and
-        // would silently return a partial report.
-        let fired = faults
-            .faults
-            .iter()
-            .filter(|f| f.at_ns <= drained.nanos())
-            .count();
-        assert!(
-            !mindgap_obs::enabled() || spec.timeline_cap == 0 || res.recovery.len() == fired,
-            "recovery analysis found {} of {fired} injected faults: the timeline ring \
-             (ExperimentSpec::timeline_cap = {}) evicted their markers; raise timeline_cap",
-            res.recovery.len(),
-            spec.timeline_cap
-        );
-    }
-    res
+    harvest(world, n, label, convergence_s)
 }
 
 /// Collect a finished run's counters, metrics, timeline and records.
@@ -437,7 +418,7 @@ fn harvest(
     let events_processed = world.events_processed();
     let metrics = world.obs_snapshot();
     let timeline = std::mem::take(&mut world.obs.timeline);
-    let recovery = mindgap_chaos::recovery::analyze(&timeline);
+    let recovery = world.recovery();
     let records = world.into_records();
     let conn_losses = records.conn_losses.len();
     ExperimentResult {
@@ -560,9 +541,6 @@ mod tests {
 
     #[test]
     fn crash_fault_is_detected_and_recovered() {
-        if !mindgap_obs::enabled() {
-            return;
-        }
         let faults = mindgap_chaos::FaultSchedule::new()
             // Crash the middle relay for 5 s, one minute in.
             .node_crash(Duration::from_secs(60), 1, Duration::from_secs(5));
@@ -682,9 +660,6 @@ mod tests {
         .with_peers()
         .with_producer_interval(Duration::from_secs(10))
         .with_duration(Duration::from_secs(180))
-        // 50 nodes × 5 min overflow the default 64 Ki-event ring and
-        // evict the early fault markers recovery analysis keys off.
-        .with_timeline_cap(1 << 21)
         .with_faults(faults);
         let res = run_ble(&spec);
         assert!(res.label.contains("peers"), "{}", res.label);
@@ -703,43 +678,36 @@ mod tests {
             "PDR under churn collapsed: {}",
             res.records.coap_pdr()
         );
-        if mindgap_obs::enabled() {
-            assert_eq!(res.recovery.len(), 4, "one record per scripted crash");
-            // At least one crash must be detected and healed: a new
-            // connection forms after the loss is noticed.
-            let healed = res
-                .recovery
-                .iter()
-                .any(|r| r.detect_ns.is_some() && r.reconnect_ns.is_some());
-            assert!(healed, "no crash healed: {:?}", res.recovery);
-        }
+        assert_eq!(res.recovery.len(), 4, "one record per scripted crash");
+        // At least one crash must be detected and healed: a new
+        // connection forms after the loss is noticed.
+        let healed = res
+            .recovery
+            .iter()
+            .any(|r| r.detect_ns.is_some() && r.reconnect_ns.is_some());
+        assert!(healed, "no crash healed: {:?}", res.recovery);
     }
 
-    /// A ring too small for the run evicts the fault markers: `run_ble`
-    /// must say so instead of returning a short recovery report.
+    /// Recovery is folded as spans are recorded, so a run that keeps
+    /// no timeline reports the same recovery as one with a ring.
     #[test]
-    fn evicted_fault_markers_panic_naming_timeline_cap() {
+    fn recovery_does_not_depend_on_the_timeline_ring() {
         let spec = ExperimentSpec::paper_default(
             Topology::paper_tree(),
             IntervalPolicy::Static(Duration::from_millis(75)),
             42,
         )
-        .with_duration(Duration::from_secs(60))
-        .with_timeline_cap(1 << 10)
+        .with_duration(Duration::from_secs(70))
         .with_faults(mindgap_chaos::FaultSchedule::new().node_crash(
             Duration::from_secs(40),
             1,
             Duration::from_secs(5),
         ));
-        let run = std::panic::catch_unwind(|| run_ble(&spec));
-        if mindgap_obs::enabled() {
-            let err = run.err().expect("a partial recovery report must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("timeline_cap = 1024"), "{msg}");
-        } else {
-            let res = run.expect("obs-off runs record no markers and must not panic");
-            assert!(res.recovery.is_empty());
-        }
+        let ring = run_ble(&spec).recovery;
+        let none = run_ble(&spec.with_timeline_cap(0)).recovery;
+        assert_eq!(none.len(), 1, "one injected fault, one record");
+        assert!(none[0].detect_ns.is_some() && none[0].reconnect_ns.is_some());
+        assert_eq!(none, ring);
     }
 
     #[test]

@@ -37,27 +37,6 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     }
 }
 
-/// Sample standard deviation (n−1 denominator); `None` when fewer
-/// than two values.
-pub fn std_dev(values: &[f64]) -> Option<f64> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
-    Some(var.sqrt())
-}
-
-/// Half-width of the normal-approximation 95 % confidence interval,
-/// `1.96 · s / √n` — the error bars on aggregated campaign cells.
-/// `None` when fewer than two values (no spread estimate).
-///
-/// `mindgap_campaign::Summary::ci95` uses the same formula; a test in
-/// `crate::campaign` pins the equivalence.
-pub fn ci95_half_width(values: &[f64]) -> Option<f64> {
-    Some(1.96 * std_dev(values)? / (values.len() as f64).sqrt())
-}
-
 /// Evenly spaced evaluation points `[lo, hi]` inclusive.
 pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2 && hi >= lo);
@@ -104,16 +83,6 @@ mod tests {
     fn mean_works() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
         assert_eq!(mean(&[]), None);
-    }
-
-    #[test]
-    fn std_dev_and_ci() {
-        // Known sample: 1..5 has sample variance 2.5.
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!((std_dev(&v).unwrap() - 2.5f64.sqrt()).abs() < 1e-12);
-        assert!((ci95_half_width(&v).unwrap() - 1.96 * 2.5f64.sqrt() / 5f64.sqrt()).abs() < 1e-12);
-        assert_eq!(std_dev(&[1.0]), None);
-        assert_eq!(ci95_half_width(&[]), None);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! ```
 //!
 //! The fault script is declarative data (`FaultSchedule`), injected at
-//! exact simulated instants; afterwards the recovery analyzer reads
-//! the observability timeline and reports how long detection and
-//! repair actually took.
+//! exact simulated instants; the world folds the recovery spans as it
+//! records them and reports how long detection and repair actually
+//! took.
 //!
 //! Run with `cargo run --release --example self_healing`.
 
-use mindgap::chaos::{self, recovery, FaultSchedule};
+use mindgap::chaos::{self, FaultSchedule};
 use mindgap::core::{AppConfig, IntervalPolicy, World, WorldConfig};
 use mindgap::sim::{Duration, Instant, NodeId};
 use mindgap::testbed::topology::mesh_node_configs;
@@ -69,9 +69,6 @@ fn main() {
         },
     );
     cfg.dynamic_routing = true;
-    // Keep the whole run's spans: the recovery analyzer needs the
-    // fault markers to survive the conn-event flood.
-    cfg.timeline_cap = 1 << 18;
     let mut w = World::new(cfg, nodes, app);
 
     // The fault script: pure data, validated up front, injected at
@@ -100,28 +97,24 @@ fn main() {
     println!("\nDODAG after healing:");
     print_dodag(&w);
 
-    // What the timeline recorded about each fault.
-    let recs = recovery::analyze(&w.obs.timeline);
-    if recs.is_empty() {
-        println!("\n(obs-off build: no timeline, no recovery metrics)");
-    } else {
-        println!("\nrecovery report ({} faults):", recs.len());
-        for r in &recs {
-            let s = |ns: Option<u64>| {
-                ns.map(|v| format!("{:.2} s", v as f64 / 1e9))
-                    .unwrap_or_else(|| "—".into())
-            };
-            println!(
-                "  {} @ {:.0} s: detect {}, reconnect {}, RPL repair {}, \
-                 conn losses {}",
-                r.label,
-                r.at_ns as f64 / 1e9,
-                s(r.detect_ns),
-                s(r.reconnect_ns),
-                s(r.rpl_repair_ns),
-                r.conn_downs,
-            );
-        }
+    // How each fault was detected and repaired.
+    let recs = w.recovery();
+    println!("\nrecovery report ({} faults):", recs.len());
+    for r in &recs {
+        let s = |ns: Option<u64>| {
+            ns.map(|v| format!("{:.2} s", v as f64 / 1e9))
+                .unwrap_or_else(|| "—".into())
+        };
+        println!(
+            "  {} @ {:.0} s: detect {}, reconnect {}, RPL repair {}, \
+             conn losses {}",
+            r.label,
+            r.at_ns as f64 / 1e9,
+            s(r.detect_ns),
+            s(r.reconnect_ns),
+            s(r.rpl_repair_ns),
+            r.conn_downs,
+        );
     }
 
     println!("\nwhat happened: node 1 lost its parent (the root), broadcast a");

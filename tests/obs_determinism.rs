@@ -70,8 +70,7 @@ fn fault_schedule_exports_are_identical_across_runs() {
             7,
         )
         .with_duration(Duration::from_secs(90))
-        // Generous ring: fault markers must survive the flood of
-        // conn-event spans or the recovery analysis goes blind.
+        // Ring large enough to keep the whole run, markers included.
         .with_timeline_cap(1 << 18)
         .with_faults(faults);
         let res = run_ble(&spec);
@@ -96,14 +95,13 @@ fn fault_schedule_exports_are_identical_across_runs() {
             jsonl_a.contains("\"kind\":\"fault_node_reboot\""),
             "reboot markers missing"
         );
-        assert_eq!(rec_a.len(), 3, "three injections, three records");
-        assert!(
-            rec_a.iter().filter(|r| r.detect_ns.is_some()).count() >= 2,
-            "crashes must be detected via supervision timeout"
-        );
-    } else {
-        assert!(rec_a.is_empty());
     }
+    // Recovery is folded online, so it holds under `obs-off` too.
+    assert_eq!(rec_a.len(), 3, "three injections, three records");
+    assert!(
+        rec_a.iter().filter(|r| r.detect_ns.is_some()).count() >= 2,
+        "crashes must be detected via supervision timeout"
+    );
 }
 
 #[test]
