@@ -7,16 +7,24 @@
 //!
 //! Time is an opaque `u64` nanosecond count supplied by the caller so
 //! the crate stays simulation-agnostic.
+//!
+//! Besides the [`Message`]-based calls, each endpoint has a
+//! buffer-writing form for the data path: [`Client::request_into`] and
+//! [`Server::respond_into`] encode straight into the caller's outgoing
+//! buffer, and [`Client::on_response_view`] and
+//! [`Server::respond_into`] read a [`MessageView`], so an exchange
+//! allocates nothing.
 
 use std::collections::VecDeque;
 
-use crate::msg::{Code, Message, MsgType};
+use crate::msg::{put_header, put_option, put_payload, Code, Message, MessageView, MsgType};
+use crate::OptionNumber;
 
 /// A request awaiting its response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingRequest {
     /// Token used for matching.
-    pub token: Vec<u8>,
+    pub token: [u8; 4],
     /// Message id of the request.
     pub message_id: u16,
     /// When the request was handed to the network.
@@ -34,6 +42,15 @@ pub struct Completed {
     pub code: Code,
     /// Response payload.
     pub payload: Vec<u8>,
+}
+
+/// A response matched to its request ([`Client::on_response_view`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Matched {
+    /// The original pending entry.
+    pub request: PendingRequest,
+    /// Round-trip time in nanoseconds.
+    pub rtt_ns: u64,
 }
 
 /// Client side: token allocation and response matching.
@@ -64,6 +81,23 @@ impl Client {
         }
     }
 
+    /// Allocate the next message id and token and register the
+    /// request as pending.
+    fn register(&mut self, now_ns: u64) -> (u16, [u8; 4]) {
+        let mid = self.next_mid;
+        self.next_mid = self.next_mid.wrapping_add(1);
+        let [.., a, b, c, d] = self.next_token.to_be_bytes();
+        let token = [a, b, c, d];
+        self.next_token += 1;
+        self.pending.push_back(PendingRequest {
+            token,
+            message_id: mid,
+            sent_at_ns: now_ns,
+        });
+        self.sent += 1;
+        (mid, token)
+    }
+
     /// Build a request and register it as pending.
     pub fn request(
         &mut self,
@@ -73,16 +107,7 @@ impl Client {
         path: &str,
         payload: Vec<u8>,
     ) -> Message {
-        let mid = self.next_mid;
-        self.next_mid = self.next_mid.wrapping_add(1);
-        let token = self.next_token.to_be_bytes()[4..].to_vec();
-        self.next_token += 1;
-        self.pending.push_back(PendingRequest {
-            token: token.clone(),
-            message_id: mid,
-            sent_at_ns: now_ns,
-        });
-        self.sent += 1;
+        let (mid, token) = self.register(now_ns);
         let mut msg = Message::request(mtype, code, mid, &token);
         for seg in path.split('/').filter(|s| !s.is_empty()) {
             msg = msg.with_path_segment(seg);
@@ -90,20 +115,60 @@ impl Client {
         msg.with_payload(payload)
     }
 
+    /// [`Client::request`], encoded straight onto the end of `out`:
+    /// the bytes are those of the returned message's
+    /// [`Message::encode`].
+    pub fn request_into(
+        &mut self,
+        now_ns: u64,
+        mtype: MsgType,
+        code: Code,
+        path: &str,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        assert!(code.is_request());
+        let (mid, token) = self.register(now_ns);
+        put_header(out, mtype, code, mid, &token);
+        let mut prev = 0;
+        for seg in path.split('/').filter(|s| !s.is_empty()) {
+            put_option(
+                out,
+                &mut prev,
+                OptionNumber::UriPath.value(),
+                seg.as_bytes(),
+            );
+        }
+        put_payload(out, payload);
+    }
+
     /// Match an incoming response by token. Returns the completed
     /// exchange, or `None` for stale/unknown tokens.
     pub fn on_response(&mut self, msg: &Message, now_ns: u64) -> Option<Completed> {
-        if !msg.code.is_response() {
-            return None;
-        }
-        let idx = self.pending.iter().position(|p| p.token == msg.token)?;
-        let request = self.pending.remove(idx).expect("index valid");
-        self.completed += 1;
+        let m = self.take_match(msg.code, &msg.token, now_ns)?;
         Some(Completed {
-            rtt_ns: now_ns.saturating_sub(request.sent_at_ns),
-            request,
+            request: m.request,
+            rtt_ns: m.rtt_ns,
             code: msg.code,
             payload: msg.payload.clone(),
+        })
+    }
+
+    /// [`Client::on_response`] on a borrowed message.
+    pub fn on_response_view(&mut self, msg: &MessageView<'_>, now_ns: u64) -> Option<Matched> {
+        self.take_match(msg.code, msg.token, now_ns)
+    }
+
+    fn take_match(&mut self, code: Code, token: &[u8], now_ns: u64) -> Option<Matched> {
+        if !code.is_response() {
+            return None;
+        }
+        let idx = self.pending.iter().position(|p| p.token[..] == *token)?;
+        let request = self.pending.remove(idx).expect("index valid");
+        self.completed += 1;
+        Some(Matched {
+            rtt_ns: now_ns.saturating_sub(request.sent_at_ns),
+            request,
         })
     }
 
@@ -164,45 +229,64 @@ impl Server {
     /// `payload`. Returns `None` for non-requests or suppressed
     /// duplicates.
     pub fn respond(&mut self, req: &Message, code: Code, payload: Vec<u8>) -> Option<ServerReply> {
-        if !req.code.is_request() {
+        let (mtype, message_id) = self.accept(req.mtype, req.code, req.message_id)?;
+        Some(ServerReply {
+            message: Message {
+                mtype,
+                code,
+                message_id,
+                token: req.token.clone(),
+                options: Vec::new(),
+                payload,
+            },
+        })
+    }
+
+    /// [`Server::respond`] to a borrowed request, encoding the response
+    /// straight onto the end of `out`. Returns `false` (and writes
+    /// nothing) where `respond` returns `None`.
+    pub fn respond_into(
+        &mut self,
+        req: &MessageView<'_>,
+        code: Code,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let Some((mtype, message_id)) = self.accept(req.mtype, req.code, req.message_id) else {
+            return false;
+        };
+        put_header(out, mtype, code, message_id, req.token);
+        put_payload(out, payload);
+        true
+    }
+
+    /// Admit a request: the response's type and message id, or `None`
+    /// for a non-request or a suppressed duplicate.
+    fn accept(&mut self, mtype: MsgType, code: Code, message_id: u16) -> Option<(MsgType, u16)> {
+        if !code.is_request() {
             return None;
         }
-        if req.mtype == MsgType::Confirmable {
-            if self.recent_mids.contains(&req.message_id) {
+        if mtype == MsgType::Confirmable {
+            if self.recent_mids.contains(&message_id) {
                 self.duplicates += 1;
                 return None;
             }
-            self.recent_mids.push_back(req.message_id);
+            self.recent_mids.push_back(message_id);
             if self.recent_mids.len() > DEDUP_WINDOW {
                 self.recent_mids.pop_front();
             }
         }
         self.handled += 1;
-        let message = match req.mtype {
+        Some(match mtype {
             // Piggybacked response inside the ACK: same message id.
-            MsgType::Confirmable => Message {
-                mtype: MsgType::Acknowledgement,
-                code,
-                message_id: req.message_id,
-                token: req.token.clone(),
-                options: Vec::new(),
-                payload,
-            },
+            MsgType::Confirmable => (MsgType::Acknowledgement, message_id),
             // Separate NON response: fresh message id, same token.
             _ => {
                 let mid = self.next_mid;
                 self.next_mid = self.next_mid.wrapping_add(1);
-                Message {
-                    mtype: MsgType::NonConfirmable,
-                    code,
-                    message_id: mid,
-                    token: req.token.clone(),
-                    options: Vec::new(),
-                    payload,
-                }
+                (MsgType::NonConfirmable, mid)
             }
-        };
-        Some(ServerReply { message })
+        })
     }
 }
 
@@ -351,5 +435,45 @@ mod tests {
         let done = c.on_response(&parsed2, 400).unwrap();
         assert_eq!(done.rtt_ns, 300);
         assert_eq!(done.payload, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn buffer_writing_forms_match_message_encoding() {
+        let (mut c1, mut c2) = (Client::new(3), Client::new(3));
+        let (mut s1, mut s2) = (Server::new(7), Server::new(7));
+        let cases: [(MsgType, &str, &[u8]); 4] = [
+            (MsgType::NonConfirmable, "/bench", &[0xA5; 39]),
+            (MsgType::Confirmable, "/a/b//c", b""),
+            (MsgType::Confirmable, "/a/b//c", b"x"),
+            (MsgType::NonConfirmable, "/", &[1; 300]),
+        ];
+        for (mtype, path, payload) in cases {
+            let msg = c1.request(5, mtype, Code::GET, path, payload.to_vec());
+            let mut wire = vec![0xEE]; // what is already there stays
+            c2.request_into(5, mtype, Code::GET, path, payload, &mut wire);
+            assert_eq!(wire[1..], msg.encode()[..]);
+            let req = MessageView::parse(&wire[1..]).unwrap();
+            for _ in 0..2 {
+                // The second round is a duplicate: CONs are suppressed.
+                let reply = s1.respond(&msg, Code::CONTENT, b"ok".to_vec());
+                let mut out = Vec::new();
+                let answered = s2.respond_into(&req, Code::CONTENT, b"ok", &mut out);
+                assert_eq!(answered, reply.is_some());
+                let Some(reply) = reply else {
+                    assert!(out.is_empty());
+                    continue;
+                };
+                assert_eq!(out, reply.message.encode());
+                let resp = MessageView::parse(&out).unwrap();
+                let want = c1.on_response(&reply.message, 9);
+                let got = c2.on_response_view(&resp, 9);
+                assert_eq!(
+                    want.map(|w| (w.request, w.rtt_ns)),
+                    got.map(|g| (g.request, g.rtt_ns))
+                );
+            }
+        }
+        assert_eq!((c1.completed, s1.duplicates), (c2.completed, s2.duplicates));
+        assert_eq!(s2.duplicates, 2);
     }
 }

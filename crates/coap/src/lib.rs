@@ -17,6 +17,16 @@
 //!
 //! Like RIOT's gcoap, the implementation is socket-agnostic: messages
 //! are byte vectors moved through any UDP transport.
+//!
+//! ## Buffer-writing forms
+//!
+//! [`Message`] owns its token, options and payload, so decoding one
+//! allocates. The data path uses the borrowed forms instead:
+//! [`MessageView::parse`] validates a message in place (same errors as
+//! [`Message::decode`]), [`Client::request_into`] and
+//! [`Server::respond_into`] encode straight onto the end of the
+//! caller's outgoing buffer (same bytes as [`Message::encode`]), and
+//! [`Client::on_response_view`] matches a borrowed response.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,5 +34,5 @@
 mod endpoint;
 mod msg;
 
-pub use endpoint::{Client, Completed, PendingRequest, Server, ServerReply};
-pub use msg::{Code, DecodeError, Message, MsgType, OptionNumber, COAP_DEFAULT_PORT};
+pub use endpoint::{Client, Completed, Matched, PendingRequest, Server, ServerReply};
+pub use msg::{Code, DecodeError, Message, MessageView, MsgType, OptionNumber, COAP_DEFAULT_PORT};

@@ -191,11 +191,13 @@ impl Message {
     pub fn encode(&self) -> Vec<u8> {
         assert!(self.token.len() <= 8, "token too long");
         let mut out = Vec::with_capacity(4 + self.token.len() + self.payload.len() + 8);
-        out.push(0x40 | (self.mtype.bits() << 4) | self.token.len() as u8);
-        out.push(self.code.0);
-        out.extend_from_slice(&self.message_id.to_be_bytes());
-        out.extend_from_slice(&self.token);
-
+        put_header(
+            &mut out,
+            self.mtype,
+            self.code,
+            self.message_id,
+            &self.token,
+        );
         let mut opts: Vec<(u16, &[u8])> = self
             .options
             .iter()
@@ -204,24 +206,59 @@ impl Message {
         opts.sort_by_key(|(n, _)| *n);
         let mut prev = 0u16;
         for (num, val) in opts {
-            let delta = num - prev;
-            prev = num;
-            let (dn, dext) = nibble(delta);
-            let (ln, lext) = nibble(val.len() as u16);
-            out.push((dn << 4) | ln);
-            out.extend_from_slice(&dext);
-            out.extend_from_slice(&lext);
-            out.extend_from_slice(val);
+            put_option(&mut out, &mut prev, num, val);
         }
-        if !self.payload.is_empty() {
-            out.push(0xFF);
-            out.extend_from_slice(&self.payload);
-        }
+        put_payload(&mut out, &self.payload);
         out
     }
 
-    /// Decode from bytes.
+    /// Decode from bytes: [`MessageView::parse`], copied out.
     pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
+        let mut options = Vec::new();
+        let v = MessageView::parse_with(bytes, |number, value| {
+            options.push((OptionNumber::from(number), value.to_vec()))
+        })?;
+        Ok(Message {
+            mtype: v.mtype,
+            code: v.code,
+            message_id: v.message_id,
+            token: v.token.to_vec(),
+            options,
+            payload: v.payload.to_vec(),
+        })
+    }
+}
+
+/// A CoAP message parsed in place: the fields the endpoints match on,
+/// borrowing the received bytes, so parsing allocates nothing. The
+/// options are validated but not kept; [`Message::decode`] keeps them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MessageView<'a> {
+    /// Message type.
+    pub mtype: MsgType,
+    /// Code (method or response).
+    pub code: Code,
+    /// Message ID.
+    pub message_id: u16,
+    /// Token, 0–8 bytes.
+    pub token: &'a [u8],
+    /// Payload (after the 0xFF marker).
+    pub payload: &'a [u8],
+}
+
+impl<'a> MessageView<'a> {
+    /// Parse and validate a message, with the same errors as
+    /// [`Message::decode`].
+    pub fn parse(bytes: &'a [u8]) -> Result<MessageView<'a>, DecodeError> {
+        Self::parse_with(bytes, |_, _| {})
+    }
+
+    /// [`MessageView::parse`], handing each option's number and value
+    /// to `on_option` in wire order.
+    fn parse_with(
+        bytes: &'a [u8],
+        mut on_option: impl FnMut(u16, &'a [u8]),
+    ) -> Result<MessageView<'a>, DecodeError> {
         if bytes.len() < 4 {
             return Err(DecodeError::Truncated);
         }
@@ -238,56 +275,104 @@ impl Message {
         if bytes.len() < 4 + tkl {
             return Err(DecodeError::Truncated);
         }
-        let token = bytes[4..4 + tkl].to_vec();
+        let token = &bytes[4..4 + tkl];
 
         let mut pos = 4 + tkl;
-        let mut options = Vec::new();
         let mut number = 0u16;
-        let mut payload = Vec::new();
+        let mut payload: &[u8] = &[];
         while pos < bytes.len() {
-            let b = bytes[pos];
-            pos += 1;
-            if b == 0xFF {
-                if pos == bytes.len() {
+            if bytes[pos] == 0xFF {
+                if pos + 1 == bytes.len() {
                     // Zero-length payload after marker is a format error.
                     return Err(DecodeError::MessageFormat);
                 }
-                payload = bytes[pos..].to_vec();
+                payload = &bytes[pos + 1..];
                 break;
             }
-            let (delta, p1) = read_ext(b >> 4, bytes, pos)?;
-            pos = p1;
-            let (len, p2) = read_ext(b & 0x0F, bytes, pos)?;
-            pos = p2;
-            number = number
-                .checked_add(delta)
-                .ok_or(DecodeError::MessageFormat)?;
-            let len = len as usize;
-            if pos + len > bytes.len() {
-                return Err(DecodeError::Truncated);
-            }
-            options.push((OptionNumber::from(number), bytes[pos..pos + len].to_vec()));
-            pos += len;
+            let value = read_option(bytes, &mut pos, &mut number)?;
+            on_option(number, &bytes[value]);
         }
-        Ok(Message {
+        Ok(MessageView {
             mtype,
             code,
             message_id,
             token,
-            options,
             payload,
         })
     }
 }
 
-/// Encode a delta/length value into its nibble + extension bytes.
-fn nibble(v: u16) -> (u8, Vec<u8>) {
-    if v < 13 {
-        (v as u8, Vec::new())
-    } else if v < 269 {
-        (13, vec![(v - 13) as u8])
-    } else {
-        (14, (v - 269).to_be_bytes().to_vec())
+/// Read the option whose header byte is at `*pos`: extended delta and
+/// length, then the value. Advances `pos` past it and `number` by its
+/// delta; returns where the value lies in `bytes`.
+fn read_option(
+    bytes: &[u8],
+    pos: &mut usize,
+    number: &mut u16,
+) -> Result<core::ops::Range<usize>, DecodeError> {
+    let b = bytes[*pos];
+    let (delta, p1) = read_ext(b >> 4, bytes, *pos + 1)?;
+    let (len, p2) = read_ext(b & 0x0F, bytes, p1)?;
+    *number = number
+        .checked_add(delta)
+        .ok_or(DecodeError::MessageFormat)?;
+    let end = p2 + len as usize;
+    if end > bytes.len() {
+        return Err(DecodeError::Truncated);
+    }
+    *pos = end;
+    Ok(p2..end)
+}
+
+/// Append the fixed header and the token.
+pub(crate) fn put_header(
+    out: &mut Vec<u8>,
+    mtype: MsgType,
+    code: Code,
+    message_id: u16,
+    token: &[u8],
+) {
+    out.push(0x40 | (mtype.bits() << 4) | token.len() as u8);
+    out.push(code.0);
+    out.extend_from_slice(&message_id.to_be_bytes());
+    out.extend_from_slice(token);
+}
+
+/// Append option `num` with `value`, delta-encoded against `*prev`
+/// (options go out in ascending number order).
+pub(crate) fn put_option(out: &mut Vec<u8>, prev: &mut u16, num: u16, value: &[u8]) {
+    let delta = num - *prev;
+    let len = value.len() as u16;
+    *prev = num;
+    out.push((nibble(delta) << 4) | nibble(len));
+    put_ext(out, delta);
+    put_ext(out, len);
+    out.extend_from_slice(value);
+}
+
+/// Append the payload marker and payload, if there is a payload.
+pub(crate) fn put_payload(out: &mut Vec<u8>, payload: &[u8]) {
+    if !payload.is_empty() {
+        out.push(0xFF);
+        out.extend_from_slice(payload);
+    }
+}
+
+/// The 4-bit field that encodes a delta or length `v`.
+fn nibble(v: u16) -> u8 {
+    match v {
+        0..=12 => v as u8,
+        13..=268 => 13,
+        _ => 14,
+    }
+}
+
+/// Append the 0–2 extension bytes [`nibble`] announces for `v`.
+fn put_ext(out: &mut Vec<u8>, v: u16) {
+    match v {
+        0..=12 => {}
+        13..=268 => out.push((v - 13) as u8),
+        _ => out.extend_from_slice(&(v - 269).to_be_bytes()),
     }
 }
 
@@ -432,12 +517,13 @@ mod tests {
     #[test]
     fn nibble_boundaries() {
         for v in [0u16, 12, 13, 268, 269, 1000, u16::MAX - 300] {
-            let (n, ext) = nibble(v);
-            let mut buf = ext.clone();
+            let mut buf = Vec::new();
+            put_ext(&mut buf, v);
+            let ext_len = buf.len();
             buf.push(0xAA); // trailing noise
-            let (back, used) = read_ext(n, &buf, 0).unwrap();
+            let (back, used) = read_ext(nibble(v), &buf, 0).unwrap();
             assert_eq!(back, v);
-            assert_eq!(used, ext.len());
+            assert_eq!(used, ext_len);
         }
     }
 }

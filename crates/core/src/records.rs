@@ -61,29 +61,50 @@ impl LinkStats {
     }
 }
 
-/// Per-link statistics, keyed by directed `(src, dst)`. Backed by a
-/// small insertion-ordered vector: a topology has a handful of links,
-/// `ll_attempt` runs once per data PDU (so the lookup sits on the
-/// kernel's hot path and must not hash), and iteration order is
-/// deterministic — first-traffic order — unlike a HashMap's.
+/// Per-link statistics, keyed by directed `(src, dst)`, kept in
+/// first-traffic order: iteration order is deterministic, unlike a
+/// HashMap's, and the figures and the link-layer PDR fold rely on it.
+/// `ll_attempt` runs once per data PDU, so lookups go through a
+/// per-source index rather than a scan of every link: a 500-node mesh
+/// has thousands of directed links, a node only its neighbours' worth.
 #[derive(Debug, Clone, Default)]
 pub struct LinkTable {
     entries: Vec<((NodeId, NodeId), LinkStats)>,
+    /// `by_src[src]`: `(dst, index into entries)` of each link from
+    /// `src`.
+    by_src: Vec<Vec<(NodeId, usize)>>,
 }
 
 impl LinkTable {
+    fn slot(&self, (src, dst): (NodeId, NodeId)) -> Option<usize> {
+        self.by_src
+            .get(src.index())?
+            .iter()
+            .find(|(d, _)| *d == dst)
+            .map(|&(_, i)| i)
+    }
+
     /// The stats slot of a link, created empty on first use.
     pub fn entry_mut(&mut self, key: (NodeId, NodeId)) -> &mut LinkStats {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            return &mut self.entries[i].1;
-        }
-        self.entries.push((key, LinkStats::default()));
-        &mut self.entries.last_mut().expect("just pushed").1
+        let i = match self.slot(key) {
+            Some(i) => i,
+            None => {
+                let i = self.entries.len();
+                self.entries.push((key, LinkStats::default()));
+                let src = key.0.index();
+                if self.by_src.len() <= src {
+                    self.by_src.resize_with(src + 1, Vec::new);
+                }
+                self.by_src[src].push((key.1, i));
+                i
+            }
+        };
+        &mut self.entries[i].1
     }
 
     /// Stats of a link, if it ever carried an attempt.
     pub fn get(&self, key: &(NodeId, NodeId)) -> Option<&LinkStats> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, s)| s)
+        self.slot(*key).map(|i| &self.entries[i].1)
     }
 
     /// All per-link stats, in first-traffic order.
@@ -370,6 +391,41 @@ mod tests {
         assert_eq!(s.per_channel[9], (1, 1));
         assert!((s.pdr() - 2.0 / 3.0).abs() < 1e-9);
         assert!((r.ll_pdr() - 2.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn link_table_indexes_many_links_in_first_traffic_order() {
+        // A mesh-sized table: 3000 directed links over 500 nodes,
+        // first seen in a scrambled order, each revisited later.
+        let mut table = LinkTable::default();
+        let key = |i: u64| {
+            let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            (NodeId((x % 500) as u16), NodeId((x / 500 % 500) as u16))
+        };
+        let mut order = Vec::new();
+        for i in 0..3000 {
+            let k = key(i);
+            if !order.contains(&k) {
+                order.push(k);
+            }
+            table.entry_mut(k).buckets.push((i, 0));
+        }
+        for i in (0..3000).rev() {
+            table.entry_mut(key(i)).buckets.push((i, 1));
+        }
+        assert_eq!(table.len(), order.len());
+        let keys: Vec<_> = table.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, order, "iteration keeps first-traffic order");
+        for i in 0..3000 {
+            let s = table.get(&key(i)).expect("recorded link");
+            assert!(s.buckets.contains(&(i, 0)) && s.buckets.contains(&(i, 1)));
+        }
+        let absent = (0..500)
+            .map(|d| (order[0].0, NodeId(d)))
+            .find(|k| !order.contains(k))
+            .expect("a node has fewer than 500 links");
+        assert!(table.get(&absent).is_none());
+        assert!(table.get(&(NodeId(600), NodeId(1))).is_none());
     }
 
     #[test]

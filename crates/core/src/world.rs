@@ -39,12 +39,13 @@ use mindgap_ble::{
     ConnId, ConnParams, Frame, LinkLayer, ListenTag, LlConfig, LlObsEvent, LossReason, Output,
     Role, Timer,
 };
-use mindgap_coap::{Client, Code, Message, MsgType, Server};
+use mindgap_coap::{Client, Code, MessageView, MsgType, Server};
 use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154};
 use mindgap_l2cap::frame::{self as l2frame, Signal, CID_LE_SIGNALING};
 use mindgap_l2cap::{BufPool, CocChannel, CocConfig, NIMBLE_BUF_BYTES};
 use mindgap_net::{
-    Ipv6Addr, Ipv6Stack, LinkService, LinkSignal, NetConfig, SignalLog, StackEvent, TxAdmission,
+    Delivery, Ipv6Addr, Ipv6Header, Ipv6Stack, LinkService, LinkSignal, NetConfig, SignalLog,
+    StackEvent, TxAdmission, Verdict, IPV6_HEADER_LEN, UDP_HEADROOM,
 };
 use mindgap_obs::{AdvMetrics, MetricsSnapshot, Obs, PeerMetrics, Span};
 use mindgap_peers::{PeerAction, PeerConfig, PeerCounters, PeerManager};
@@ -318,6 +319,25 @@ struct InFlight {
     src_epoch: u32,
 }
 
+/// A datagram on its way to a link: a whole IPv6 packet, or a relayed
+/// frame's parsed base header (hop limit already lowered) and the rest
+/// of the frame, which goes on verbatim.
+#[derive(Clone, Copy)]
+enum Outgoing<'a> {
+    Packet(&'a [u8]),
+    Relay(&'a iphc::Header, &'a [u8]),
+}
+
+impl Outgoing<'_> {
+    /// Append the 6LoWPAN frame for the hop `ctx` to `frame`.
+    fn encode(self, ctx: &LinkContext, frame: &mut Vec<u8>) {
+        match self {
+            Outgoing::Packet(packet) => iphc::encode_frame_into(packet, ctx, frame),
+            Outgoing::Relay(h, rest) => iphc::encode_relay(h, rest, ctx, frame),
+        }
+    }
+}
+
 struct CocState {
     chan: CocChannel,
     peer: NodeId,
@@ -468,6 +488,17 @@ pub struct World {
     /// Reusable buffers for `tx_end` (listener candidates, verdicts).
     cand_scratch: Vec<NodeId>,
     outcome_scratch: Vec<(NodeId, RxOutcome)>,
+    /// Scratch for the datagram a received frame decodes to, when it
+    /// is delivered here or refused with an ICMPv6 error; a relayed
+    /// frame is never decoded.
+    rx_packet: Vec<u8>,
+    /// Scratch for a datagram a node originates, built in place:
+    /// room for the IPv6 and UDP headers, then the message.
+    tx_packet: Vec<u8>,
+    /// The producers' request payload and the consumer's response
+    /// payload, fixed by the [`AppConfig`].
+    req_payload: Vec<u8>,
+    resp_payload: Vec<u8>,
     /// Per-node connection-slot counters: connection ids encode
     /// `(initiator, slot)` (see [`World::alloc_conn`]), so the id a
     /// connection gets depends only on how many connections *its
@@ -754,6 +785,10 @@ impl World {
             out_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             outcome_scratch: Vec::new(),
+            rx_packet: Vec::new(),
+            tx_packet: Vec::new(),
+            req_payload: vec![0xA5; app.payload],
+            resp_payload: vec![0x5A; app.response_payload],
             next_conn: vec![0; n],
             conn_ends: vec![Vec::new(); n],
             max_pdu: cfg.ll.max_pdu,
@@ -1229,7 +1264,7 @@ impl World {
         let node = &mut self.nodes[src.index()];
         match node.stack.send_echo_request(dst, 0xEC40, seq, b"mindgap") {
             Ok((packet, ll)) => {
-                self.send_ip(src, packet, ll);
+                self.send_ip(src, Outgoing::Packet(&packet), ll);
                 true
             }
             Err(_) => false,
@@ -1849,7 +1884,7 @@ impl World {
                 }
                 AdvOut::ListenOff => self.listen_off(node, ListenTag::Scan),
                 AdvOut::Deliver { src, sdu } => {
-                    self.handle_sdu(node, src, sdu);
+                    self.handle_sdu(node, src, &sdu);
                 }
                 AdvOut::NeighborUp { peer } => {
                     self.trace.emit();
@@ -2164,12 +2199,20 @@ impl World {
                     cid: 0x40,
                     credits: coc.pending_credits,
                 };
-                let pdu = l2frame::encode_basic(CID_LE_SIGNALING, &sig.encode());
-                if ll.enqueue(conn, pdu).is_ok() {
-                    coc.pending_credits = 0;
-                    continue;
+                let mut pdu = ll.buffers().take();
+                let start = l2frame::begin_basic(&mut pdu, CID_LE_SIGNALING);
+                sig.encode_into(&mut pdu);
+                l2frame::finish_basic(&mut pdu, start);
+                match ll.enqueue(conn, pdu) {
+                    Ok(()) => {
+                        coc.pending_credits = 0;
+                        continue;
+                    }
+                    Err(pdu) => {
+                        ll.recycle(pdu);
+                        return;
+                    }
                 }
-                return;
             }
             match coc.chan.next_pdu(max_pdu, pool, ll.buffers()) {
                 Some(pdu) => {
@@ -2199,29 +2242,23 @@ impl World {
     /// An LL payload (one L2CAP PDU) arrived on `conn`.
     ///
     /// `payload` came out of this node's LL buffer pool (see
-    /// `Connection::process_rx`); it goes back once decoded, as does
-    /// the pooled `body` copy.
+    /// `Connection::process_rx`) and goes back once read; the channel
+    /// reassembles the SDU into a buffer from the same pool, which goes
+    /// back once the SDU is handled.
     fn ll_rx(&mut self, node: NodeId, conn: ConnId, payload: Vec<u8>) {
         let Link::Conn(c) = &mut self.nodes[node.index()].link else {
             return;
         };
-        let (cid, body) = match l2frame::decode_basic(&payload) {
-            Ok(p) => {
-                let cid = p.cid;
-                let body = c.ll.buffers().take_copy(p.payload);
-                c.ll.recycle(payload);
-                (cid, body)
-            }
-            Err(_) => {
-                c.ll.recycle(payload);
-                self.obs.reg.inc(self.obs.m.l2cap_rx_malformed, node);
-                self.records.drop("l2cap_malformed");
-                return;
-            }
+        let ConnLink { ll, cocs, .. } = &mut **c;
+        let Ok(pdu) = l2frame::decode_basic(&payload) else {
+            ll.recycle(payload);
+            self.obs.reg.inc(self.obs.m.l2cap_rx_malformed, node);
+            self.records.drop("l2cap_malformed");
+            return;
         };
-        if cid == CID_LE_SIGNALING {
-            let sig = Signal::decode(&body);
-            c.ll.recycle(body);
+        if pdu.cid == CID_LE_SIGNALING {
+            let sig = Signal::decode(pdu.payload);
+            ll.recycle(payload);
             if let Ok(Signal::Credit { credits, .. }) = sig {
                 if let Some(coc) = c.coc_mut(conn) {
                     coc.chan.grant(credits);
@@ -2230,111 +2267,181 @@ impl World {
             }
             return;
         }
-        let (sdu, peer) = {
-            let ConnLink { ll, cocs, .. } = &mut **c;
-            let Some(coc) = cocs.iter_mut().find(|(c, _)| *c == conn).map(|(_, s)| s) else {
-                ll.recycle(body);
+        let Some(coc) = cocs.iter_mut().find(|(c, _)| *c == conn).map(|(_, s)| s) else {
+            ll.recycle(payload);
+            return;
+        };
+        let rx = coc.chan.on_pdu_into(pdu.payload, ll.buffers());
+        ll.recycle(payload);
+        let sdu = match rx {
+            Ok(sdu) => {
+                let back = coc.chan.credits_to_return();
+                if back > 0 {
+                    coc.pending_credits = coc.pending_credits.saturating_add(back);
+                }
+                sdu
+            }
+            Err(_) => {
+                self.obs.reg.inc(self.obs.m.l2cap_rx_malformed, node);
+                self.records.drop("l2cap_protocol");
                 return;
-            };
-            match coc.chan.on_pdu(&body) {
-                Ok(sdu) => {
-                    let back = coc.chan.credits_to_return();
-                    if back > 0 {
-                        coc.pending_credits = coc.pending_credits.saturating_add(back);
-                    }
-                    let peer = coc.peer;
-                    ll.recycle(body);
-                    (sdu, peer)
-                }
-                Err(_) => {
-                    ll.recycle(body);
-                    self.obs.reg.inc(self.obs.m.l2cap_rx_malformed, node);
-                    self.records.drop("l2cap_protocol");
-                    return;
-                }
             }
         };
+        let peer = coc.peer;
         self.pump(node, conn); // flush credits (and any queued data)
         if let Some(sdu) = sdu {
             self.obs.reg.inc(self.obs.m.l2cap_sdu_rx, node);
             self.obs
                 .reg
                 .observe(self.obs.m.l2cap_sdu_bytes, node, sdu.len() as u64);
-            self.handle_sdu(node, peer, sdu);
+            self.handle_sdu(node, peer, &sdu);
+            if let Some(c) = self.nodes[node.index()].link.conn_mut() {
+                c.ll.recycle(sdu);
+            }
         }
     }
 
     /// A complete 6LoWPAN frame arrived from `peer`.
-    fn handle_sdu(&mut self, node: NodeId, peer: NodeId, sdu: Vec<u8>) {
+    ///
+    /// An IPHC frame is parsed, not decompressed: the IPv6 decision is
+    /// made on its header, and a relay re-encodes only the base header
+    /// for the next hop and copies the rest of the frame. The datagram
+    /// is rebuilt (into `rx_packet`) only to deliver it here or to
+    /// quote it in an ICMPv6 error.
+    fn handle_sdu(&mut self, node: NodeId, peer: NodeId, sdu: &[u8]) {
         let ctx = LinkContext {
             src: LlAddr::from_node_index(peer.0),
             dst: LlAddr::from_node_index(node.0),
         };
-        let packet = match iphc::decode_frame(&sdu, &ctx) {
-            Ok(p) => p,
+        let mut packet = std::mem::take(&mut self.rx_packet);
+        packet.clear();
+        match iphc::parse(sdu, &ctx) {
+            Ok((h, at)) => {
+                self.obs.reg.inc(self.obs.m.sixlowpan_frames_decoded, node);
+                self.receive(node, &h, &sdu[at..], &mut packet);
+            }
+            // The uncompressed dispatch: a whole datagram.
+            Err(_)
+                if sdu.first() == Some(&iphc::DISPATCH_IPV6)
+                    && iphc::decode_frame_into(sdu, &ctx, &mut packet).is_ok() =>
+            {
+                self.obs.reg.inc(self.obs.m.sixlowpan_frames_decoded, node);
+                let events = self.nodes[node.index()].stack.on_datagram(&packet);
+                self.handle_stack_events(node, events);
+            }
             Err(_) => {
                 self.obs.reg.inc(self.obs.m.sixlowpan_decode_errors, node);
                 self.records.drop("sixlowpan_malformed");
-                return;
             }
-        };
-        self.obs.reg.inc(self.obs.m.sixlowpan_frames_decoded, node);
-        let events = self.nodes[node.index()].stack.on_datagram(&packet);
-        self.handle_stack_events(node, events);
+        }
+        self.rx_packet = packet;
+    }
+
+    /// Act on a parsed IPHC frame: header `h`, then `rest` (the NHC
+    /// UDP header or inline next header, and the payload). `packet` is
+    /// empty scratch for the datagram, should it be needed.
+    fn receive(&mut self, node: NodeId, h: &iphc::Header, rest: &[u8], packet: &mut Vec<u8>) {
+        let stack = &mut self.nodes[node.index()].stack;
+        let hdr = Ipv6Header::from(h);
+        match stack.on_header(&hdr) {
+            Verdict::Forward {
+                next_hop_ll,
+                hop_limit,
+            } => {
+                let h = iphc::Header { hop_limit, ..*h };
+                self.send_ip(node, Outgoing::Relay(&h, rest), next_hop_ll);
+            }
+            Verdict::Local => {
+                iphc::datagram_into(h, rest, packet);
+                match stack.deliver(&hdr, &packet[IPV6_HEADER_LEN..]) {
+                    Delivery::Udp {
+                        src,
+                        src_port,
+                        dst_port,
+                        payload,
+                    } => self.deliver_udp(node, src, src_port, dst_port, payload),
+                    Delivery::Events(events) => self.handle_stack_events(node, events),
+                }
+            }
+            Verdict::Refuse(refusal) => {
+                let error = refusal.quotes().then(|| {
+                    iphc::datagram_into(h, rest, packet);
+                    stack.quote_error(refusal, packet)
+                });
+                self.records.drop(refusal.reason());
+                if let Some(ev) = error.flatten() {
+                    self.handle_stack_event(node, ev);
+                }
+            }
+        }
     }
 
     fn handle_stack_events(&mut self, node: NodeId, events: Vec<StackEvent>) {
         for ev in events {
-            match ev {
-                StackEvent::DeliverUdp {
-                    src,
-                    src_port,
-                    dst_port,
-                    payload,
-                } => {
-                    if dst_port == COAP_PORT {
-                        self.coap_rx(node, src, src_port, &payload);
-                    } else if dst_port == RPL_PORT {
-                        self.rpl_rx(node, src, &payload);
-                    }
-                }
-                StackEvent::DeliverEchoReply { from, sequence, .. } => {
-                    self.echo_replies.push((node, from, sequence));
-                }
-                StackEvent::Transmit {
-                    packet,
-                    next_hop_ll,
-                } => {
-                    self.send_ip(node, packet, next_hop_ll);
-                }
-                StackEvent::Dropped { reason } => {
-                    self.records.drop(reason);
-                }
+            self.handle_stack_event(node, ev);
+        }
+    }
+
+    fn handle_stack_event(&mut self, node: NodeId, ev: StackEvent) {
+        match ev {
+            StackEvent::DeliverUdp {
+                src,
+                src_port,
+                dst_port,
+                payload,
+            } => self.deliver_udp(node, src, src_port, dst_port, &payload),
+            StackEvent::DeliverEchoReply { from, sequence, .. } => {
+                self.echo_replies.push((node, from, sequence));
             }
+            StackEvent::Transmit {
+                packet,
+                next_hop_ll,
+            } => {
+                self.send_ip(node, Outgoing::Packet(&packet), next_hop_ll);
+            }
+            StackEvent::Dropped { reason } => {
+                self.records.drop(reason);
+            }
+        }
+    }
+
+    fn deliver_udp(
+        &mut self,
+        node: NodeId,
+        src: Ipv6Addr,
+        src_port: u16,
+        dst_port: u16,
+        payload: &[u8],
+    ) {
+        if dst_port == COAP_PORT {
+            self.coap_rx(node, src, src_port, payload);
+        } else if dst_port == RPL_PORT {
+            self.rpl_rx(node, src, payload);
         }
     }
 
     fn coap_rx(&mut self, node: NodeId, src: Ipv6Addr, src_port: u16, payload: &[u8]) {
         let now = self.queue.now();
-        let Ok(msg) = Message::decode(payload) else {
+        let Ok(msg) = MessageView::parse(payload) else {
             self.records.drop("coap_malformed");
             return;
         };
         if msg.code.is_request() {
-            let response_payload = vec![0x5A; self.app.response_payload];
-            let reply = {
-                let n = &mut self.nodes[node.index()];
-                n.server.respond(&msg, Code::CONTENT, response_payload)
-            };
-            if let Some(reply) = reply {
+            let mut packet = std::mem::take(&mut self.tx_packet);
+            packet.clear();
+            packet.resize(UDP_HEADROOM, 0);
+            let n = &mut self.nodes[node.index()];
+            if n.server
+                .respond_into(&msg, Code::CONTENT, &self.resp_payload, &mut packet)
+            {
                 self.obs.reg.inc(self.obs.m.coap_resp_tx, node);
-                let bytes = reply.message.encode();
-                self.send_udp(node, src, COAP_PORT, src_port, &bytes);
+                self.send_udp_packet(node, src, COAP_PORT, src_port, &mut packet);
             }
+            self.tx_packet = packet;
         } else if msg.code.is_response() {
             let done = {
                 let n = &mut self.nodes[node.index()];
-                n.client.on_response(&msg, now.nanos())
+                n.client.on_response_view(&msg, now.nanos())
             };
             if let Some(c) = done {
                 self.obs.reg.inc(self.obs.m.coap_resp_rx, node);
@@ -2351,11 +2458,29 @@ impl World {
     }
 
     fn send_udp(&mut self, node: NodeId, dst: Ipv6Addr, src_port: u16, dst_port: u16, data: &[u8]) {
+        let mut packet = std::mem::take(&mut self.tx_packet);
+        packet.clear();
+        packet.resize(UDP_HEADROOM, 0);
+        packet.extend_from_slice(data);
+        self.send_udp_packet(node, dst, src_port, dst_port, &mut packet);
+        self.tx_packet = packet;
+    }
+
+    /// Originate the UDP datagram built in `packet`: [`UDP_HEADROOM`]
+    /// bytes of room for the headers, then the data.
+    fn send_udp_packet(
+        &mut self,
+        node: NodeId,
+        dst: Ipv6Addr,
+        src_port: u16,
+        dst_port: u16,
+        packet: &mut [u8],
+    ) {
         let res = self.nodes[node.index()]
             .stack
-            .send_udp(dst, src_port, dst_port, data);
+            .send_udp_in_place(dst, src_port, dst_port, packet);
         match res {
-            Ok((packet, ll)) => self.send_ip(node, packet, ll),
+            Ok(ll) => self.send_ip(node, Outgoing::Packet(packet), ll),
             Err(_) => {
                 self.obs.reg.inc(self.obs.m.ipv6_send_failures, node);
                 self.records.drop("no_route_local");
@@ -2363,18 +2488,18 @@ impl World {
         }
     }
 
-    /// Hand an IPv6 packet to the link towards `next_hop_ll`.
-    fn send_ip(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
+    /// Hand an IPv6 datagram to the link towards `next_hop_ll`.
+    fn send_ip(&mut self, node: NodeId, out: Outgoing<'_>, next_hop_ll: LlAddr) {
         let c = match &self.nodes[node.index()].link {
             Link::Conn(c) => c,
-            Link::Adv(_) => return self.send_ip_adv(node, packet, next_hop_ll),
-            Link::Ieee(_) => return self.send_ip_ieee(node, packet, next_hop_ll),
+            Link::Adv(_) => return self.send_ip_adv(node, out, next_hop_ll),
+            Link::Ieee(_) => return self.send_ip_ieee(node, out, next_hop_ll),
         };
         if next_hop_ll == LlAddr::BROADCAST {
             // RFC 7668: multicast is replicated over every link.
             let conns: Vec<(ConnId, NodeId)> = c.cocs.iter().map(|(c, s)| (*c, s.peer)).collect();
             for (conn, peer) in conns {
-                self.send_on_conn(node, conn, peer, &packet);
+                self.send_on_conn(node, conn, peer, out);
             }
             return;
         }
@@ -2389,14 +2514,14 @@ impl World {
             self.records.drop("link_down");
             return;
         };
-        self.send_on_conn(node, conn, peer, &packet);
+        self.send_on_conn(node, conn, peer, out);
     }
 
     /// Adv-mode IP egress: compress per hop and queue on the
     /// advertising transport. Multicast replicates to every current
     /// neighbor as link-layer unicast, mirroring the conn path's
     /// per-link replication (RFC 7668 semantics).
-    fn send_ip_adv(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
+    fn send_ip_adv(&mut self, node: NodeId, out: Outgoing<'_>, next_hop_ll: LlAddr) {
         let Link::Adv(adv) = &self.nodes[node.index()].link else {
             return;
         };
@@ -2407,7 +2532,7 @@ impl World {
                 .map(|a| NodeId(u16::from_be_bytes([a.0[6], a.0[7]])))
                 .collect();
             for peer in peers {
-                self.send_on_adv(node, peer, &packet);
+                self.send_on_adv(node, peer, out);
             }
             return;
         }
@@ -2415,7 +2540,7 @@ impl World {
         // Admission through the link-service boundary: a next hop we
         // have never heard a beacon from cannot be reached yet.
         match adv.admit(next_hop_ll) {
-            TxAdmission::Ok => self.send_on_adv(node, peer, &packet),
+            TxAdmission::Ok => self.send_on_adv(node, peer, out),
             TxAdmission::NoLink => {
                 self.obs.reg.inc(self.obs.m.ipv6_send_failures, node);
                 self.records.drop("link_down");
@@ -2427,12 +2552,13 @@ impl World {
         }
     }
 
-    fn send_on_adv(&mut self, node: NodeId, peer: NodeId, packet: &[u8]) {
+    fn send_on_adv(&mut self, node: NodeId, peer: NodeId, out: Outgoing<'_>) {
         let ctx = LinkContext {
             src: LlAddr::from_node_index(node.0),
             dst: LlAddr::from_node_index(peer.0),
         };
-        let frame = iphc::encode_frame(packet, &ctx);
+        let mut frame = Vec::new();
+        out.encode(&ctx, &mut frame);
         let Link::Adv(adv) = &mut self.nodes[node.index()].link else {
             return;
         };
@@ -2451,7 +2577,7 @@ impl World {
     /// 802.15.4 IP egress: compress for the hop, fragment when the
     /// frame exceeds one MAC payload, and queue on the MAC. Multicast
     /// goes out as one MAC broadcast.
-    fn send_ip_ieee(&mut self, node: NodeId, packet: Vec<u8>, next_hop_ll: LlAddr) {
+    fn send_ip_ieee(&mut self, node: NodeId, out: Outgoing<'_>, next_hop_ll: LlAddr) {
         let now = self.queue.now();
         let dst = (next_hop_ll != LlAddr::BROADCAST)
             .then(|| NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]])));
@@ -2459,7 +2585,8 @@ impl World {
             src: LlAddr::from_node_index(node.0),
             dst: dst.map_or(LlAddr::BROADCAST, |d| LlAddr::from_node_index(d.0)),
         };
-        let frame6 = iphc::encode_frame(&packet, &ctx);
+        let mut frame6 = Vec::new();
+        out.encode(&ctx, &mut frame6);
         let Link::Ieee(l) = &mut self.nodes[node.index()].link else {
             return;
         };
@@ -2501,7 +2628,7 @@ impl World {
                         continue;
                     };
                     match l.reassemble(src, payload, now) {
-                        Ok(Some(sdu)) => self.handle_sdu(node, src, sdu),
+                        Ok(Some(sdu)) => self.handle_sdu(node, src, &sdu),
                         Ok(None) => {}
                         Err(()) => self.records.drop("bad_fragment"),
                     }
@@ -2515,25 +2642,29 @@ impl World {
         }
     }
 
-    fn send_on_conn(&mut self, node: NodeId, conn: ConnId, peer: NodeId, packet: &[u8]) {
+    /// Compress `out` for the hop to `peer` into a buffer from the
+    /// node's pool and queue it on the channel of `conn`.
+    fn send_on_conn(&mut self, node: NodeId, conn: ConnId, peer: NodeId, out: Outgoing<'_>) {
         let ctx = LinkContext {
             src: LlAddr::from_node_index(node.0),
             dst: LlAddr::from_node_index(peer.0),
         };
-        let frame = iphc::encode_frame(packet, &ctx);
-        let Some(ConnLink { cocs, pool, .. }) = self.nodes[node.index()].link.conn_mut() else {
+        let Some(ConnLink { ll, cocs, pool, .. }) = self.nodes[node.index()].link.conn_mut() else {
             return;
         };
         let Some(coc) = cocs.iter_mut().find(|(c, _)| *c == conn).map(|(_, s)| s) else {
             self.records.drop("link_down");
             return;
         };
-        match coc.chan.send_sdu(frame, pool) {
+        let mut frame = ll.buffers().take();
+        out.encode(&ctx, &mut frame);
+        match coc.chan.queue_sdu(frame, pool) {
             Ok(()) => {
                 self.obs.reg.inc(self.obs.m.l2cap_sdu_tx, node);
                 self.pump(node, conn)
             }
-            Err(_) => {
+            Err((_, frame)) => {
+                ll.recycle(frame);
                 // The paper's §5.2 loss mechanism: mbuf pool exhausted.
                 self.obs.reg.inc(self.obs.m.l2cap_mbuf_drops, node);
                 self.record_recovery_span(
@@ -2553,21 +2684,21 @@ impl World {
 
     fn producer_send(&mut self, now: Instant, node: NodeId) {
         let consumer = Ipv6Addr::of_node(self.app.consumer.0);
-        let payload = vec![0xA5; self.app.payload];
-        let msg = {
-            let n = &mut self.nodes[node.index()];
-            n.client.request(
-                now.nanos(),
-                MsgType::NonConfirmable,
-                Code::GET,
-                BENCH_PATH,
-                payload,
-            )
-        };
+        let mut packet = std::mem::take(&mut self.tx_packet);
+        packet.clear();
+        packet.resize(UDP_HEADROOM, 0);
+        self.nodes[node.index()].client.request_into(
+            now.nanos(),
+            MsgType::NonConfirmable,
+            Code::GET,
+            BENCH_PATH,
+            &self.req_payload,
+            &mut packet,
+        );
         self.obs.reg.inc(self.obs.m.coap_req_tx, node);
         self.records.coap_sent(node, now);
-        let bytes = msg.encode();
-        self.send_udp(node, consumer, COAP_PORT, COAP_PORT, &bytes);
+        self.send_udp_packet(node, consumer, COAP_PORT, COAP_PORT, &mut packet);
+        self.tx_packet = packet;
         // Schedule the next request with fresh jitter.
         let jittered = self.nodes[node.index()].rng.jittered_nanos(
             self.app.producer_interval.nanos(),

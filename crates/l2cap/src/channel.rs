@@ -177,12 +177,24 @@ impl CocChannel {
     /// Queue an SDU for transmission, charging the mbuf pool in whole
     /// blocks (see [`mbuf_cost`]).
     pub fn send_sdu(&mut self, sdu: Vec<u8>, pool: &mut BufPool) -> Result<(), SduSendError> {
+        self.queue_sdu(sdu, pool).map_err(|(e, _)| e)
+    }
+
+    /// [`CocChannel::send_sdu`] that hands a refused SDU's buffer back
+    /// with the error, so a caller that drew it from a `BytePool` can
+    /// return it there. A queued SDU's buffer goes to the pool
+    /// [`CocChannel::next_pdu`] draws from once its last byte is sent.
+    pub fn queue_sdu(
+        &mut self,
+        sdu: Vec<u8>,
+        pool: &mut BufPool,
+    ) -> Result<(), (SduSendError, Vec<u8>)> {
         if sdu.len() > self.peer_mtu as usize {
-            return Err(SduSendError::TooLarge);
+            return Err((SduSendError::TooLarge, sdu));
         }
         let pool_cost = mbuf_cost(sdu.len());
         if !pool.alloc(pool_cost) {
-            return Err(SduSendError::PoolExhausted);
+            return Err((SduSendError::PoolExhausted, sdu));
         }
         self.tx_queue.push_back(TxSdu {
             data: sdu,
@@ -213,8 +225,9 @@ impl CocChannel {
     /// bytes leave the queue.
     ///
     /// The returned PDU buffer is drawn from `bufs` and encoded in
-    /// place (basic header first, length patched at the end), so
-    /// segmentation allocates nothing in steady state.
+    /// place (basic header first, length patched at the end), and a
+    /// fully sent SDU's buffer goes back to `bufs`, so segmentation
+    /// allocates nothing in steady state.
     pub fn next_pdu(
         &mut self,
         max_pdu: usize,
@@ -238,8 +251,7 @@ impl CocChannel {
             return None;
         }
         let mut pdu = bufs.take();
-        pdu.extend_from_slice(&[0, 0]); // length, patched below
-        pdu.extend_from_slice(&self.peer_cid.to_le_bytes());
+        frame::begin_basic(&mut pdu, self.peer_cid);
         if !head.started {
             pdu.extend_from_slice(&(head.data.len() as u16).to_le_bytes());
             head.started = true;
@@ -252,18 +264,30 @@ impl CocChannel {
         if done {
             let sdu = self.tx_queue.pop_front().expect("head exists");
             pool.free(sdu.pool_cost);
+            bufs.put(sdu.data);
             self.sdus_sent += 1;
         }
         self.tx_credits -= 1;
         self.pdus_sent += 1;
-        let payload_len = (pdu.len() - frame::BASIC_HEADER_LEN) as u16;
-        pdu[..2].copy_from_slice(&payload_len.to_le_bytes());
+        frame::finish_basic(&mut pdu, 0);
         Some(pdu)
     }
 
     /// Feed a received K-frame payload (basic header already stripped).
     /// Returns a completed SDU when reassembly finishes.
     pub fn on_pdu(&mut self, payload: &[u8]) -> Result<Option<Vec<u8>>, CocError> {
+        self.on_pdu_into(payload, &mut BytePool::new())
+    }
+
+    /// [`CocChannel::on_pdu`] reassembling into a buffer drawn from
+    /// `bufs`. The completed SDU is that buffer: hand it back to `bufs`
+    /// once consumed, and the receive path allocates nothing in steady
+    /// state.
+    pub fn on_pdu_into(
+        &mut self,
+        payload: &[u8],
+        bufs: &mut BytePool,
+    ) -> Result<Option<Vec<u8>>, CocError> {
         if self.peer_credits_outstanding == 0 {
             return Err(CocError::CreditUnderflow);
         }
@@ -284,16 +308,14 @@ impl CocChannel {
                 if expected > self.local.mtu as usize {
                     return Err(CocError::SduTooLarge);
                 }
-                let mut buf = Vec::with_capacity(expected);
+                let mut buf = bufs.take();
+                buf.reserve(expected);
                 buf.extend_from_slice(&payload[SDU_LEN_FIELD..]);
                 (expected, buf)
             }
         };
-        self.finish_rx(expected, buf)
-    }
-
-    fn finish_rx(&mut self, expected: usize, buf: Vec<u8>) -> Result<Option<Vec<u8>>, CocError> {
         if buf.len() > expected {
+            bufs.put(buf);
             return Err(CocError::SduLengthExceeded);
         }
         self.mark_consumed();
@@ -542,5 +564,49 @@ mod tests {
         a.send_sdu(Vec::new(), &mut pool).unwrap();
         let got = pump(&mut a, &mut b, &mut pool, 251);
         assert_eq!(got, vec![Vec::<u8>::new()]);
+    }
+
+    #[test]
+    fn pooled_path_recycles_sdu_and_pdu_buffers() {
+        let (mut a, mut b, mut pool) = pair();
+        let mut bufs = BytePool::new();
+        for round in 0..50u8 {
+            let mut sdu = bufs.take();
+            sdu.extend_from_slice(&[round; 300]);
+            a.queue_sdu(sdu, &mut pool).unwrap();
+            while let Some(pdu) = a.next_pdu(251, &mut pool, &mut bufs) {
+                let got = b
+                    .on_pdu_into(&pdu[frame::BASIC_HEADER_LEN..], &mut bufs)
+                    .unwrap();
+                bufs.put(pdu);
+                if let Some(got) = got {
+                    assert_eq!(got, vec![round; 300]);
+                    bufs.put(got);
+                }
+                let back = b.credits_to_return();
+                if back > 0 {
+                    a.grant(back);
+                }
+            }
+        }
+        assert!(bufs.allocs() <= 4, "{} allocations", bufs.allocs());
+        assert_eq!(pool.used(), 0);
+    }
+
+    #[test]
+    fn refused_sdu_comes_back_with_the_error() {
+        let cfg = CocConfig::default();
+        let mut a = CocChannel::symmetric(cfg, 0x40, 0x41);
+        let mut pool = BufPool::new(MBUF_BLOCK);
+        a.queue_sdu(vec![1; 10], &mut pool).unwrap();
+        assert_eq!(
+            a.queue_sdu(vec![2; 10], &mut pool),
+            Err((SduSendError::PoolExhausted, vec![2; 10]))
+        );
+        assert_eq!(
+            a.queue_sdu(vec![3; 1281], &mut pool)
+                .map_err(|(e, b)| (e, b.len())),
+            Err((SduSendError::TooLarge, 1281))
+        );
     }
 }

@@ -39,14 +39,22 @@ pub struct BasicPdu<'a> {
     pub payload: &'a [u8],
 }
 
-/// Encode a basic PDU (header + payload) into a fresh buffer.
-pub fn encode_basic(cid: u16, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= u16::MAX as usize);
-    let mut out = Vec::with_capacity(BASIC_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+/// Start a basic PDU at the end of `out`: a length placeholder and
+/// `cid`. Append the payload, then call [`finish_basic`] with the
+/// returned start to patch the length.
+pub fn begin_basic(out: &mut Vec<u8>, cid: u16) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0, 0]);
     out.extend_from_slice(&cid.to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    start
+}
+
+/// Patch the length field of the basic PDU [`begin_basic`] started at
+/// `start`: everything appended since is its payload.
+pub fn finish_basic(out: &mut [u8], start: usize) {
+    let len = out.len() - start - BASIC_HEADER_LEN;
+    assert!(len <= u16::MAX as usize);
+    out[start..start + 2].copy_from_slice(&(len as u16).to_le_bytes());
 }
 
 /// Decode a basic PDU, validating the length field.
@@ -115,16 +123,10 @@ const CODE_CONN_RSP: u8 = 0x15;
 const CODE_CREDIT: u8 = 0x16;
 
 impl Signal {
-    /// Encode into a signaling-channel payload (code, id, len, data).
-    pub fn encode(&self) -> Vec<u8> {
-        fn hdr(code: u8, id: u8, len: usize) -> Vec<u8> {
-            let mut v = Vec::with_capacity(4 + len);
-            v.push(code);
-            v.push(id);
-            v.extend_from_slice(&(len as u16).to_le_bytes());
-            v
-        }
-        match *self {
+    /// Append the signaling-channel payload (code, id, len, data) to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let (code, identifier, fields): (u8, u8, &[u16]) = match *self {
             Signal::ConnReq {
                 identifier,
                 psm,
@@ -132,13 +134,11 @@ impl Signal {
                 mtu,
                 mps,
                 initial_credits,
-            } => {
-                let mut v = hdr(CODE_CONN_REQ, identifier, 10);
-                for f in [psm, scid, mtu, mps, initial_credits] {
-                    v.extend_from_slice(&f.to_le_bytes());
-                }
-                v
-            }
+            } => (
+                CODE_CONN_REQ,
+                identifier,
+                &[psm, scid, mtu, mps, initial_credits],
+            ),
             Signal::ConnRsp {
                 identifier,
                 dcid,
@@ -146,24 +146,22 @@ impl Signal {
                 mps,
                 initial_credits,
                 result,
-            } => {
-                let mut v = hdr(CODE_CONN_RSP, identifier, 10);
-                for f in [dcid, mtu, mps, initial_credits, result] {
-                    v.extend_from_slice(&f.to_le_bytes());
-                }
-                v
-            }
+            } => (
+                CODE_CONN_RSP,
+                identifier,
+                &[dcid, mtu, mps, initial_credits, result],
+            ),
             Signal::Credit {
                 identifier,
                 cid,
                 credits,
-            } => {
-                let mut v = hdr(CODE_CREDIT, identifier, 4);
-                for f in [cid, credits] {
-                    v.extend_from_slice(&f.to_le_bytes());
-                }
-                v
-            }
+            } => (CODE_CREDIT, identifier, &[cid, credits]),
+        };
+        out.push(code);
+        out.push(identifier);
+        out.extend_from_slice(&(2 * fields.len() as u16).to_le_bytes());
+        for f in fields {
+            out.extend_from_slice(&f.to_le_bytes());
         }
     }
 
@@ -226,6 +224,20 @@ impl Signal {
 mod tests {
     use super::*;
 
+    fn encode_basic(cid: u16, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let start = begin_basic(&mut out, cid);
+        out.extend_from_slice(payload);
+        finish_basic(&mut out, start);
+        out
+    }
+
+    fn encode(sig: Signal) -> Vec<u8> {
+        let mut out = Vec::new();
+        sig.encode_into(&mut out);
+        out
+    }
+
     #[test]
     fn basic_roundtrip() {
         let pdu = encode_basic(0x0040, b"hello");
@@ -259,7 +271,7 @@ mod tests {
             mps: 247,
             initial_credits: 10,
         };
-        assert_eq!(Signal::decode(&sig.encode()).unwrap(), sig);
+        assert_eq!(Signal::decode(&encode(sig)).unwrap(), sig);
     }
 
     #[test]
@@ -272,7 +284,7 @@ mod tests {
             initial_credits: 4,
             result: 0,
         };
-        assert_eq!(Signal::decode(&sig.encode()).unwrap(), sig);
+        assert_eq!(Signal::decode(&encode(sig)).unwrap(), sig);
     }
 
     #[test]
@@ -282,29 +294,27 @@ mod tests {
             cid: 0x0041,
             credits: 3,
         };
-        assert_eq!(Signal::decode(&sig.encode()).unwrap(), sig);
+        assert_eq!(Signal::decode(&encode(sig)).unwrap(), sig);
     }
 
     #[test]
     fn unknown_code_rejected() {
-        let mut raw = Signal::Credit {
+        let mut raw = encode(Signal::Credit {
             identifier: 1,
             cid: 1,
             credits: 1,
-        }
-        .encode();
+        });
         raw[0] = 0x77;
         assert_eq!(Signal::decode(&raw), Err(DecodeError::UnknownCode(0x77)));
     }
 
     #[test]
     fn signal_length_validated() {
-        let mut raw = Signal::Credit {
+        let mut raw = encode(Signal::Credit {
             identifier: 1,
             cid: 1,
             credits: 1,
-        }
-        .encode();
+        });
         raw.push(0);
         assert_eq!(Signal::decode(&raw), Err(DecodeError::LengthMismatch));
     }

@@ -21,6 +21,19 @@
 //! The crate is I/O-free and simulation-agnostic: it transforms bytes
 //! and updates counters. The BLE link layer pulls PDUs out of
 //! channels; `mindgap-core` wires channels to the IP stack.
+//!
+//! ## Buffer-writing forms
+//!
+//! The data path recycles its buffers through a
+//! [`mindgap_sim::BytePool`]: [`CocChannel::next_pdu`] builds each
+//! K-frame in place in a pooled buffer, [`CocChannel::queue_sdu`]
+//! takes an SDU built in a pooled buffer and returns it to the pool
+//! once sent (or with the error, if refused), and
+//! [`CocChannel::on_pdu_into`] reassembles into a pooled buffer that
+//! the caller hands back after use. [`frame::begin_basic`] /
+//! [`frame::finish_basic`] and [`frame::Signal::encode_into`] write
+//! signaling PDUs in place. [`CocChannel::send_sdu`] and
+//! [`CocChannel::on_pdu`] are the owning forms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -137,6 +137,22 @@ impl Ipv6Header {
     }
 }
 
+impl From<&mindgap_sixlowpan::iphc::Header> for Ipv6Header {
+    /// The header a compressed frame decodes to, as
+    /// [`Ipv6Header::decode`] of the decompressed datagram gives it.
+    fn from(h: &mindgap_sixlowpan::iphc::Header) -> Self {
+        Ipv6Header {
+            traffic_class: h.traffic_class,
+            flow_label: h.flow_label,
+            payload_len: h.payload_len as u16,
+            next_header: NextHeader::from(h.next_header),
+            hop_limit: h.hop_limit,
+            src: Ipv6Addr(h.src),
+            dst: Ipv6Addr(h.dst),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

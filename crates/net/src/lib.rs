@@ -9,7 +9,11 @@
 //! it datagrams and it returns *actions* ([`StackEvent`]) — deliver to
 //! a local socket, forward via a next hop, answer with ICMPv6. The
 //! simulation's node glue (in `mindgap-core`) turns those actions into
-//! 6LoWPAN frames on BLE or 802.15.4 links.
+//! 6LoWPAN frames on BLE or 802.15.4 links. On the data path it decides
+//! on a parsed header instead ([`Ipv6Stack::on_header`] → [`Verdict`]),
+//! so a relay never rebuilds the datagram, delivers borrowed payloads
+//! ([`Delivery`]) and originates UDP in the caller's buffer
+//! ([`Ipv6Stack::send_udp_in_place`]); see the `stack` module.
 //!
 //! Configuration mirrors the paper (§4.2): every node is a 6LoWPAN
 //! router; routes are statically configured towards the tree root /
@@ -32,7 +36,9 @@ pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
 pub use link::{LinkService, LinkSignal, SignalLog, TxAdmission};
 pub use neighbor::NeighborCache;
 pub use routing::RoutingTable;
-pub use stack::{Ipv6Stack, NetConfig, NetError, NetStats, StackEvent};
+pub use stack::{
+    Delivery, Ipv6Stack, NetConfig, NetError, NetStats, Refusal, StackEvent, Verdict, UDP_HEADROOM,
+};
 
 /// Errors shared by the codecs in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -22,6 +22,19 @@ pub struct UdpHeader {
 /// Internet checksum (RFC 1071) over the IPv6 pseudo-header and the
 /// UDP/ICMPv6 message.
 pub fn pseudo_checksum(src: &Ipv6Addr, dst: &Ipv6Addr, next_header: u8, message: &[u8]) -> u16 {
+    checksum_except(src, dst, next_header, message, message.len())
+}
+
+/// [`pseudo_checksum`] with the two bytes at the even offset `skip`
+/// read as zero (`skip` at or past the end skips nothing): verifying a
+/// datagram's checksum field needs no zeroed copy of it.
+fn checksum_except(
+    src: &Ipv6Addr,
+    dst: &Ipv6Addr,
+    next_header: u8,
+    message: &[u8],
+    skip: usize,
+) -> u16 {
     let mut sum: u32 = 0;
     for chunk in src.0.chunks(2).chain(dst.0.chunks(2)) {
         sum += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
@@ -30,12 +43,10 @@ pub fn pseudo_checksum(src: &Ipv6Addr, dst: &Ipv6Addr, next_header: u8, message:
     sum += len >> 16;
     sum += len & 0xFFFF;
     sum += next_header as u32;
-    let mut iter = message.chunks_exact(2);
-    for chunk in &mut iter {
-        sum += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
-    }
-    if let [last] = iter.remainder() {
-        sum += u16::from_be_bytes([*last, 0]) as u32;
+    let (head, tail) = message.split_at(skip.min(message.len()));
+    sum = add_words(sum, head);
+    if tail.len() >= 2 {
+        sum = add_words(sum, &tail[2..]);
     }
     while sum >> 16 != 0 {
         sum = (sum & 0xFFFF) + (sum >> 16);
@@ -49,6 +60,39 @@ pub fn pseudo_checksum(src: &Ipv6Addr, dst: &Ipv6Addr, next_header: u8, message:
     }
 }
 
+/// Add `bytes` to `sum` as big-endian 16-bit words (an odd last byte
+/// padded with zero).
+fn add_words(mut sum: u32, bytes: &[u8]) -> u32 {
+    let mut iter = bytes.chunks_exact(2);
+    for chunk in &mut iter {
+        sum += u16::from_be_bytes([chunk[0], chunk[1]]) as u32;
+    }
+    if let [last] = iter.remainder() {
+        sum += u16::from_be_bytes([*last, 0]) as u32;
+    }
+    sum
+}
+
+/// Fill in the UDP header of `datagram`, whose first
+/// [`UDP_HEADER_LEN`] bytes are room for it and whose rest is the
+/// data, checksum included. The in-place form of [`encode`]: a caller
+/// that writes the data straight into its outgoing buffer copies
+/// nothing.
+pub fn encode_in_place(
+    src: &Ipv6Addr,
+    dst: &Ipv6Addr,
+    src_port: u16,
+    dst_port: u16,
+    datagram: &mut [u8],
+) {
+    let length = datagram.len() as u16;
+    datagram[0..2].copy_from_slice(&src_port.to_be_bytes());
+    datagram[2..4].copy_from_slice(&dst_port.to_be_bytes());
+    datagram[4..6].copy_from_slice(&length.to_be_bytes());
+    let csum = checksum_except(src, dst, 17, datagram, 6);
+    datagram[6..8].copy_from_slice(&csum.to_be_bytes());
+}
+
 /// Build a complete UDP datagram (header + data) with a valid
 /// checksum.
 pub fn encode(
@@ -58,15 +102,10 @@ pub fn encode(
     dst_port: u16,
     data: &[u8],
 ) -> Vec<u8> {
-    let length = (UDP_HEADER_LEN + data.len()) as u16;
-    let mut out = Vec::with_capacity(length as usize);
-    out.extend_from_slice(&src_port.to_be_bytes());
-    out.extend_from_slice(&dst_port.to_be_bytes());
-    out.extend_from_slice(&length.to_be_bytes());
-    out.extend_from_slice(&[0, 0]); // checksum placeholder
+    let mut out = Vec::with_capacity(UDP_HEADER_LEN + data.len());
+    out.extend_from_slice(&[0; UDP_HEADER_LEN]);
     out.extend_from_slice(data);
-    let csum = pseudo_checksum(src, dst, 17, &out);
-    out[6..8].copy_from_slice(&csum.to_be_bytes());
+    encode_in_place(src, dst, src_port, dst_port, &mut out);
     out
 }
 
@@ -88,13 +127,8 @@ pub fn decode<'a>(
     if hdr.length as usize != datagram.len() || (hdr.length as usize) < UDP_HEADER_LEN {
         return Err(CodecError::Malformed);
     }
-    // Verify: sum over the datagram with checksum field in place must
-    // fold to zero (equivalently, recompute with zeroed field).
-    let mut check = datagram.to_vec();
-    check[6] = 0;
-    check[7] = 0;
-    let expect = pseudo_checksum(src, dst, 17, &check);
-    if expect != hdr.checksum {
+    // Verify: recompute with the checksum field read as zero.
+    if checksum_except(src, dst, 17, datagram, 6) != hdr.checksum {
         return Err(CodecError::BadChecksum);
     }
     Ok((hdr, &datagram[UDP_HEADER_LEN..]))

@@ -5,9 +5,16 @@
 //! copy → receive copy). [`BytePool`] closes that loop: buffers are
 //! taken from a free list, filled, handed down the stack, and
 //! returned when the kernel is done with them (`tx_end` for
-//! transmitted frames, after reassembly for received ones). Steady
-//! state does no heap allocation at all — the pool warms up to the
-//! network's working set of in-flight buffers and then recycles.
+//! transmitted frames, after reassembly for received ones).
+//!
+//! The pool only saves what comes back to it. A take is free once the
+//! free list has warmed up to the working set of in-flight buffers,
+//! and a recycled buffer keeps its capacity, so after warm-up a take
+//! reallocates only for a payload longer than any that buffer held.
+//! A path that takes a buffer and never returns it — or allocates its
+//! own `Vec` instead — still allocates every time: whether a path is
+//! allocation-free is a property of the path, checked end to end by
+//! the `alloc_budget` test, not of this type.
 //!
 //! This is memory *recycling*, distinct from the NimBLE-style
 //! `mindgap_l2cap::BufPool`, which models a byte *budget* (admission

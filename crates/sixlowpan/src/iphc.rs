@@ -11,6 +11,25 @@
 //! The decoder reverses the transformation exactly; payload length and
 //! UDP length are reconstructed from the frame length, as the RFC
 //! specifies.
+//!
+//! ## Buffer-writing forms
+//!
+//! The data path encodes and decodes into caller buffers, so a pooled
+//! buffer can carry a packet through a hop without a heap allocation:
+//! [`encode_frame_into`] and [`decode_frame_into`] append to an `out`
+//! vector, and [`encode_frame`] and [`decode_frame`] are thin wrappers
+//! that allocate one.
+//!
+//! A relay does not need the datagram at all. [`parse`] decodes only
+//! the compressed base header into a [`Header`] and locates the rest of
+//! the frame — the NHC UDP header or inline next header and the
+//! payload — which is the same on every hop (a UDP checksum's
+//! pseudo-header excludes the hop limit). [`encode_relay`] writes the
+//! next hop's base header through the encoder [`encode_frame`] uses and
+//! copies that rest verbatim. For every frame this encoder emits, the
+//! result is byte for byte what decompressing, lowering the hop limit
+//! and recompressing would give; a frame from another encoder (say,
+//! with a different NHC port encoding) is relayed as it came.
 
 use crate::nhc;
 use crate::{Error, LinkContext};
@@ -25,17 +44,49 @@ pub const DISPATCH_IPHC: u8 = 0x60;
 const IPV6_HDR_LEN: usize = 40;
 const PROTO_UDP: u8 = 17;
 
-/// Parsed fields of the fixed IPv6 header (internal helper).
-struct Ipv6Fields {
-    traffic_class: u8,
-    flow_label: u32,
-    next_header: u8,
-    hop_limit: u8,
-    src: [u8; 16],
-    dst: [u8; 16],
+/// The fields of a fixed IPv6 header, as an IPHC base header carries
+/// them, plus how the frame encodes what follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Traffic class (DSCP + ECN).
+    pub traffic_class: u8,
+    /// 20-bit flow label.
+    pub flow_label: u32,
+    /// Upper-layer protocol (17 when the UDP header is NHC-compressed).
+    pub next_header: u8,
+    /// Hop limit.
+    pub hop_limit: u8,
+    /// Source address.
+    pub src: [u8; 16],
+    /// Destination address.
+    pub dst: [u8; 16],
+    /// Length of the IPv6 payload (what follows the fixed header).
+    pub payload_len: usize,
+    /// Whether the UDP header is NHC-compressed in the frame.
+    pub udp_nhc: bool,
 }
 
-fn parse_ipv6(packet: &[u8]) -> Result<Ipv6Fields, Error> {
+impl Header {
+    /// The 40-byte IPv6 header. The payload length is cut to 16 bits,
+    /// as the wire field is.
+    fn ipv6_bytes(&self) -> [u8; IPV6_HDR_LEN] {
+        let mut b = [0u8; IPV6_HDR_LEN];
+        b[0] = 0x60 | (self.traffic_class >> 4);
+        b[1] = ((self.traffic_class & 0x0F) << 4) | ((self.flow_label >> 16) as u8 & 0x0F);
+        b[2] = (self.flow_label >> 8) as u8;
+        b[3] = self.flow_label as u8;
+        b[4..6].copy_from_slice(&(self.payload_len as u16).to_be_bytes());
+        b[6] = self.next_header;
+        b[7] = self.hop_limit;
+        b[8..24].copy_from_slice(&self.src);
+        b[24..40].copy_from_slice(&self.dst);
+        b
+    }
+}
+
+/// Parse the fixed header of an IPv6 datagram; the payload must fill
+/// the rest of `packet` exactly.
+fn parse_ipv6(packet: &[u8]) -> Result<Header, Error> {
     if packet.len() < IPV6_HDR_LEN {
         return Err(Error::Truncated);
     }
@@ -46,24 +97,27 @@ fn parse_ipv6(packet: &[u8]) -> Result<Ipv6Fields, Error> {
     if packet.len() != IPV6_HDR_LEN + payload_len {
         return Err(Error::Malformed);
     }
-    let traffic_class = (packet[0] << 4) | (packet[1] >> 4);
-    let flow_label =
-        ((packet[1] as u32 & 0x0F) << 16) | ((packet[2] as u32) << 8) | packet[3] as u32;
     let mut src = [0u8; 16];
     src.copy_from_slice(&packet[8..24]);
     let mut dst = [0u8; 16];
     dst.copy_from_slice(&packet[24..40]);
-    Ok(Ipv6Fields {
-        traffic_class,
-        flow_label,
-        next_header: packet[6],
+    let next_header = packet[6];
+    Ok(Header {
+        traffic_class: (packet[0] << 4) | (packet[1] >> 4),
+        flow_label: ((packet[1] as u32 & 0x0F) << 16)
+            | ((packet[2] as u32) << 8)
+            | packet[3] as u32,
+        next_header,
         hop_limit: packet[7],
         src,
         dst,
+        payload_len,
+        // UDP goes through NHC when possible.
+        udp_nhc: next_header == PROTO_UDP && nhc::compressible(&packet[IPV6_HDR_LEN..]),
     })
 }
 
-/// Address compression decision for SAM/DAM (stateless, unicast).
+/// Address compression decision for SAM/DAM (stateless).
 enum AddrMode {
     /// 0 bits — derived from the link-layer address.
     Elided,
@@ -71,8 +125,14 @@ enum AddrMode {
     Short([u8; 2]),
     /// 64 bits — `fe80::` + inline IID.
     Iid([u8; 8]),
-    /// 128 bits inline.
+    /// 128 bits inline (unicast or multicast).
     Full([u8; 16]),
+    /// Multicast `ff02::00XX` — 8 bits.
+    Mcast8(u8),
+    /// Multicast `ffXX::00XX:XXXX` — flags/scope byte + 3 bytes.
+    Mcast32([u8; 4]),
+    /// Multicast `ffXX::00XX:XXXX:XXXX` — flags/scope byte + 5 bytes.
+    Mcast48([u8; 6]),
 }
 
 fn classify_unicast(addr: &[u8; 16], ll: &crate::LlAddr) -> AddrMode {
@@ -92,12 +152,26 @@ fn classify_unicast(addr: &[u8; 16], ll: &crate::LlAddr) -> AddrMode {
     AddrMode::Iid(out)
 }
 
+/// Multicast DAM selection (M=1, DAC=0).
+fn classify_multicast(dst: &[u8; 16]) -> AddrMode {
+    if dst[1] == 0x02 && dst[2..15].iter().all(|&b| b == 0) {
+        return AddrMode::Mcast8(dst[15]);
+    }
+    if dst[2..13].iter().all(|&b| b == 0) {
+        return AddrMode::Mcast32([dst[1], dst[13], dst[14], dst[15]]);
+    }
+    if dst[2..11].iter().all(|&b| b == 0) {
+        return AddrMode::Mcast48([dst[1], dst[11], dst[12], dst[13], dst[14], dst[15]]);
+    }
+    AddrMode::Full(*dst)
+}
+
 fn addr_mode_bits(mode: &AddrMode) -> u8 {
     match mode {
         AddrMode::Full(_) => 0b00,
-        AddrMode::Iid(_) => 0b01,
-        AddrMode::Short(_) => 0b10,
-        AddrMode::Elided => 0b11,
+        AddrMode::Iid(_) | AddrMode::Mcast48(_) => 0b01,
+        AddrMode::Short(_) | AddrMode::Mcast32(_) => 0b10,
+        AddrMode::Elided | AddrMode::Mcast8(_) => 0b11,
     }
 }
 
@@ -107,147 +181,142 @@ fn push_addr(out: &mut Vec<u8>, mode: &AddrMode) {
         AddrMode::Iid(i) => out.extend_from_slice(i),
         AddrMode::Short(s) => out.extend_from_slice(s),
         AddrMode::Elided => {}
+        AddrMode::Mcast8(b) => out.push(*b),
+        AddrMode::Mcast32(b) => out.extend_from_slice(b),
+        AddrMode::Mcast48(b) => out.extend_from_slice(b),
     }
 }
 
-/// Compress a complete IPv6 datagram into a 6LoWPAN frame payload.
-///
-/// Always succeeds: packets that resist IPHC fall back to the
-/// uncompressed-IPv6 dispatch.
-pub fn compress(packet: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
-    let f = parse_ipv6(packet)?;
-    let payload = &packet[IPV6_HDR_LEN..];
-
+/// Append the IPHC base header for `h` on the link `ctx` to `out`: the
+/// two dispatch bytes and every inline field, up to where the NHC UDP
+/// header or the payload starts.
+fn encode_base(h: &Header, ctx: &LinkContext, out: &mut Vec<u8>) {
     // --- TF bits ---
-    let (tf_bits, tf_inline): (u8, Vec<u8>) = if f.traffic_class == 0 && f.flow_label == 0 {
-        (0b11, Vec::new())
-    } else if f.flow_label == 0 {
-        (0b10, vec![f.traffic_class])
+    let tf_bits = if h.traffic_class == 0 && h.flow_label == 0 {
+        0b11
+    } else if h.flow_label == 0 {
+        0b10
     } else {
-        // Full ECN+DSCP+flow label (4 bytes, RFC 6282 figure).
-        (
-            0b00,
-            vec![
-                f.traffic_class,
-                ((f.flow_label >> 16) & 0x0F) as u8,
-                (f.flow_label >> 8) as u8,
-                f.flow_label as u8,
-            ],
-        )
+        0b00 // full ECN+DSCP+flow label (4 bytes, RFC 6282 figure)
     };
-
-    // --- NH bit: UDP goes through NHC when possible ---
-    let udp_nhc = f.next_header == PROTO_UDP && nhc::compressible(payload);
-    let nh_bit = u8::from(udp_nhc);
-
+    let nh_bit = u8::from(h.udp_nhc);
     // --- HLIM bits ---
-    let (hlim_bits, hlim_inline): (u8, Option<u8>) = match f.hop_limit {
-        1 => (0b01, None),
-        64 => (0b10, None),
-        255 => (0b11, None),
-        other => (0b00, Some(other)),
+    let hlim_bits = match h.hop_limit {
+        1 => 0b01,
+        64 => 0b10,
+        255 => 0b11,
+        _ => 0b00,
     };
-
     // --- addresses ---
-    let unspecified = f.src == [0u8; 16];
+    let unspecified = h.src == [0u8; 16];
+    // SAC=1, SAM=00 encodes ::, no inline bytes.
     let (sac, sam_mode) = if unspecified {
-        (1u8, AddrMode::Elided) // SAC=1, SAM=00 encodes ::, no inline bytes
+        (1u8, AddrMode::Elided)
     } else {
-        (0u8, classify_unicast(&f.src, &ctx.src))
+        (0u8, classify_unicast(&h.src, &ctx.src))
     };
-    let multicast = f.dst[0] == 0xff;
-    let (m_bit, dam_bits, dam_inline): (u8, u8, Vec<u8>) = if multicast {
-        classify_multicast(&f.dst)
-    } else {
-        let mode = classify_unicast(&f.dst, &ctx.dst);
-        let bits = addr_mode_bits(&mode);
-        let mut inline = Vec::new();
-        push_addr(&mut inline, &mode);
-        (0, bits, inline)
-    };
-
     let sam_bits = if unspecified {
         0b00
     } else {
         addr_mode_bits(&sam_mode)
     };
+    let multicast = h.dst[0] == 0xff;
+    let dam_mode = if multicast {
+        classify_multicast(&h.dst)
+    } else {
+        classify_unicast(&h.dst, &ctx.dst)
+    };
 
-    let byte1 = DISPATCH_IPHC | (tf_bits << 3) | (nh_bit << 2) | hlim_bits;
-    let byte2 = (sac << 6) | (sam_bits << 4) | (m_bit << 3) | dam_bits;
+    out.push(DISPATCH_IPHC | (tf_bits << 3) | (nh_bit << 2) | hlim_bits);
+    out.push((sac << 6) | (sam_bits << 4) | (u8::from(multicast) << 3) | addr_mode_bits(&dam_mode));
+    match tf_bits {
+        0b10 => out.push(h.traffic_class),
+        0b00 => out.extend_from_slice(&[
+            h.traffic_class,
+            ((h.flow_label >> 16) & 0x0F) as u8,
+            (h.flow_label >> 8) as u8,
+            h.flow_label as u8,
+        ]),
+        _ => {}
+    }
+    if !h.udp_nhc {
+        out.push(h.next_header);
+    }
+    if hlim_bits == 0b00 {
+        out.push(h.hop_limit);
+    }
+    push_addr(out, &sam_mode);
+    push_addr(out, &dam_mode);
+}
 
-    let mut out = Vec::with_capacity(packet.len());
-    out.push(byte1);
-    out.push(byte2);
-    out.extend_from_slice(&tf_inline);
-    if nh_bit == 0 {
-        out.push(f.next_header);
-    }
-    if let Some(h) = hlim_inline {
-        out.push(h);
-    }
-    if !unspecified {
-        push_addr(&mut out, &sam_mode);
-    }
-    out.extend_from_slice(&dam_inline);
-
-    if udp_nhc {
-        nhc::compress_udp(payload, &mut out)?;
+/// Compress a complete IPv6 datagram with IPHC, appending the 6LoWPAN
+/// frame payload to `out`. On error `out` is left as it was.
+fn compress_into(packet: &[u8], ctx: &LinkContext, out: &mut Vec<u8>) -> Result<(), Error> {
+    let h = parse_ipv6(packet)?;
+    let payload = &packet[IPV6_HDR_LEN..];
+    out.reserve(packet.len());
+    encode_base(&h, ctx, out);
+    if h.udp_nhc {
+        nhc::compress_udp(payload, out).expect("compressibility checked by parse_ipv6");
     } else {
         out.extend_from_slice(payload);
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Multicast DAM selection (M=1, DAC=0).
-fn classify_multicast(dst: &[u8; 16]) -> (u8, u8, Vec<u8>) {
-    // ff02::00XX → 8 bits.
-    if dst[1] == 0x02 && dst[2..15].iter().all(|&b| b == 0) {
-        return (1, 0b11, vec![dst[15]]);
+/// [`encode_frame`] into `out` (appended).
+pub fn encode_frame_into(packet: &[u8], ctx: &LinkContext, out: &mut Vec<u8>) {
+    if compress_into(packet, ctx, out).is_err() {
+        out.reserve(1 + packet.len());
+        out.push(DISPATCH_IPV6);
+        out.extend_from_slice(packet);
     }
-    // ffXX::00XX:XXXX → 32 bits (flags/scope byte + 3 bytes).
-    if dst[2..13].iter().all(|&b| b == 0) {
-        return (1, 0b10, vec![dst[1], dst[13], dst[14], dst[15]]);
-    }
-    // ffXX::00XX:XXXX:XXXX → 48 bits (flags/scope + 5 bytes).
-    if dst[2..11].iter().all(|&b| b == 0) {
-        return (
-            1,
-            0b01,
-            vec![dst[1], dst[11], dst[12], dst[13], dst[14], dst[15]],
-        );
-    }
-    (1, 0b00, dst.to_vec())
 }
 
 /// Encode with automatic fallback: IPHC when possible, otherwise the
 /// uncompressed dispatch.
 pub fn encode_frame(packet: &[u8], ctx: &LinkContext) -> Vec<u8> {
-    match compress(packet, ctx) {
-        Ok(c) => c,
-        Err(_) => {
-            let mut out = Vec::with_capacity(1 + packet.len());
-            out.push(DISPATCH_IPV6);
-            out.extend_from_slice(packet);
-            out
-        }
+    let mut out = Vec::new();
+    encode_frame_into(packet, ctx, &mut out);
+    out
+}
+
+/// Append a relayed frame to `out`: the base header of `h` (whose hop
+/// limit the caller has already lowered) for the next hop's link
+/// `ctx`, then `rest` — the received frame after its base header —
+/// verbatim. For a frame [`encode_frame`] emitted, this equals
+/// decompressing and recompressing.
+pub fn encode_relay(h: &Header, rest: &[u8], ctx: &LinkContext, out: &mut Vec<u8>) {
+    out.reserve(IPV6_HDR_LEN + rest.len());
+    encode_base(h, ctx, out);
+    out.extend_from_slice(rest);
+}
+
+/// [`decode_frame`] into `out` (appended). On error `out` is left as
+/// it was.
+pub fn decode_frame_into(frame: &[u8], ctx: &LinkContext, out: &mut Vec<u8>) -> Result<(), Error> {
+    if frame.is_empty() {
+        return Err(Error::Truncated);
     }
+    if frame[0] == DISPATCH_IPV6 {
+        parse_ipv6(&frame[1..])?;
+        out.extend_from_slice(&frame[1..]);
+        return Ok(());
+    }
+    if frame[0] & DISPATCH_IPHC_MASK == DISPATCH_IPHC {
+        let (h, at) = parse(frame, ctx)?;
+        datagram_into(&h, &frame[at..], out);
+        return Ok(());
+    }
+    Err(Error::Unsupported)
 }
 
 /// Decode a 6LoWPAN frame payload (either dispatch) back into a full
 /// IPv6 datagram.
 pub fn decode_frame(frame: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
-    if frame.is_empty() {
-        return Err(Error::Truncated);
-    }
-    if frame[0] == DISPATCH_IPV6 {
-        let packet = frame[1..].to_vec();
-        parse_ipv6(&packet)?;
-        return Ok(packet);
-    }
-    if frame[0] & DISPATCH_IPHC_MASK == DISPATCH_IPHC {
-        return decompress(frame, ctx);
-    }
-    Err(Error::Unsupported)
+    let mut out = Vec::new();
+    decode_frame_into(frame, ctx, &mut out)?;
+    Ok(out)
 }
 
 struct Reader<'a> {
@@ -267,13 +336,13 @@ impl<'a> Reader<'a> {
     fn byte(&mut self) -> Result<u8, Error> {
         Ok(self.take(1)?[0])
     }
-    fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
 }
 
-/// Decompress an IPHC frame into a full IPv6 datagram.
-pub fn decompress(frame: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
+/// Parse an IPHC frame's base header. Returns the decoded header and
+/// the offset where the rest of the frame (NHC UDP header or payload)
+/// starts. Validates the whole frame, so a frame that parses also
+/// decodes ([`datagram_into`]).
+pub fn parse(frame: &[u8], ctx: &LinkContext) -> Result<(Header, usize), Error> {
     let mut r = Reader { buf: frame, pos: 0 };
     let byte1 = r.byte()?;
     let byte2 = r.byte()?;
@@ -315,7 +384,7 @@ pub fn decompress(frame: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
         _ => (0, 0),
     };
 
-    let next_header_inline = if nh_compressed { None } else { Some(r.byte()?) };
+    let next_header = if nh_compressed { PROTO_UDP } else { r.byte()? };
 
     let hop_limit = match hlim_bits {
         0b00 => r.byte()?,
@@ -340,30 +409,38 @@ pub fn decompress(frame: &[u8], ctx: &LinkContext) -> Result<Vec<u8>, Error> {
     };
 
     // Remaining bytes: NHC-compressed UDP or raw payload.
-    let (next_header, payload) = if nh_compressed {
-        let rest = r.rest();
-        let udp = nhc::decompress_udp(rest, &src, &dst)?;
-        (PROTO_UDP, udp)
+    let rest = &frame[r.pos..];
+    let payload_len = if nh_compressed {
+        nhc::parse_udp(rest)?.datagram_len(rest)
     } else {
-        (
-            next_header_inline.expect("inline NH when not compressed"),
-            r.rest().to_vec(),
-        )
+        rest.len()
     };
+    Ok((
+        Header {
+            traffic_class,
+            flow_label,
+            next_header,
+            hop_limit,
+            src,
+            dst,
+            payload_len,
+            udp_nhc: nh_compressed,
+        },
+        r.pos,
+    ))
+}
 
-    // Rebuild the 40-byte header.
-    let mut out = Vec::with_capacity(IPV6_HDR_LEN + payload.len());
-    out.push(0x60 | (traffic_class >> 4));
-    out.push(((traffic_class & 0x0F) << 4) | ((flow_label >> 16) as u8 & 0x0F));
-    out.push((flow_label >> 8) as u8);
-    out.push(flow_label as u8);
-    out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-    out.push(next_header);
-    out.push(hop_limit);
-    out.extend_from_slice(&src);
-    out.extend_from_slice(&dst);
-    out.extend_from_slice(&payload);
-    Ok(out)
+/// Append the IPv6 datagram a parsed frame decodes to: header `h` and
+/// `rest` as [`parse`] split the frame (`h` possibly with a new hop
+/// limit).
+pub fn datagram_into(h: &Header, rest: &[u8], out: &mut Vec<u8>) {
+    out.reserve(IPV6_HDR_LEN + h.payload_len);
+    out.extend_from_slice(&h.ipv6_bytes());
+    if h.udp_nhc {
+        nhc::decompress_udp(rest, out).expect("validated by parse");
+    } else {
+        out.extend_from_slice(rest);
+    }
 }
 
 fn read_unicast(r: &mut Reader<'_>, mode: u8, ll: &crate::LlAddr) -> Result<[u8; 16], Error> {
@@ -705,7 +782,7 @@ mod tests {
             b"",
         );
         p[0] = 0x40; // version 4
-        assert!(compress(&p, &ctx()).is_err());
+        assert!(compress_into(&p, &ctx(), &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -720,7 +797,10 @@ mod tests {
             b"abc",
         );
         p.pop();
-        assert_eq!(compress(&p, &ctx()), Err(Error::Malformed));
+        assert_eq!(
+            compress_into(&p, &ctx(), &mut Vec::new()),
+            Err(Error::Malformed)
+        );
     }
 
     #[test]

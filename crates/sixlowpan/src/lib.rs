@@ -10,6 +10,10 @@
 //!   a 115 B BLE link-layer frame *including* all lower-layer headers
 //!   (paper §4.3).
 //! * [`nhc`] — UDP next-header compression (RFC 6282 §4.3).
+//!
+//!   Both encode and decode into caller buffers (`*_into`), and a relay
+//!   re-encodes only the base header ([`iphc::parse`],
+//!   [`iphc::encode_relay`]); see [`iphc`]'s buffer-writing forms.
 //! * [`frag`] — fragmentation and reassembly (RFC 4944 §5.3), needed on
 //!   802.15.4 whose 127 B frames cannot carry a full 1280 B IPv6 MTU.
 //!   (Over BLE, RFC 7668 forbids 6LoWPAN fragmentation — L2CAP

@@ -64,10 +64,22 @@ pub fn compress_udp(payload: &[u8], out: &mut Vec<u8>) -> Result<(), Error> {
     Ok(())
 }
 
-/// Decompress an NHC UDP header + data back into a full UDP datagram.
-/// `_src`/`_dst` IPv6 addresses are accepted for signature parity with
-/// checksum-eliding implementations (we always carry the checksum).
-pub fn decompress_udp(frame: &[u8], _src: &[u8; 16], _dst: &[u8; 16]) -> Result<Vec<u8>, Error> {
+/// A parsed NHC UDP header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct UdpNhc {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// The checksum, carried inline.
+    pub checksum: [u8; 2],
+    /// Bytes the compressed header occupies in the frame.
+    pub header_len: usize,
+}
+
+/// Parse and validate the NHC UDP header at the start of `frame`; the
+/// data after it must fit a UDP length field.
+pub(crate) fn parse_udp(frame: &[u8]) -> Result<UdpNhc, Error> {
     if frame.is_empty() {
         return Err(Error::Truncated);
     }
@@ -89,7 +101,7 @@ pub fn decompress_udp(frame: &[u8], _src: &[u8; 16], _dst: &[u8; 16]) -> Result<
         pos += n;
         Ok(s)
     };
-    let (src, dst) = match head & 0b11 {
+    let (src_port, dst_port) = match head & 0b11 {
         0b00 => {
             let s = take(2)?;
             let sp = u16::from_be_bytes([s[0], s[1]]);
@@ -114,22 +126,39 @@ pub fn decompress_udp(frame: &[u8], _src: &[u8; 16], _dst: &[u8; 16]) -> Result<
             (PORT4_BASE | (b >> 4) as u16, PORT4_BASE | (b & 0x0F) as u16)
         }
     };
-    let checksum = {
-        let c = take(2)?;
-        [c[0], c[1]]
-    };
-    let data = &frame[pos..];
-    let total = UDP_HDR_LEN + data.len();
-    if total > u16::MAX as usize {
+    let c = take(2)?;
+    let checksum = [c[0], c[1]];
+    if UDP_HDR_LEN + (frame.len() - pos) > u16::MAX as usize {
         return Err(Error::Malformed);
     }
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&src.to_be_bytes());
-    out.extend_from_slice(&dst.to_be_bytes());
+    Ok(UdpNhc {
+        src_port,
+        dst_port,
+        checksum,
+        header_len: pos,
+    })
+}
+
+impl UdpNhc {
+    /// Length of the UDP datagram `frame`, the frame this header was
+    /// parsed from, decompresses to.
+    pub(crate) fn datagram_len(&self, frame: &[u8]) -> usize {
+        UDP_HDR_LEN + frame.len() - self.header_len
+    }
+}
+
+/// Decompress an NHC UDP header + data, appending the full UDP
+/// datagram to `out`. On error `out` is left as it was.
+pub fn decompress_udp(frame: &[u8], out: &mut Vec<u8>) -> Result<(), Error> {
+    let h = parse_udp(frame)?;
+    let total = h.datagram_len(frame);
+    out.reserve(total);
+    out.extend_from_slice(&h.src_port.to_be_bytes());
+    out.extend_from_slice(&h.dst_port.to_be_bytes());
     out.extend_from_slice(&(total as u16).to_be_bytes());
-    out.extend_from_slice(&checksum);
-    out.extend_from_slice(data);
-    Ok(out)
+    out.extend_from_slice(&h.checksum);
+    out.extend_from_slice(&frame[h.header_len..]);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -150,7 +179,8 @@ mod tests {
         let original = udp(src, dst, data);
         let mut c = Vec::new();
         compress_udp(&original, &mut c).unwrap();
-        let d = decompress_udp(&c, &[0; 16], &[0; 16]).unwrap();
+        let mut d = Vec::new();
+        decompress_udp(&c, &mut d).unwrap();
         assert_eq!(d, original, "ports {src}->{dst}");
         c.len()
     }
@@ -192,7 +222,8 @@ mod tests {
         let original = udp(7, 9, &[0u8; 100]);
         let mut c = Vec::new();
         compress_udp(&original, &mut c).unwrap();
-        let d = decompress_udp(&c, &[0; 16], &[0; 16]).unwrap();
+        let mut d = Vec::new();
+        decompress_udp(&c, &mut d).unwrap();
         assert_eq!(u16::from_be_bytes([d[4], d[5]]), 108);
     }
 
@@ -211,7 +242,7 @@ mod tests {
         let mut c = Vec::new();
         compress_udp(&original, &mut c).unwrap();
         for cut in 0..7 {
-            assert!(decompress_udp(&c[..cut], &[0; 16], &[0; 16]).is_err());
+            assert!(decompress_udp(&c[..cut], &mut Vec::new()).is_err());
         }
     }
 
@@ -219,7 +250,7 @@ mod tests {
     fn elided_checksum_rejected() {
         let frame = [NHC_UDP | 0b100 | 0b11, 0x00];
         assert_eq!(
-            decompress_udp(&frame, &[0; 16], &[0; 16]),
+            decompress_udp(&frame, &mut Vec::new()),
             Err(Error::Unsupported)
         );
     }
@@ -227,7 +258,7 @@ mod tests {
     #[test]
     fn non_udp_nhc_rejected() {
         assert_eq!(
-            decompress_udp(&[0xE0, 0, 0], &[0; 16], &[0; 16]),
+            decompress_udp(&[0xE0, 0, 0], &mut Vec::new()),
             Err(Error::Unsupported)
         );
     }

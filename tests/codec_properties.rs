@@ -7,7 +7,7 @@
 //! the same inputs and failures reproduce exactly.
 
 use mindgap::ble::pdu::{DataPdu, Llid};
-use mindgap::coap::{Code, Message, MsgType, OptionNumber};
+use mindgap::coap::{Code, Message, MessageView, MsgType, OptionNumber};
 use mindgap::net::{udp, Ipv6Addr, Ipv6Header, NextHeader};
 use mindgap::sim::Rng;
 use mindgap::sixlowpan::{frag, iphc, LinkContext, LlAddr};
@@ -136,6 +136,94 @@ fn iphc_decoder_total() {
     }
 }
 
+/// A relay's frame — the next hop's base header, then the received
+/// frame after its base header, verbatim — is byte for byte what
+/// decompressing, lowering the hop limit and recompressing gives, for
+/// every packet the encoder emits. On arbitrary bytes, a frame that
+/// parses decodes, to the datagram `datagram_into` rebuilds.
+#[test]
+fn iphc_relay_matches_recompression() {
+    let mut relayed = 0;
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_from_u64(0xC0DE_C00D ^ case);
+        let (prev, relay, next) = (
+            rng.below(64) as u16,
+            64 + rng.below(64) as u16,
+            128 + rng.below(64) as u16,
+        );
+        let (in_ctx, out_ctx) = (ctx(prev, relay), ctx(relay, next));
+        let own = case % 4 != 3;
+        let pick = |rng: &mut Rng, own: u16| match rng.below(5) {
+            0 => LlAddr::from_node_index(own).link_local(),
+            1 => [0u8; 16],
+            2 => {
+                let mut g = [0x20u8; 16];
+                g[15] = rng.below(256) as u8;
+                g
+            }
+            3 => {
+                let mut m = [0u8; 16];
+                m[0] = 0xff;
+                m[1] = rng.below(16) as u8;
+                m[15] = rng.below(256) as u8;
+                m[11] = if rng.chance(0.5) { 0 } else { 7 };
+                m
+            }
+            _ => Ipv6Addr::of_node(rng.below(1000) as u16).octets(),
+        };
+        let (src, dst) = (pick(&mut rng, prev), pick(&mut rng, relay));
+        let (src, dst) = (Ipv6Addr(src), Ipv6Addr(dst));
+        let data = random_bytes(&mut rng, 120);
+        let ports = [5683, 0xF0B3, 0xF042, rng.below(1 << 16) as u16];
+        let (sp, dp) = (ports[rng.below(4) as usize], ports[rng.below(4) as usize]);
+        let (nh, body) = if rng.chance(0.7) {
+            (NextHeader::Udp, udp::encode(&src, &dst, sp, dp, &data))
+        } else {
+            (NextHeader::from(rng.below(256) as u8), data)
+        };
+        let mut packet = Ipv6Header::build_packet(nh, src, dst, &body);
+        let tc = [0, 0, rng.below(256) as u8][rng.below(3) as usize];
+        let fl = [0, rng.below(1 << 20) as u32][rng.below(2) as usize];
+        packet[0] = 0x60 | (tc >> 4);
+        packet[1] = ((tc & 0x0F) << 4) | ((fl >> 16) as u8 & 0x0F);
+        packet[2] = (fl >> 8) as u8;
+        packet[3] = fl as u8;
+        packet[7] = [1, 2, 64, 65, 255, rng.below(256) as u8][rng.below(6) as usize];
+        let mut frame = iphc::encode_frame(&packet, &in_ctx);
+        if !own {
+            frame = random_bytes(&mut rng, 120);
+            if let Some(b) = frame.first_mut() {
+                *b = iphc::DISPATCH_IPHC | (*b & 0x1F);
+            }
+        }
+        let Ok((h, at)) = iphc::parse(&frame, &in_ctx) else {
+            assert!(!own, "the encoder's own frames parse");
+            assert!(iphc::decode_frame(&frame, &in_ctx).is_err());
+            continue;
+        };
+        let decoded = iphc::decode_frame(&frame, &in_ctx).expect("a parsed frame decodes");
+        let rest = &frame[at..];
+        let mut rebuilt = Vec::new();
+        iphc::datagram_into(&h, rest, &mut rebuilt);
+        assert_eq!(rebuilt, decoded);
+        if !own {
+            continue;
+        }
+        let lowered = iphc::Header {
+            hop_limit: h.hop_limit.wrapping_sub(1),
+            ..h
+        };
+        let mut want = decoded;
+        want[7] = lowered.hop_limit;
+        let want = iphc::encode_frame(&want, &out_ctx);
+        let mut got = vec![0xEE];
+        iphc::encode_relay(&lowered, rest, &out_ctx, &mut got);
+        assert_eq!(got[1..], want[..], "case {case}");
+        relayed += 1;
+    }
+    assert_eq!(relayed, 3 * CASES, "every own frame relays");
+}
+
 /// Fragmentation reassembles any datagram at any viable MTU, even
 /// with fragments delivered in reverse.
 #[test]
@@ -211,6 +299,49 @@ fn coap_decoder_total() {
         let mut rng = Rng::seed_from_u64(0xC0DE_C008 ^ case);
         let bytes = random_bytes(&mut rng, 299);
         let _ = Message::decode(&bytes);
+    }
+}
+
+/// `MessageView::parse` accepts exactly what `Message::decode`
+/// accepts, with the same error, and reads the same fields — on
+/// encoded messages, on mutations of them and on arbitrary bytes.
+#[test]
+fn coap_view_matches_decode() {
+    for case in 0..4 * CASES {
+        let mut rng = Rng::seed_from_u64(0xC0DE_C00E ^ case);
+        let mut bytes = if case % 2 == 0 {
+            let mut m = Message::request(
+                MsgType::Confirmable,
+                Code::GET,
+                rng.below(1 << 16) as u16,
+                &random_bytes(&mut rng, 8),
+            );
+            for i in 0..rng.below(5) {
+                m.options.push((
+                    OptionNumber::from(rng.below(600) as u16),
+                    vec![i as u8; rng.below(300) as usize],
+                ));
+            }
+            m.with_payload(random_bytes(&mut rng, 50)).encode()
+        } else {
+            random_bytes(&mut rng, 80)
+        };
+        if !bytes.is_empty() && rng.chance(0.5) {
+            let i = rng.below(bytes.len() as u64) as usize;
+            bytes[i] = rng.below(256) as u8;
+        }
+        let view = MessageView::parse(&bytes).map(|v| {
+            (
+                v.mtype,
+                v.code,
+                v.message_id,
+                v.token.to_vec(),
+                v.payload.to_vec(),
+            )
+        });
+        let owned =
+            Message::decode(&bytes).map(|m| (m.mtype, m.code, m.message_id, m.token, m.payload));
+        assert_eq!(view, owned);
     }
 }
 
