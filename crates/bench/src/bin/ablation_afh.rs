@@ -1,110 +1,3 @@
-//! Ablation (related work, Spörk et al.) — adaptive frequency hopping
-//! against the testbed's jammed channel.
-//!
-//! The paper *statically* excludes the permanently jammed channel 22
-//! from every channel map (§4.2) and cites AFH work as a promising
-//! complement. This ablation quantifies the choice on the tree
-//! topology:
-//!
-//! 1. channel 22 excluded statically (the paper's setup),
-//! 2. channel 22 included, no AFH — every 37th event lands on the
-//!    jammed channel and is lost,
-//! 3. channel 22 included, AFH on — coordinators detect the failure
-//!    concentration and retire the channel via LL_CHANNEL_MAP_IND.
-
-use mindgap_bench::{banner, pct, write_csv, Opts};
-use mindgap_ble::channels::ChannelMap;
-use mindgap_core::{AppConfig, IntervalPolicy, World, WorldConfig};
-use mindgap_sim::{Duration, Instant, NodeId};
-use mindgap_testbed::Topology;
-
-struct Variant {
-    label: &'static str,
-    map: ChannelMap,
-    afh: bool,
-}
-
-fn main() {
-    let opts = Opts::parse();
-    banner(
-        "Ablation",
-        "Static exclusion vs AFH vs nothing (jammed channel 22)",
-        &opts,
-    );
-    let minutes = if opts.full { 60 } else { 20 };
-    println!("tree, static 75 ms, producer 1 s ±0.5 s, {minutes} min each\n");
-
-    let variants = [
-        Variant {
-            label: "channel 22 excluded statically (paper)",
-            map: ChannelMap::all_except_jammed(),
-            afh: false,
-        },
-        Variant {
-            label: "channel 22 in the map, no AFH",
-            map: ChannelMap::ALL,
-            afh: false,
-        },
-        Variant {
-            label: "channel 22 in the map, AFH enabled",
-            map: ChannelMap::ALL,
-            afh: true,
-        },
-    ];
-
-    let mut rows = Vec::new();
-    for v in variants {
-        let topo = Topology::paper_tree();
-        let app = AppConfig {
-            warmup: Duration::from_secs(30),
-            ..AppConfig::paper_default(topo.producers(), topo.consumer)
-        };
-        let mut cfg = WorldConfig::paper_default(
-            opts.seed,
-            IntervalPolicy::Static(Duration::from_millis(75)),
-        );
-        cfg.conn_channel_map = v.map;
-        cfg.ll.afh_enabled = v.afh;
-        let mut world = World::new(cfg, topo.node_configs(), app);
-        world.run_until(Instant::from_secs(minutes * 60));
-        let r = world.records();
-        // How many links have retired channel 22 by the end?
-        let mut retired = 0usize;
-        let mut total = 0usize;
-        for i in 0..topo.len() as u16 {
-            for (c, _, _, _) in world.conn_stats_of(NodeId(i)) {
-                total += 1;
-                if world
-                    .conn_channel_map(NodeId(i), c)
-                    .map(|m| !m.contains(22))
-                    .unwrap_or(false)
-                {
-                    retired += 1;
-                }
-            }
-        }
-        println!(
-            "{:<42} LL PDR {}   CoAP PDR {}   ch22 retired on {}/{} conn-ends",
-            v.label,
-            pct(r.ll_pdr()),
-            pct(r.coap_pdr()),
-            retired,
-            total
-        );
-        rows.push(format!(
-            "{},{:.5},{:.5},{retired},{total}",
-            v.label,
-            r.ll_pdr(),
-            r.coap_pdr()
-        ));
-    }
-    write_csv(
-        &opts,
-        "ablation_afh.csv",
-        "config,ll_pdr,coap_pdr,ch22_retired,conn_ends",
-        &rows,
-    );
-    println!("\nReading: including the jammed channel costs ≈1/37 of events as");
-    println!("link-layer retransmissions; AFH recovers most of it at runtime,");
-    println!("static exclusion (with site knowledge) remains the cleanest.");
+fn main() -> std::process::ExitCode {
+    mindgap_bench::main(mindgap_bench::exp::ablation_afh::run)
 }

@@ -1,154 +1,3 @@
-//! Figure 9 — high network load and slow connection intervals.
-//!
-//! (a) Producer interval 100 ms ±50 ms, connection interval 75 ms:
-//!     the offered load exceeds parts of the tree's capacity; packet
-//!     buffers overflow; the PDR is unevenly distributed across
-//!     producers (paper: average ≈75 %).
-//! (b) Connection interval 2 s, producer interval 1 s ±0.5 s: burst
-//!     transfers at each event overwhelm buffers; PDR drops further
-//!     (paper Fig. 9b shows a fluctuating average around ≈50 %).
-//!
-//! Both cases run as one campaign (`--jobs N`, resumable artifacts
-//! under `results/campaigns/`); case (a) records per-producer PDR
-//! series in its artifact for the heatmap.
-
-use mindgap_bench::{banner, pct, write_csv, Opts};
-use mindgap_campaign::GridBuilder;
-use mindgap_core::IntervalPolicy;
-use mindgap_sim::Duration;
-use mindgap_testbed::campaign::{drops_of, keys, to_job_result};
-use mindgap_testbed::stats;
-use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
-
-fn main() {
-    let opts = Opts::parse();
-    banner(
-        "Figure 9",
-        "High load and slow connection intervals (tree)",
-        &opts,
-    );
-    let duration = if opts.full {
-        Duration::from_secs(3600)
-    } else {
-        Duration::from_secs(600)
-    };
-
-    let producers: Vec<u16> = (1..15).collect();
-    let campaign = GridBuilder::new(&format!("fig09-{}", opts.mode()), opts.seed)
-        .axis(
-            "case",
-            ["high_load", "slow_conn"].iter().map(|s| s.to_string()),
-        )
-        .explicit_seeds(&[opts.seed])
-        .build();
-    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
-        match job.params["case"].as_str() {
-            "high_load" => {
-                let spec = ExperimentSpec::paper_default(
-                    Topology::paper_tree(),
-                    IntervalPolicy::Static(Duration::from_millis(75)),
-                    job.seed,
-                )
-                .with_duration(duration)
-                .with_producer_interval(Duration::from_millis(100));
-                to_job_result(&run_ble(&spec), &producers)
-            }
-            _ => {
-                let spec = ExperimentSpec::paper_default(
-                    Topology::paper_tree(),
-                    IntervalPolicy::Static(Duration::from_secs(2)),
-                    job.seed,
-                )
-                .with_duration(duration);
-                to_job_result(&run_ble(&spec), &[])
-            }
-        }
-    });
-
-    // ---- (a) high load ----
-    let results_a = report.results_for_config("case=high_load");
-    let r = results_a.first().expect("fig09(a) run failed");
-    println!("\nFig 9(a): producer 100 ms ±50 ms, connection interval 75 ms");
-    println!(
-        "average CoAP PDR: {}   (paper: ≈75%)   mbuf-pool drops: {}",
-        pct(r.get(keys::COAP_PDR)),
-        r.get(keys::POOL_DROPS) as u64
-    );
-    println!(
-        "connection losses: {}   reconnects: {}   stack drops: {:?}",
-        r.get(keys::CONN_LOSSES) as u64,
-        r.get(keys::RECONNECTS) as u64,
-        drops_of(r)
-    );
-    println!("per-node PDR (uneven distribution is the point, Fig. 9a heatmap):");
-    let mut rows = Vec::new();
-    for n in 1..15u16 {
-        let series = r.get_series(&format!("{}{n}", keys::PDR_NODE_PREFIX));
-        let avg = stats::mean(series).unwrap_or(1.0);
-        println!("  node {n:>2}: {} {}", stats::bar(avg), pct(avg));
-        rows.push(format!(
-            "{n},{avg:.4},{}",
-            series
-                .iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-                .join(";")
-        ));
-    }
-    write_csv(
-        &opts,
-        "fig09a_per_node_pdr.csv",
-        "node,avg_pdr,series",
-        &rows,
-    );
-    let series = r.get_series(keys::PDR_SERIES);
-    write_csv(
-        &opts,
-        "fig09a_avg_pdr_series.csv",
-        "bucket,pdr",
-        &series
-            .iter()
-            .enumerate()
-            .map(|(i, p)| format!("{i},{p:.4}"))
-            .collect::<Vec<_>>(),
-    );
-
-    // ---- (b) slow connection interval ----
-    let results_b = report.results_for_config("case=slow_conn");
-    let rb = results_b.first().expect("fig09(b) run failed");
-    println!("\nFig 9(b): connection interval 2000 ms, producer 1 s ±0.5 s");
-    println!(
-        "average CoAP PDR: {}   (paper: below the 75% of Fig. 9a, ≈50%)",
-        pct(rb.get(keys::COAP_PDR))
-    );
-    println!(
-        "  mbuf-pool drops: {}   (burst traffic at each event)",
-        rb.get(keys::POOL_DROPS) as u64
-    );
-    let bucket_secs = (rb.get(keys::BUCKET_S) * 1000.0).round() as u64 / 1000;
-    let series_b = rb.get_series(keys::PDR_SERIES);
-    for (i, p) in series_b.iter().enumerate() {
-        println!(
-            "  t={:>5}s  {}  {}",
-            i as u64 * bucket_secs,
-            stats::bar(*p),
-            pct(*p)
-        );
-    }
-    write_csv(
-        &opts,
-        "fig09b_avg_pdr_series.csv",
-        "bucket,pdr",
-        &series_b
-            .iter()
-            .enumerate()
-            .map(|(i, p)| format!("{i},{p:.4}"))
-            .collect::<Vec<_>>(),
-    );
-
-    println!("\nShape checks vs paper:");
-    println!("  * 9(a): load ≈45% of single-link capacity already loses packets —");
-    println!("    buffers at bottleneck subtrees overflow; PDR varies per producer;");
-    println!("  * 9(b): slower connection interval turns smooth traffic into");
-    println!("    bursts and loses more, despite the lower per-event load.");
+fn main() -> std::process::ExitCode {
+    mindgap_bench::main(mindgap_bench::exp::fig09::run)
 }

@@ -1,144 +1,3 @@
-//! Figure 15 / Appendix B — the aggregated 60-configuration matrix:
-//! producer intervals {0.1, 0.5, 1, 5, 10, 30} s × connection interval
-//! configurations {25, 50, 75, 100, 500 ms static; \[15:35\], \[40:60\],
-//! \[65:85\], \[90:110\], \[490:510\] ms randomized}, each 5×1 h in the
-//! paper. Reports link-layer PDR, CoAP PDR, median CoAP RTT and
-//! connection losses per cell (tree topology).
-//!
-//! Quick mode trims to 3 producer intervals × all 10 interval
-//! configurations × 1 seed × 10 min so it completes in minutes; pass
-//! `--full` for the complete matrix. The grid is sharded across a
-//! campaign worker pool (`--jobs N`, default all cores) and resumes
-//! from `results/campaigns/` after an interrupt.
-
-use std::collections::BTreeMap;
-
-use mindgap_bench::{banner, write_csv, Opts};
-use mindgap_campaign::GridBuilder;
-use mindgap_core::IntervalPolicy;
-use mindgap_sim::Duration;
-use mindgap_testbed::campaign::{keys, to_job_result};
-use mindgap_testbed::stats;
-use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
-
-fn main() {
-    let opts = Opts::parse();
-    banner("Figure 15", "60-configuration aggregate (tree)", &opts);
-    let ms = Duration::from_millis;
-    let duration = if opts.full {
-        Duration::from_secs(3600)
-    } else {
-        Duration::from_secs(600)
-    };
-    let producer_intervals: Vec<u64> = if opts.full {
-        vec![100, 500, 1_000, 5_000, 10_000, 30_000]
-    } else {
-        vec![100, 1_000, 10_000]
-    };
-    let conn_configs: Vec<(String, IntervalPolicy)> = vec![
-        ("25".into(), IntervalPolicy::Static(ms(25))),
-        ("50".into(), IntervalPolicy::Static(ms(50))),
-        ("75".into(), IntervalPolicy::Static(ms(75))),
-        ("100".into(), IntervalPolicy::Static(ms(100))),
-        ("500".into(), IntervalPolicy::Static(ms(500))),
-        (
-            "[15:35]".into(),
-            IntervalPolicy::Randomized {
-                lo: ms(15),
-                hi: ms(35),
-            },
-        ),
-        (
-            "[40:60]".into(),
-            IntervalPolicy::Randomized {
-                lo: ms(40),
-                hi: ms(60),
-            },
-        ),
-        (
-            "[65:85]".into(),
-            IntervalPolicy::Randomized {
-                lo: ms(65),
-                hi: ms(85),
-            },
-        ),
-        (
-            "[90:110]".into(),
-            IntervalPolicy::Randomized {
-                lo: ms(90),
-                hi: ms(110),
-            },
-        ),
-        (
-            "[490:510]".into(),
-            IntervalPolicy::Randomized {
-                lo: ms(490),
-                hi: ms(510),
-            },
-        ),
-    ];
-    let policies: BTreeMap<String, IntervalPolicy> = conn_configs.iter().cloned().collect();
-
-    let campaign = GridBuilder::new(&format!("fig15-{}", opts.mode()), opts.seed)
-        .axis("prod", producer_intervals.iter().map(u64::to_string))
-        .axis("conn", conn_configs.iter().map(|(label, _)| label.clone()))
-        .explicit_seeds(&opts.seeds())
-        .build();
-    let report = mindgap_campaign::run(&campaign, &opts.campaign(), |job| {
-        let prod: u64 = job.params["prod"].parse().expect("prod axis");
-        let policy = policies[&job.params["conn"]];
-        let spec = ExperimentSpec::paper_default(Topology::paper_tree(), policy, job.seed)
-            .with_duration(duration)
-            .with_producer_interval(Duration::from_millis(prod))
-            .with_clock_ppm(5.0);
-        to_job_result(&run_ble(&spec), &[])
-    });
-
-    let mut rows = Vec::new();
-    for &prod in &producer_intervals {
-        println!("\n=== producer interval {prod} ms ===");
-        println!(
-            "{:>12} {:>9} {:>9} {:>10} {:>8}",
-            "conn itvl", "LL PDR", "CoAP PDR", "RTT p50", "losses"
-        );
-        for (label, _) in &conn_configs {
-            let config = format!("prod={prod},conn={label}");
-            let results = report.results_for_config(&config);
-            let ll: f64 = results.iter().map(|r| r.get(keys::LL_PDR)).sum();
-            let coap: f64 = results.iter().map(|r| r.get(keys::COAP_PDR)).sum();
-            let losses: usize = results
-                .iter()
-                .map(|r| r.get(keys::CONN_LOSSES) as usize)
-                .sum();
-            let rtts = mindgap_campaign::agg::concat_series(&report, &config, keys::RTT_S);
-            let n = results.len() as f64;
-            let p50 = stats::quantile(&rtts, 0.5).unwrap_or(f64::NAN);
-            println!(
-                "{label:>12} {:>8.3}% {:>8.3}% {:>9.3}s {losses:>8}",
-                ll / n * 100.0,
-                coap / n * 100.0,
-                p50
-            );
-            rows.push(format!(
-                "{prod},{label},{:.5},{:.5},{:.4},{losses}",
-                ll / n,
-                coap / n,
-                p50
-            ));
-        }
-    }
-    write_csv(
-        &opts,
-        "fig15_matrix.csv",
-        "producer_ms,conn_config,ll_pdr,coap_pdr,rtt_p50,conn_losses",
-        &rows,
-    );
-
-    println!("\nShape checks vs paper (Fig. 15):");
-    println!("  * producer 100 ms overloads every configuration (CoAP PDR well");
-    println!("    below 1, worst at large/slow intervals);");
-    println!("  * at ≥1 s producer intervals CoAP PDR is ≈1 except for losses");
-    println!("    caused by connection drops in the static columns;");
-    println!("  * connection losses concentrate in the static columns;");
-    println!("  * RTT scales with the connection interval in every row.");
+fn main() -> std::process::ExitCode {
+    mindgap_bench::main(mindgap_bench::exp::fig15::run)
 }

@@ -1,137 +1,3 @@
-//! §5.4 — energy efficiency.
-//!
-//! Reproduces every derived number of the paper's energy section from
-//! the calibrated model constants (measured charges are data — see
-//! `mindgap-energy`), and cross-checks the forwarder scenario against
-//! link-layer counters from an actual simulated run.
-
-use mindgap_bench::{banner, write_csv, Opts};
-use mindgap_core::IntervalPolicy;
-use mindgap_energy::{ConnRole, EnergyModel};
-use mindgap_sim::{Duration, NodeId};
-use mindgap_testbed::{ExperimentSpec, Topology};
-
-fn main() {
-    let opts = Opts::parse();
-    banner("§5.4", "Energy efficiency", &opts);
-    let m = EnergyModel::default();
-    let mut rows = Vec::new();
-    let mut row = |name: &str, model: f64, paper: f64, unit: &str| {
-        println!("{name:<52} model {model:>8.1} {unit:<5} paper {paper:>8.1} {unit}");
-        rows.push(format!("{name},{model:.2},{paper:.2},{unit}"));
-    };
-
-    println!("\nPer-event charge constants (measured in the paper, model inputs):");
-    println!(
-        "  coordinator event {:.1} µC, subordinate event {:.1} µC, idle {:.0} µA\n",
-        2.3, 2.6, 15.0
-    );
-
-    row(
-        "idle connection @75ms, coordinator",
-        m.idle_connection_ua(75.0, ConnRole::Coordinator),
-        30.7,
-        "uA",
-    );
-    row(
-        "idle connection @75ms, subordinate",
-        m.idle_connection_ua(75.0, ConnRole::Subordinate),
-        34.7,
-        "uA",
-    );
-    row(
-        "forwarder, 3 subordinate conns, moderate load",
-        m.forwarder_extra_ua(0, 3, 75.0, 4.0, 1_000.0),
-        123.0,
-        "uA",
-    );
-    let total = 15.0 + m.forwarder_extra_ua(0, 3, 75.0, 4.0, 1_000.0);
-    row(
-        "  → 230 mAh coin cell lifetime",
-        m.battery_days(230.0, total),
-        69.0,
-        "days",
-    );
-    row(
-        "  → 2500 mAh 18650 lifetime",
-        m.battery_days(2500.0, total) / 365.0,
-        2.05,
-        "years",
-    );
-    row(
-        "BLE beacon, 31 B @1 s advertising",
-        m.beacon_ua(1_000.0, 31),
-        12.0,
-        "uA",
-    );
-    row(
-        "IP-over-BLE node, 1 conn, 1 CoAP/s (250 ms itvl)",
-        m.ip_node_ua(250.0, 1.0, 560.0),
-        16.0,
-        "uA",
-    );
-
-    // Cross-check with simulated counters: tree run, consumer node has
-    // three subordinate connections (moderate load scenario).
-    let duration = if opts.full {
-        Duration::from_secs(3600)
-    } else {
-        Duration::from_secs(600)
-    };
-    println!("\nCross-check from simulated link-layer counters (tree, 1 s ±0.5 s):");
-    let spec = ExperimentSpec::paper_default(
-        Topology::paper_tree(),
-        IntervalPolicy::Static(Duration::from_millis(75)),
-        opts.seed,
-    )
-    .with_duration(duration);
-
-    // Re-run a world directly to read counters (the runner consumes it).
-    let app = mindgap_core::AppConfig {
-        producer_interval: spec.producer_interval,
-        producer_jitter: spec.producer_jitter,
-        warmup: spec.warmup,
-        ..mindgap_core::AppConfig::paper_default(spec.topology.producers(), spec.topology.consumer)
-    };
-    let cfg = mindgap_core::WorldConfig::paper_default(spec.seed, spec.policy);
-    let mut world = mindgap_core::World::new(cfg, spec.topology.node_configs(), app);
-    world.run_until(mindgap_sim::Instant::ZERO + spec.warmup + duration);
-    let elapsed = duration.as_secs_f64() + spec.warmup.as_secs_f64();
-    for node in [0u16, 1, 14] {
-        let c = world.ll_counters(NodeId(node));
-        // Airtime beyond the keep-alive allowance: two empty PDUs per
-        // event ≈ 160 µs of the budget is inside the per-event charge.
-        let events = c.coord_events + c.sub_events;
-        let allowance_us = events as f64 * 160.0;
-        let extra_us = ((c.tx_ns as f64 / 1_000.0) + (c.listen_ns as f64 / 1_000.0) * 0.12
-            - allowance_us)
-            .max(0.0);
-        let ua = m.node_current_ua(
-            elapsed,
-            c.coord_events,
-            c.sub_events,
-            c.adv_trains,
-            extra_us,
-        );
-        let role = match node {
-            0 => "consumer (3 subordinate conns)",
-            1 => "forwarder (3 conns)",
-            _ => "leaf producer (1 conn)",
-        };
-        println!(
-            "  node {node:>2} {role:<32} ≈ {ua:>6.1} uA  → {:>5.0} days on 230 mAh",
-            m.battery_days(230.0, ua)
-        );
-        rows.push(format!("sim node {node} {role},{ua:.1},,uA"));
-    }
-    write_csv(
-        &opts,
-        "sec54_energy.csv",
-        "quantity,model,paper,unit",
-        &rows,
-    );
-
-    println!("\nConclusion (paper's): battery-powered IP-over-BLE routers are");
-    println!("feasible — months on a coin cell, years on an 18650 — and an IP");
-    println!("node costs beacon-class energy while providing full networking.");
+fn main() -> std::process::ExitCode {
+    mindgap_bench::main(mindgap_bench::exp::sec54_energy::run)
 }

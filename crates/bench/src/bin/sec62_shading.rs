@@ -1,78 +1,3 @@
-//! §6.2 — how likely is connection shading?
-//!
-//! Prints the paper's closed-form analysis (`ConnItvl / ClkDrift`) for
-//! its three reference cases, then validates the model against
-//! simulated connection-loss counts: a long tree run with static
-//! intervals should lose connections at roughly the predicted rate
-//! (the paper observed 95 losses in 24 h vs 80.6 predicted).
-
-use mindgap_bench::{banner, write_csv, Opts};
-use mindgap_core::IntervalPolicy;
-use mindgap_sim::Duration;
-use mindgap_testbed::analysis;
-use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
-
-fn main() {
-    let opts = Opts::parse();
-    banner("§6.2", "Shading-probability analysis vs simulation", &opts);
-
-    println!("\nClosed-form model (ConnItvl / ClkDrift):");
-    println!(
-        "{:>12} {:>12} {:>16} {:>16}",
-        "conn itvl", "rel drift", "time to overlap", "events per hour"
-    );
-    let mut rows = Vec::new();
-    for (itvl_ms, drift) in [(7.5f64, 500.0f64), (75.0, 5.0), (100.0, 10.0), (75.0, 1.0)] {
-        let itvl = Duration::from_micros((itvl_ms * 1000.0) as u64);
-        let t = analysis::time_to_overlap(itvl, drift);
-        let per_h = analysis::shading_events_per_hour(itvl, drift);
-        println!(
-            "{itvl_ms:>10}ms {drift:>9}ppm {:>15.2}h {per_h:>16.3}",
-            t.as_secs_f64() / 3600.0
-        );
-        rows.push(format!(
-            "{itvl_ms},{drift},{:.4},{per_h:.4}",
-            t.as_secs_f64() / 3600.0
-        ));
-    }
-    write_csv(
-        &opts,
-        "sec62_model.csv",
-        "itvl_ms,drift_ppm,hours_to_overlap,events_per_hour",
-        &rows,
-    );
-
-    println!("\nPaper's network estimate: 14 links × 0.24/h = 3.4 events/h");
-    println!("→ 80.6 per 24 h; measured 95 connection losses in 24 h.\n");
-
-    // Simulation validation.
-    let hours = if opts.full { 24 } else { 4 };
-    let duration = Duration::from_secs(hours * 3600);
-    // Apply the drift the paper measured (max relative 6 µs/s →
-    // ±3 ppm per node gives pairs up to 6 ppm apart).
-    let spec = ExperimentSpec::paper_default(
-        Topology::paper_tree(),
-        IntervalPolicy::Static(Duration::from_millis(75)),
-        opts.seed,
-    )
-    .with_duration(duration)
-    .with_clock_ppm(3.0);
-    let res = run_ble(&spec);
-    // Expected: mean |Δppm| of two independent U(−3,3) draws = 2 ppm.
-    let per_h = analysis::network_shading_events_per_hour(Duration::from_millis(75), 2.0, 14);
-    let expected = per_h * hours as f64;
-    println!("simulated {hours} h tree, static 75 ms, drift ±3 ppm/node:");
-    println!(
-        "  connection losses measured: {}   model expectation: {expected:.1}",
-        res.conn_losses
-    );
-    println!(
-        "  CoAP PDR {:.4}   LL PDR {:.4}",
-        res.records.coap_pdr(),
-        res.records.ll_pdr()
-    );
-    println!("\nInterpretation (as in the paper): the order of magnitude of the");
-    println!("closed-form estimate matches the measurement; exact counts depend");
-    println!("on the unknown per-pair drifts and on how many losses one");
-    println!("overlap episode causes before the phases separate.");
+fn main() -> std::process::ExitCode {
+    mindgap_bench::main(mindgap_bench::exp::sec62_shading::run)
 }

@@ -1,57 +1,3 @@
-//! §5.2 baseline — raw L2CAP throughput on a single link.
-//!
-//! Paper reference: "close to 500 kbps" between two nrf52dk boards
-//! with the data length extension. Sweeps PDU size and connection
-//! interval to show what the number is made of.
-
-use mindgap_bench::{banner, write_csv, Opts};
-use mindgap_ble::{BlePhy, LlConfig};
-use mindgap_sim::Duration;
-use mindgap_testbed::{measure_single_link, measure_single_link_cfg};
-
-fn main() {
-    let opts = Opts::parse();
-    banner("§5.2", "Single-link raw L2CAP throughput", &opts);
-    let span = if opts.full {
-        Duration::from_secs(30)
-    } else {
-        Duration::from_secs(8)
-    };
-
-    println!("\nDLE PDUs (247 B K-frames) across connection intervals:");
-    let mut rows = Vec::new();
-    for itvl in [25u64, 50, 75, 100, 250] {
-        let r = measure_single_link(opts.seed, Duration::from_millis(itvl), 247, span);
-        println!("  interval {itvl:>4} ms: {:>6.0} kbps", r.kbps);
-        rows.push(format!("{itvl},247,{:.1}", r.kbps));
-    }
-    println!("  (paper: ≈500 kbps at the defaults — the interval matters little");
-    println!("   because events extend to fill it)");
-
-    println!("\nPDU-size sweep at 75 ms:");
-    for pdu in [27usize, 100, 180, 247] {
-        let r = measure_single_link(opts.seed, Duration::from_millis(75), pdu, span);
-        println!("  {pdu:>4} B PDUs: {:>6.0} kbps", r.kbps);
-        rows.push(format!("75,{pdu},{:.1}", r.kbps));
-    }
-    println!("  (without the DLE — 27 B PDUs — throughput collapses, matching");
-    println!("   the ≈220 kbps ceiling of older studies the paper cites)");
-
-    println!("\n2M PHY (nrf52840-class hardware; related work: ≈1300 kbps):");
-    let cfg2m = LlConfig {
-        phy: BlePhy::TwoM,
-        ..LlConfig::default()
-    };
-    let r2 = measure_single_link_cfg(opts.seed, Duration::from_millis(75), 247, span, cfg2m);
-    println!("  247 B PDUs @ 2M: {:>6.0} kbps", r2.kbps);
-    println!("  (higher than 1M but host-bound, not radio-bound: the per-PDU");
-    println!("   processing cost of a RIOT-class host dominates at 2M — the");
-    println!("   1300 kbps of [Bulić et al.] needs an optimized data path)");
-    rows.push(format!("75,247-2M,{:.1}", r2.kbps));
-    write_csv(&opts, "sec52_throughput.csv", "itvl_ms,pdu_b,kbps", &rows);
-
-    println!("\nThe high-load scenario of Fig. 9a offers 128.8 kbps of CoAP");
-    println!("requests towards the consumer — under half of the single-link");
-    println!("capacity — and still loses packets to buffer overflow, which is");
-    println!("the paper's point about per-connection capacity fluctuation.");
+fn main() -> std::process::ExitCode {
+    mindgap_bench::main(mindgap_bench::exp::throughput::run)
 }

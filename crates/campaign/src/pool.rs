@@ -130,15 +130,6 @@ impl CampaignReport {
             .filter_map(|(_, s)| s.result())
             .collect()
     }
-
-    /// Sum of `trace_dropped` over completed jobs.
-    pub fn trace_dropped(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .filter_map(|(_, s)| s.result())
-            .map(|r| r.trace_dropped)
-            .sum()
-    }
 }
 
 /// Run a campaign: resume what exists, shard the rest across the

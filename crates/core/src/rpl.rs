@@ -81,19 +81,17 @@ pub enum RplMsg {
 }
 
 impl RplMsg {
-    /// Encode to bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Append the encoded message to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
             RplMsg::Dio { rank, seq } => {
-                let mut v = vec![0x01];
-                v.extend_from_slice(&rank.to_be_bytes());
-                v.push(seq);
-                v
+                out.push(0x01);
+                out.extend_from_slice(&rank.to_be_bytes());
+                out.push(seq);
             }
             RplMsg::Dao { origin } => {
-                let mut v = vec![0x02];
-                v.extend_from_slice(&origin.octets());
-                v
+                out.push(0x02);
+                out.extend_from_slice(&origin.octets());
             }
         }
     }
@@ -354,7 +352,9 @@ mod tests {
             RplMsg::Dio { rank: 7, seq: 200 },
             RplMsg::Dao { origin: addr(3) },
         ] {
-            assert_eq!(RplMsg::decode(&msg.encode()), Some(msg));
+            let mut bytes = vec![0xaa];
+            msg.encode_into(&mut bytes);
+            assert_eq!(RplMsg::decode(&bytes[1..]), Some(msg));
         }
         assert_eq!(RplMsg::decode(&[]), None);
         assert_eq!(RplMsg::decode(&[9, 9]), None);

@@ -1413,10 +1413,14 @@ impl World {
     }
 
     fn rpl_transmit(&mut self, node: NodeId, sends: Vec<RplSend>) {
+        let mut packet = std::mem::take(&mut self.tx_packet);
         for s in sends {
-            let bytes = s.msg.encode();
-            self.send_udp(node, s.to, RPL_PORT, RPL_PORT, &bytes);
+            packet.clear();
+            packet.resize(UDP_HEADROOM, 0);
+            s.msg.encode_into(&mut packet);
+            self.send_udp_packet(node, s.to, RPL_PORT, RPL_PORT, &mut packet);
         }
+        self.tx_packet = packet;
     }
 
     /// Tell the routing agent (if any) that the link to `peer` is gone.
@@ -2457,15 +2461,6 @@ impl World {
         }
     }
 
-    fn send_udp(&mut self, node: NodeId, dst: Ipv6Addr, src_port: u16, dst_port: u16, data: &[u8]) {
-        let mut packet = std::mem::take(&mut self.tx_packet);
-        packet.clear();
-        packet.resize(UDP_HEADROOM, 0);
-        packet.extend_from_slice(data);
-        self.send_udp_packet(node, dst, src_port, dst_port, &mut packet);
-        self.tx_packet = packet;
-    }
-
     /// Originate the UDP datagram built in `packet`: [`UDP_HEADROOM`]
     /// bytes of room for the headers, then the data.
     fn send_udp_packet(
@@ -2503,7 +2498,7 @@ impl World {
             }
             return;
         }
-        let peer = NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]]));
+        let peer = NodeId(next_hop_ll.node_index());
         // Admission through the link-service boundary: no open L2CAP
         // channel towards the hop means the frame cannot leave.
         let conn = c
@@ -2529,14 +2524,14 @@ impl World {
             let peers: Vec<NodeId> = adv
                 .neighbors()
                 .iter()
-                .map(|a| NodeId(u16::from_be_bytes([a.0[6], a.0[7]])))
+                .map(|a| NodeId(a.node_index()))
                 .collect();
             for peer in peers {
                 self.send_on_adv(node, peer, out);
             }
             return;
         }
-        let peer = NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]]));
+        let peer = NodeId(next_hop_ll.node_index());
         // Admission through the link-service boundary: a next hop we
         // have never heard a beacon from cannot be reached yet.
         match adv.admit(next_hop_ll) {
@@ -2579,8 +2574,7 @@ impl World {
     /// goes out as one MAC broadcast.
     fn send_ip_ieee(&mut self, node: NodeId, out: Outgoing<'_>, next_hop_ll: LlAddr) {
         let now = self.queue.now();
-        let dst = (next_hop_ll != LlAddr::BROADCAST)
-            .then(|| NodeId(u16::from_be_bytes([next_hop_ll.0[6], next_hop_ll.0[7]])));
+        let dst = (next_hop_ll != LlAddr::BROADCAST).then(|| NodeId(next_hop_ll.node_index()));
         let ctx = LinkContext {
             src: LlAddr::from_node_index(node.0),
             dst: dst.map_or(LlAddr::BROADCAST, |d| LlAddr::from_node_index(d.0)),

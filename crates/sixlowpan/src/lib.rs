@@ -59,6 +59,12 @@ impl LlAddr {
         LlAddr([0x02, 0x00, 0x00, 0xff, 0xfe, 0x00, hi, lo])
     }
 
+    /// The node index [`LlAddr::from_node_index`] encoded in this
+    /// address (its last two bytes).
+    pub fn node_index(&self) -> u16 {
+        u16::from_be_bytes([self.0[6], self.0[7]])
+    }
+
     /// The IPv6 interface identifier for this address (U/L bit flipped).
     pub fn iid(&self) -> [u8; 8] {
         let mut iid = self.0;
@@ -112,6 +118,9 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(b, c);
         assert_ne!(a, c);
+        for i in [0, 1, 258, u16::MAX] {
+            assert_eq!(LlAddr::from_node_index(i).node_index(), i);
+        }
     }
 
     #[test]

@@ -45,13 +45,6 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A sparkline-ish ASCII bar of width 20 for PDR-style values in
-/// `[0, 1]` — used by example binaries for readable terminal output.
-pub fn bar(value: f64) -> String {
-    let filled = (value.clamp(0.0, 1.0) * 20.0).round() as usize;
-    format!("[{}{}]", "#".repeat(filled), ".".repeat(20 - filled))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +82,5 @@ mod tests {
     fn linspace_endpoints() {
         let v = linspace(0.0, 1.0, 5);
         assert_eq!(v, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
-    }
-
-    #[test]
-    fn bar_rendering() {
-        assert_eq!(bar(1.0), format!("[{}]", "#".repeat(20)));
-        assert_eq!(bar(0.0), format!("[{}]", ".".repeat(20)));
-        assert_eq!(bar(0.5).matches('#').count(), 10);
     }
 }
