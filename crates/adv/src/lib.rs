@@ -29,8 +29,9 @@
 //!   energy for delivery probability).
 //! * With an empty queue the node sends a **beacon** train (empty
 //!   payload, broadcast) when `beacon_when_idle` is set — this is the
-//!   neighbor-discovery signal that drives the link-service
-//!   [`LinkSignal::Up`]/[`LinkSignal::Down`] edges.
+//!   neighbor discovery behind [`AdvLink::neighbors`] and
+//!   [`AdvLink::admit`], surfaced as [`AdvOut::NeighborUp`] /
+//!   [`AdvOut::NeighborDown`].
 //! * Scanning rotates over 37/38/39 every `scan_interval`, listening
 //!   for `scan_window` of it. The radio is half-duplex: a train
 //!   interrupts the scan window and the remainder resumes afterwards.
@@ -45,17 +46,12 @@
 #![warn(missing_docs)]
 
 use mindgap_ble::Frame;
-use mindgap_net::{LinkService, LinkSignal, SignalLog, TxAdmission};
 use mindgap_phy::{airtime, Channel};
 use mindgap_sim::{Clock, Duration, Instant, NodeId, Rng};
 use mindgap_sixlowpan::LlAddr;
 
 /// The three advertising channels a train walks, in order.
 const ADV_CHANNELS: [u8; 3] = [37, 38, 39];
-
-/// Bound on buffered link-up/down signals (same as the connection
-/// transport's log).
-const SIGNAL_CAP: usize = 4096;
 
 /// Tuning parameters of the advertising transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -222,6 +218,19 @@ pub enum AdvSendError {
     TooBig,
 }
 
+/// Answer of [`AdvLink::admit`]: would a frame towards this next hop
+/// be queued right now?
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TxAdmission {
+    /// The transport would take the frame.
+    Ok,
+    /// No beacon heard from the next hop within the neighbor timeout.
+    /// The world counts this as a `link_down` drop.
+    NoLink,
+    /// The hop is known but the transmit queue is full right now.
+    Backpressure,
+}
+
 /// Transport counters, sampled into the observability registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvCounters {
@@ -301,7 +310,6 @@ pub struct AdvLink {
     dedup: Vec<(u16, u16)>,
     dedup_next: usize,
     neighbors: Vec<(NodeId, Instant)>,
-    signals: SignalLog,
     counters: AdvCounters,
 }
 
@@ -329,7 +337,6 @@ impl AdvLink {
             dedup: Vec::new(),
             dedup_next: 0,
             neighbors: Vec::new(),
-            signals: SignalLog::new(SIGNAL_CAP),
             counters: AdvCounters::default(),
         }
     }
@@ -359,6 +366,29 @@ impl AdvLink {
     /// Current neighbor count.
     pub fn neighbor_count(&self) -> usize {
         self.neighbors.len()
+    }
+
+    /// Whether a frame towards `next_hop` would be queued right now:
+    /// a full queue refuses everything, a hop never heard (or timed
+    /// out) is no link.
+    pub fn admit(&self, next_hop: LlAddr) -> TxAdmission {
+        if self.queue.len() >= self.cfg.queue_cap {
+            return TxAdmission::Backpressure;
+        }
+        let known = self
+            .neighbors
+            .iter()
+            .any(|(p, _)| LlAddr::from_node_index(p.0) == next_hop);
+        if known {
+            TxAdmission::Ok
+        } else {
+            TxAdmission::NoLink
+        }
+    }
+
+    /// Current neighbors, in discovery order.
+    pub fn neighbors(&self) -> Vec<NodeId> {
+        self.neighbors.iter().map(|&(p, _)| p).collect()
     }
 
     /// Listen time including the still-open scan span (for sampling
@@ -632,9 +662,6 @@ impl AdvLink {
             if now.saturating_since(last) > timeout {
                 self.neighbors.remove(i);
                 self.counters.neighbor_downs += 1;
-                self.signals.push(LinkSignal::Down {
-                    peer: LlAddr::from_node_index(peer.0),
-                });
                 out.push(AdvOut::NeighborDown { peer });
             } else {
                 i += 1;
@@ -652,9 +679,6 @@ impl AdvLink {
         }
         self.neighbors.push((peer, now));
         self.counters.neighbor_ups += 1;
-        self.signals.push(LinkSignal::Up {
-            peer: LlAddr::from_node_index(peer.0),
-        });
         out.push(AdvOut::NeighborUp { peer });
     }
 
@@ -722,38 +746,6 @@ impl AdvLink {
             });
             self.counters.rebroadcasts += 1;
         }
-    }
-}
-
-impl LinkService for AdvLink {
-    fn mtu(&self) -> usize {
-        self.cfg.mtu()
-    }
-
-    fn admit(&self, next_hop: LlAddr) -> TxAdmission {
-        if self.queue.len() >= self.cfg.queue_cap {
-            return TxAdmission::Backpressure;
-        }
-        let known = self
-            .neighbors
-            .iter()
-            .any(|(p, _)| LlAddr::from_node_index(p.0) == next_hop);
-        if known {
-            TxAdmission::Ok
-        } else {
-            TxAdmission::NoLink
-        }
-    }
-
-    fn neighbors(&self) -> Vec<LlAddr> {
-        self.neighbors
-            .iter()
-            .map(|(p, _)| LlAddr::from_node_index(p.0))
-            .collect()
-    }
-
-    fn signals(&self) -> &[LinkSignal] {
-        self.signals.as_slice()
     }
 }
 
@@ -966,12 +958,6 @@ mod tests {
         // Run past the timeout with no further beacons: Down fires.
         d.run_until(Instant::from_secs(4));
         assert_eq!(d.link.neighbor_count(), 0);
-        let sig = d.link.signals();
-        assert!(matches!(sig[0], LinkSignal::Up { peer } if peer == LlAddr::from_node_index(2)));
-        assert!(matches!(
-            sig.last().unwrap(),
-            LinkSignal::Down { peer } if *peer == LlAddr::from_node_index(2)
-        ));
     }
 
     #[test]

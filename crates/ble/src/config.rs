@@ -26,9 +26,6 @@ pub struct ConnParams {
     /// Supervision timeout: the connection is declared lost when no
     /// valid packet is received for this long (§2.2).
     pub supervision_timeout: Duration,
-    /// Number of connection events the subordinate may skip when it
-    /// has nothing to send (§2.2). The paper's experiments use 0.
-    pub subordinate_latency: u16,
     /// Channel map (the paper excludes jammed channel 22, §4.2).
     pub channel_map: ChannelMap,
     /// Channel selection algorithm.
@@ -37,16 +34,14 @@ pub struct ConnParams {
 
 impl ConnParams {
     /// Spec-clean defaults for a given connection interval: CSA#2,
-    /// channel 22 excluded, latency 0, and NimBLE's supervision
-    /// timeout (2.56 s) stretched when the interval is long so the
-    /// spec's `timeout > (1+latency) · 2 · interval` bound holds with
-    /// margin.
+    /// channel 22 excluded, and NimBLE's supervision timeout (2.56 s)
+    /// stretched when the interval is long so the spec's
+    /// `timeout > 2 · interval` bound holds with margin.
     pub fn with_interval(interval: Duration) -> Self {
         let floor = Duration::from_millis(2560);
         ConnParams {
             interval,
             supervision_timeout: floor.max(interval * 4),
-            subordinate_latency: 0,
             channel_map: ChannelMap::all_except_jammed(),
             csa: Csa::Two,
         }
@@ -64,7 +59,6 @@ impl ConnParams {
         ConnParams {
             interval,
             supervision_timeout: timeout,
-            subordinate_latency: 0,
             channel_map: ChannelMap::all_except_jammed(),
             csa: Csa::Two,
         }
@@ -90,18 +84,16 @@ impl ConnParams {
     }
 
     /// Additionally check the spec's recommended
-    /// `timeout > (1+latency) · 2 · interval` bound, which real stacks
-    /// (including the paper's NimBLE defaults at long intervals) do
-    /// not always honour.
+    /// `timeout > 2 · interval` bound (subordinate latency is always
+    /// 0), which real stacks (including the paper's NimBLE defaults at
+    /// long intervals) do not always honour.
     pub fn validate_spec(&self) {
         self.validate();
-        let min_timeout = self.interval * (2 * (1 + self.subordinate_latency as u64));
         assert!(
-            self.supervision_timeout > min_timeout,
-            "supervision timeout {} below the spec bound for interval {} / latency {}",
+            self.supervision_timeout > self.interval * 2,
+            "supervision timeout {} below the spec bound for interval {}",
             self.supervision_timeout,
-            self.interval,
-            self.subordinate_latency
+            self.interval
         );
     }
 }

@@ -134,9 +134,6 @@ pub(crate) struct Connection {
     pub peer_md: bool,
     /// End of the currently booked listen window (subordinate).
     pub window_end: Instant,
-    /// Events deliberately skipped under subordinate latency since the
-    /// last one attended.
-    pub latency_skipped: u16,
     /// Event-scoped generation: EventPrep/EventStart/ListenStart
     /// timers armed for an older generation are ignored.
     pub gen: u64,
@@ -223,7 +220,6 @@ impl Connection {
             event_had_data: false,
             peer_md: false,
             window_end: Instant::MAX,
-            latency_skipped: 0,
             gen: 0,
             xgen: 0,
             stats: ConnStats::default(),
@@ -234,18 +230,6 @@ impl Connection {
     /// including an unacknowledged keep-alive.
     pub fn has_tx_data(&self) -> bool {
         self.in_flight.is_some() || !self.queue.is_empty()
-    }
-
-    /// `true` if actual *payload* awaits transmission (unacknowledged
-    /// empty keep-alives do not count — used by subordinate latency,
-    /// which only wakes early for data).
-    pub fn has_data_pending(&self) -> bool {
-        !self.queue.is_empty()
-            || self
-                .in_flight
-                .as_ref()
-                .map(|(_, p)| !p.is_empty())
-                .unwrap_or(false)
     }
 
     /// Build the next PDU to transmit, honouring the ARQ: an

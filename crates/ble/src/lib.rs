@@ -6,8 +6,8 @@
 //! * **Connections** (`conn`, `ll`) — connection events paced by
 //!   the *connection interval*, the strict IFS-separated packet
 //!   ping-pong of Fig. 3, the More-Data flag, 1-bit SN/NESN ARQ with
-//!   retransmission on the next event, subordinate latency, and the
-//!   supervision timeout.
+//!   retransmission on the next event, and the supervision timeout.
+//!   Subordinate latency is always 0, as in the paper's experiments.
 //! * **Channel hopping** ([`channels`]) — channel maps over the 37
 //!   data channels and both channel selection algorithms (CSA#1 and
 //!   CSA#2).

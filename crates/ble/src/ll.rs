@@ -989,20 +989,6 @@ impl LinkLayer {
             return;
         }
 
-        // Subordinate latency: deliberately sit out events when idle.
-        if conn.role == Role::Subordinate
-            && conn.params.subordinate_latency > 0
-            && !conn.has_data_pending()
-            && conn.latency_skipped < conn.params.subordinate_latency
-        {
-            conn.latency_skipped += 1;
-            Self::advance_event(conn, clock, out);
-            let gen = conn.gen;
-            out.push(arm_out(anchor.max(now), TimerKind::EventPrep(id), gen));
-            return;
-        }
-        conn.latency_skipped = 0;
-
         let head_len = conn
             .in_flight
             .as_ref()

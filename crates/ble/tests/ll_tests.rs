@@ -400,39 +400,3 @@ fn afh_retires_a_jammed_channel() {
     assert_eq!(map0, map1, "both ends agree on the map");
     assert_eq!(w.losses(), 0);
 }
-
-#[test]
-fn subordinate_latency_skips_idle_events() {
-    // With latency 2 the subordinate attends every third idle event,
-    // cutting listen energy; data still flows (latency suspends when
-    // the queue is non-empty).
-    let mut params = params_ms(50);
-    params.subordinate_latency = 2;
-    let mut w = MiniWorld::new(&[1.0, -1.0], LossConfig::LOSSLESS, 30);
-    w.connect(NodeId(0), NodeId(1), ConnId(1), params);
-    w.await_up(ConnId(1), Instant::from_secs(2));
-    let t0 = w.now();
-    w.run_until(t0 + Duration::from_secs(30));
-    assert_eq!(w.losses(), 0, "latency must not trip supervision");
-    let sub = w.lls[1].conn_stats(ConnId(1)).unwrap();
-    let coord = w.lls[0].conn_stats(ConnId(1)).unwrap();
-    // Subordinate attends ≈1/3 of the coordinator's events.
-    let ratio = sub.events as f64 / coord.events as f64;
-    assert!(
-        (0.25..0.45).contains(&ratio),
-        "attended {}/{} events (ratio {ratio:.2})",
-        sub.events,
-        coord.events
-    );
-    // Data from the subordinate still arrives (it wakes for it).
-    w.lls[1]
-        .enqueue(ConnId(1), b"from-lazy-sub".to_vec())
-        .unwrap();
-    let t = w.now();
-    w.run_until(t + Duration::from_millis(400));
-    assert!(w
-        .log
-        .rx
-        .iter()
-        .any(|(n, _, p)| *n == NodeId(0) && p == b"from-lazy-sub"));
-}

@@ -158,6 +158,17 @@ where
         }
     }
     let cached = total - pending.len();
+    // Fail fast: an unwritable artifact directory would otherwise
+    // surface only at `store.save`, after each job has simulated.
+    if !pending.is_empty() {
+        if let Err(e) = std::fs::create_dir_all(store.dir().join("jobs")) {
+            let msg = format!("artifact dir unwritable: {e}");
+            eprintln!("[campaign {}] {msg}", campaign.name);
+            for idx in pending.drain(..) {
+                outcomes[idx] = Some(JobStatus::Failed(msg.clone()));
+            }
+        }
+    }
     let workers = cfg.effective_workers().min(pending.len().max(1));
     if cfg.progress {
         eprintln!(
@@ -388,6 +399,31 @@ mod tests {
         assert_eq!(second.completed(), 2);
         assert_eq!(second.cached(), 1, "only x was cached");
         std::fs::remove_dir_all(&cfg.out_root).ok();
+    }
+
+    #[test]
+    fn unwritable_out_fails_every_job_without_running_it() {
+        let c = GridBuilder::new("pool-unwritable", 1)
+            .axis("a", ["1", "2", "3"])
+            .build();
+        let file = std::env::temp_dir().join(format!(
+            "mindgap-pool-test-unwritable-{}",
+            std::process::id()
+        ));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let cfg = RunConfig {
+            out_root: file.join("out"),
+            ..temp_cfg("unwritable", 2)
+        };
+        let calls = AtomicUsize::new(0);
+        let report = run(&c, &cfg, |job| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            body(job)
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no job may simulate");
+        assert_eq!(report.failures().len(), c.jobs.len());
+        assert!(report.failures()[0].1.contains("artifact dir unwritable"));
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! beyond one frame. This module holds its configuration and the
 //! per-node [`IeeeLink`], which is the `Link::Ieee` variant of every
 //! node of such a world; `World`'s event loop drives it. Its frames go
-//! through the same in-flight slab and `TxEnd` handler as BLE frames.
-//! Unlike the BLE links it has no `LinkService` impl yet.
+//! through the same in-flight slab and `TxEnd` handler as BLE frames,
+//! and `World::send_ip` reaches it by matching on `Link`, as it does
+//! the two BLE links.
 //!
 //! There is no connection concept: the network is "up" immediately,
 //! losses come from CSMA collisions, noisy-channel retries running

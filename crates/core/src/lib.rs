@@ -35,7 +35,6 @@ mod world;
 
 pub use ieee::IeeeConfig;
 pub use mindgap_adv::{AdvConfig, AdvCounters};
-pub use mindgap_net::{LinkService, LinkSignal, TxAdmission};
 pub use mindgap_peers::{PeerConfig, PeerCounters};
 pub use mindgap_phy::MobilityModel;
 pub use records::{LinkStats, Records, RttSample};

@@ -34,7 +34,7 @@
 //! and the absence of a live connection while statconn reconnects
 //! (§5.1).
 
-use mindgap_adv::{AdvConfig, AdvLink, AdvObsEvent, AdvOut, AdvSendError, AdvTimer};
+use mindgap_adv::{AdvConfig, AdvLink, AdvObsEvent, AdvOut, AdvSendError, AdvTimer, TxAdmission};
 use mindgap_ble::{
     ConnId, ConnParams, Frame, LinkLayer, ListenTag, LlConfig, LlObsEvent, LossReason, Output,
     Role, Timer,
@@ -44,8 +44,8 @@ use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154};
 use mindgap_l2cap::frame::{self as l2frame, Signal, CID_LE_SIGNALING};
 use mindgap_l2cap::{BufPool, CocChannel, CocConfig, NIMBLE_BUF_BYTES};
 use mindgap_net::{
-    Delivery, Ipv6Addr, Ipv6Header, Ipv6Stack, LinkService, LinkSignal, NetConfig, SignalLog,
-    StackEvent, TxAdmission, Verdict, IPV6_HEADER_LEN, UDP_HEADROOM,
+    Delivery, Ipv6Addr, Ipv6Header, Ipv6Stack, NetConfig, StackEvent, Verdict, IPV6_HEADER_LEN,
+    UDP_HEADROOM,
 };
 use mindgap_obs::{AdvMetrics, MetricsSnapshot, Obs, PeerMetrics, Span};
 use mindgap_peers::{PeerAction, PeerConfig, PeerCounters, PeerManager};
@@ -213,7 +213,7 @@ pub struct WorldConfig {
     pub supervision_timeout: Option<Duration>,
     /// Link transport. [`TransportMode::Conn`] is the paper's stack;
     /// [`TransportMode::Adv`] swaps in the connection-less
-    /// advertising transport behind the same [`LinkService`] boundary.
+    /// advertising transport under the same IPv6/6LoWPAN stack.
     pub transport: TransportMode,
     /// Radio adjacency: `Some(links)` puts only the listed unordered
     /// pairs in radio range (large generated meshes); `None` keeps the
@@ -344,13 +344,12 @@ struct CocState {
     pending_credits: u16,
 }
 
-/// The connection-oriented link behind the [`LinkService`] boundary:
-/// the link layer, its connection manager (statconn's static edges
-/// or, in peers mode, a [`PeerManager`]), one L2CAP credit-based
-/// channel per connection and the NimBLE-sized mbuf pool, exactly the
-/// paper's data path (§3). The data path itself stays in `World`'s
-/// hot loop; this struct owns the per-node state and answers the
-/// introspection/admission queries the trait defines.
+/// The connection-oriented link: the link layer, its connection
+/// manager (statconn's static edges or, in peers mode, a
+/// [`PeerManager`]), one L2CAP credit-based channel per connection and
+/// the NimBLE-sized mbuf pool, exactly the paper's data path (§3). The
+/// data path itself stays in `World`'s hot loop; this struct owns the
+/// per-node state.
 pub(crate) struct ConnLink {
     ll: LinkLayer,
     statconn: Statconn,
@@ -362,8 +361,6 @@ pub(crate) struct ConnLink {
     /// path (and iteration order is deterministic, unlike a HashMap).
     cocs: Vec<(ConnId, CocState)>,
     pool: BufPool,
-    /// Ordered link-up/down log (channel establishment / teardown).
-    signals: SignalLog,
 }
 
 impl ConnLink {
@@ -387,43 +384,14 @@ impl ConnLink {
             None => self.statconn.conn_to(peer),
         }
     }
-}
 
-impl LinkService for ConnLink {
-    fn mtu(&self) -> usize {
-        // RFC 7668: IPv6 over BLE relies on L2CAP segmentation, so the
-        // link presents the IPv6 minimum MTU to the stack.
-        1280
-    }
-
-    fn admit(&self, next_hop: LlAddr) -> TxAdmission {
-        if self
-            .cocs
-            .iter()
-            .any(|(_, s)| LlAddr::from_node_index(s.peer.0) == next_hop)
-        {
-            TxAdmission::Ok
-        } else {
-            TxAdmission::NoLink
-        }
-    }
-
-    fn neighbors(&self) -> Vec<LlAddr> {
+    /// Whether an L2CAP channel towards `next_hop` is open.
+    fn has_channel_to(&self, next_hop: LlAddr) -> bool {
         self.cocs
             .iter()
-            .map(|(_, s)| LlAddr::from_node_index(s.peer.0))
-            .collect()
-    }
-
-    fn signals(&self) -> &[LinkSignal] {
-        self.signals.as_slice()
+            .any(|(_, s)| LlAddr::from_node_index(s.peer.0) == next_hop)
     }
 }
-
-/// Signal-log bound shared by both transports: long enough for every
-/// formation/teardown sequence the experiments produce, bounded so
-/// chaos campaigns with endless reconnect churn cannot grow it.
-const LINK_SIGNAL_CAP: usize = 4096;
 
 /// A node's one link. Every node of a world has the same kind.
 enum Link {
@@ -664,7 +632,6 @@ fn make_node(
                 peers,
                 cocs: Vec::new(),
                 pool: BufPool::new(NIMBLE_BUF_BYTES),
-                signals: SignalLog::new(LINK_SIGNAL_CAP),
             };
             (Link::Conn(Box::new(link)), node)
         }
@@ -1237,17 +1204,6 @@ impl World {
     /// 0 without a connection link).
     pub fn pool_used(&self, node: NodeId) -> usize {
         self.conn_link(node).map_or(0, |c| c.pool.used())
-    }
-
-    /// The node's link viewed through the link-service boundary (MTU,
-    /// tx admission, neighbor set, link-up/down signal log). `None`
-    /// for 802.15.4 nodes: the MAC has no `LinkService` yet.
-    pub fn link_service(&self, node: NodeId) -> Option<&dyn LinkService> {
-        match &self.nodes[node.index()].link {
-            Link::Conn(c) => Some(&**c),
-            Link::Adv(a) => Some(a),
-            Link::Ieee(_) => None,
-        }
     }
 
     /// Routing-agent state of a node: (rank, parent), when dynamic
@@ -2009,8 +1965,8 @@ impl World {
         self.apply_sc_actions(node, actions);
     }
 
-    /// Open the L2CAP channel for a freshly accepted connection and
-    /// log the link-up signal (shared by both connection managers).
+    /// Open the L2CAP channel for a freshly accepted connection
+    /// (shared by both connection managers).
     fn register_coc(&mut self, node: NodeId, conn: ConnId, peer: NodeId) {
         let Some(link) = self.nodes[node.index()].link.conn_mut() else {
             return;
@@ -2023,9 +1979,6 @@ impl World {
                 pending_credits: 0,
             },
         ));
-        link.signals.push(LinkSignal::Up {
-            peer: LlAddr::from_node_index(peer.0),
-        });
     }
 
     fn conn_down(&mut self, node: NodeId, conn: ConnId, peer: NodeId, reason: LossReason) {
@@ -2063,9 +2016,6 @@ impl World {
                 if queued > 0 {
                     c.pool.free(queued);
                 }
-                c.signals.push(LinkSignal::Down {
-                    peer: LlAddr::from_node_index(peer.0),
-                });
             }
         }
         self.rpl_neighbor_down(node, peer);
@@ -2499,11 +2449,9 @@ impl World {
             return;
         }
         let peer = NodeId(next_hop_ll.node_index());
-        // Admission through the link-service boundary: no open L2CAP
-        // channel towards the hop means the frame cannot leave.
-        let conn = c
-            .conn_to(peer)
-            .filter(|_| c.admit(next_hop_ll) == TxAdmission::Ok);
+        // No open L2CAP channel towards the hop means the frame cannot
+        // leave.
+        let conn = c.conn_to(peer).filter(|_| c.has_channel_to(next_hop_ll));
         let Some(conn) = conn else {
             self.obs.reg.inc(self.obs.m.ipv6_send_failures, node);
             self.records.drop("link_down");
@@ -2521,19 +2469,14 @@ impl World {
             return;
         };
         if next_hop_ll == LlAddr::BROADCAST {
-            let peers: Vec<NodeId> = adv
-                .neighbors()
-                .iter()
-                .map(|a| NodeId(a.node_index()))
-                .collect();
-            for peer in peers {
+            for peer in adv.neighbors() {
                 self.send_on_adv(node, peer, out);
             }
             return;
         }
         let peer = NodeId(next_hop_ll.node_index());
-        // Admission through the link-service boundary: a next hop we
-        // have never heard a beacon from cannot be reached yet.
+        // A next hop we have never heard a beacon from cannot be
+        // reached yet.
         match adv.admit(next_hop_ll) {
             TxAdmission::Ok => self.send_on_adv(node, peer, out),
             TxAdmission::NoLink => {

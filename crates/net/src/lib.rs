@@ -9,7 +9,9 @@
 //! it datagrams and it returns *actions* ([`StackEvent`]) — deliver to
 //! a local socket, forward via a next hop, answer with ICMPv6. The
 //! simulation's node glue (in `mindgap-core`) turns those actions into
-//! 6LoWPAN frames on BLE or 802.15.4 links. On the data path it decides
+//! 6LoWPAN frames on the node's one link, an arm of `World`'s `Link`
+//! enum (BLE connections, BLE advertising or 802.15.4); the stack
+//! itself knows no link type. On the data path it decides
 //! on a parsed header instead ([`Ipv6Stack::on_header`] → [`Verdict`]),
 //! so a relay never rebuilds the datagram, delivers borrowed payloads
 //! ([`Delivery`]) and originates UDP in the caller's buffer
@@ -25,7 +27,6 @@
 mod addr;
 pub mod icmpv6;
 mod ipv6;
-pub mod link;
 mod neighbor;
 mod routing;
 mod stack;
@@ -33,7 +34,6 @@ pub mod udp;
 
 pub use addr::Ipv6Addr;
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
-pub use link::{LinkService, LinkSignal, SignalLog, TxAdmission};
 pub use neighbor::NeighborCache;
 pub use routing::RoutingTable;
 pub use stack::{
