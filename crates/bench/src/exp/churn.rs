@@ -3,7 +3,7 @@
 //! The statconn experiments (fig07…fig15, chaos) all start from a
 //! *prescribed* connection graph. This campaign drops that crutch: a
 //! random-geometric field of nodes boots **cold** under the dynamic
-//! peer manager (`mindgap-peers`, DESIGN.md §12) and must discover
+//! peer manager (`mindgap_core::peers`, DESIGN.md §12) and must discover
 //! neighbours, form a connection pool, and converge to a connected
 //! RPL DODAG on its own — then keep doing so while scripted churn
 //! (crash/reboot cycles drawn from `FaultSchedule::churn`) and node
@@ -38,7 +38,7 @@
 
 use mindgap_campaign::concat_series;
 use mindgap_chaos::FaultSchedule;
-use mindgap_core::{IntervalPolicy, MobilityModel};
+use mindgap_core::IntervalPolicy;
 use mindgap_sim::Duration;
 use mindgap_testbed::campaign::{keys, to_job_result};
 use mindgap_testbed::stats;
@@ -81,7 +81,7 @@ pub fn run(opts: &Opts) -> Report {
         .with_producer_interval(Duration::from_secs(10))
         .with_duration(duration);
         spec = if mob == "walk" {
-            spec.with_peers_mobility(MobilityModel::walk_default())
+            spec.with_peers_mobility()
         } else {
             spec.with_peers()
         };

@@ -245,6 +245,25 @@ mod tests {
         assert!(same < 30, "{same} matching events for different AAs");
     }
 
+    /// The Core spec's CSA#2 sample data (Vol 6 Part C §3, access
+    /// address 0x8E89BED6).
+    #[test]
+    fn csa2_matches_spec_sample_data() {
+        let aa = 0x8E89_BED6;
+        for (counter, ch) in [(0, 25), (1, 20), (2, 6), (3, 21)] {
+            assert_eq!(
+                csa2_channel(aa, counter, ChannelMap::ALL),
+                ch,
+                "all 37, {counter}"
+            );
+        }
+        let used = [9u8, 10, 21, 22, 23, 33, 34, 35, 36];
+        let map = ChannelMap::from_mask(used.iter().fold(0, |m, &c| m | 1 << c));
+        for (counter, ch) in [(6, 23), (7, 9), (8, 34)] {
+            assert_eq!(csa2_channel(aa, counter, map), ch, "9 used, {counter}");
+        }
+    }
+
     #[test]
     fn csa1_cycles_through_map() {
         let map = ChannelMap::all_except_jammed();

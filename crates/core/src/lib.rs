@@ -7,9 +7,15 @@
 //! nodes — the role `nimble_netif` plays in RIOT — and runs them in a
 //! simulated testbed:
 //!
-//! * [`Statconn`] — the static connection manager of §3, including the
+//! * statconn — the static connection manager of §3, including the
 //!   §6.3 mitigation: randomized, per-node-unique connection intervals
-//!   with subordinate-side collision rejection.
+//!   with subordinate-side collision rejection, configured through
+//!   [`EdgeConfig`] and [`IntervalPolicy`].
+//! * the peer policy — the second connection manager, behind
+//!   [`PeersWorldConfig`]: discovery-driven, RSSI-ranked connections
+//!   for self-forming networks (the paper's §9 future work; DESIGN.md
+//!   §12). Both managers answer link events with one action
+//!   vocabulary, which the world executes in one place.
 //! * [`World`] — the discrete-event testbed: BLE medium, per-node
 //!   clocks with drift, the full packet path from a CoAP producer
 //!   through 6LoWPAN/L2CAP/LL to the consumer and back, plus the
@@ -28,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod ieee;
+mod peers;
 mod records;
 pub mod rpl;
 mod statconn;
@@ -35,10 +42,9 @@ mod world;
 
 pub use ieee::IeeeConfig;
 pub use mindgap_adv::{AdvConfig, AdvCounters};
-pub use mindgap_peers::{PeerConfig, PeerCounters};
-pub use mindgap_phy::MobilityModel;
+pub use peers::PeerCounters;
 pub use records::{LinkStats, Records, RttSample};
-pub use statconn::{EdgeConfig, EdgeRole, IntervalPolicy, ScAction, Statconn};
+pub use statconn::{EdgeConfig, EdgeRole, IntervalPolicy};
 pub use world::{AppConfig, NodeConfig, PeersWorldConfig, TransportMode, World, WorldConfig};
 
 /// CoAP resource path used by the paper's producer/consumer benchmark.

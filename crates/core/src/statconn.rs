@@ -18,8 +18,7 @@
 //!    interval against its other connections and *closes* the new
 //!    connection on a collision, forcing the coordinator to redraw.
 
-use mindgap_ble::channels::ChannelMap;
-use mindgap_ble::{ConnId, ConnParams, Role};
+use mindgap_ble::{ConnId, Role};
 use mindgap_sim::{Duration, NodeId, Rng};
 
 /// BLE connection intervals are multiples of 1.25 ms.
@@ -110,59 +109,51 @@ struct EdgeState {
     interval: Option<Duration>,
 }
 
-/// Actions the world executes on behalf of the manager.
+/// What a connection manager asks the world to do on the link layer.
+/// Statconn and the peer policy (`crate::peers`) speak this one
+/// vocabulary, and `World` executes it in one place, which also builds
+/// the `ConnParams` of every connection a node initiates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScAction {
+pub(crate) enum ConnAction {
     /// Start advertising (the link layer is idempotent about it).
     Advertise,
-    /// Scan for `peer` and initiate with `params`.
-    Scan {
-        /// Peer to connect to.
-        peer: NodeId,
-        /// Connection parameters (interval drawn by the policy).
-        params: ConnParams,
-    },
-    /// Close a connection (both ends) — subordinate-side interval
-    /// collision (§6.3).
-    Close {
-        /// The offending connection.
-        conn: ConnId,
-    },
+    /// Start the passive discovery scan that reports every advertiser
+    /// heard (peers mode's cold start).
+    Discover,
+    /// Scan for `peer` and initiate at `interval`, which statconn's
+    /// policy drew.
+    Scan { peer: NodeId, interval: Duration },
+    /// Start a connect attempt to `peer` that the peer policy tracks:
+    /// the world draws the interval, unique among the node's live
+    /// connections, and reports the connection back.
+    Connect { peer: NodeId },
+    /// The attempt to `peer` timed out: abandon its scan target.
+    /// `rotated` is `true` when the failure tripped the rotation
+    /// threshold.
+    CancelAttempt { peer: NodeId, rotated: bool },
+    /// The attempt to `peer` failed on the link layer before it
+    /// opened; `rotated` as for `CancelAttempt`.
+    AttemptFailed { peer: NodeId, rotated: bool },
+    /// Close `conn` on both ends: a subordinate-side interval
+    /// collision (§6.3), or an inbound connection the peer policy
+    /// refuses (duplicate peer, pool full).
+    Close { conn: ConnId },
 }
 
-/// The per-node connection manager.
-pub struct Statconn {
-    node: NodeId,
+/// The per-node static connection manager.
+pub(crate) struct Statconn {
     edges: Vec<EdgeState>,
     policy: IntervalPolicy,
-    /// Channel map used for initiated connections (the paper excludes
-    /// the jammed channel 22; ablations may pass `ChannelMap::ALL`).
-    channel_map: ChannelMap,
-    /// Explicit supervision timeout overriding NimBLE's default (the
-    /// paper's configuration; chaos fault grids sweep this knob).
-    supervision_override: Option<Duration>,
     rng: Rng,
     /// Reconnections performed (diagnostic).
-    pub reconnects: u64,
+    pub(crate) reconnects: u64,
     /// Collision closes issued (diagnostic, §6.3 mechanism).
-    pub collision_closes: u64,
+    pub(crate) collision_closes: u64,
 }
 
 impl Statconn {
-    /// Build the manager for `node` with its configured edges.
-    pub fn new(node: NodeId, edges: &[EdgeConfig], policy: IntervalPolicy, rng: Rng) -> Self {
-        Self::with_channel_map(node, edges, policy, ChannelMap::all_except_jammed(), rng)
-    }
-
-    /// Like [`Statconn::new`] with an explicit channel map for the
-    /// connections this node initiates.
-    pub fn with_channel_map(
-        node: NodeId,
-        edges: &[EdgeConfig],
-        policy: IntervalPolicy,
-        channel_map: ChannelMap,
-        rng: Rng,
-    ) -> Self {
+    /// Build the manager for a node with its configured edges.
+    pub(crate) fn new(edges: &[EdgeConfig], policy: IntervalPolicy, rng: Rng) -> Self {
         if let IntervalPolicy::Randomized { lo, hi } = policy {
             assert!(lo <= hi, "empty randomization window");
             let quanta = (hi - lo) / INTERVAL_QUANTUM + 1;
@@ -172,9 +163,6 @@ impl Statconn {
             );
         }
         Statconn {
-            node,
-            channel_map,
-            supervision_override: None,
             edges: edges
                 .iter()
                 .map(|e| EdgeState {
@@ -191,13 +179,8 @@ impl Statconn {
         }
     }
 
-    /// This node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// `true` once every configured edge has a live connection.
-    pub fn fully_connected(&self) -> bool {
+    pub(crate) fn fully_connected(&self) -> bool {
         self.edges.iter().all(|e| e.conn.is_some())
     }
 
@@ -213,33 +196,21 @@ impl Statconn {
         }
     }
 
-    /// Force a specific supervision timeout on every connection this
-    /// node initiates (must exceed the largest connection interval the
-    /// policy can draw — `ConnParams::validate` enforces it).
-    pub fn set_supervision_timeout(&mut self, timeout: Duration) {
-        self.supervision_override = Some(timeout);
-    }
-
-    fn scan_action(&mut self, idx: usize) -> ScAction {
+    fn scan_action(&mut self, idx: usize) -> ConnAction {
         let interval = self.draw_interval();
         self.edges[idx].interval = Some(interval);
-        let mut params = ConnParams::with_interval_nimble(interval);
-        if let Some(t) = self.supervision_override {
-            params.supervision_timeout = t;
-        }
-        params.channel_map = self.channel_map;
-        ScAction::Scan {
+        ConnAction::Scan {
             peer: self.edges[idx].peer,
-            params,
+            interval,
         }
     }
 
     /// Initial bring-up: advertise if any edge wants us subordinate,
     /// scan for every coordinator edge.
-    pub fn start(&mut self) -> Vec<ScAction> {
+    pub(crate) fn start(&mut self) -> Vec<ConnAction> {
         let mut actions = Vec::new();
         if self.edges.iter().any(|e| e.role == EdgeRole::Subordinate) {
-            actions.push(ScAction::Advertise);
+            actions.push(ConnAction::Advertise);
         }
         for i in 0..self.edges.len() {
             if self.edges[i].role == EdgeRole::Coordinator {
@@ -250,14 +221,14 @@ impl Statconn {
     }
 
     /// A connection to `peer` reached the connected state with the
-    /// given role and interval. May return a collision [`ScAction::Close`].
-    pub fn on_conn_up(
+    /// given role and interval. May return a collision [`ConnAction::Close`].
+    pub(crate) fn on_conn_up(
         &mut self,
         conn: ConnId,
         peer: NodeId,
         role: Role,
         interval: Duration,
-    ) -> Vec<ScAction> {
+    ) -> Vec<ConnAction> {
         let Some(idx) = self.edges.iter().position(|e| {
             e.peer == peer
                 && matches!(
@@ -281,7 +252,7 @@ impl Statconn {
                 .any(|(i, e)| i != idx && e.conn.is_some() && e.interval == Some(interval));
             if collides {
                 self.collision_closes += 1;
-                return vec![ScAction::Close { conn }];
+                return vec![ConnAction::Close { conn }];
             }
         }
         self.edges[idx].conn = Some(conn);
@@ -293,14 +264,14 @@ impl Statconn {
             .iter()
             .any(|e| e.role == EdgeRole::Subordinate && e.conn.is_none())
         {
-            actions.push(ScAction::Advertise);
+            actions.push(ConnAction::Advertise);
         }
         actions
     }
 
     /// A connection died (supervision timeout or close): go back to
     /// advertising/scanning for its edge.
-    pub fn on_conn_down(&mut self, conn: ConnId, peer: NodeId) -> Vec<ScAction> {
+    pub(crate) fn on_conn_down(&mut self, conn: ConnId, peer: NodeId) -> Vec<ConnAction> {
         let Some(idx) = self
             .edges
             .iter()
@@ -312,21 +283,21 @@ impl Statconn {
         self.edges[idx].interval = None;
         self.reconnects += 1;
         match self.edges[idx].role {
-            EdgeRole::Subordinate => vec![ScAction::Advertise],
+            EdgeRole::Subordinate => vec![ConnAction::Advertise],
             EdgeRole::Coordinator => vec![self.scan_action(idx)],
         }
     }
 
     /// Record an interval change applied through the LL connection
     /// update procedure (keeps per-node uniqueness bookkeeping valid).
-    pub fn note_interval(&mut self, conn: ConnId, interval: Duration) {
+    pub(crate) fn note_interval(&mut self, conn: ConnId, interval: Duration) {
         if let Some(e) = self.edges.iter_mut().find(|e| e.conn == Some(conn)) {
             e.interval = Some(interval);
         }
     }
 
     /// The connection id serving `peer`, if up.
-    pub fn conn_to(&self, peer: NodeId) -> Option<ConnId> {
+    pub(crate) fn conn_to(&self, peer: NodeId) -> Option<ConnId> {
         self.edges
             .iter()
             .find(|e| e.peer == peer)
@@ -349,7 +320,6 @@ mod tests {
     #[test]
     fn start_advertises_and_scans_per_role() {
         let mut sc = Statconn::new(
-            NodeId(1),
             &[
                 EdgeConfig {
                     peer: NodeId(0),
@@ -364,15 +334,14 @@ mod tests {
             rng(),
         );
         let actions = sc.start();
-        assert_eq!(actions[0], ScAction::Advertise);
-        assert!(matches!(&actions[1], ScAction::Scan { peer, params }
-                if *peer == NodeId(2) && params.interval == ms(75)));
+        assert_eq!(actions[0], ConnAction::Advertise);
+        assert!(matches!(&actions[1], ConnAction::Scan { peer, interval }
+                if *peer == NodeId(2) && *interval == ms(75)));
     }
 
     #[test]
     fn reconnect_after_loss() {
         let mut sc = Statconn::new(
-            NodeId(1),
             &[EdgeConfig {
                 peer: NodeId(2),
                 role: EdgeRole::Coordinator,
@@ -384,7 +353,7 @@ mod tests {
         let _ = sc.on_conn_up(ConnId(9), NodeId(2), Role::Coordinator, ms(75));
         assert!(sc.fully_connected());
         let actions = sc.on_conn_down(ConnId(9), NodeId(2));
-        assert!(matches!(actions[0], ScAction::Scan { .. }));
+        assert!(matches!(actions[0], ConnAction::Scan { .. }));
         assert_eq!(sc.reconnects, 1);
         assert!(!sc.fully_connected());
     }
@@ -392,7 +361,6 @@ mod tests {
     #[test]
     fn randomized_draws_are_quantized_and_in_window() {
         let mut sc = Statconn::new(
-            NodeId(1),
             &[EdgeConfig {
                 peer: NodeId(2),
                 role: EdgeRole::Coordinator,
@@ -405,10 +373,9 @@ mod tests {
         );
         for _ in 0..100 {
             let actions = sc.on_conn_down(ConnId(1), NodeId(2));
-            let ScAction::Scan { params, .. } = &actions[0] else {
+            let ConnAction::Scan { interval: i, .. } = actions[0] else {
                 panic!("expected scan");
             };
-            let i = params.interval;
             assert!(i >= ms(65) && i <= ms(85), "{i}");
             assert_eq!((i - ms(65)) % INTERVAL_QUANTUM, Duration::ZERO);
         }
@@ -423,7 +390,6 @@ mod tests {
             })
             .collect();
         let mut sc = Statconn::new(
-            NodeId(1),
             &edges,
             IntervalPolicy::Randomized {
                 lo: ms(65),
@@ -435,7 +401,7 @@ mod tests {
         let mut intervals: Vec<Duration> = actions
             .iter()
             .filter_map(|a| match a {
-                ScAction::Scan { params, .. } => Some(params.interval),
+                ConnAction::Scan { interval, .. } => Some(*interval),
                 _ => None,
             })
             .collect();
@@ -448,7 +414,6 @@ mod tests {
     #[test]
     fn subordinate_closes_interval_collision() {
         let mut sc = Statconn::new(
-            NodeId(1),
             &[
                 EdgeConfig {
                     peer: NodeId(0),
@@ -467,21 +432,20 @@ mod tests {
         );
         let _ = sc.start();
         let a = sc.on_conn_up(ConnId(1), NodeId(0), Role::Subordinate, ms(75));
-        assert!(!a.iter().any(|x| matches!(x, ScAction::Close { .. })));
+        assert!(!a.iter().any(|x| matches!(x, ConnAction::Close { .. })));
         // Second connection arrives with the SAME interval → reject.
         let a = sc.on_conn_up(ConnId(2), NodeId(2), Role::Subordinate, ms(75));
-        assert_eq!(a, vec![ScAction::Close { conn: ConnId(2) }]);
+        assert_eq!(a, vec![ConnAction::Close { conn: ConnId(2) }]);
         assert_eq!(sc.collision_closes, 1);
         // A different interval is accepted.
         let a = sc.on_conn_up(ConnId(3), NodeId(2), Role::Subordinate, ms(80));
-        assert!(!a.iter().any(|x| matches!(x, ScAction::Close { .. })));
+        assert!(!a.iter().any(|x| matches!(x, ConnAction::Close { .. })));
         assert!(sc.fully_connected());
     }
 
     #[test]
     fn static_policy_never_collision_closes() {
         let mut sc = Statconn::new(
-            NodeId(1),
             &[
                 EdgeConfig {
                     peer: NodeId(0),
@@ -498,7 +462,7 @@ mod tests {
         let _ = sc.start();
         let _ = sc.on_conn_up(ConnId(1), NodeId(0), Role::Subordinate, ms(75));
         let a = sc.on_conn_up(ConnId(2), NodeId(2), Role::Subordinate, ms(75));
-        assert!(!a.iter().any(|x| matches!(x, ScAction::Close { .. })));
+        assert!(!a.iter().any(|x| matches!(x, ConnAction::Close { .. })));
     }
 
     #[test]
@@ -524,7 +488,6 @@ mod tests {
             })
             .collect();
         let _ = Statconn::new(
-            NodeId(9),
             &edges,
             IntervalPolicy::Randomized {
                 lo: ms(75),

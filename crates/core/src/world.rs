@@ -6,9 +6,9 @@
 //! (6LoWPAN, IPv6 router, CoAP endpoints, optional routing agent) over
 //! exactly one link, the same kind for every node of a world:
 //!
-//! * the paper's connection link: link layer, statconn (or a peer
-//!   manager), one L2CAP channel per connection and the NimBLE-sized
-//!   mbuf pool;
+//! * the paper's connection link: link layer, a connection manager
+//!   (statconn or the peer policy), one L2CAP channel per connection
+//!   and the NimBLE-sized mbuf pool;
 //! * the connection-less advertising link ([`TransportMode::Adv`]);
 //! * the 802.15.4 CSMA/CA MAC with RFC 4944 fragmentation
 //!   ([`World::new_ieee`], `crate::ieee`).
@@ -48,18 +48,18 @@ use mindgap_net::{
     UDP_HEADROOM,
 };
 use mindgap_obs::{AdvMetrics, MetricsSnapshot, Obs, PeerMetrics, Span};
-use mindgap_peers::{PeerAction, PeerConfig, PeerCounters, PeerManager};
 use mindgap_phy::{
-    Channel, LossConfig, Medium, MediumConfig, Mobility, MobilityModel, PathLossConfig, RxOutcome,
-    TxId, TxParams, BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
+    Channel, LossConfig, Medium, MediumConfig, Mobility, PathLossConfig, RxOutcome, TxId, TxParams,
+    BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
 };
 use mindgap_sim::{Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace};
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
 use crate::ieee::{IeeeConfig, IeeeLink};
+use crate::peers::{PeerCounters, PeerManager};
 use crate::records::Records;
 use crate::rpl::{RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
-use crate::statconn::{draw_unused_interval, EdgeConfig, IntervalPolicy, ScAction, Statconn};
+use crate::statconn::{draw_unused_interval, ConnAction, EdgeConfig, IntervalPolicy, Statconn};
 use crate::{BENCH_PATH, COAP_PAYLOAD};
 
 mod chaos;
@@ -134,45 +134,38 @@ pub enum TransportMode {
     Adv(AdvConfig),
 }
 
-/// Configuration of the dynamic peer-management mode (`mindgap-peers`,
-/// DESIGN.md §12). When set, the world starts **cold**: statconn gets
-/// no edges and every node instead advertises, discovery-scans, and
-/// runs a [`PeerManager`] that forms connections from beacon sightings
-/// ranked by modelled RSSI. Node geometry lives here too: per-link PER
-/// and sighting RSSI both derive from the default log-distance
-/// [`PathLossConfig`] (the testbed mesh generator's model), pairs
-/// beyond its [`PathLossConfig::link_range_m`] hear nothing, the
-/// policy runs every 500 ms, and an optional mobility model moves
-/// nodes on a fixed 1 s tick.
+/// Configuration of the dynamic peer-management mode (DESIGN.md §12).
+/// When set, the world starts **cold**: no node has statconn edges;
+/// every node instead advertises, discovery-scans, and runs the peer
+/// policy (`crate::peers`) that forms connections from beacon
+/// sightings ranked by modelled RSSI. Node geometry lives here too:
+/// per-link PER and sighting RSSI both derive from the default
+/// log-distance [`PathLossConfig`] (the testbed mesh generator's
+/// model), pairs beyond its [`PathLossConfig::link_range_m`] hear
+/// nothing, the policy runs every 500 ms, and walking nodes move on a
+/// fixed 1 s tick. The consumer never moves.
 #[derive(Debug, Clone)]
 pub struct PeersWorldConfig {
-    /// Per-node connection-pool policy (targets, RSSI thresholds,
-    /// backoff, rotation).
-    pub pool: PeerConfig,
     /// Seed of the deterministic shadowing term. Use the topology
     /// seed so link PER matches the generated radio graph.
     pub geo_seed: u64,
     /// Node positions in metres, indexed by node id.
     pub positions: Vec<(f64, f64)>,
-    /// Arena bounds in metres; mobility reflects off these walls.
+    /// Arena bounds in metres; walking nodes reflect off these walls.
     pub arena: (f64, f64),
-    /// Node mobility (`None` = static field).
-    pub mobility: Option<MobilityModel>,
-    /// Nodes that never move (typically the consumer/root).
-    pub pinned: Vec<u16>,
+    /// Whether nodes walk (`mindgap_phy::mobility`'s random walk);
+    /// `false` keeps the field static.
+    pub mobile: bool,
 }
 
 impl PeersWorldConfig {
-    /// Defaults for a field of `positions` inside `arena`: default
-    /// pool policy, static nodes.
+    /// A static field of `positions` inside `arena`.
     pub fn new(positions: Vec<(f64, f64)>, arena: (f64, f64), geo_seed: u64) -> Self {
         PeersWorldConfig {
-            pool: PeerConfig::default(),
             geo_seed,
             positions,
             arena,
-            mobility: None,
-            pinned: Vec::new(),
+            mobile: false,
         }
     }
 }
@@ -206,7 +199,7 @@ pub struct WorldConfig {
     /// for export and inspection (`0` disables timeline recording;
     /// metrics counters and fault recovery are unaffected).
     pub timeline_cap: usize,
-    /// Override the supervision timeout statconn requests for every
+    /// Override the supervision timeout requested for every initiated
     /// connection (`None` keeps the policy's default). Must exceed the
     /// largest drawable connection interval; the chaos recovery
     /// experiments sweep this knob.
@@ -345,17 +338,13 @@ struct CocState {
 }
 
 /// The connection-oriented link: the link layer, its connection
-/// manager (statconn's static edges or, in peers mode, a
-/// [`PeerManager`]), one L2CAP credit-based channel per connection and
-/// the NimBLE-sized mbuf pool, exactly the paper's data path (§3). The
+/// manager, one L2CAP credit-based channel per connection and the
+/// NimBLE-sized mbuf pool, exactly the paper's data path (§3). The
 /// data path itself stays in `World`'s hot loop; this struct owns the
 /// per-node state.
 pub(crate) struct ConnLink {
     ll: LinkLayer,
-    statconn: Statconn,
-    /// Dynamic connection-manager policy (peers mode only; `None`
-    /// keeps statconn's static edges on the paper's data path).
-    peers: Option<PeerManager>,
+    manager: Manager,
     /// Live L2CAP channels, in connection-creation order. A node has
     /// a handful at most, so a linear scan beats hashing on the data
     /// path (and iteration order is deterministic, unlike a HashMap).
@@ -376,12 +365,11 @@ impl ConnLink {
         Some(self.cocs.remove(i).1)
     }
 
-    /// The connection towards `peer`, as whichever manager owns the
-    /// node's connections knows it.
+    /// The connection towards `peer`, as the node's manager knows it.
     fn conn_to(&self, peer: NodeId) -> Option<ConnId> {
-        match &self.peers {
-            Some(pm) => pm.conn_to(peer).map(ConnId),
-            None => self.statconn.conn_to(peer),
+        match &self.manager {
+            Manager::Static(sc) => sc.conn_to(peer),
+            Manager::Peers(pm) => pm.conn_to(peer),
         }
     }
 
@@ -390,6 +378,56 @@ impl ConnLink {
         self.cocs
             .iter()
             .any(|(_, s)| LlAddr::from_node_index(s.peer.0) == next_hop)
+    }
+}
+
+/// A node's connection manager: statconn's static edges (the paper's
+/// testbed) or, in peers mode, the discovery-driven peer policy. Both
+/// answer link events with [`ConnAction`]s, which
+/// [`World::apply_conn_actions`] executes.
+enum Manager {
+    Static(Statconn),
+    Peers(PeerManager),
+}
+
+impl Manager {
+    /// Actions that (re)start the node's link.
+    fn start(&mut self) -> Vec<ConnAction> {
+        match self {
+            Manager::Static(sc) => sc.start(),
+            // Cold start: advertise (to be found) and discovery-scan
+            // (to find); the policy tick turns sightings into
+            // connections.
+            Manager::Peers(_) => vec![ConnAction::Advertise, ConnAction::Discover],
+        }
+    }
+
+    /// A connection opened; the actions may close it again.
+    fn on_conn_up(
+        &mut self,
+        conn: ConnId,
+        peer: NodeId,
+        role: Role,
+        interval: Duration,
+    ) -> Vec<ConnAction> {
+        match self {
+            Manager::Static(sc) => sc.on_conn_up(conn, peer, role, interval),
+            Manager::Peers(pm) => pm.on_conn_up(conn, peer, role == Role::Coordinator),
+        }
+    }
+
+    /// A connection closed, or an attempt failed before it opened.
+    fn on_conn_down(&mut self, now: Instant, conn: ConnId, peer: NodeId) -> Vec<ConnAction> {
+        match self {
+            Manager::Static(sc) => sc.on_conn_down(conn, peer),
+            // A freed pool slot refills on the next PeersTick.
+            Manager::Peers(pm) => {
+                let info = pm.on_conn_down(now, conn, peer);
+                let rotated = info.rotated;
+                let failed = ConnAction::AttemptFailed { peer, rotated };
+                info.was_attempt.then_some(failed).into_iter().collect()
+            }
+        }
     }
 }
 
@@ -418,10 +456,6 @@ impl Link {
             Link::Conn(c) => Some(c),
             _ => None,
         }
-    }
-
-    fn peers_mut(&mut self) -> Option<&mut PeerManager> {
-        self.conn_mut().and_then(|c| c.peers.as_mut())
     }
 }
 
@@ -548,7 +582,7 @@ struct PeersState {
     /// Positions + stepping. Built even for static fields (the model
     /// just never steps), so distance queries have one home.
     field: Mobility,
-    /// Whether a mobility model was configured (drives MobilityTick).
+    /// Whether nodes walk (drives MobilityTick).
     mobile: bool,
     /// Upper-triangular adjacency from the last geometry refresh:
     /// `in_range[pair(i, j)]` for `i < j`.
@@ -571,8 +605,9 @@ impl PeersState {
 /// part of the determinism contract: 1 feeds the link layer (or the
 /// MAC), 2 statconn, 3 the node itself, then 4 the advertising link or
 /// 5 the peer manager. An advertising node still draws streams 1 and 2
-/// and drops them: each fork advances the source, so skipping them
-/// would change every later draw.
+/// and drops them, and a peers-mode node drops stream 2: each fork
+/// advances the source, so skipping them would change every later
+/// draw.
 fn make_node(
     cfg: &WorldConfig,
     ieee: Option<&IeeeConfig>,
@@ -610,26 +645,21 @@ fn make_node(
         }
         (None, TransportMode::Conn) => {
             let (ll_rng, sc_rng, node) = (fork(1), fork(2), fork(3));
-            let mut statconn =
-                Statconn::with_channel_map(id, &nc.edges, cfg.policy, cfg.conn_channel_map, sc_rng);
-            if let Some(t) = cfg.supervision_timeout {
-                statconn.set_supervision_timeout(t);
-            }
-            let peers = cfg
-                .peers
-                .as_ref()
-                .map(|pc| PeerManager::new(id, pc.pool, fork(5)));
             let mut ll_cfg = cfg.ll;
-            if peers.is_some() {
-                // Dynamic peer management needs every node to stay
-                // discoverable: resume advertising after accepting a
-                // connection instead of going dark (legacy-BLE default).
-                ll_cfg.resume_adv_on_connect = true;
-            }
+            let manager = match cfg.peers {
+                None => Manager::Static(Statconn::new(&nc.edges, cfg.policy, sc_rng)),
+                Some(_) => {
+                    // Dynamic peer management needs every node to stay
+                    // discoverable: resume advertising after accepting
+                    // a connection instead of going dark (legacy-BLE
+                    // default).
+                    ll_cfg.resume_adv_on_connect = true;
+                    Manager::Peers(PeerManager::new(id, fork(5)))
+                }
+            };
             let link = ConnLink {
                 ll: LinkLayer::new(id, Clock::with_ppm(ppm), ll_cfg, ll_rng),
-                statconn,
-                peers,
+                manager,
                 cocs: Vec::new(),
                 pool: BufPool::new(NIMBLE_BUF_BYTES),
             };
@@ -729,15 +759,12 @@ impl World {
                 cfg.radio_links.is_none(),
                 "peers mode derives radio range from geometry; leave radio_links None"
             );
-            let model = pc.mobility.unwrap_or_else(MobilityModel::walk_default);
-            let mut field = Mobility::new(model, pc.arena, pc.positions.clone(), rng.fork(0x3050));
-            for &p in &pc.pinned {
-                field.pin(p as usize);
-            }
+            let mut field = Mobility::new(pc.arena, pc.positions.clone(), rng.fork(0x3050));
+            field.pin(app.consumer.index());
             Box::new(PeersState {
                 geo_seed: pc.geo_seed,
                 field,
-                mobile: pc.mobility.is_some(),
+                mobile: pc.mobile,
                 in_range: vec![true; n * (n - 1) / 2],
             })
         });
@@ -915,7 +942,7 @@ impl World {
                     reg.set_counter(m.ll_events_missed, id, c.sub_missed);
                     let stalls = conn.cocs.iter().map(|(_, s)| s.chan.credit_stalls()).sum();
                     reg.set_counter(m.l2cap_credit_stalls, id, stalls);
-                    if let (Some(pm), Some(qm)) = (&conn.peers, self.peer_m) {
+                    if let (Manager::Peers(pm), Some(qm)) = (&conn.manager, self.peer_m) {
                         let p = pm.counters();
                         reg.set_counter(qm.peer_sightings, id, p.sightings);
                         reg.set_counter(qm.peer_discoveries, id, p.discoveries);
@@ -1023,17 +1050,29 @@ impl World {
             .collect()
     }
 
-    /// statconn reconnect count of one node (0 without a connection
-    /// link).
+    /// statconn reconnect count of one node (0 without statconn).
     pub fn reconnects(&self, node: NodeId) -> u64 {
-        self.conn_link(node).map_or(0, |c| c.statconn.reconnects)
+        self.statconn(node).map_or(0, |sc| sc.reconnects)
     }
 
     /// statconn collision-close count of one node (§6.3 rejections;
-    /// 0 without a connection link).
+    /// 0 without statconn).
     pub fn collision_closes(&self, node: NodeId) -> u64 {
-        self.conn_link(node)
-            .map_or(0, |c| c.statconn.collision_closes)
+        self.statconn(node).map_or(0, |sc| sc.collision_closes)
+    }
+
+    fn statconn(&self, node: NodeId) -> Option<&Statconn> {
+        match &self.conn_link(node)?.manager {
+            Manager::Static(sc) => Some(sc),
+            Manager::Peers(_) => None,
+        }
+    }
+
+    fn peers(&self, node: NodeId) -> Option<&PeerManager> {
+        match &self.conn_link(node)?.manager {
+            Manager::Peers(pm) => Some(pm),
+            Manager::Static(_) => None,
+        }
     }
 
     /// mbuf-pool drop count of one node (0 without a connection link).
@@ -1042,25 +1081,23 @@ impl World {
     }
 
     /// `true` once every configured edge of every node is connected.
-    /// Nodes without a connection link have no edges to bring up.
+    /// Nodes without statconn have no edges to bring up.
     pub fn fully_connected(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| n.link.conn().is_none_or(|c| c.statconn.fully_connected()))
+        (0..self.nodes.len() as u16).all(|i| {
+            self.statconn(NodeId(i))
+                .is_none_or(Statconn::fully_connected)
+        })
     }
 
     /// Peer-manager counters of one node (`None` outside peers mode).
     pub fn peer_counters(&self, node: NodeId) -> Option<PeerCounters> {
-        self.conn_link(node)?.peers.as_ref().map(|p| p.counters())
+        self.peers(node).map(PeerManager::counters)
     }
 
     /// Established pool size of one node's peer manager (`None`
     /// outside peers mode).
     pub fn peer_pool_size(&self, node: NodeId) -> Option<usize> {
-        self.conn_link(node)?
-            .peers
-            .as_ref()
-            .map(|p| p.connected_count())
+        self.peers(node).map(PeerManager::connected_count)
     }
 
     /// Current node positions in metres (`None` outside peers mode).
@@ -1161,7 +1198,9 @@ impl World {
                     .collect();
                 let interval = draw_unused_interval(&mut n.rng, lo, hi, &used);
                 if c.ll.request_conn_update(*conn, interval).is_ok() {
-                    c.statconn.note_interval(*conn, interval);
+                    if let Manager::Static(sc) = &mut c.manager {
+                        sc.note_interval(*conn, interval);
+                    }
                     updated += 1;
                 }
             }
@@ -1288,17 +1327,9 @@ impl World {
     fn bring_up(&mut self, node: NodeId) {
         let now = self.queue.now();
         match &mut self.nodes[node.index()].link {
-            // Cold start: advertise (to be found) and discovery-scan
-            // (to find); the policy tick turns sightings into
-            // connections.
-            Link::Conn(c) if c.peers.is_some() => self.with_ll(node, |ll, outs| {
-                ll.start_advertising(now, outs);
-                ll.start_discovery(now, outs);
-            }),
-            // Statconn's static edges.
             Link::Conn(c) => {
-                let actions = c.statconn.start();
-                self.apply_sc_actions(node, actions);
+                let actions = c.manager.start();
+                self.apply_conn_actions(node, actions);
             }
             // Connection-less: no statconn, no L2CAP, just advertising
             // and scanning.
@@ -1324,12 +1355,12 @@ impl World {
             if self.down[i] {
                 continue;
             }
-            let Some(pm) = self.nodes[i].link.peers_mut() else {
+            let Some(pm) = self.peer_manager(NodeId(i as u16)) else {
                 continue;
             };
             let actions = pm.tick(now);
             if !actions.is_empty() {
-                self.apply_peer_actions(NodeId(i as u16), actions);
+                self.apply_conn_actions(NodeId(i as u16), actions);
             }
         }
         self.queue.schedule_in(PEERS_TICK, Ev::PeersTick);
@@ -1674,7 +1705,7 @@ impl World {
             .distance(advertiser.index(), node.index())
             .max(0.01);
         let rssi = PathLossConfig::default().rssi_dbm(ps.geo_seed, advertiser.0, node.0, d);
-        let Some(pm) = self.nodes[node.index()].link.peers_mut() else {
+        let Some(pm) = self.peer_manager(node) else {
             return;
         };
         if pm.on_sighting(now, advertiser, rssi) {
@@ -1682,6 +1713,14 @@ impl World {
                 .timeline
                 .record(now, node, Span::Discovery { peer: advertiser });
             self.trace.emit();
+        }
+    }
+
+    /// The peer manager of `node` (`None` outside peers mode).
+    fn peer_manager(&mut self, node: NodeId) -> Option<&mut PeerManager> {
+        match &mut self.nodes[node.index()].link.conn_mut()?.manager {
+            Manager::Peers(pm) => Some(pm),
+            Manager::Static(_) => None,
         }
     }
 
@@ -1695,7 +1734,7 @@ impl World {
             IntervalPolicy::Randomized { lo, hi } => {
                 let Some(ConnLink {
                     ll,
-                    peers: Some(pm),
+                    manager: Manager::Peers(pm),
                     ..
                 }) = self.nodes[node.index()].link.conn_mut()
                 else {
@@ -1707,62 +1746,6 @@ impl World {
                     .filter_map(|(c, _, _)| ll.conn_interval(c))
                     .collect();
                 draw_unused_interval(pm.rng_mut(), lo, hi, &used)
-            }
-        }
-    }
-
-    /// Execute the peer manager's decisions on the link layer — the
-    /// peers-mode counterpart of [`World::apply_sc_actions`].
-    fn apply_peer_actions(&mut self, node: NodeId, actions: Vec<PeerAction>) {
-        let now = self.queue.now();
-        for a in actions {
-            match a {
-                PeerAction::Connect { peer } => {
-                    let interval = self.draw_peer_interval(node);
-                    let mut params = ConnParams::with_interval_nimble(interval);
-                    if let Some(t) = self.cfg.supervision_timeout {
-                        params.supervision_timeout = t;
-                    }
-                    params.channel_map = self.cfg.conn_channel_map;
-                    let conn = self.alloc_conn(node, peer);
-                    if let Some(pm) = self.nodes[node.index()].link.peers_mut() {
-                        pm.attempt_started(conn.0);
-                    }
-                    self.obs
-                        .timeline
-                        .record(now, node, Span::PeerAttempt { conn: conn.0, peer });
-                    self.trace.emit();
-                    self.with_ll(node, |ll, outs| {
-                        ll.start_scanning(now, peer, conn, params, outs)
-                    });
-                }
-                PeerAction::CancelAttempt { peer, rotated } => {
-                    // Discovery keeps the scan alive; only the connect
-                    // target is abandoned.
-                    if let Some(c) = self.nodes[node.index()].link.conn_mut() {
-                        c.ll.cancel_scan_target(peer);
-                    }
-                    self.obs.timeline.record(
-                        now,
-                        node,
-                        Span::PeerAttemptFail {
-                            peer,
-                            timeout: true,
-                        },
-                    );
-                    if rotated {
-                        self.obs
-                            .timeline
-                            .record(now, node, Span::PeerRotation { peer });
-                    }
-                    self.trace.emit();
-                }
-                PeerAction::Close { conn } => {
-                    let conn = ConnId(conn);
-                    self.trace.emit();
-                    self.set_doomed(conn);
-                    self.close_both(conn);
-                }
             }
         }
     }
@@ -1936,37 +1919,23 @@ impl World {
                 interval_ns: interval.nanos(),
             },
         );
-        if let Some(pm) = self.nodes[node.index()].link.peers_mut() {
-            // Peers mode: the policy decides whether to keep the
-            // connection (pool capacity, duplicate pair) instead of
-            // statconn's edge table.
-            let initiated = role == Role::Coordinator;
-            let actions = pm.on_conn_up(now, conn.0, peer, initiated);
-            let rejected = actions
-                .iter()
-                .any(|a| matches!(a, PeerAction::Close { conn: c } if *c == conn.0));
-            if !rejected {
-                self.register_coc(node, conn, peer);
-            }
-            self.apply_peer_actions(node, actions);
-            return;
-        }
         let Some(c) = self.nodes[node.index()].link.conn_mut() else {
             return;
         };
-        let actions = c.statconn.on_conn_up(conn, peer, role, interval);
-        // Register the L2CAP channel unless statconn rejects it.
+        let actions = c.manager.on_conn_up(conn, peer, role, interval);
+        // Register the L2CAP channel unless the manager rejects the
+        // connection (statconn: interval collision; peers: duplicate
+        // pair or full pool).
         let rejected = actions
             .iter()
-            .any(|a| matches!(a, ScAction::Close { conn: c } if *c == conn));
+            .any(|a| matches!(a, ConnAction::Close { conn: c } if *c == conn));
         if !rejected {
             self.register_coc(node, conn, peer);
         }
-        self.apply_sc_actions(node, actions);
+        self.apply_conn_actions(node, actions);
     }
 
-    /// Open the L2CAP channel for a freshly accepted connection
-    /// (shared by both connection managers).
+    /// Open the L2CAP channel for a freshly accepted connection.
     fn register_coc(&mut self, node: NodeId, conn: ConnId, peer: NodeId) {
         let Some(link) = self.nodes[node.index()].link.conn_mut() else {
             return;
@@ -2022,50 +1991,76 @@ impl World {
         let Some(c) = self.nodes[node.index()].link.conn_mut() else {
             return;
         };
-        if let Some(pm) = c.peers.as_mut() {
-            let info = pm.on_conn_down(now, conn.0, peer);
-            if info.was_attempt {
-                self.obs.timeline.record(
-                    now,
-                    node,
-                    Span::PeerAttemptFail {
-                        peer,
-                        timeout: false,
-                    },
-                );
-                if info.rotated {
-                    self.obs
-                        .timeline
-                        .record(now, node, Span::PeerRotation { peer });
-                }
-            }
-            // The freed pool slot refills on the next PeersTick.
-            return;
-        }
-        let actions = c.statconn.on_conn_down(conn, peer);
-        self.apply_sc_actions(node, actions);
+        let actions = c.manager.on_conn_down(now, conn, peer);
+        self.apply_conn_actions(node, actions);
     }
 
-    fn apply_sc_actions(&mut self, node: NodeId, actions: Vec<ScAction>) {
+    /// Execute a connection manager's decisions on the link layer.
+    fn apply_conn_actions(&mut self, node: NodeId, actions: Vec<ConnAction>) {
         let now = self.queue.now();
         for a in actions {
             match a {
-                ScAction::Advertise => {
+                ConnAction::Advertise => {
                     self.with_ll(node, |ll, outs| ll.start_advertising(now, outs));
                 }
-                ScAction::Scan { peer, params } => {
-                    let conn = self.alloc_conn(node, peer);
-                    self.with_ll(node, |ll, outs| {
-                        ll.start_scanning(now, peer, conn, params, outs)
-                    });
+                ConnAction::Discover => {
+                    self.with_ll(node, |ll, outs| ll.start_discovery(now, outs));
                 }
-                ScAction::Close { conn } => {
+                ConnAction::Scan { peer, interval } => {
+                    self.initiate(node, peer, interval);
+                }
+                ConnAction::Connect { peer } => {
+                    let interval = self.draw_peer_interval(node);
+                    let conn = self.initiate(node, peer, interval);
+                    if let Some(pm) = self.peer_manager(node) {
+                        pm.attempt_started(conn);
+                    }
+                    self.obs
+                        .timeline
+                        .record(now, node, Span::PeerAttempt { conn: conn.0, peer });
+                    self.trace.emit();
+                }
+                ConnAction::CancelAttempt { peer, rotated }
+                | ConnAction::AttemptFailed { peer, rotated } => {
+                    let timeout = matches!(a, ConnAction::CancelAttempt { .. });
+                    if timeout {
+                        // Discovery keeps the scan alive; only the
+                        // connect target is abandoned.
+                        if let Some(c) = self.nodes[node.index()].link.conn_mut() {
+                            c.ll.cancel_scan_target(peer);
+                        }
+                        self.trace.emit();
+                    }
+                    let tl = &mut self.obs.timeline;
+                    tl.record(now, node, Span::PeerAttemptFail { peer, timeout });
+                    if rotated {
+                        tl.record(now, node, Span::PeerRotation { peer });
+                    }
+                }
+                ConnAction::Close { conn } => {
                     self.trace.emit();
                     self.set_doomed(conn);
                     self.close_both(conn);
                 }
             }
         }
+    }
+
+    /// Allocate a connection from `node` towards `peer` and scan for
+    /// it at `interval`, with the world's supervision timeout and
+    /// channel map.
+    fn initiate(&mut self, node: NodeId, peer: NodeId, interval: Duration) -> ConnId {
+        let now = self.queue.now();
+        let mut params = ConnParams::with_interval_nimble(interval);
+        if let Some(t) = self.cfg.supervision_timeout {
+            params.supervision_timeout = t;
+        }
+        params.channel_map = self.cfg.conn_channel_map;
+        let conn = self.alloc_conn(node, peer);
+        self.with_ll(node, |ll, outs| {
+            ll.start_scanning(now, peer, conn, params, outs)
+        });
+        conn
     }
 
     /// Close a connection on both ends (models the LL_TERMINATE_IND

@@ -4,8 +4,8 @@
 //! their own.
 
 use mindgap_core::{
-    AdvConfig, AppConfig, IntervalPolicy, MobilityModel, NodeConfig, PeersWorldConfig,
-    TransportMode, World, WorldConfig,
+    AdvConfig, AppConfig, IntervalPolicy, NodeConfig, PeersWorldConfig, TransportMode, World,
+    WorldConfig,
 };
 use mindgap_sim::{Duration, Instant, NodeId};
 
@@ -20,13 +20,12 @@ fn grid_positions(k: usize, pitch: f64) -> Vec<(f64, f64)> {
     v
 }
 
-fn peers_world(seed: u64, k: usize, pitch: f64, mobility: Option<MobilityModel>) -> World {
+fn peers_world(seed: u64, k: usize, pitch: f64, mobile: bool) -> World {
     let n = k * k;
     let positions = grid_positions(k, pitch);
     let arena = (k as f64 * pitch + 2.0, k as f64 * pitch + 2.0);
     let mut pc = PeersWorldConfig::new(positions, arena, seed);
-    pc.mobility = mobility;
-    pc.pinned = vec![0];
+    pc.mobile = mobile;
     let mut cfg = WorldConfig::paper_default(
         seed,
         IntervalPolicy::Randomized {
@@ -61,7 +60,7 @@ fn converged(w: &World, n: usize) -> bool {
 fn cold_start_grid_converges() {
     let k = 3;
     let n = k * k;
-    let mut w = peers_world(7, k, 30.0, None);
+    let mut w = peers_world(7, k, 30.0, false);
     w.run_until(Instant::ZERO + Duration::from_secs(120));
     for i in 0..n {
         let pool = w.peer_pool_size(NodeId(i as u16)).expect("peers mode");
@@ -81,7 +80,7 @@ fn cold_start_grid_converges() {
 #[test]
 fn formation_is_deterministic() {
     let run = |seed| {
-        let mut w = peers_world(seed, 3, 30.0, None);
+        let mut w = peers_world(seed, 3, 30.0, false);
         w.run_until(Instant::ZERO + Duration::from_secs(90));
         let pools: Vec<usize> = (0..9)
             .map(|i| w.peer_pool_size(NodeId(i)).unwrap())
@@ -98,7 +97,7 @@ fn formation_is_deterministic() {
 fn mobility_keeps_network_alive() {
     let k = 3;
     let n = k * k;
-    let mut w = peers_world(11, k, 30.0, Some(MobilityModel::walk_default()));
+    let mut w = peers_world(11, k, 30.0, true);
     w.run_until(Instant::ZERO + Duration::from_secs(180));
     // Positions moved (node 0 is pinned, the rest walk).
     let pos = w.positions().expect("peers mode");

@@ -427,7 +427,7 @@ impl AdvMetrics {
     }
 }
 
-/// Metric id-set of the peer-manager policy layer (`mindgap-peers`).
+/// Metric id-set of the peer-manager policy (`mindgap_core::peers`).
 /// Registered **only** when a world runs with dynamic peer management,
 /// so static-topology metric exports stay byte-identical to builds
 /// without the policy layer.

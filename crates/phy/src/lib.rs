@@ -43,4 +43,4 @@ pub use channel::{
 };
 pub use loss::{GilbertElliott, LossConfig, NoiseModel, PathLossConfig};
 pub use medium::{Medium, MediumConfig, RxOutcome, TxId, TxParams};
-pub use mobility::{Mobility, MobilityModel};
+pub use mobility::Mobility;

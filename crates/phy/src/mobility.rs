@@ -3,9 +3,9 @@
 //! Static topologies freeze the geometry that [`PathLossConfig`]
 //! turns into per-link PER; this module makes the geometry move with
 //! the classic **random walk** from the MANET literature: each node
-//! keeps a heading and speed, turns to a fresh uniform heading on a
-//! fixed period and reflects off the arena walls, so links break and
-//! form as nodes drift in and out of each other's radio range.
+//! walks at [`SPEED_MPS`], turns to a fresh uniform heading every
+//! [`TURN_EVERY_S`] and reflects off the arena walls, so links break
+//! and form as nodes drift in and out of each other's radio range.
 //!
 //! Determinism contract: a [`Mobility`] owns its RNG, every
 //! [`Mobility::step`] draws in node-index order, and all arithmetic is
@@ -13,32 +13,20 @@
 //! position trajectories (and therefore byte-identical PER
 //! trajectories through [`PathLossConfig::link_per`]), which the
 //! property tests pin. Pinned nodes (the DODAG root, say) never move
-//! and never draw, so pinning cannot perturb other nodes' paths.
+//! and never draw. All nodes share the one stream, so pinning a node
+//! does move others: each turn draw it skips goes to the next node
+//! that turns. The same seed and the same pins give the same paths.
 //!
 //! [`PathLossConfig`]: crate::PathLossConfig
 //! [`PathLossConfig::link_per`]: crate::PathLossConfig::link_per
 
 use mindgap_sim::Rng;
 
-/// The random-walk motion law: constant speed, periodic uniform
-/// re-orientation, wall reflection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MobilityModel {
-    /// Speed in metres per second.
-    pub speed_mps: f64,
-    /// Seconds between heading changes.
-    pub turn_every_s: f64,
-}
+/// Walking speed in metres per second: a gentle indoor pace.
+pub const SPEED_MPS: f64 = 1.0;
 
-impl MobilityModel {
-    /// A gentle indoor walking pace (1 m/s), re-orienting every 10 s.
-    pub fn walk_default() -> MobilityModel {
-        MobilityModel {
-            speed_mps: 1.0,
-            turn_every_s: 10.0,
-        }
-    }
-}
+/// Seconds between heading changes.
+pub const TURN_EVERY_S: f64 = 10.0;
 
 /// Per-node motion state: heading in radians and seconds until the
 /// next turn.
@@ -54,7 +42,6 @@ struct Walking {
 /// updated distances.
 #[derive(Debug, Clone)]
 pub struct Mobility {
-    model: MobilityModel,
     /// Arena size in metres; positions are clamped to `[0, w] × [0, h]`.
     bounds: (f64, f64),
     positions: Vec<(f64, f64)>,
@@ -68,12 +55,7 @@ impl Mobility {
     /// height in metres). Initial motion state is drawn immediately in
     /// node-index order, so two fields built from equal inputs are
     /// identical. Positions outside the arena are clamped in.
-    pub fn new(
-        model: MobilityModel,
-        bounds: (f64, f64),
-        positions: Vec<(f64, f64)>,
-        mut rng: Rng,
-    ) -> Self {
+    pub fn new(bounds: (f64, f64), positions: Vec<(f64, f64)>, mut rng: Rng) -> Self {
         assert!(
             bounds.0 > 0.0 && bounds.1 > 0.0,
             "arena must have positive area"
@@ -88,11 +70,10 @@ impl Mobility {
                 heading: rng.unit_f64() * std::f64::consts::TAU,
                 // Desynchronize the first turn so the whole field does
                 // not re-orient on the same tick.
-                until_turn_s: rng.unit_f64() * model.turn_every_s,
+                until_turn_s: rng.unit_f64() * TURN_EVERY_S,
             })
             .collect();
         Mobility {
-            model,
             bounds,
             pinned: vec![false; positions.len()],
             positions,
@@ -101,8 +82,9 @@ impl Mobility {
         }
     }
 
-    /// Pin one node in place: it never moves and draws no RNG, so
-    /// pinning the root cannot perturb the other trajectories.
+    /// Pin one node in place: it never moves and draws no RNG. The
+    /// draws it skips shift the shared stream, so other nodes' later
+    /// turns change too (see the module docs).
     pub fn pin(&mut self, node: usize) {
         self.pinned[node] = true;
     }
@@ -143,10 +125,6 @@ impl Mobility {
 
     fn step_node(&mut self, i: usize, dt_s: f64) {
         let (w, h) = self.bounds;
-        let MobilityModel {
-            speed_mps,
-            turn_every_s,
-        } = self.model;
         let Walking {
             mut heading,
             mut until_turn_s,
@@ -154,11 +132,11 @@ impl Mobility {
         until_turn_s -= dt_s;
         if until_turn_s <= 0.0 {
             heading = self.rng.unit_f64() * std::f64::consts::TAU;
-            until_turn_s = turn_every_s;
+            until_turn_s = TURN_EVERY_S;
         }
         let (x, y) = self.positions[i];
-        let mut nx = x + heading.cos() * speed_mps * dt_s;
-        let mut ny = y + heading.sin() * speed_mps * dt_s;
+        let mut nx = x + heading.cos() * SPEED_MPS * dt_s;
+        let mut ny = y + heading.sin() * SPEED_MPS * dt_s;
         // Reflect off the walls: fold the overshoot back in and
         // mirror the heading component that crossed.
         if nx < 0.0 || nx > w {
@@ -189,9 +167,8 @@ mod tests {
             .collect()
     }
 
-    fn build(model: MobilityModel, seed: u64) -> Mobility {
+    fn build(seed: u64) -> Mobility {
         Mobility::new(
-            model,
             (100.0, 100.0),
             grid_positions(25, 20.0),
             Rng::seed_from_u64(seed).fork(0x3050),
@@ -202,8 +179,8 @@ mod tests {
     /// many ticks.
     #[test]
     fn same_seed_same_trajectory() {
-        let mut a = build(MobilityModel::walk_default(), 42);
-        let mut b = build(MobilityModel::walk_default(), 42);
+        let mut a = build(42);
+        let mut b = build(42);
         for step in 0..500 {
             a.step(1.0);
             b.step(1.0);
@@ -216,8 +193,8 @@ mod tests {
     #[test]
     fn same_seed_same_per_trajectory() {
         let pl = PathLossConfig::default();
-        let mut a = build(MobilityModel::walk_default(), 7);
-        let mut b = build(MobilityModel::walk_default(), 7);
+        let mut a = build(7);
+        let mut b = build(7);
         for _ in 0..200 {
             a.step(1.0);
             b.step(1.0);
@@ -232,8 +209,8 @@ mod tests {
     /// Property: different seeds decorrelate the trajectories.
     #[test]
     fn different_seed_different_trajectory() {
-        let mut a = build(MobilityModel::walk_default(), 1);
-        let mut b = build(MobilityModel::walk_default(), 2);
+        let mut a = build(1);
+        let mut b = build(2);
         for _ in 0..50 {
             a.step(1.0);
             b.step(1.0);
@@ -244,7 +221,7 @@ mod tests {
     /// Property: every position stays inside the arena forever.
     #[test]
     fn positions_stay_in_bounds() {
-        let mut m = build(MobilityModel::walk_default(), 9);
+        let mut m = build(9);
         for _ in 0..2_000 {
             m.step(1.0);
             for &(x, y) in m.positions() {
@@ -254,12 +231,14 @@ mod tests {
         }
     }
 
-    /// Property: a pinned node never moves, and pinning it does not
-    /// change anyone else's trajectory.
+    /// Property: a pinned node never moves, and a field with the same
+    /// pins and seed walks the same trajectory. Pinning does change
+    /// other nodes' paths, because the pinned node's skipped turn draws
+    /// shift the shared stream.
     #[test]
     fn pinned_node_is_inert() {
-        let mut free = build(MobilityModel::walk_default(), 11);
-        let mut pinned = build(MobilityModel::walk_default(), 11);
+        let mut free = build(11);
+        let mut pinned = build(11);
         pinned.pin(0);
         let origin = pinned.positions()[0];
         for _ in 0..300 {
@@ -272,7 +251,7 @@ mod tests {
             // differ. What must hold is that the pinned field is
             // internally deterministic, checked by rebuilding:
         }
-        let mut pinned2 = build(MobilityModel::walk_default(), 11);
+        let mut pinned2 = build(11);
         pinned2.pin(0);
         for _ in 0..300 {
             pinned2.step(1.0);
@@ -283,7 +262,7 @@ mod tests {
     /// Nodes actually move at roughly the configured speed.
     #[test]
     fn walk_covers_ground() {
-        let mut m = build(MobilityModel::walk_default(), 13);
+        let mut m = build(13);
         let start = m.positions().to_vec();
         for _ in 0..30 {
             m.step(1.0);

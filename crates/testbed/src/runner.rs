@@ -10,8 +10,8 @@
 use mindgap_chaos::recovery::FaultRecovery;
 use mindgap_chaos::FaultSchedule;
 use mindgap_core::{
-    AdvConfig, AppConfig, IeeeConfig, IntervalPolicy, MobilityModel, NodeConfig, PeerConfig,
-    PeersWorldConfig, Records, TransportMode, World, WorldConfig,
+    AdvConfig, AppConfig, IeeeConfig, IntervalPolicy, NodeConfig, PeersWorldConfig, Records,
+    TransportMode, World, WorldConfig,
 };
 use mindgap_sim::{Duration, Instant, NodeId};
 
@@ -23,12 +23,9 @@ use crate::topology::{MeshTopology, Topology};
 /// connection graph from discovery + RSSI-ranked policy alone.
 #[derive(Debug, Clone, Default)]
 pub struct PeersSpec {
-    /// Connection-pool policy (targets, RSSI thresholds, backoff,
-    /// rotation).
-    pub pool: PeerConfig,
-    /// Node mobility (`None` = static field). The consumer/root is
-    /// always pinned.
-    pub mobility: Option<MobilityModel>,
+    /// Whether nodes walk (`false` = static field). The consumer/root
+    /// never moves.
+    pub mobile: bool,
 }
 
 /// Full description of one experiment run.
@@ -194,8 +191,8 @@ impl ExperimentSpec {
         self
     }
 
-    /// Enable dynamic peer management with the default pool policy
-    /// (BLE only; needs [`ExperimentSpec::mesh`] for positions).
+    /// Enable dynamic peer management (BLE only; needs
+    /// [`ExperimentSpec::mesh`] for positions).
     /// Forces RPL routing — a cold-started world has no static routes.
     pub fn with_peers(mut self) -> Self {
         self.peers = Some(PeersSpec::default());
@@ -203,12 +200,9 @@ impl ExperimentSpec {
         self
     }
 
-    /// Enable dynamic peer management with node mobility.
-    pub fn with_peers_mobility(mut self, mobility: MobilityModel) -> Self {
-        self.peers = Some(PeersSpec {
-            pool: PeerConfig::default(),
-            mobility: Some(mobility),
-        });
+    /// Enable dynamic peer management with walking nodes.
+    pub fn with_peers_mobility(mut self) -> Self {
+        self.peers = Some(PeersSpec { mobile: true });
         self.dynamic_routing = true;
         self
     }
@@ -329,9 +323,7 @@ pub fn run_ble(spec: &ExperimentSpec) -> ExperimentResult {
             h = h.max(y);
         }
         let mut pc = PeersWorldConfig::new(m.positions.clone(), (w + 1.0, h + 1.0), m.seed);
-        pc.pool = p.pool;
-        pc.mobility = p.mobility;
-        pc.pinned = vec![consumer.0];
+        pc.mobile = p.mobile;
         cfg.peers = Some(pc);
     }
     let peers_mode = spec.peers.is_some();

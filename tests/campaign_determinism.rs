@@ -240,7 +240,6 @@ fn chaos_artifacts_identical_across_worker_counts() {
 #[test]
 fn churn_artifacts_identical_across_worker_counts() {
     use mindgap::chaos::FaultSchedule;
-    use mindgap::core::MobilityModel;
     use mindgap_testbed::MeshTopology;
     let grid = || {
         GridBuilder::new("churn-det", 42)
@@ -271,7 +270,7 @@ fn churn_artifacts_identical_across_worker_counts() {
         .with_faults(faults);
         spec.warmup = Duration::from_secs(60);
         spec = if job.params["mobility"] == "walk" {
-            spec.with_peers_mobility(MobilityModel::walk_default())
+            spec.with_peers_mobility()
         } else {
             spec.with_peers()
         };
@@ -360,7 +359,6 @@ fn result_fingerprint(r: &mindgap_campaign::JobResult) -> u64 {
 #[test]
 fn serial_output_matches_golden_fingerprints() {
     use mindgap::chaos::FaultSchedule;
-    use mindgap::core::MobilityModel;
     use mindgap_testbed::MeshTopology;
     let tree = || {
         ExperimentSpec::paper_default(
@@ -391,7 +389,7 @@ fn serial_output_matches_golden_fingerprints() {
         .with_duration(Duration::from_secs(60))
         .with_faults(faults);
         spec.warmup = Duration::from_secs(60);
-        spec.with_peers_mobility(MobilityModel::walk_default())
+        spec.with_peers_mobility()
     };
     type Runner = fn(&ExperimentSpec) -> ExperimentResult;
     // (cell, runner, spec, events_processed, result fingerprint)
