@@ -101,41 +101,11 @@ impl ConnParams {
 /// Static configuration of a node's link layer.
 #[derive(Debug, Clone, Copy)]
 pub struct LlConfig {
-    /// Sleep-clock accuracy *assumed for window widening*, per side,
-    /// in ppm. The spec requires ≤ 250; NimBLE defaults to claiming
-    /// far better. Note this is the *claimed* accuracy used for
-    /// widening math — the node's *actual* drift is the `Clock` the
-    /// link layer is constructed with.
-    pub sca_ppm: f64,
     /// Maximum LL payload (251 with the Data Length Extension the
     /// paper enables, §4.2).
     pub max_pdu: usize,
     /// Data-channel PHY mode.
     pub phy: BlePhy,
-    /// Per-connection LL transmit queue capacity in PDUs (NimBLE keeps
-    /// a short controller-side queue; the big buffer is the host mbuf
-    /// pool modelled in `mindgap-l2cap`).
-    pub ll_queue_cap: usize,
-    /// Radio time reserved per connection event at booking time; the
-    /// event may extend beyond it while the radio stays free (Fig. 4).
-    pub min_event_len: Duration,
-    /// Host-side processing cost per *additional* data exchange within
-    /// one connection event: fixed part (thread wakeups) plus a
-    /// per-byte part (mbuf copies through GNRC/NimBLE). Calibrates
-    /// single-link L2CAP throughput to the paper's ≈500 kbps (§5.2);
-    /// irrelevant at one packet per event.
-    pub host_overhead_base: Duration,
-    /// Per-byte component of the host overhead (ns per payload byte).
-    pub host_overhead_per_byte_ns: u64,
-    /// Advertising interval (paper: 90 ms, §4.2).
-    pub adv_interval: Duration,
-    /// Scan interval (paper: 100 ms, §4.2).
-    pub scan_interval: Duration,
-    /// Scan window (paper: 100 ms — continuous scanning, §4.2).
-    pub scan_window: Duration,
-    /// Advertising payload length in bytes (AD structures: flags +
-    /// IPSS service UUID).
-    pub adv_payload: usize,
     /// Enable the adaptive-frequency-hopping policy (coordinator-side
     /// channel retirement via LL_CHANNEL_MAP_IND). Off by default —
     /// the paper excludes the jammed channel statically instead.
@@ -150,28 +120,11 @@ pub struct LlConfig {
     pub resume_adv_on_connect: bool,
 }
 
-impl LlConfig {
-    /// Host processing delay before the next exchange carrying a PDU
-    /// of `len` payload bytes.
-    pub fn exchange_overhead(&self, len: usize) -> Duration {
-        self.host_overhead_base + Duration::from_nanos(self.host_overhead_per_byte_ns * len as u64)
-    }
-}
-
 impl Default for LlConfig {
     fn default() -> Self {
         LlConfig {
-            sca_ppm: 50.0,
             max_pdu: 251,
             phy: BlePhy::OneM,
-            ll_queue_cap: 8,
-            min_event_len: Duration::from_micros(2_500),
-            host_overhead_base: Duration::from_micros(200),
-            host_overhead_per_byte_ns: 5_200,
-            adv_interval: Duration::from_millis(90),
-            scan_interval: Duration::from_millis(100),
-            scan_window: Duration::from_millis(100),
-            adv_payload: 22,
             afh_enabled: false,
             afh_period_events: 400,
             resume_adv_on_connect: false,

@@ -22,6 +22,9 @@
 //!   shading* (§6.1) emerges: connection events of different
 //!   connections slide into each other, events get skipped, links
 //!   degrade, and supervision timeouts fire.
+//! * **A link-layer world** ([`ll_world`]) — link layers over one
+//!   medium with one event queue and nothing above them: the driver of
+//!   the link-layer tests and of the §5.2 single-link throughput runs.
 //!
 //! The layer is sans-I/O in the smoltcp tradition: every entry point
 //! returns [`Output`] actions (arm timer, transmit frame, listen,
@@ -47,6 +50,7 @@ mod config;
 mod conn;
 pub mod ctrl;
 mod ll;
+pub mod ll_world;
 
 pub use config::{BlePhy, ConnParams, LlConfig};
 pub use conn::{ConnId, ConnStats, LossReason, Role};

@@ -67,6 +67,50 @@ const MIN_PARTIAL_LISTEN: Duration = Duration::from_micros(300);
 const TRANSMIT_WINDOW_DELAY: Duration = Duration::from_micros(1_250);
 /// CONNECT_IND airtime: (1+4+2+34+3) bytes at 8 µs/byte.
 const CONNECT_IND_AIR: Duration = Duration::from_micros(352);
+/// Sleep-clock accuracy *assumed for window widening*, per side, in
+/// ppm. The spec requires ≤ 250; NimBLE defaults to claiming far
+/// better. This is the *claimed* accuracy used for widening math —
+/// the node's *actual* drift is the `Clock` the link layer is
+/// constructed with.
+const SCA_PPM: f64 = 50.0;
+/// Per-connection LL transmit queue capacity in PDUs (NimBLE keeps a
+/// short controller-side queue; the big buffer is the host mbuf pool
+/// modelled in `mindgap-l2cap`).
+const LL_QUEUE_CAP: usize = 8;
+/// Radio time reserved per connection event at booking time; the
+/// event may extend beyond it while the radio stays free (Fig. 4).
+const MIN_EVENT_LEN: Duration = Duration::from_micros(2_500);
+/// Host-side processing cost per *additional* data exchange within
+/// one connection event: fixed part (thread wakeups) plus a per-byte
+/// part (mbuf copies through GNRC/NimBLE). Calibrates single-link
+/// L2CAP throughput to the paper's ≈500 kbps (§5.2); irrelevant at
+/// one packet per event.
+const HOST_OVERHEAD_BASE: Duration = Duration::from_micros(200);
+/// Per-byte component of the host overhead (ns per payload byte).
+const HOST_OVERHEAD_PER_BYTE_NS: u64 = 5_200;
+/// Advertising interval (paper: 90 ms, §4.2).
+const ADV_INTERVAL: Duration = Duration::from_millis(90);
+/// Scan interval (paper: 100 ms, §4.2).
+const SCAN_INTERVAL: Duration = Duration::from_millis(100);
+/// Scan window (paper: 100 ms — continuous scanning, §4.2).
+const SCAN_WINDOW: Duration = Duration::from_millis(100);
+/// Advertising payload length in bytes (AD structures: flags + IPSS
+/// service UUID).
+const ADV_PAYLOAD: usize = 22;
+
+/// Window widening (§6.1) of a subordinate listen `elapsed` after the
+/// last sync: both sides' claimed sleep-clock accuracy accumulating
+/// since then, plus the spec's 32 µs minimum instant-jitter allowance.
+fn window_widening(elapsed: Duration) -> Duration {
+    Duration::from_nanos((elapsed.nanos() as f64 * 2.0 * SCA_PPM * 1e-6) as u64)
+        + Duration::from_micros(32)
+}
+
+/// Host processing delay before the next exchange carrying a PDU of
+/// `len` payload bytes.
+fn exchange_overhead(len: usize) -> Duration {
+    HOST_OVERHEAD_BASE + Duration::from_nanos(HOST_OVERHEAD_PER_BYTE_NS * len as u64)
+}
 
 /// Timer payloads. The world echoes them back verbatim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -532,7 +576,7 @@ impl LinkLayer {
     /// Free PDU slots in a connection's transmit queue.
     pub fn queue_space(&self, conn: ConnId) -> usize {
         find_conn(&self.conns, conn)
-            .map(|c| self.cfg.ll_queue_cap.saturating_sub(c.queue.len()))
+            .map(|c| LL_QUEUE_CAP.saturating_sub(c.queue.len()))
             .unwrap_or(0)
     }
 
@@ -541,7 +585,7 @@ impl LinkLayer {
     pub fn enqueue(&mut self, conn: ConnId, payload: Vec<u8>) -> Result<(), Vec<u8>> {
         assert!(payload.len() <= self.cfg.max_pdu, "PDU exceeds LL maximum");
         match find_conn_mut(&mut self.conns, conn) {
-            Some(c) if c.queue.len() < self.cfg.ll_queue_cap => {
+            Some(c) if c.queue.len() < LL_QUEUE_CAP => {
                 c.queue.push_back((crate::pdu::Llid::DataStart, payload));
                 Ok(())
             }
@@ -567,7 +611,7 @@ impl LinkLayer {
         });
         // First train after a random fraction of the interval so
         // restarted advertisers do not synchronise.
-        let interval = self.clock.to_global(self.cfg.adv_interval);
+        let interval = self.clock.to_global(ADV_INTERVAL);
         let delay = Duration::from_nanos(self.rng.below(interval.nanos().max(1)));
         out.push(arm_out(now + delay, TimerKind::AdvEvent, self.adv_gen));
     }
@@ -611,7 +655,7 @@ impl LinkLayer {
                 // colliding CONNECT_INDs.
                 let jitter = Duration::from_nanos(
                     self.rng
-                        .below(self.clock.to_global(self.cfg.scan_interval).nanos().max(1)),
+                        .below(self.clock.to_global(SCAN_INTERVAL).nanos().max(1)),
                 );
                 self.scan = Some(ScanState {
                     targets: vec![target],
@@ -638,7 +682,7 @@ impl LinkLayer {
                 // Same desynchronizing jitter as a connect scan.
                 let jitter = Duration::from_nanos(
                     self.rng
-                        .below(self.clock.to_global(self.cfg.scan_interval).nanos().max(1)),
+                        .below(self.clock.to_global(SCAN_INTERVAL).nanos().max(1)),
                 );
                 self.scan = Some(ScanState {
                     targets: Vec::new(),
@@ -1002,7 +1046,7 @@ impl LinkLayer {
 
         match role {
             Role::Coordinator => {
-                let len = exchange_len(cfg.phy, cfg.max_pdu, head_len).max(cfg.min_event_len);
+                let len = exchange_len(cfg.phy, cfg.max_pdu, head_len).max(MIN_EVENT_LEN);
                 let mut booked = self
                     .sched
                     .try_book(anchor, anchor + len, ResKind::ConnEvent(id));
@@ -1021,14 +1065,9 @@ impl LinkLayer {
                 }
             }
             Role::Subordinate => {
-                // Window widening (§6.1): both sides' claimed sleep-
-                // clock accuracy accumulating since the last sync, plus
-                // the residual transmit-window uncertainty, plus the
-                // spec's minimum instant-jitter allowance.
-                let elapsed = anchor.saturating_since(last_sync);
-                let ww = Duration::from_nanos(
-                    (elapsed.nanos() as f64 * 2.0 * cfg.sca_ppm * 1e-6) as u64,
-                ) + Duration::from_micros(32);
+                // Widened window around the anchor, plus the residual
+                // transmit-window uncertainty after it.
+                let ww = window_widening(anchor.saturating_since(last_sync));
                 let first_air = data_air(cfg.phy, cfg.max_pdu);
                 let start = anchor - ww;
                 let end = anchor + sync_uncertainty + ww + first_air + SLACK;
@@ -1345,7 +1384,7 @@ impl LinkLayer {
                 let xgen = conn.xgen;
                 let payload = conn.process_rx(pdu, &mut self.bufs);
                 conn.event_had_data |= payload.is_some();
-                let has_space = conn.queue.len() < cfg.ll_queue_cap;
+                let has_space = conn.queue.len() < LL_QUEUE_CAP;
                 conn.state = CeState::Gap;
                 if let Some(p) = payload {
                     if pdu.llid == Llid::Control {
@@ -1376,7 +1415,7 @@ impl LinkLayer {
                 let xgen = conn.xgen;
                 let payload = conn.process_rx(pdu, &mut self.bufs);
                 conn.event_had_data |= payload.is_some();
-                let has_space = conn.queue.len() < cfg.ll_queue_cap;
+                let has_space = conn.queue.len() < LL_QUEUE_CAP;
                 if let Some(ch) = conn.event_channel {
                     if ch.is_ble_data() {
                         conn.ch_attempts[ch.index() as usize] += 1;
@@ -1411,7 +1450,7 @@ impl LinkLayer {
                         .map(|(_, p)| p.len())
                         .or_else(|| conn.queue.front().map(|(_, p)| p.len()))
                         .unwrap_or(0);
-                    let next_tx_at = now + IFS + cfg.exchange_overhead(head_len);
+                    let next_tx_at = now + IFS + exchange_overhead(head_len);
                     // Expected reply: sized from the reply we just
                     // received (with head-room) when the peer announced
                     // more data, an empty keep-alive otherwise. This
@@ -1496,7 +1535,7 @@ impl LinkLayer {
                         .unwrap_or(Instant::MAX);
                     let until = (now
                         + IFS
-                        + cfg.exchange_overhead(cfg.max_pdu)
+                        + exchange_overhead(cfg.max_pdu)
                         + data_air(cfg.phy, cfg.max_pdu)
                         + SLACK)
                         .min(conn.event_limit)
@@ -1525,7 +1564,6 @@ impl LinkLayer {
     /// radio, prepare the next event.
     fn end_event(&mut self, now: Instant, id: ConnId, out: &mut Vec<Output>) {
         let clock = self.clock;
-        let cfg = self.cfg;
         let Some(conn) = find_conn_mut(&mut self.conns, id) else {
             return;
         };
@@ -1537,7 +1575,7 @@ impl LinkLayer {
         }
         conn.event_channel = None;
         Self::advance_event(conn, clock, out);
-        if conn.queue.len() < cfg.ll_queue_cap {
+        if conn.queue.len() < LL_QUEUE_CAP {
             out.push(Output::TxSpace { conn: id });
         }
         self.sched.purge_before(now);
@@ -1673,8 +1711,7 @@ impl LinkLayer {
     // ------------------------------------------------------------------
 
     fn adv_train_begin(&mut self, now: Instant, out: &mut Vec<Output>) {
-        let cfg = self.cfg;
-        let step_len = airtime::ble_adv_1m(cfg.adv_payload as u32) + IFS + CONNECT_IND_AIR + SLACK;
+        let step_len = airtime::ble_adv_1m(ADV_PAYLOAD as u32) + IFS + CONNECT_IND_AIR + SLACK;
         let train_len = step_len * 3;
         match self.sched.try_book(now, now + train_len, ResKind::Adv) {
             Ok(res) => {
@@ -1701,12 +1738,12 @@ impl LinkLayer {
         if let Some(adv) = self.adv.as_mut() {
             adv.current_step = step;
         }
-        self.counters.tx_ns += airtime::ble_adv_1m(self.cfg.adv_payload as u32).nanos();
+        self.counters.tx_ns += airtime::ble_adv_1m(ADV_PAYLOAD as u32).nanos();
         out.push(Output::Tx {
             channel,
             frame: Frame::AdvInd {
                 advertiser: self.node,
-                payload_len: self.cfg.adv_payload,
+                payload_len: ADV_PAYLOAD,
             },
         });
     }
@@ -1744,7 +1781,6 @@ impl LinkLayer {
         }
         // Train complete.
         let clock = self.clock;
-        let cfg = self.cfg;
         let Some(adv) = self.adv.as_mut() else {
             return;
         };
@@ -1754,7 +1790,7 @@ impl LinkLayer {
         let train_start = adv.train_start;
         // Next train: advInterval + advDelay ∈ [0, 10 ms] (spec).
         let delay =
-            clock.to_global(cfg.adv_interval) + Duration::from_nanos(self.rng.below(10_000_000));
+            clock.to_global(ADV_INTERVAL) + Duration::from_nanos(self.rng.below(10_000_000));
         let at = (train_start + delay).max(now);
         out.push(arm_out(at, TimerKind::AdvEvent, self.adv_gen));
     }
@@ -1815,7 +1851,7 @@ impl LinkLayer {
         /// A scan stretch shorter than this cannot catch a full
         /// advertising PDU reliably; wait for the next gap instead.
         const MIN_SCAN_STRETCH: Duration = Duration::from_millis(2);
-        let window = self.clock.to_global(self.cfg.scan_window);
+        let window = self.clock.to_global(SCAN_WINDOW);
         // A busy node rarely has a full scan window free between its
         // connection events; scan the gap until the next reservation —
         // exactly what real controllers do with background scanning.
@@ -1865,15 +1901,14 @@ impl LinkLayer {
         let mut idle = {
             let clock = self.clock;
             clock
-                .to_global(self.cfg.scan_interval)
-                .saturating_sub(clock.to_global(self.cfg.scan_window))
+                .to_global(SCAN_INTERVAL)
+                .saturating_sub(clock.to_global(SCAN_WINDOW))
         };
         // A node that advertises *and* scans (several statconn edges
         // down at once) must not let back-to-back scan windows starve
         // its advertising trains — real controllers interleave the two.
         if self.adv.is_some() {
-            let step_len =
-                airtime::ble_adv_1m(self.cfg.adv_payload as u32) + IFS + CONNECT_IND_AIR + SLACK;
+            let step_len = airtime::ble_adv_1m(ADV_PAYLOAD as u32) + IFS + CONNECT_IND_AIR + SLACK;
             idle = idle.max(step_len * 3 + Duration::from_micros(500));
         }
         let Some(scan) = self.scan.as_mut() else {
@@ -2026,5 +2061,23 @@ impl LinkLayer {
         let timeout_at = now + clock.to_global(pc.params.interval * 6);
         out.push(arm_out(timeout_at, TimerKind::Supervision(pc.conn_id), 0));
         self.prep_event(now, pc.conn_id, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn window_widening_matches_the_spec_formula() {
+        // 2 × 50 ppm × interval, plus 32 µs.
+        assert_eq!(
+            window_widening(Duration::from_millis(75)),
+            Duration::from_nanos(39_500)
+        );
+        assert_eq!(
+            window_widening(Duration::from_secs(4)),
+            Duration::from_micros(432)
+        );
     }
 }

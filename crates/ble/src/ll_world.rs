@@ -1,81 +1,68 @@
-//! A miniature simulation world for link-layer integration tests.
+//! A two-or-more-node link-layer world: [`LinkLayer`]s over a shared
+//! [`Medium`] with one event queue.
 //!
-//! Drives several [`LinkLayer`]s against a shared [`Medium`] with a
-//! single event queue — a scaled-down preview of the full world in
-//! `mindgap-core`, kept here so link-layer behaviour (connection
-//! setup, ARQ, supervision, shading) can be tested in isolation.
+//! The full simulation world in `mindgap-core` adds L2CAP, IPv6,
+//! connection management and observability on top of the same loop.
+//! [`LlWorld`] drives the link layer alone, so link-layer behaviour
+//! (connection setup, ARQ, supervision, shading) can be tested in
+//! isolation and single-link throughput (§5.2) measured without the
+//! upper layers.
 
-use mindgap_ble::{
-    ConnId, ConnParams, Frame, LinkLayer, ListenTag, LlConfig, LossReason, Output, Role, Timer,
-};
-use mindgap_phy::{Channel, LossConfig, Medium, MediumConfig, TxId};
-use mindgap_sim::{Clock, EventQueue, Instant, NodeId, Rng};
+use mindgap_phy::{Channel, Medium, TxId, TxParams};
+use mindgap_sim::{EventQueue, Instant, NodeId};
 
-pub enum Ev {
+use crate::{ConnId, ConnParams, Frame, LinkLayer, ListenTag, LossReason, Output, Role, Timer};
+
+enum Ev {
     Timer(NodeId, Timer),
     TxEnd(u64),
 }
 
-pub struct InFlight {
-    pub id: u64,
-    pub tx: TxId,
-    pub src: NodeId,
-    pub frame: Frame,
-    pub channel: Channel,
-    pub start: Instant,
+struct InFlight {
+    id: u64,
+    tx: TxId,
+    src: NodeId,
+    frame: Frame,
+    channel: Channel,
+    start: Instant,
 }
 
+/// What the link layers reported, in order.
 #[derive(Default)]
 pub struct Log {
+    /// Connections that came up: (node, connection, role).
     pub conn_up: Vec<(NodeId, ConnId, Role)>,
+    /// Connections that went down: (node, connection, reason, when).
     pub conn_down: Vec<(NodeId, ConnId, LossReason, Instant)>,
+    /// Payloads received: (node, connection, payload).
     pub rx: Vec<(NodeId, ConnId, Vec<u8>)>,
-    pub sightings: Vec<(NodeId, NodeId)>,
 }
 
-pub struct MiniWorld {
-    pub queue: EventQueue<Ev>,
+/// Link layers over one medium, driven by one event queue.
+pub struct LlWorld {
+    queue: EventQueue<Ev>,
+    /// The shared radio medium.
     pub medium: Medium,
+    /// One link layer per node, indexed by [`NodeId`].
     pub lls: Vec<LinkLayer>,
     listening: Vec<Option<(ListenTag, Channel, Instant, Instant)>>,
     inflight: Vec<InFlight>,
     next_tx: u64,
+    /// Everything the link layers reported.
     pub log: Log,
     /// (node, conn) pairs whose LL queue is kept saturated with dummy
-    /// PDUs of the given size (throughput tests).
+    /// PDUs of the given size (throughput runs).
     pub saturate: Vec<(NodeId, ConnId, usize)>,
 }
 
-impl MiniWorld {
-    pub fn new(clocks: &[f64], loss: LossConfig, seed: u64) -> Self {
-        Self::with_cfg(clocks, loss, seed, LlConfig::default())
-    }
-
-    pub fn with_cfg(clocks: &[f64], loss: LossConfig, seed: u64, cfg: LlConfig) -> Self {
-        let n = clocks.len();
-        let mut rng = Rng::seed_from_u64(seed);
-        let lls = clocks
-            .iter()
-            .enumerate()
-            .map(|(i, &ppm)| {
-                LinkLayer::new(
-                    NodeId(i as u16),
-                    Clock::with_ppm(ppm),
-                    cfg,
-                    rng.fork(i as u64),
-                )
-            })
-            .collect();
-        MiniWorld {
+impl LlWorld {
+    /// A world over `medium` with link layer `i` at node `i`.
+    pub fn new(medium: Medium, lls: Vec<LinkLayer>) -> Self {
+        LlWorld {
             queue: EventQueue::new(),
-            medium: Medium::new(MediumConfig {
-                n_nodes: n,
-                loss,
-                seed: rng.next_u64(),
-                radio_links: None,
-            }),
+            medium,
+            listening: vec![None; lls.len()],
             lls,
-            listening: vec![None; n],
             inflight: Vec::new(),
             next_tx: 0,
             log: Log::default(),
@@ -83,11 +70,12 @@ impl MiniWorld {
         }
     }
 
+    /// Current simulated time.
     pub fn now(&self) -> Instant {
         self.queue.now()
     }
 
-    pub fn apply(&mut self, node: NodeId, outputs: &mut Vec<Output>) {
+    fn apply(&mut self, node: NodeId, outputs: &mut Vec<Output>) {
         let now = self.queue.now();
         for o in outputs.drain(..) {
             match o {
@@ -96,7 +84,7 @@ impl MiniWorld {
                 }
                 Output::Tx { channel, frame } => {
                     let airtime = frame.airtime();
-                    let tx = self.medium.begin_tx(mindgap_phy::TxParams {
+                    let tx = self.medium.begin_tx(TxParams {
                         src: node,
                         channel,
                         start: now,
@@ -138,13 +126,9 @@ impl MiniWorld {
                 Output::TxSpace { conn } => {
                     self.refill(node, conn);
                 }
-                Output::Trace { .. } => {}
-                // Observability events are the World's concern; the
-                // LL harness only exercises protocol behaviour.
-                Output::Obs(_) => {}
-                Output::AdvSighting { advertiser } => {
-                    self.log.sightings.push((node, advertiser));
-                }
+                // Traces, observability events and discovery sightings
+                // are the full world's concern.
+                Output::Trace { .. } | Output::Obs(_) | Output::AdvSighting { .. } => {}
             }
         }
     }
@@ -217,7 +201,7 @@ impl MiniWorld {
         true
     }
 
-    /// Run until the given instant (or the queue drains).
+    /// Run every event due at or before `t` (or until the queue drains).
     pub fn run_until(&mut self, t: Instant) {
         while let Some(next) = self.queue.peek_time() {
             if next > t {
@@ -227,8 +211,8 @@ impl MiniWorld {
         }
     }
 
-    /// Convenience: connect `coordinator → advertiser` with `params`,
-    /// returning the ConnId used.
+    /// Start `advertiser` advertising and `coordinator` scanning for
+    /// it; the connection will carry `conn_id` and `params`.
     pub fn connect(
         &mut self,
         coordinator: NodeId,
@@ -244,8 +228,11 @@ impl MiniWorld {
         self.apply(coordinator, &mut outs);
     }
 
-    /// Wait until both ends report the connection up (panics after
-    /// `deadline`).
+    /// Run until both ends report `conn` up.
+    ///
+    /// # Panics
+    /// If the next event lies after `deadline` (or the queue drains)
+    /// first.
     pub fn await_up(&mut self, conn: ConnId, deadline: Instant) {
         loop {
             let ups = self
@@ -268,6 +255,7 @@ impl MiniWorld {
         }
     }
 
+    /// Connection losses reported so far (both ends count).
     pub fn losses(&self) -> usize {
         self.log.conn_down.len()
     }

@@ -63,5 +63,5 @@ pub mod throughput;
 pub mod topology;
 
 pub use runner::{run_ble, run_ieee, ExperimentResult, ExperimentSpec};
-pub use throughput::{measure_single_link, measure_single_link_cfg, ThroughputResult};
+pub use throughput::{measure_single_link, ThroughputResult};
 pub use topology::{MeshTopology, Topology};
