@@ -19,25 +19,25 @@
 //!
 //! ## Protocol model
 //!
-//! * Every `adv_interval` (plus a 0..=`adv_jitter` advDelay, Vol 6
+//! * Every [`ADV_INTERVAL`] (plus a 0..=[`ADV_JITTER`] advDelay, Vol 6
 //!   Part B §4.4.2.2.1) the node runs an **advertising event**: up to
-//!   `trains_per_event` back-to-back trains, each train transmitting
+//!   [`TRAINS_PER_EVENT`] back-to-back trains, each train transmitting
 //!   the same PDU on channels 37, 38 and 39 with `T_IFS` spacing.
-//! * Queued frames are sent `repeats` trains each (receivers scan a
+//! * Queued frames are sent [`REPEATS`] trains each (receivers scan a
 //!   single channel at a time, so one train gives one reception
 //!   opportunity per listening neighbor; repeats trade airtime and
 //!   energy for delivery probability).
 //! * With an empty queue the node sends a **beacon** train (empty
-//!   payload, broadcast) when `beacon_when_idle` is set — this is the
-//!   neighbor discovery behind [`AdvLink::neighbors`] and
-//!   [`AdvLink::admit`], surfaced as [`AdvOut::NeighborUp`] /
-//!   [`AdvOut::NeighborDown`].
-//! * Scanning rotates over 37/38/39 every `scan_interval`, listening
-//!   for `scan_window` of it. The radio is half-duplex: a train
-//!   interrupts the scan window and the remainder resumes afterwards.
+//!   payload, broadcast) — this is the neighbor discovery behind
+//!   [`AdvLink::neighbors`] and [`AdvLink::admit`], surfaced as
+//!   [`AdvOut::NeighborUp`] / [`AdvOut::NeighborDown`].
+//! * Scanning rotates over 37/38/39 every [`SCAN_INTERVAL`], listening
+//!   for [`AdvConfig::scan_window`] of it. The radio is half-duplex: a
+//!   train interrupts the scan window and the remainder resumes
+//!   afterwards.
 //! * Receive-side **duplicate suppression** keys on the per-advertiser
 //!   `(advertiser, seq)` pair in a bounded ring — it collapses the
-//!   `repeats` copies of each frame (and rebroadcast echoes) to one
+//!   [`REPEATS`] copies of each frame (and rebroadcast echoes) to one
 //!   delivery. Rebroadcast re-tags frames with the relay's own
 //!   sequence number, so flooding is bounded by the `hops` budget, not
 //!   by network-wide dedup (see DESIGN.md §10).
@@ -53,64 +53,46 @@ use mindgap_sixlowpan::LlAddr;
 /// The three advertising channels a train walks, in order.
 const ADV_CHANNELS: [u8; 3] = [37, 38, 39];
 
+/// Nominal spacing of advertising events (local clock).
+pub const ADV_INTERVAL: Duration = Duration::from_millis(50);
+/// Upper bound of the per-event pseudo-random advDelay.
+pub const ADV_JITTER: Duration = Duration::from_millis(10);
+/// Scan channel rotation period (local clock).
+pub const SCAN_INTERVAL: Duration = Duration::from_millis(100);
+/// Maximum back-to-back trains per advertising event.
+pub const TRAINS_PER_EVENT: u8 = 3;
+/// Trains each queued frame is transmitted in before being dropped
+/// from the queue.
+pub const REPEATS: u8 = 2;
+/// Transmit queue depth; beyond it [`AdvLink::send`] reports
+/// backpressure.
+const QUEUE_CAP: usize = 16;
+/// Duplicate-suppression ring size, in `(advertiser, seq)` entries.
+const DEDUP_CAP: usize = 64;
+/// A neighbor not heard for this long is declared down.
+const NEIGHBOR_TIMEOUT: Duration = Duration::from_secs(2);
+/// Largest 6LoWPAN frame one PDU can carry: the largest
+/// advertising-data unit minus the [`Frame::ADV_DATA_OVERHEAD`]
+/// addressing bytes.
+const MTU: usize = airtime::BLE_EXT_ADV_MAX_PAYLOAD as usize - Frame::ADV_DATA_OVERHEAD;
+
 /// Tuning parameters of the advertising transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvConfig {
-    /// Nominal spacing of advertising events (local clock).
-    pub adv_interval: Duration,
-    /// Upper bound of the per-event pseudo-random advDelay.
-    pub adv_jitter: Duration,
-    /// Scan channel rotation period (local clock).
-    pub scan_interval: Duration,
-    /// Listening span inside each scan interval; equal to
-    /// `scan_interval` means continuous scanning.
+    /// Listening span inside each [`SCAN_INTERVAL`]; equal to it means
+    /// continuous scanning.
     pub scan_window: Duration,
-    /// Maximum back-to-back trains per advertising event.
-    pub trains_per_event: u8,
-    /// Trains each queued frame is transmitted in before being
-    /// dropped from the queue.
-    pub repeats: u8,
-    /// Transmit queue depth; beyond it [`AdvLink::send`] reports
-    /// backpressure.
-    pub queue_cap: usize,
-    /// Duplicate-suppression ring size, in `(advertiser, seq)` entries.
-    pub dedup_cap: usize,
     /// Rebroadcast budget stamped on locally originated broadcast
     /// frames; 0 disables rebroadcast entirely.
     pub rebroadcast_hops: u8,
-    /// A neighbor not heard for this long is declared down.
-    pub neighbor_timeout: Duration,
-    /// Send beacon trains when the queue is empty (neighbor
-    /// discovery liveness).
-    pub beacon_when_idle: bool,
-    /// Largest advertising-data unit, **including** the
-    /// [`Frame::ADV_DATA_OVERHEAD`] addressing bytes.
-    pub max_payload: usize,
 }
 
 impl Default for AdvConfig {
     fn default() -> Self {
         AdvConfig {
-            adv_interval: Duration::from_millis(50),
-            adv_jitter: Duration::from_millis(10),
-            scan_interval: Duration::from_millis(100),
-            scan_window: Duration::from_millis(100),
-            trains_per_event: 3,
-            repeats: 2,
-            queue_cap: 16,
-            dedup_cap: 64,
+            scan_window: SCAN_INTERVAL,
             rebroadcast_hops: 0,
-            neighbor_timeout: Duration::from_secs(2),
-            beacon_when_idle: true,
-            max_payload: airtime::BLE_EXT_ADV_MAX_PAYLOAD as usize,
         }
-    }
-}
-
-impl AdvConfig {
-    /// Largest 6LoWPAN frame one PDU can carry.
-    pub fn mtu(&self) -> usize {
-        self.max_payload.saturating_sub(Frame::ADV_DATA_OVERHEAD)
     }
 }
 
@@ -212,9 +194,10 @@ pub enum AdvOut {
 /// Why [`AdvLink::send`] refused a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvSendError {
-    /// Transmit queue is at `queue_cap`.
+    /// Transmit queue holds its 16 frames.
     QueueFull,
-    /// Frame exceeds [`AdvConfig::mtu`].
+    /// Frame exceeds the 240 B one PDU carries after its addressing
+    /// bytes.
     TooBig,
 }
 
@@ -341,11 +324,6 @@ impl AdvLink {
         }
     }
 
-    /// The transport's configuration.
-    pub fn config(&self) -> &AdvConfig {
-        &self.cfg
-    }
-
     /// Replace the local clock (chaos drift faults step a node's
     /// oscillator mid-run). Takes effect from the next timer arm;
     /// already-armed timers fire at their original times.
@@ -372,7 +350,7 @@ impl AdvLink {
     /// a full queue refuses everything, a hop never heard (or timed
     /// out) is no link.
     pub fn admit(&self, next_hop: LlAddr) -> TxAdmission {
-        if self.queue.len() >= self.cfg.queue_cap {
+        if self.queue.len() >= QUEUE_CAP {
             return TxAdmission::Backpressure;
         }
         let known = self
@@ -408,7 +386,7 @@ impl AdvLink {
     pub fn start(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
         self.gen += 1;
         self.started = true;
-        let first = self.rng.below(self.cfg.adv_interval.nanos().max(1));
+        let first = self.rng.below(ADV_INTERVAL.nanos());
         self.arm(
             now,
             Duration::from_nanos(first),
@@ -425,12 +403,7 @@ impl AdvLink {
                 gen: self.gen,
             },
         });
-        self.arm(
-            now,
-            self.cfg.neighbor_timeout,
-            AdvTimerKind::NeighborSweep,
-            out,
-        );
+        self.arm(now, NEIGHBOR_TIMEOUT, AdvTimerKind::NeighborSweep, out);
     }
 
     fn arm(&mut self, now: Instant, local: Duration, kind: AdvTimerKind, out: &mut Vec<AdvOut>) {
@@ -446,10 +419,10 @@ impl AdvLink {
     /// Queue a 6LoWPAN frame for transmission. `dst` is the next-hop
     /// node index, or [`Frame::ADV_BROADCAST`].
     pub fn send(&mut self, dst: u16, payload: Vec<u8>) -> Result<(), AdvSendError> {
-        if payload.len() > self.cfg.mtu() {
+        if payload.len() > MTU {
             return Err(AdvSendError::TooBig);
         }
-        if self.queue.len() >= self.cfg.queue_cap {
+        if self.queue.len() >= QUEUE_CAP {
             self.counters.queue_drops += 1;
             return Err(AdvSendError::QueueFull);
         }
@@ -463,7 +436,7 @@ impl AdvLink {
             dst,
             seq,
             hops,
-            repeats_left: self.cfg.repeats.max(1),
+            repeats_left: REPEATS,
             payload,
         });
         Ok(())
@@ -490,10 +463,8 @@ impl AdvLink {
 
     fn on_adv_event(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
         // Book the next event first: interval + advDelay in local time.
-        let jitter = self
-            .rng
-            .below(self.cfg.adv_jitter.nanos().saturating_add(1));
-        let local = Duration::from_nanos(self.cfg.adv_interval.nanos().saturating_add(jitter));
+        let jitter = self.rng.below(ADV_JITTER.nanos() + 1);
+        let local = Duration::from_nanos(ADV_INTERVAL.nanos() + jitter);
         self.arm(now, local, AdvTimerKind::AdvEvent, out);
         self.counters.adv_events += 1;
         if self.in_train {
@@ -501,12 +472,12 @@ impl AdvLink {
             // air; skip rather than preempt.
             return;
         }
-        self.bursts_left = self.cfg.trains_per_event.max(1);
+        self.bursts_left = TRAINS_PER_EVENT;
         self.begin_train(now, out);
     }
 
     /// Load the next train from the queue (or a beacon) and transmit
-    /// its first step. No-op if there is nothing to send.
+    /// its first step.
     fn begin_train(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
         let pending = if let Some(front) = self.queue.first() {
             PendingTrain {
@@ -516,7 +487,7 @@ impl AdvLink {
                 payload: front.payload.clone(),
                 beacon: false,
             }
-        } else if self.cfg.beacon_when_idle {
+        } else {
             PendingTrain {
                 dst: Frame::ADV_BROADCAST,
                 seq: self.alloc_seq(),
@@ -524,8 +495,6 @@ impl AdvLink {
                 payload: Vec::new(),
                 beacon: true,
             }
-        } else {
-            return;
         };
         if !self.in_train {
             // Half-duplex: suspend the scan window for the train.
@@ -634,7 +603,7 @@ impl AdvLink {
             });
             self.listen_since = Some(now);
         }
-        self.arm(now, self.cfg.scan_interval, AdvTimerKind::ScanRotate, out);
+        self.arm(now, SCAN_INTERVAL, AdvTimerKind::ScanRotate, out);
     }
 
     fn resume_listen(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
@@ -655,7 +624,7 @@ impl AdvLink {
     }
 
     fn on_neighbor_sweep(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
-        let timeout = self.cfg.neighbor_timeout;
+        let timeout = NEIGHBOR_TIMEOUT;
         let mut i = 0;
         while i < self.neighbors.len() {
             let (peer, last) = self.neighbors[i];
@@ -686,7 +655,7 @@ impl AdvLink {
         if self.dedup.contains(&(advertiser, seq)) {
             return true;
         }
-        if self.dedup.len() < self.cfg.dedup_cap.max(1) {
+        if self.dedup.len() < DEDUP_CAP {
             self.dedup.push((advertiser, seq));
         } else {
             self.dedup[self.dedup_next] = (advertiser, seq);
@@ -733,7 +702,7 @@ impl AdvLink {
             src: *advertiser,
             sdu: payload.clone(),
         });
-        if broadcast && *hops > 0 && self.queue.len() < self.cfg.queue_cap {
+        if broadcast && *hops > 0 && self.queue.len() < QUEUE_CAP {
             // Bounded rebroadcast: relay under our own sequence number
             // with a decremented hop budget.
             let seq = self.alloc_seq();
@@ -741,7 +710,7 @@ impl AdvLink {
                 dst: Frame::ADV_BROADCAST,
                 seq,
                 hops: *hops - 1,
-                repeats_left: self.cfg.repeats.max(1),
+                repeats_left: REPEATS,
                 payload: payload.clone(),
             });
             self.counters.rebroadcasts += 1;
@@ -877,7 +846,7 @@ mod tests {
         d.run_until(Instant::from_millis(300));
         assert_eq!(d.link.queue_len(), 0);
         let c = d.link.counters();
-        assert_eq!(c.adv_trains, AdvConfig::default().repeats as u64);
+        assert_eq!(c.adv_trains, REPEATS as u64);
         // Every data PDU carries the same seq and dst.
         let data: Vec<_> = d
             .txs
@@ -889,7 +858,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(data.len(), 3 * AdvConfig::default().repeats as usize);
+        assert_eq!(data.len(), 3 * REPEATS as usize);
         assert!(data.iter().all(|&x| x == data[0]));
         assert_eq!(data[0].0, 5);
     }
@@ -897,7 +866,7 @@ mod tests {
     #[test]
     fn queue_cap_backpressure() {
         let mut link = mk(0);
-        for _ in 0..link.config().queue_cap {
+        for _ in 0..QUEUE_CAP {
             link.send(1, vec![1]).unwrap();
         }
         assert_eq!(link.send(1, vec![1]), Err(AdvSendError::QueueFull));
@@ -906,10 +875,7 @@ mod tests {
             link.admit(LlAddr::from_node_index(1)),
             TxAdmission::Backpressure
         );
-        assert_eq!(
-            link.send(1, vec![0; link.config().mtu() + 1]),
-            Err(AdvSendError::TooBig)
-        );
+        assert_eq!(link.send(1, vec![0; MTU + 1]), Err(AdvSendError::TooBig));
     }
 
     #[test]
@@ -1013,14 +979,13 @@ mod tests {
     #[test]
     fn scan_duty_cycle_reduces_listen_time() {
         let cfg = AdvConfig {
-            beacon_when_idle: false, // isolate listening
             scan_window: Duration::from_millis(30),
             ..AdvConfig::default()
         };
         let mut rng = Rng::seed_from_u64(1);
         let duty = AdvLink::new(NodeId(0), cfg, Clock::with_ppm(0.0), rng.fork(1));
         let mut cont_cfg = cfg;
-        cont_cfg.scan_window = cfg.scan_interval;
+        cont_cfg.scan_window = SCAN_INTERVAL;
         let cont = AdvLink::new(NodeId(0), cont_cfg, Clock::with_ppm(0.0), rng.fork(2));
         let mut d1 = Driver::new(duty);
         let mut d2 = Driver::new(cont);

@@ -50,6 +50,7 @@
 
 use std::collections::BTreeMap;
 
+use mindgap_adv::SCAN_INTERVAL;
 use mindgap_campaign::concat_series;
 use mindgap_chaos::FaultSchedule;
 use mindgap_core::{AdvConfig, IntervalPolicy, TransportMode};
@@ -182,10 +183,9 @@ pub fn run(opts: &Opts) -> Report {
         .with_payload(payload);
         if adv {
             let duty = scan_duty_pct(transport);
-            let base = AdvConfig::default();
             let ac = AdvConfig {
-                scan_window: Duration::from_nanos(base.scan_interval.nanos() * duty / 100),
-                ..base
+                scan_window: Duration::from_nanos(SCAN_INTERVAL.nanos() * duty / 100),
+                ..AdvConfig::default()
             };
             spec = spec.with_transport(TransportMode::Adv(ac));
         }

@@ -3,9 +3,9 @@
 //! BLE connections hop over the 37 data channels (§2.2 of the paper:
 //! time-sliced channel hopping). The channel map restricts the pool —
 //! the paper statically excludes channel 22, which an external signal
-//! permanently jammed in their testbed (§4.2). Two selection
-//! algorithms exist: CSA#1 (Bluetooth 4.x, modulo hopping) and CSA#2
-//! (Bluetooth 5, PRNG-based; Core Spec Vol 6 Part B §4.5.8.3).
+//! permanently jammed in their testbed (§4.2). Every connection selects
+//! its channel with CSA#2 (Bluetooth 5, PRNG-based; Core Spec Vol 6
+//! Part B §4.5.8.3), as NimBLE does.
 
 use mindgap_phy::{Channel, BLE_DATA_CHANNELS};
 
@@ -66,35 +66,18 @@ impl ChannelMap {
     }
 }
 
-/// Which selection algorithm a connection uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Csa {
-    /// CSA#1: `unmapped = (last + hop) mod 37`.
-    One {
-        /// Hop increment, 5–16, chosen at connection setup.
-        hop: u8,
-    },
-    /// CSA#2: per-event PRN from the access address.
-    Two,
-}
-
 /// Per-connection channel selection state.
 #[derive(Debug, Clone)]
 pub struct ChannelSelector {
     map: ChannelMap,
-    csa: Csa,
     access_address: u32,
 }
 
 impl ChannelSelector {
     /// Create a selector for a connection.
-    pub fn new(map: ChannelMap, csa: Csa, access_address: u32) -> Self {
-        if let Csa::One { hop } = csa {
-            assert!((5..=16).contains(&hop), "hop increment {hop} out of spec");
-        }
+    pub fn new(map: ChannelMap, access_address: u32) -> Self {
         ChannelSelector {
             map,
-            csa,
             access_address,
         }
     }
@@ -109,27 +92,11 @@ impl ChannelSelector {
         self.map = map;
     }
 
-    /// Select the data channel for `event_counter`.
-    ///
-    /// Both algorithms are evaluated as pure functions of the counter,
-    /// so skipped events never desynchronise the two ends. (For CSA#1
-    /// the spec's incremental `last + hop` recurrence is equivalent to
-    /// `hop · (counter + 1) mod 37` from a zero start.)
-    pub fn channel_for_event(&mut self, event_counter: u16) -> Channel {
-        let ch = match self.csa {
-            Csa::One { hop } => {
-                let unmapped =
-                    ((hop as u32 * (event_counter as u32 + 1)) % BLE_DATA_CHANNELS as u32) as u8;
-                if self.map.contains(unmapped) {
-                    unmapped
-                } else {
-                    let remap = (unmapped as u32) % self.map.used();
-                    self.map.nth_used(remap)
-                }
-            }
-            Csa::Two => csa2_channel(self.access_address, event_counter, self.map),
-        };
-        Channel::ble_data(ch)
+    /// Select the data channel for `event_counter`: a pure function
+    /// of the counter, so skipped events never desynchronise the two
+    /// ends.
+    pub fn channel_for_event(&self, event_counter: u16) -> Channel {
+        Channel::ble_data(csa2_channel(self.access_address, event_counter, self.map))
     }
 }
 
@@ -265,28 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn csa1_cycles_through_map() {
-        let map = ChannelMap::all_except_jammed();
-        let mut sel = ChannelSelector::new(map, Csa::One { hop: 7 }, 0);
-        let mut seen = [false; 37];
-        for ev in 0..37u16 {
-            let ch = sel.channel_for_event(ev);
-            assert!(map.contains(ch.index()));
-            seen[ch.index() as usize] = true;
-        }
-        // hop=7 is coprime with 37 → visits all unmapped slots once;
-        // some land on 22 and get remapped, so ≥ 35 distinct channels.
-        let distinct = seen.iter().filter(|&&s| s).count();
-        assert!(distinct >= 35, "only {distinct} distinct channels");
-    }
-
-    #[test]
-    #[should_panic]
-    fn csa1_hop_out_of_range() {
-        let _ = ChannelSelector::new(ChannelMap::ALL, Csa::One { hop: 4 }, 0);
-    }
-
-    #[test]
     fn perm_reverses_byte_bits() {
         assert_eq!(perm(0x0180), 0x8001);
         assert_eq!(perm(perm(0xABCD)), 0xABCD);
@@ -295,7 +240,7 @@ mod tests {
     #[test]
     fn selector_csa2_matches_free_function() {
         let map = ChannelMap::all_except_jammed();
-        let mut sel = ChannelSelector::new(map, Csa::Two, 0x5713_9AD6);
+        let sel = ChannelSelector::new(map, 0x5713_9AD6);
         for ev in 0..50u16 {
             assert_eq!(
                 sel.channel_for_event(ev).index(),

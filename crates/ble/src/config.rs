@@ -2,7 +2,7 @@
 
 use mindgap_sim::Duration;
 
-use crate::channels::{ChannelMap, Csa};
+use crate::channels::ChannelMap;
 
 /// BLE PHY mode for data channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,14 +27,13 @@ pub struct ConnParams {
     /// valid packet is received for this long (§2.2).
     pub supervision_timeout: Duration,
     /// Channel map (the paper excludes jammed channel 22, §4.2).
+    /// Channels are always selected with CSA#2.
     pub channel_map: ChannelMap,
-    /// Channel selection algorithm.
-    pub csa: Csa,
 }
 
 impl ConnParams {
-    /// Spec-clean defaults for a given connection interval: CSA#2,
-    /// channel 22 excluded, and NimBLE's supervision timeout (2.56 s)
+    /// Spec-clean defaults for a given connection interval: channel 22
+    /// excluded, and NimBLE's supervision timeout (2.56 s)
     /// stretched when the interval is long so the spec's
     /// `timeout > 2 · interval` bound holds with margin.
     pub fn with_interval(interval: Duration) -> Self {
@@ -43,7 +42,6 @@ impl ConnParams {
             interval,
             supervision_timeout: floor.max(interval * 4),
             channel_map: ChannelMap::all_except_jammed(),
-            csa: Csa::Two,
         }
     }
 
@@ -60,7 +58,6 @@ impl ConnParams {
             interval,
             supervision_timeout: timeout,
             channel_map: ChannelMap::all_except_jammed(),
-            csa: Csa::Two,
         }
     }
 

@@ -197,7 +197,7 @@ impl Connection {
             role,
             access_address,
             params,
-            selector: ChannelSelector::new(params.channel_map, params.csa, access_address),
+            selector: ChannelSelector::new(params.channel_map, access_address),
             event_counter: 0,
             next_anchor: now,
             sync_uncertainty: Duration::ZERO,

@@ -9,8 +9,7 @@
 //!   retransmission on the next event, and the supervision timeout.
 //!   Subordinate latency is always 0, as in the paper's experiments.
 //! * **Channel hopping** ([`channels`]) — channel maps over the 37
-//!   data channels and both channel selection algorithms (CSA#1 and
-//!   CSA#2).
+//!   data channels and CSA#2 channel selection.
 //! * **Advertising and scanning** (`ll`) — ADV_IND on the three
 //!   advertising channels with the spec's 0–10 ms advDelay, scan
 //!   windows, and CONNECT_IND-based connection setup with the

@@ -617,7 +617,7 @@ impl LinkLayer {
     }
 
     /// Stop advertising.
-    pub fn stop_advertising(&mut self) {
+    fn stop_advertising(&mut self) {
         if let Some(adv) = self.adv.take() {
             if let Some(r) = adv.reservation {
                 self.sched.remove(r);

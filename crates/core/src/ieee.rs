@@ -16,7 +16,7 @@
 //! out, and MAC queue overflow — which is exactly the contrast with
 //! BLE the paper draws (fast-but-lossy vs slow-but-reliable).
 
-use mindgap_dot15d4::{MacConfig, Radio802154, MAX_MAC_PAYLOAD};
+use mindgap_dot15d4::{Radio802154, CHANNEL, MAX_MAC_PAYLOAD};
 use mindgap_phy::{Channel, LossConfig};
 use mindgap_sim::{Duration, Instant, NodeId, Rng};
 use mindgap_sixlowpan::frag;
@@ -29,8 +29,6 @@ const REASSEMBLY_TIMEOUT: Duration = Duration::from_secs(60);
 pub struct IeeeConfig {
     /// Master seed.
     pub seed: u64,
-    /// MAC parameters (spec defaults).
-    pub mac: MacConfig,
     /// Channel-error process. The paper's Strasbourg site is noisier
     /// than the BLE room; see `LossConfig::ieee802154_default`.
     pub loss: LossConfig,
@@ -41,7 +39,6 @@ impl IeeeConfig {
     pub fn paper_default(seed: u64) -> Self {
         IeeeConfig {
             seed,
-            mac: MacConfig::default(),
             loss: LossConfig::ieee802154_default(),
         }
     }
@@ -56,9 +53,9 @@ pub(crate) struct IeeeLink {
 }
 
 impl IeeeLink {
-    pub(crate) fn new(id: NodeId, cfg: &IeeeConfig, rng: Rng) -> Self {
+    pub(crate) fn new(id: NodeId, rng: Rng) -> Self {
         IeeeLink {
-            mac: Radio802154::new(id, cfg.mac, rng),
+            mac: Radio802154::new(id, rng),
             reassembler: frag::Reassembler::new(REASSEMBLY_TIMEOUT.nanos()),
             next_frag_tag: 0,
         }
@@ -66,7 +63,7 @@ impl IeeeLink {
 
     /// The single channel the MAC runs on.
     pub(crate) fn channel(&self) -> Channel {
-        Channel::ieee802154(self.mac.channel())
+        Channel::ieee802154(CHANNEL)
     }
 
     /// Split a 6LoWPAN frame into MAC payloads: itself when it fits

@@ -33,15 +33,18 @@ pub const RPL_PORT: u16 = 521;
 /// Rank of an unattached node.
 pub const RANK_INFINITE: u16 = u16::MAX;
 
+/// Beacon/announcement period (the world adds up to 0.5 s of
+/// per-tick jitter).
+pub const TICK: Duration = Duration::from_secs(5);
+
+/// Detach after this many missed parent beacons.
+const STALENESS_TICKS: u32 = 3;
+
 /// Agent configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RplConfig {
     /// The root originates the DODAG (the consumer node).
     pub is_root: bool,
-    /// Beacon/announcement period.
-    pub tick: Duration,
-    /// Detach after this many missed parent beacons.
-    pub staleness_ticks: u32,
     /// Refresh the DAO towards the parent every this many ticks.
     /// Reparenting always announces immediately, and installed host
     /// routes never expire, so the periodic DAO is pure redundancy —
@@ -51,13 +54,10 @@ pub struct RplConfig {
 }
 
 impl RplConfig {
-    /// Defaults: 5 s ticks, detach after 3 missed beacons, DAO refresh
-    /// every tick.
+    /// Defaults: DAO refresh every tick.
     pub fn new(is_root: bool) -> Self {
         RplConfig {
             is_root,
-            tick: Duration::from_secs(5),
-            staleness_ticks: 3,
             dao_period_ticks: 1,
         }
     }
@@ -191,7 +191,7 @@ impl RplAgent {
         // Staleness: detach when the parent went quiet.
         if self.parent.is_some() {
             self.stale += 1;
-            if self.stale > self.cfg.staleness_ticks {
+            if self.stale > STALENESS_TICKS {
                 self.detach(routing);
             }
         }
@@ -433,8 +433,7 @@ mod tests {
     #[test]
     fn parent_staleness_detaches() {
         let mut rt = RoutingTable::new();
-        let cfg = RplConfig::new(false);
-        let mut n = RplAgent::new(addr(5), cfg);
+        let mut n = RplAgent::new(addr(5), RplConfig::new(false));
         let _ = n.on_msg(addr(1), RplMsg::Dio { rank: 0, seq: 1 }, &mut rt);
         assert!(n.attached());
         // Beacons keep it fresh…
@@ -443,8 +442,8 @@ mod tests {
             let _ = n.on_msg(addr(1), RplMsg::Dio { rank: 0, seq }, &mut rt);
             assert!(n.attached());
         }
-        // …silence detaches after staleness_ticks.
-        for _ in 0..=cfg.staleness_ticks {
+        // …silence detaches after STALENESS_TICKS.
+        for _ in 0..=STALENESS_TICKS {
             let _ = n.on_tick(Instant::ZERO, &mut rt);
         }
         assert!(!n.attached());

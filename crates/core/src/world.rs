@@ -40,7 +40,7 @@ use mindgap_ble::{
     Role, Timer,
 };
 use mindgap_coap::{Client, Code, MessageView, MsgType, Server};
-use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154};
+use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154, CHANNEL};
 use mindgap_l2cap::frame::{self as l2frame, Signal, CID_LE_SIGNALING};
 use mindgap_l2cap::{BufPool, CocChannel, CocConfig, NIMBLE_BUF_BYTES};
 use mindgap_net::{
@@ -49,7 +49,7 @@ use mindgap_net::{
 };
 use mindgap_obs::{AdvMetrics, MetricsSnapshot, Obs, PeerMetrics, Span};
 use mindgap_phy::{
-    Channel, LossConfig, Medium, MediumConfig, Mobility, PathLossConfig, RxOutcome, TxId, TxParams,
+    path_loss, Channel, LossConfig, Medium, MediumConfig, Mobility, RxOutcome, TxId, TxParams,
     BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
 };
 use mindgap_sim::{Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace};
@@ -58,7 +58,7 @@ use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 use crate::ieee::{IeeeConfig, IeeeLink};
 use crate::peers::{PeerCounters, PeerManager};
 use crate::records::Records;
-use crate::rpl::{RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
+use crate::rpl::{self, RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
 use crate::statconn::{draw_unused_interval, ConnAction, EdgeConfig, IntervalPolicy, Statconn};
 use crate::{BENCH_PATH, COAP_PAYLOAD};
 
@@ -67,6 +67,12 @@ use chaos::ChaosState;
 
 /// The CoAP port used throughout.
 const COAP_PORT: u16 = 5683;
+
+/// Response payload bytes (CoAP "acknowledgment" content).
+const RESPONSE_PAYLOAD: usize = 10;
+
+/// Client-side timeout after which a request counts as lost.
+const COAP_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Node index behind a conventional simulation address (the inverse
 /// of [`Ipv6Addr::of_node`]; the index lives in the IID's last two
@@ -89,10 +95,6 @@ pub struct AppConfig {
     pub producer_jitter: Duration,
     /// Request payload bytes (default 39, §4.3).
     pub payload: usize,
-    /// Response payload bytes (CoAP "acknowledgment" content).
-    pub response_payload: usize,
-    /// Client-side timeout after which a request counts as lost.
-    pub coap_timeout: Duration,
     /// Producers stay silent until the network has formed.
     pub warmup: Duration,
 }
@@ -106,8 +108,6 @@ impl AppConfig {
             producer_interval: Duration::from_secs(1),
             producer_jitter: Duration::from_millis(500),
             payload: COAP_PAYLOAD,
-            response_payload: 10,
-            coap_timeout: Duration::from_secs(30),
             warmup: Duration::from_secs(30),
         }
     }
@@ -139,11 +139,11 @@ pub enum TransportMode {
 /// every node instead advertises, discovery-scans, and runs the peer
 /// policy (`crate::peers`) that forms connections from beacon
 /// sightings ranked by modelled RSSI. Node geometry lives here too:
-/// per-link PER and sighting RSSI both derive from the default
-/// log-distance [`PathLossConfig`] (the testbed mesh generator's
-/// model), pairs beyond its [`PathLossConfig::link_range_m`] hear
-/// nothing, the policy runs every 500 ms, and walking nodes move on a
-/// fixed 1 s tick. The consumer never moves.
+/// per-link PER and sighting RSSI both derive from the log-distance
+/// [`path_loss`] model (the testbed mesh generator's), pairs beyond
+/// [`path_loss::link_range_m`] hear nothing, the policy runs every
+/// 500 ms, and walking nodes move on a fixed 1 s tick. The consumer
+/// never moves.
 #[derive(Debug, Clone)]
 pub struct PeersWorldConfig {
     /// Seed of the deterministic shadowing term. Use the topology
@@ -633,9 +633,9 @@ fn make_node(
         stack.routing_mut().add_host(*dst, *via);
     }
     let (link, rng) = match (ieee, cfg.transport) {
-        (Some(ic), _) => {
+        (Some(_), _) => {
             let mac = fork(1);
-            (Link::Ieee(IeeeLink::new(id, ic, mac)), fork(3))
+            (Link::Ieee(IeeeLink::new(id, mac)), fork(3))
         }
         (None, TransportMode::Adv(ac)) => {
             let _ = (fork(1), fork(2));
@@ -782,7 +782,7 @@ impl World {
             rx_packet: Vec::new(),
             tx_packet: Vec::new(),
             req_payload: vec![0xA5; app.payload],
-            resp_payload: vec![0x5A; app.response_payload],
+            resp_payload: vec![0x5A; RESPONSE_PAYLOAD],
             next_conn: vec![0; n],
             conn_ends: vec![Vec::new(); n],
             max_pdu: cfg.ll.max_pdu,
@@ -829,8 +829,7 @@ impl World {
         let Some(ps) = peers_world.as_mut() else {
             return;
         };
-        let geo = PathLossConfig::default();
-        let max_link_m = geo.link_range_m();
+        let max_link_m = path_loss::link_range_m();
         let n = ps.field.len();
         for a in 0..n {
             for b in (a + 1)..n {
@@ -844,7 +843,7 @@ impl World {
                     if !was {
                         medium.set_in_range(na, nb, true);
                     }
-                    let per = geo.link_per(ps.geo_seed, a as u16, b as u16, d);
+                    let per = path_loss::link_per(ps.geo_seed, a as u16, b as u16, d);
                     medium.set_link_loss(na, nb, per, true);
                 } else if was {
                     medium.set_out_of_range(na, nb, true);
@@ -1234,7 +1233,7 @@ impl World {
 
     /// Install a static extra packet-error rate on the link `a`↔`b`
     /// (symmetric, both directions). Testbed specs use this to model
-    /// distance-derived loss (see `mindgap_phy::PathLossConfig`).
+    /// distance-derived loss (see `mindgap_phy::path_loss`).
     pub fn set_link_per(&mut self, a: NodeId, b: NodeId, per: f64) {
         self.medium.set_link_loss(a, b, per, true);
     }
@@ -1291,7 +1290,7 @@ impl World {
                 }
             }
             Ev::CoapSweep => {
-                let timeout = self.app.coap_timeout.nanos();
+                let timeout = COAP_TIMEOUT.nanos();
                 for i in 0..self.nodes.len() {
                     let n = &mut self.nodes[i];
                     let expired = n.client.expire(now.nanos(), timeout).len() as u64;
@@ -1389,11 +1388,11 @@ impl World {
             agent.on_tick(now, stack.routing_mut())
         };
         self.rpl_transmit(node, sends);
-        // Fixed 5 s trickle base with up to 0.5 s of per-tick jitter.
+        // Fixed trickle base with up to 0.5 s of per-tick jitter.
         let jitter = self.nodes[node.index()].rng.below(500_000_000);
         let epoch = self.boot_epoch[node.index()];
         self.queue.schedule_in_keyed(
-            Duration::from_secs(5) + Duration::from_nanos(jitter),
+            rpl::TICK + Duration::from_nanos(jitter),
             node_key(node),
             Ev::RplTick(node, epoch),
         );
@@ -1704,7 +1703,7 @@ impl World {
             .field
             .distance(advertiser.index(), node.index())
             .max(0.01);
-        let rssi = PathLossConfig::default().rssi_dbm(ps.geo_seed, advertiser.0, node.0, d);
+        let rssi = path_loss::rssi_dbm(ps.geo_seed, advertiser.0, node.0, d);
         let Some(pm) = self.peer_manager(node) else {
             return;
         };
@@ -2530,7 +2529,7 @@ impl World {
     fn mac_timer(&mut self, now: Instant, node: NodeId, timer: MacTimer) {
         self.with_mac(node, |mac, medium| {
             // CCA consults the live medium.
-            let channel = Channel::ieee802154(mac.channel());
+            let channel = Channel::ieee802154(CHANNEL);
             mac.on_timer(now, timer, || medium.carrier_sense(node, channel, now))
         });
     }

@@ -26,7 +26,7 @@
 
 mod mac;
 
-pub use mac::{MacConfig, MacCounters, MacFrame, MacOutput, MacTimer, Radio802154};
+pub use mac::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154, CHANNEL};
 
 /// MAC header + FCS overhead in bytes for our data frames: frame
 /// control (2) + sequence (1) + PAN id (2) + dst short (2) + src short

@@ -7,37 +7,19 @@ use mindgap_sim::{Duration, Instant, NodeId, Rng};
 
 use crate::{MAC_OVERHEAD, MAX_MAC_PAYLOAD};
 
-/// MAC-level configuration (spec defaults).
-#[derive(Debug, Clone, Copy)]
-pub struct MacConfig {
-    /// Minimum backoff exponent (`macMinBE`).
-    pub min_be: u8,
-    /// Maximum backoff exponent (`macMaxBE`).
-    pub max_be: u8,
-    /// Maximum CSMA backoff attempts before a channel-access failure
-    /// (`macMaxCSMABackoffs`).
-    pub max_csma_backoffs: u8,
-    /// Maximum retransmissions after a missing ACK
-    /// (`macMaxFrameRetries`).
-    pub max_frame_retries: u8,
-    /// Transmit queue capacity in frames (drop-tail beyond).
-    pub queue_cap: usize,
-    /// 802.15.4 channel (11–26; the paper's stacks default to 26).
-    pub channel: u8,
-}
-
-impl Default for MacConfig {
-    fn default() -> Self {
-        MacConfig {
-            min_be: 3,
-            max_be: 5,
-            max_csma_backoffs: 4,
-            max_frame_retries: 3,
-            queue_cap: 8,
-            channel: 26,
-        }
-    }
-}
+/// Minimum backoff exponent (`macMinBE`).
+const MIN_BE: u8 = 3;
+/// Maximum backoff exponent (`macMaxBE`).
+const MAX_BE: u8 = 5;
+/// Maximum CSMA backoff attempts before a channel-access failure
+/// (`macMaxCSMABackoffs`).
+const MAX_CSMA_BACKOFFS: u8 = 4;
+/// Maximum retransmissions after a missing ACK (`macMaxFrameRetries`).
+const MAX_FRAME_RETRIES: u8 = 3;
+/// Transmit queue capacity in frames (drop-tail beyond).
+const QUEUE_CAP: usize = 8;
+/// 802.15.4 channel (11–26; the paper's stacks default to 26).
+pub const CHANNEL: u8 = 26;
 
 /// A MAC frame on the air.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,7 +168,6 @@ enum MacState {
 
 /// One node's 802.15.4 MAC.
 pub struct Radio802154 {
-    cfg: MacConfig,
     node: NodeId,
     rng: Rng,
     state: MacState,
@@ -205,10 +186,8 @@ const DEDUP_WINDOW: usize = 32;
 
 impl Radio802154 {
     /// Create the MAC for `node`.
-    pub fn new(node: NodeId, cfg: MacConfig, rng: Rng) -> Self {
-        assert!(cfg.min_be <= cfg.max_be, "macMinBE > macMaxBE");
+    pub fn new(node: NodeId, rng: Rng) -> Self {
         Radio802154 {
-            cfg,
             node,
             rng,
             state: MacState::Idle,
@@ -225,11 +204,6 @@ impl Radio802154 {
     /// This node.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The configured channel (11–26).
-    pub fn channel(&self) -> u8 {
-        self.cfg.channel
     }
 
     /// Counters.
@@ -249,7 +223,7 @@ impl Radio802154 {
             "payload exceeds 127 B PSDU"
         );
         self.counters.enqueued += 1;
-        if self.queue.len() >= self.cfg.queue_cap {
+        if self.queue.len() >= QUEUE_CAP {
             self.counters.drop_queue_full += 1;
             return vec![MacOutput::TxFailed {
                 reason: "queue_full",
@@ -278,7 +252,7 @@ impl Radio802154 {
         if self.current.is_none() {
             return;
         }
-        self.begin_backoff(now, 0, self.cfg.min_be, out);
+        self.begin_backoff(now, 0, MIN_BE, out);
     }
 
     fn begin_backoff(&mut self, now: Instant, nb: u8, be: u8, out: &mut Vec<MacOutput>) {
@@ -311,7 +285,7 @@ impl Radio802154 {
                 };
                 if cca_busy() {
                     self.counters.cca_busy += 1;
-                    if nb + 1 > self.cfg.max_csma_backoffs {
+                    if nb + 1 > MAX_CSMA_BACKOFFS {
                         // Channel access failure: drop the frame.
                         self.counters.drop_channel_access += 1;
                         self.current = None;
@@ -321,7 +295,7 @@ impl Radio802154 {
                         self.state = MacState::Idle;
                         self.start_csma(now, &mut out);
                     } else {
-                        self.begin_backoff(now, nb + 1, (be + 1).min(self.cfg.max_be), &mut out);
+                        self.begin_backoff(now, nb + 1, (be + 1).min(MAX_BE), &mut out);
                     }
                 } else {
                     // Channel clear: transmit.
@@ -343,7 +317,7 @@ impl Radio802154 {
                     return out;
                 }
                 let cur = self.current.as_mut().expect("awaiting ack");
-                if cur.retries >= self.cfg.max_frame_retries {
+                if cur.retries >= MAX_FRAME_RETRIES {
                     self.counters.drop_no_ack += 1;
                     self.current = None;
                     out.push(MacOutput::TxFailed { reason: "no_ack" });
@@ -353,7 +327,7 @@ impl Radio802154 {
                     cur.retries += 1;
                     self.counters.retries += 1;
                     self.state = MacState::Idle;
-                    self.begin_backoff(now, 0, self.cfg.min_be, &mut out);
+                    self.begin_backoff(now, 0, MIN_BE, &mut out);
                 }
             }
             MacTimer::AckTx { gen } => {
@@ -488,11 +462,7 @@ mod tests {
     use super::*;
 
     fn mac(node: u16) -> Radio802154 {
-        Radio802154::new(
-            NodeId(node),
-            MacConfig::default(),
-            Rng::seed_from_u64(node as u64),
-        )
+        Radio802154::new(NodeId(node), Rng::seed_from_u64(node as u64))
     }
 
     fn fire_backoffs(
@@ -535,10 +505,7 @@ mod tests {
             "{res:?}"
         );
         let c = m.counters();
-        assert_eq!(
-            c.cca_busy,
-            1 + MacConfig::default().max_csma_backoffs as u64
-        );
+        assert_eq!(c.cca_busy, 1 + MAX_CSMA_BACKOFFS as u64);
         assert_eq!(c.drop_channel_access, 1);
     }
 
@@ -605,10 +572,7 @@ mod tests {
             }
         }
         assert!(dropped);
-        assert_eq!(
-            tx_count,
-            1 + MacConfig::default().max_frame_retries as usize
-        );
+        assert_eq!(tx_count, 1 + MAX_FRAME_RETRIES as usize);
         assert_eq!(a.counters().retries, 3);
         assert_eq!(a.counters().drop_no_ack, 1);
     }
@@ -690,7 +654,7 @@ mod tests {
     #[test]
     fn queue_overflow_drops() {
         let mut a = mac(1);
-        let cap = MacConfig::default().queue_cap;
+        let cap = QUEUE_CAP;
         // The first enqueue is promoted to "current" service; fill the
         // queue behind it (its backoff timer never fires in this test).
         for i in 0..=cap {
@@ -742,7 +706,7 @@ mod tests {
     fn backoff_delay_is_bounded() {
         // First backoff with BE=3 must be within [0, 7] unit periods.
         for seed in 0..50 {
-            let mut m = Radio802154::new(NodeId(1), MacConfig::default(), Rng::seed_from_u64(seed));
+            let mut m = Radio802154::new(NodeId(1), Rng::seed_from_u64(seed));
             let outs = m.enqueue(Instant::ZERO, None, vec![0]);
             let MacOutput::Arm { at, .. } = outs[0] else {
                 panic!()

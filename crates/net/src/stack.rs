@@ -41,11 +41,6 @@ pub struct NetConfig {
     pub addr: Ipv6Addr,
     /// This node's link-layer address.
     pub ll: LlAddr,
-    /// Whether the node forwards packets (all the paper's nodes are
-    /// 6LoWPAN routers, §4.2).
-    pub is_router: bool,
-    /// Hop limit for originated packets.
-    pub hop_limit: u8,
 }
 
 impl NetConfig {
@@ -54,8 +49,6 @@ impl NetConfig {
         NetConfig {
             addr: Ipv6Addr::of_node(index),
             ll: LlAddr::from_node_index(index),
-            is_router: true,
-            hop_limit: 64,
         }
     }
 }
@@ -108,8 +101,8 @@ pub enum StackEvent {
         next_hop_ll: LlAddr,
     },
     /// The packet was dropped; `reason` is a static tag for metrics
-    /// ("no_route", "hop_limit", "bad_checksum", "not_router",
-    /// "no_port", "malformed").
+    /// ("no_route", "hop_limit", "bad_checksum", "no_port",
+    /// "malformed").
     Dropped {
         /// Machine-readable drop reason.
         reason: &'static str,
@@ -141,8 +134,6 @@ pub enum Verdict {
 pub enum Refusal {
     /// Multicast for a group this node is not in (never forwarded).
     Multicast,
-    /// Not for this node, and this node does not route.
-    NotRouter,
     /// The hop limit ran out (answered with Time Exceeded).
     HopLimit,
     /// No route to the destination (answered with Destination
@@ -155,7 +146,6 @@ impl Refusal {
     pub fn reason(self) -> &'static str {
         match self {
             Refusal::Multicast => "multicast_not_forwarded",
-            Refusal::NotRouter => "not_router",
             Refusal::HopLimit => "hop_limit",
             Refusal::NoRoute => "no_route",
         }
@@ -306,8 +296,7 @@ impl Ipv6Stack {
         let ll = self.resolve_counted(&dst)?;
         let (ip, datagram) = packet.split_at_mut(IPV6_HEADER_LEN);
         udp::encode_in_place(&self.cfg.addr, &dst, src_port, dst_port, datagram);
-        let mut hdr = Ipv6Header::new(NextHeader::Udp, self.cfg.addr, dst, datagram.len() as u16);
-        hdr.hop_limit = self.cfg.hop_limit;
+        let hdr = Ipv6Header::new(NextHeader::Udp, self.cfg.addr, dst, datagram.len() as u16);
         ip.copy_from_slice(&hdr.encode());
         self.stats.originated += 1;
         Ok(ll)
@@ -328,8 +317,7 @@ impl Ipv6Stack {
             payload: payload.to_vec(),
         }
         .encode(&self.cfg.addr, &dst);
-        let mut packet = Ipv6Header::build_packet(NextHeader::Icmpv6, self.cfg.addr, dst, &msg);
-        packet[7] = self.cfg.hop_limit;
+        let packet = Ipv6Header::build_packet(NextHeader::Icmpv6, self.cfg.addr, dst, &msg);
         self.stats.originated += 1;
         Ok((packet, ll))
     }
@@ -390,14 +378,12 @@ impl Ipv6Stack {
         self.stats.received += 1;
         let for_me = hdr.dst == self.cfg.addr
             || hdr.dst == Ipv6Addr::ALL_NODES
-            || (self.cfg.is_router && hdr.dst == Ipv6Addr::ALL_ROUTERS);
+            || hdr.dst == Ipv6Addr::ALL_ROUTERS;
         let verdict = if for_me {
             Verdict::Local
         } else if hdr.dst.is_multicast() {
             // We do not forward multicast (no MPL in the paper either).
             Verdict::Refuse(Refusal::Multicast)
-        } else if !self.cfg.is_router {
-            Verdict::Refuse(Refusal::NotRouter)
         } else if hdr.hop_limit <= 1 {
             Verdict::Refuse(Refusal::HopLimit)
         } else {
@@ -430,7 +416,7 @@ impl Ipv6Stack {
         let msg = match refusal {
             Refusal::HopLimit => Icmpv6::TimeExceeded { invoking },
             Refusal::NoRoute => Icmpv6::DestUnreachable { code: 0, invoking },
-            Refusal::Multicast | Refusal::NotRouter => return None,
+            Refusal::Multicast => return None,
         };
         let mut src = [0u8; 16];
         src.copy_from_slice(&packet[8..24]);
@@ -522,9 +508,8 @@ impl Ipv6Stack {
         match self.resolve(&dst) {
             Ok(ll) => {
                 let bytes = msg.encode(&self.cfg.addr, &dst);
-                let mut packet =
+                let packet =
                     Ipv6Header::build_packet(NextHeader::Icmpv6, self.cfg.addr, dst, &bytes);
-                packet[7] = self.cfg.hop_limit;
                 self.stats.originated += 1;
                 Some(StackEvent::Transmit {
                     packet,
@@ -619,24 +604,6 @@ mod tests {
             other => panic!("expected Transmit, got {other:?}"),
         }
         assert_eq!(b.stats().forwarded, 1);
-    }
-
-    #[test]
-    fn non_router_does_not_forward() {
-        let mut a = stack(1);
-        let mut cfg = NetConfig::for_node(2);
-        cfg.is_router = false;
-        let mut b = Ipv6Stack::new(cfg);
-        let c_addr = Ipv6Addr::of_node(3);
-        a.routing_mut().add_host(c_addr, Ipv6Addr::of_node(2));
-        let (pkt, _) = send_udp(&mut a, c_addr, 1, 2, b"fw").unwrap();
-        let evs = b.on_datagram(&pkt);
-        assert_eq!(
-            evs,
-            vec![StackEvent::Dropped {
-                reason: "not_router"
-            }]
-        );
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub mod shading;
 pub mod timeline;
 
 pub use metrics::{
-    bucket_floor, bucket_of, CounterId, GaugeId, HistId, Layer, MetricDef, MetricKind,
-    MetricsRegistry, MetricsSnapshot, SnapEntry, SnapValue, HIST_BUCKETS,
+    bucket_of, CounterId, GaugeId, HistId, Layer, MetricDef, MetricKind, MetricsRegistry,
+    MetricsSnapshot, SnapEntry, SnapValue, HIST_BUCKETS,
 };
 pub use timeline::{Span, Timeline, TimelineEvent};
 

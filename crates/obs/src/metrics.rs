@@ -49,7 +49,8 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Lower-case label used in exports and the glossary.
+    /// Lower-case label; metric names start with it (6LoWPAN metrics
+    /// with `sixlowpan`).
     pub fn label(self) -> &'static str {
         match self {
             Layer::Phy => "phy",
@@ -74,18 +75,6 @@ pub enum MetricKind {
     Gauge,
     /// Log2-bucketed distribution with running sum.
     Histogram,
-}
-
-impl MetricKind {
-    /// Label used in exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::SampledCounter => "sampled",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
 }
 
 /// Static description of one registered metric.
@@ -359,15 +348,6 @@ pub fn bucket_of(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
-/// Inclusive lower bound of bucket `i`.
-pub fn bucket_floor(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
 /// Snapshot value of one metric.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapValue {
@@ -464,52 +444,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// CSV rendering: `metric,layer,kind,unit,scope,value` with one
-    /// `node<i>` row per node plus a `total` row; histograms add one
-    /// `bucket_ge_<floor>` row per non-empty bucket.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("metric,layer,kind,unit,scope,value\n");
-        for e in &self.entries {
-            let head = format!(
-                "{},{},{},{}",
-                e.def.name,
-                e.def.layer.label(),
-                e.def.kind.label(),
-                e.def.unit
-            );
-            match &e.value {
-                SnapValue::Counter { per_node } => {
-                    for (n, v) in per_node.iter().enumerate() {
-                        s.push_str(&format!("{head},node{n},{v}\n"));
-                    }
-                    s.push_str(&format!("{head},total,{}\n", e.total()));
-                }
-                SnapValue::Gauge { per_node } => {
-                    for (n, v) in per_node.iter().enumerate() {
-                        s.push_str(&format!("{head},node{n},{v}\n"));
-                    }
-                    s.push_str(&format!("{head},total,{}\n", e.total()));
-                }
-                SnapValue::Histogram {
-                    buckets,
-                    per_node_count,
-                    sum,
-                } => {
-                    for (n, v) in per_node_count.iter().enumerate() {
-                        s.push_str(&format!("{head},node{n},{v}\n"));
-                    }
-                    for (b, v) in buckets.iter().enumerate() {
-                        if *v > 0 {
-                            s.push_str(&format!("{head},bucket_ge_{},{v}\n", bucket_floor(b)));
-                        }
-                    }
-                    s.push_str(&format!("{head},sum,{sum}\n"));
-                }
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -546,8 +480,6 @@ mod tests {
         assert_eq!(bucket_of(3), 2);
         assert_eq!(bucket_of(4), 3);
         assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        assert_eq!(bucket_floor(0), 0);
-        assert_eq!(bucket_floor(3), 4);
 
         let mut reg = MetricsRegistry::new(2);
         let h = reg.histogram(Layer::Coap, "coap_rtt_us", "us", "rtt");
@@ -573,19 +505,5 @@ mod tests {
         let flat = snap.flat("obs.");
         assert!(flat.contains(&("obs.coap_rtt_us.count".to_string(), 2.0)));
         assert!(flat.contains(&("obs.coap_rtt_us.mean".to_string(), 200.0)));
-    }
-
-    #[test]
-    fn csv_is_deterministic_and_complete() {
-        let mut reg = MetricsRegistry::new(2);
-        let c = reg.counter(Layer::Phy, "phy_tx", "frames", "tx");
-        let g = reg.gauge(Layer::L2cap, "l2cap_pool", "bytes", "pool");
-        reg.inc(c, NodeId(1));
-        reg.gauge_set(g, NodeId(0), -3);
-        let a = reg.snapshot().to_csv();
-        let b = reg.snapshot().to_csv();
-        assert_eq!(a, b);
-        assert!(a.starts_with("metric,layer,kind,unit,scope,value\n"));
-        assert!(a.contains("phy_tx,phy,counter,frames,total,"));
     }
 }

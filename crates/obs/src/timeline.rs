@@ -286,65 +286,6 @@ impl Timeline {
         }
         s
     }
-
-    /// CSV export: `t_ns,node,kind,conn,a,b` where `a`/`b` are the
-    /// span's two numeric payloads (empty when absent).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("t_ns,node,kind,conn,a,b\n");
-        for ev in self.iter() {
-            let (conn, a, b) = match ev.span {
-                Span::ConnEvent {
-                    conn,
-                    anchor_ns,
-                    interval_ns,
-                    ..
-                } => (Some(conn), Some(anchor_ns), Some(interval_ns)),
-                Span::ConnUp {
-                    conn,
-                    peer,
-                    interval_ns,
-                    ..
-                } => (Some(conn), Some(peer.0 as u64), Some(interval_ns)),
-                Span::ConnDown { conn, peer, .. } => (Some(conn), Some(peer.0 as u64), None),
-                Span::EventSkipped { conn } => (Some(conn), None, None),
-                Span::ChannelMapUpdate { conn, used } => (Some(conn), Some(used as u64), None),
-                Span::ConnParamUpdate { conn, interval_ns } => {
-                    (Some(conn), Some(interval_ns), None)
-                }
-                Span::CreditStall { conn, queued_bytes } => (Some(conn), Some(queued_bytes), None),
-                Span::RplParentSwitch { old, new } => (None, Some(old as u64), Some(new as u64)),
-                Span::MbufExhausted { conn } => (Some(conn), None, None),
-                Span::Fault { a, b, .. } => (
-                    None,
-                    (a != u64::MAX).then_some(a),
-                    (b != u64::MAX).then_some(b),
-                ),
-                Span::AdvTrain { seq, queued, .. } => (None, Some(seq as u64), Some(queued as u64)),
-                Span::ScanWindow { channel } => (None, Some(channel as u64), None),
-                Span::AdvDuplicate { advertiser, seq } => {
-                    (None, Some(advertiser as u64), Some(seq as u64))
-                }
-                Span::NeighborUp { peer } => (None, Some(peer.0 as u64), None),
-                Span::NeighborDown { peer } => (None, Some(peer.0 as u64), None),
-                Span::Discovery { peer } => (None, Some(peer.0 as u64), None),
-                Span::PeerAttempt { conn, peer } => (Some(conn), Some(peer.0 as u64), None),
-                Span::PeerAttemptFail { peer, timeout } => {
-                    (None, Some(peer.0 as u64), Some(timeout as u64))
-                }
-                Span::PeerRotation { peer } => (None, Some(peer.0 as u64), None),
-            };
-            s.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                ev.t.nanos(),
-                ev.node.0,
-                ev.span.kind(),
-                conn.map(|v| v.to_string()).unwrap_or_default(),
-                a.map(|v| v.to_string()).unwrap_or_default(),
-                b.map(|v| v.to_string()).unwrap_or_default(),
-            ));
-        }
-        s
-    }
 }
 
 fn push_jsonl(s: &mut String, ev: &TimelineEvent) {
@@ -479,11 +420,6 @@ mod tests {
             tl.to_jsonl(),
             "{\"t_ns\":9000000,\"node\":3,\"kind\":\"fault_node_crash\",\"a\":3,\"b\":10000000000}\n"
         );
-        let csv = tl.to_csv();
-        assert!(
-            csv.ends_with("9000000,3,fault_node_crash,,3,10000000000\n"),
-            "{csv}"
-        );
     }
 
     #[test]
@@ -521,7 +457,5 @@ mod tests {
             lines[1],
             "{\"t_ns\":6000000,\"node\":2,\"kind\":\"conn_down\",\"conn\":7,\"peer\":1,\"reason\":\"supervision_timeout\"}"
         );
-        // CSV has the header plus one row per event.
-        assert_eq!(tl.to_csv().lines().count(), 3);
     }
 }

@@ -32,12 +32,6 @@ pub fn ble_data_1m(payload_len: u32) -> Duration {
     Duration::from_micros(((BLE_1M_OVERHEAD_BYTES + payload_len) * 8) as u64)
 }
 
-/// Airtime of an empty BLE data PDU — the keep-alive exchanged when a
-/// connection event has no data (§2.2, Fig. 3).
-pub fn ble_empty_pdu_1m() -> Duration {
-    ble_data_1m(0)
-}
-
 /// BLE LE 2M PHY overhead on air: preamble (2 B) + access address
 /// (4 B) + PDU header (2 B) + CRC (3 B) = 11 B at 4 µs/byte.
 pub const BLE_2M_OVERHEAD_BYTES: u32 = 2 + 4 + 2 + 3;
@@ -133,11 +127,6 @@ mod tests {
         // §4.3: final BLE packet size 115 B — that is the LL payload
         // (L2CAP + compressed IP). On air: (10 + 115) * 8 µs = 1 ms.
         assert_eq!(ble_data_1m(115), Duration::from_micros(1000));
-    }
-
-    #[test]
-    fn empty_pdu_is_80_us() {
-        assert_eq!(ble_empty_pdu_1m(), Duration::from_micros(80));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   interference such as the permanently jammed BLE channel 22 the
 //!   authors observed in the IoT-lab (§4.2).
 //! * **Geometry** — log-distance path loss with deterministic
-//!   shadowing ([`PathLossConfig`]) turning node positions into
+//!   shadowing ([`path_loss`]) turning node positions into
 //!   per-link RSSI and PER, and a random-walk [`mobility`] model that
 //!   moves the positions mid-run so link quality evolves.
 //!
@@ -36,11 +36,12 @@ mod channel;
 mod loss;
 mod medium;
 pub mod mobility;
+pub mod path_loss;
 
 pub use channel::{
     Band, Channel, BLE_ADV_CHANNELS, BLE_ADV_FIRST, BLE_DATA_CHANNELS, BLE_JAMMED_CHANNEL,
     CHANNEL_TABLE_SIZE,
 };
-pub use loss::{GilbertElliott, LossConfig, NoiseModel, PathLossConfig};
+pub use loss::{GilbertElliott, LossConfig, NoiseModel};
 pub use medium::{Medium, MediumConfig, RxOutcome, TxId, TxParams};
 pub use mobility::Mobility;

@@ -382,114 +382,6 @@ impl NoiseModel {
     }
 }
 
-// ---------------------------------------------------------------------
-// Log-distance path loss (distance-based PER)
-// ---------------------------------------------------------------------
-
-/// Log-distance path-loss model with deterministic log-normal
-/// shadowing — the standard indoor 2.4 GHz propagation model the
-/// BLE-mesh literature calibrates RSSI estimates with (log-distance
-/// plus Gaussian shadowing noise, typically σ ≈ 2 dBm).
-///
-/// Where the Gilbert–Elliott chains model *time-varying* interference,
-/// this model turns *geometry* into a static per-link PER: every link
-/// gets an RSSI from its distance, the link margin over the receiver
-/// sensitivity maps to a frame error rate, and the result plugs into
-/// [`NoiseModel::set_link_extra`] (via `Medium::set_link_loss`). The
-/// shadowing draw is a pure function of `(seed, src, dst)`, so worlds
-/// built from the same seed get byte-identical link PER grids.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathLossConfig {
-    /// Path loss at the reference distance of 1 m, in dB. Free-space
-    /// loss at 2.44 GHz over 1 m is ≈ 40.2 dB.
-    pub ref_loss_db: f64,
-    /// Path-loss exponent (2.0 free space; 2.5–3.5 indoor).
-    pub exponent: f64,
-    /// Standard deviation of the shadowing noise in dB (0 disables).
-    pub shadow_sigma_db: f64,
-    /// Transmit power in dBm (BLE default 0 dBm).
-    pub tx_power_dbm: f64,
-    /// Receiver sensitivity in dBm (nRF52 at 1 Mbps: ≈ −96 dBm).
-    pub sensitivity_dbm: f64,
-    /// Link margin (dB above sensitivity) at and above which the
-    /// distance-induced PER is zero.
-    pub good_margin_db: f64,
-}
-
-impl Default for PathLossConfig {
-    fn default() -> Self {
-        PathLossConfig {
-            ref_loss_db: 40.2,
-            exponent: 2.7,
-            shadow_sigma_db: 2.0,
-            tx_power_dbm: 0.0,
-            sensitivity_dbm: -96.0,
-            good_margin_db: 10.0,
-        }
-    }
-}
-
-impl PathLossConfig {
-    /// Mean path loss in dB at `distance_m` metres (no shadowing).
-    pub fn loss_db(&self, distance_m: f64) -> f64 {
-        assert!(distance_m > 0.0, "distance must be positive");
-        self.ref_loss_db + 10.0 * self.exponent * distance_m.log10()
-    }
-
-    /// Received signal strength in dBm at `distance_m`, including the
-    /// deterministic shadowing draw for the directed link `src → dst`.
-    pub fn rssi_dbm(&self, seed: u64, src: u16, dst: u16, distance_m: f64) -> f64 {
-        self.tx_power_dbm - self.loss_db(distance_m) + self.shadow_db(seed, src, dst)
-    }
-
-    /// The link's shadowing offset in dB: a zero-mean approximately
-    /// Gaussian draw (Irwin–Hall sum of 12 uniforms) scaled to
-    /// `shadow_sigma_db`, derived purely from `(seed, src, dst)`.
-    /// Shadowing is a property of the *path*, so both directions of a
-    /// link share one draw (the unordered pair keys the stream).
-    pub fn shadow_db(&self, seed: u64, src: u16, dst: u16) -> f64 {
-        if self.shadow_sigma_db == 0.0 {
-            return 0.0;
-        }
-        let (lo, hi) = if src <= dst { (src, dst) } else { (dst, src) };
-        let tag = 0x5AD0_0000_0000_0000 ^ ((lo as u64) << 16) ^ hi as u64;
-        let mut rng = Rng::seed_from_u64(seed).fork(tag);
-        let sum: f64 = (0..12).map(|_| rng.unit_f64()).sum();
-        (sum - 6.0) * self.shadow_sigma_db
-    }
-
-    /// Frame error rate induced by the link budget at `distance_m`:
-    /// 0 at or above `good_margin_db` of margin, 1 below sensitivity,
-    /// quadratic ramp in between (the waterfall region of the BLE
-    /// GFSK BER curve, coarsened to the frame level).
-    pub fn link_per(&self, seed: u64, src: u16, dst: u16, distance_m: f64) -> f64 {
-        let margin = self.rssi_dbm(seed, src, dst, distance_m) - self.sensitivity_dbm;
-        if margin >= self.good_margin_db {
-            0.0
-        } else if margin <= 0.0 {
-            1.0
-        } else {
-            let x = 1.0 - margin / self.good_margin_db;
-            (x * x).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Largest distance whose *mean* link budget (no shadowing) still
-    /// yields zero PER — handy for placing nodes in experiments.
-    pub fn good_range_m(&self) -> f64 {
-        let budget = self.tx_power_dbm - self.sensitivity_dbm - self.good_margin_db;
-        10f64.powf((budget - self.ref_loss_db) / (10.0 * self.exponent))
-    }
-
-    /// Radio-range cutoff of generated fields: pairs farther apart
-    /// hear nothing at all. 1.5× the zero-PER range admits the lossy
-    /// waterfall region without linking pairs whose margin is pure
-    /// shadowing luck.
-    pub fn link_range_m(&self) -> f64 {
-        1.5 * self.good_range_m()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,59 +569,6 @@ mod tests {
         // Reconfigure the reverse link's chain to lossless by rebuilding:
         let mut nm2 = NoiseModel::uniform(2, LossConfig::LOSSLESS, 5);
         assert!(!nm2.frame_lost(1, 0, Channel::ble_data(0)));
-    }
-
-    #[test]
-    fn path_loss_increases_with_distance() {
-        let pl = PathLossConfig::default();
-        assert!((pl.loss_db(1.0) - 40.2).abs() < 1e-12);
-        // One decade of distance adds 10·n dB.
-        assert!((pl.loss_db(10.0) - pl.loss_db(1.0) - 27.0).abs() < 1e-9);
-        assert!(pl.loss_db(30.0) > pl.loss_db(10.0));
-    }
-
-    #[test]
-    fn per_is_zero_close_and_one_far() {
-        let pl = PathLossConfig {
-            shadow_sigma_db: 0.0,
-            ..PathLossConfig::default()
-        };
-        assert_eq!(pl.link_per(42, 0, 1, 1.0), 0.0);
-        assert_eq!(pl.link_per(42, 0, 1, 10_000.0), 1.0);
-        // The transition region is monotone.
-        let r = pl.good_range_m();
-        let near = pl.link_per(42, 0, 1, r * 1.2);
-        let far = pl.link_per(42, 0, 1, r * 2.0);
-        assert!(near <= far, "{near} vs {far}");
-    }
-
-    #[test]
-    fn shadowing_is_deterministic_and_symmetric() {
-        let pl = PathLossConfig::default();
-        // Same inputs → same draw; shadowing keys the unordered pair.
-        assert_eq!(pl.shadow_db(42, 3, 7), pl.shadow_db(42, 3, 7));
-        assert_eq!(pl.shadow_db(42, 3, 7), pl.shadow_db(42, 7, 3));
-        // Different seeds and different links decorrelate.
-        assert_ne!(pl.shadow_db(42, 3, 7), pl.shadow_db(43, 3, 7));
-        assert_ne!(pl.shadow_db(42, 3, 7), pl.shadow_db(42, 3, 8));
-        // Roughly zero-mean, roughly the configured sigma.
-        let draws: Vec<f64> = (0..500u16).map(|i| pl.shadow_db(42, i, i + 1)).collect();
-        let mean = draws.iter().sum::<f64>() / draws.len() as f64;
-        let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / draws.len() as f64;
-        assert!(mean.abs() < 0.3, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.5, "sigma {}", var.sqrt());
-    }
-
-    #[test]
-    fn good_range_matches_mean_budget() {
-        let pl = PathLossConfig {
-            shadow_sigma_db: 0.0,
-            ..PathLossConfig::default()
-        };
-        let r = pl.good_range_m();
-        // Just inside the range: zero PER; just outside: non-zero.
-        assert_eq!(pl.link_per(1, 0, 1, r * 0.99), 0.0);
-        assert!(pl.link_per(1, 0, 1, r * 1.05) > 0.0);
     }
 
     #[test]

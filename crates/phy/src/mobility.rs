@@ -1,6 +1,6 @@
 //! Node mobility.
 //!
-//! Static topologies freeze the geometry that [`PathLossConfig`]
+//! Static topologies freeze the geometry that [`path_loss`]
 //! turns into per-link PER; this module makes the geometry move with
 //! the classic **random walk** from the MANET literature: each node
 //! walks at [`SPEED_MPS`], turns to a fresh uniform heading every
@@ -11,14 +11,14 @@
 //! [`Mobility::step`] draws in node-index order, and all arithmetic is
 //! plain `f64` on a fixed tick — so the same seed yields byte-identical
 //! position trajectories (and therefore byte-identical PER
-//! trajectories through [`PathLossConfig::link_per`]), which the
+//! trajectories through [`path_loss::link_per`]), which the
 //! property tests pin. Pinned nodes (the DODAG root, say) never move
 //! and never draw. All nodes share the one stream, so pinning a node
 //! does move others: each turn draw it skips goes to the next node
 //! that turns. The same seed and the same pins give the same paths.
 //!
-//! [`PathLossConfig`]: crate::PathLossConfig
-//! [`PathLossConfig::link_per`]: crate::PathLossConfig::link_per
+//! [`path_loss`]: crate::path_loss
+//! [`path_loss::link_per`]: crate::path_loss::link_per
 
 use mindgap_sim::Rng;
 
@@ -158,7 +158,7 @@ impl Mobility {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PathLossConfig;
+    use crate::path_loss;
 
     fn grid_positions(n: usize, pitch: f64) -> Vec<(f64, f64)> {
         let side = (n as f64).sqrt().ceil() as usize;
@@ -192,15 +192,14 @@ mod tests {
     /// model is identical too (same seed, same link, every tick).
     #[test]
     fn same_seed_same_per_trajectory() {
-        let pl = PathLossConfig::default();
         let mut a = build(7);
         let mut b = build(7);
         for _ in 0..200 {
             a.step(1.0);
             b.step(1.0);
             for (x, y) in [(0usize, 1usize), (3, 17), (8, 24)] {
-                let pa = pl.link_per(7, x as u16, y as u16, a.distance(x, y).max(0.01));
-                let pb = pl.link_per(7, x as u16, y as u16, b.distance(x, y).max(0.01));
+                let pa = path_loss::link_per(7, x as u16, y as u16, a.distance(x, y).max(0.01));
+                let pb = path_loss::link_per(7, x as u16, y as u16, b.distance(x, y).max(0.01));
                 assert!(pa == pb, "PER diverged on ({x},{y})");
             }
         }

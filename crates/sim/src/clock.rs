@@ -67,14 +67,6 @@ impl Clock {
         self.ppm
     }
 
-    /// Relative drift between two clocks in ppm (how fast `self` gains
-    /// on `other`). First-order approximation, exact to well below
-    /// 1 ppb for spec-compliant clocks.
-    #[inline]
-    pub fn relative_ppm(&self, other: &Clock) -> f64 {
-        self.ppm - other.ppm
-    }
-
     /// Convert a span measured on this local clock into global time.
     ///
     /// A fast clock (ppm > 0) "finishes" its local span early in global
@@ -139,7 +131,6 @@ mod tests {
         // +5 and -5 ppm accumulate that offset over one hour.
         let a = Clock::with_ppm(5.0);
         let b = Clock::with_ppm(-5.0);
-        assert!((a.relative_ppm(&b) - 10.0).abs() < 1e-9);
         let hour = Duration::from_secs(3600);
         let ga = a.to_global(hour);
         let gb = b.to_global(hour);

@@ -125,14 +125,6 @@ impl Rng {
         &items[self.below(items.len() as u64) as usize]
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// A duration jittered uniformly in `[base - jitter, base + jitter]`,
     /// clamped below at zero. This matches the paper's producer-interval
     /// notation "1 s ±0.5 s" (§4.3).
@@ -243,16 +235,5 @@ mod tests {
             let ns = r.jittered_nanos(1_000_000_000, 500_000_000);
             assert!((500_000_000..=1_500_000_000).contains(&ns));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::seed_from_u64(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "shuffle left input sorted");
     }
 }

@@ -1,27 +1,22 @@
-//! Synthetic large-mesh topology generators (scaling studies).
+//! Synthetic large-mesh topology generator (scaling studies).
 //!
 //! The paper's testbed stops at 15 nodes; the scaling question
 //! (Rondón et al., PAPERS.md) needs hundreds. A [`MeshTopology`]
 //! places nodes on a 2-D floor, derives the *radio graph* (which pairs
-//! can hear each other at all) from the `phy::loss` log-distance model
-//! (the default [`PathLossConfig`], cut off at
-//! [`PathLossConfig::link_range_m`]), and selects a degree-bounded *connection graph* (which pairs run a
-//! BLE connection) as a distance-greedy spanning structure plus
-//! redundant shortcuts. Three generators are provided:
-//!
-//! * [`MeshTopology::grid`] — a regular `cols × rows` lattice,
-//! * [`MeshTopology::random_geometric`] — uniform placement in a
-//!   square, re-drawn (deterministically) until the radio graph is
-//!   connected,
-//! * [`MeshTopology::building`] — a floorplan of rooms with jittered
-//!   in-room placement and a corner consumer.
+//! can hear each other at all) from the [`path_loss`] log-distance
+//! model (cut off at [`path_loss::link_range_m`]), and selects a
+//! degree-bounded *connection graph* (which pairs run a BLE
+//! connection) as a distance-greedy spanning structure plus redundant
+//! shortcuts. [`MeshTopology::random_geometric`] places nodes
+//! uniformly in a square, re-drawn (deterministically) until the radio
+//! graph is connected.
 //!
 //! Everything derives from the seed: placement, the shadowing term in
 //! per-link PER, and therefore the adjacency itself. Same seed — same
 //! graph, byte for byte.
 
 use mindgap_core::{EdgeConfig, EdgeRole, NodeConfig};
-use mindgap_phy::PathLossConfig;
+use mindgap_phy::path_loss;
 use mindgap_sim::{NodeId, Rng};
 
 /// Per-node cap on BLE connections — the radio-scheduling limit the
@@ -32,7 +27,7 @@ pub const MAX_CONN_DEGREE: usize = 4;
 /// and a degree-bounded connection graph for statconn + RPL.
 #[derive(Debug, Clone)]
 pub struct MeshTopology {
-    /// Human-readable name ("grid16x16", "geo500", "bldg8x4").
+    /// Human-readable name (`geo<n>`, e.g. "geo500").
     pub name: String,
     /// Node positions in metres.
     pub positions: Vec<(f64, f64)>,
@@ -50,25 +45,6 @@ pub struct MeshTopology {
 }
 
 impl MeshTopology {
-    /// A regular `cols × rows` lattice with `spacing_m` metres between
-    /// neighbours. Node `r * cols + c` sits at `(c, r) * spacing`;
-    /// node 0 (the consumer) is the corner.
-    pub fn grid(cols: usize, rows: usize, spacing_m: f64, seed: u64) -> Self {
-        assert!(cols >= 2 && rows >= 1, "grid needs at least 2×1 nodes");
-        assert!(
-            spacing_m > 0.0 && spacing_m <= PathLossConfig::default().link_range_m(),
-            "grid spacing must keep lattice neighbours in radio range"
-        );
-        let mut positions = Vec::with_capacity(cols * rows);
-        for r in 0..rows {
-            for c in 0..cols {
-                positions.push((c as f64 * spacing_m, r as f64 * spacing_m));
-            }
-        }
-        Self::from_positions(format!("grid{cols}x{rows}"), positions, seed)
-            .expect("a lattice with in-range spacing is connected")
-    }
-
     /// `n` nodes placed uniformly at random in a `side_m × side_m`
     /// square. Placement is re-drawn (deterministically — the attempt
     /// counter folds into the RNG stream) until the radio graph is
@@ -103,43 +79,6 @@ impl MeshTopology {
         );
     }
 
-    /// A building floorplan: `rooms_x × rooms_y` rooms of `room_m`
-    /// metres a side, `per_room` nodes jittered inside each room. The
-    /// consumer (node 0) sits at the building corner in room (0, 0).
-    pub fn building(
-        rooms_x: usize,
-        rooms_y: usize,
-        room_m: f64,
-        per_room: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(rooms_x >= 1 && rooms_y >= 1 && per_room >= 1);
-        assert!(
-            room_m > 0.0 && room_m * 1.5 <= PathLossConfig::default().link_range_m(),
-            "rooms must be small enough that adjacent rooms stay in radio range"
-        );
-        let mut rng = Rng::seed_from_u64(seed).fork(0xB1D_0000);
-        let mut positions = Vec::with_capacity(rooms_x * rooms_y * per_room);
-        // Node 0: the corner of room (0, 0) — the building's gateway.
-        positions.push((0.5, 0.5));
-        for ry in 0..rooms_y {
-            for rx in 0..rooms_x {
-                let (x0, y0) = (rx as f64 * room_m, ry as f64 * room_m);
-                let start = if rx == 0 && ry == 0 { 1 } else { 0 };
-                for _ in start..per_room {
-                    // Jittered placement, kept off the walls.
-                    let margin = 0.1 * room_m;
-                    positions.push((
-                        x0 + rng.range_f64(margin, room_m - margin),
-                        y0 + rng.range_f64(margin, room_m - margin),
-                    ));
-                }
-            }
-        }
-        Self::from_positions(format!("bldg{rooms_x}x{rooms_y}"), positions, seed)
-            .expect("adjacent rooms are in radio range, so the building is connected")
-    }
-
     /// Derive radio links and the connection graph from positions.
     /// Returns `None` if the radio graph does not connect node 0 to
     /// every other node.
@@ -148,13 +87,12 @@ impl MeshTopology {
         if !connected(positions.len(), &links) {
             return None;
         }
-        let path_loss = PathLossConfig::default();
         let pers: Vec<f64> = links
             .iter()
             .map(|&(a, b)| {
                 let (ax, ay) = positions[a as usize];
                 let (bx, by) = positions[b as usize];
-                path_loss.link_per(seed, a, b, (ax - bx).hypot(ay - by))
+                path_loss::link_per(seed, a, b, (ax - bx).hypot(ay - by))
             })
             .collect();
         let edges = select_conn_edges(positions.len(), &links, &pers, &positions);
@@ -213,7 +151,7 @@ impl MeshTopology {
     /// (shadowing keys on the unordered pair, so both directions
     /// match).
     pub fn link_per(&self, a: u16, b: u16) -> f64 {
-        PathLossConfig::default().link_per(self.seed, a, b, self.distance(a, b))
+        path_loss::link_per(self.seed, a, b, self.distance(a, b))
     }
 
     /// The lossy subset of the radio graph: `(a, b, per)` for every
@@ -255,15 +193,14 @@ impl MeshTopology {
     }
 }
 
-/// All pairs within the hard cutoff ([`PathLossConfig::link_range_m`])
+/// All pairs within the hard cutoff ([`path_loss::link_range_m`])
 /// whose shadowed link budget leaves PER < 1 (i.e. the receiver is
 /// above sensitivity at least some of the time). Pairs farther apart
 /// never share a link even if a lucky shadowing draw would give them
 /// margin. Uses a uniform cell grid so candidate enumeration is
 /// O(n · local density), not O(n²).
 fn radio_links(positions: &[(f64, f64)], seed: u64) -> Vec<(u16, u16)> {
-    let path_loss = PathLossConfig::default();
-    let max_link_m = path_loss.link_range_m();
+    let max_link_m = path_loss::link_range_m();
     let cell = max_link_m.max(1e-9);
     let key = |x: f64, y: f64| ((x / cell).floor() as i64, (y / cell).floor() as i64);
     let mut grid: std::collections::HashMap<(i64, i64), Vec<u16>> =
@@ -286,7 +223,7 @@ fn radio_links(positions: &[(f64, f64)], seed: u64) -> Vec<(u16, u16)> {
                     }
                     let (jx, jy) = positions[j as usize];
                     let d = (x - jx).hypot(y - jy);
-                    if d <= max_link_m && path_loss.link_per(seed, i, j, d) < 1.0 {
+                    if d <= max_link_m && path_loss::link_per(seed, i, j, d) < 1.0 {
                         links.push((i, j));
                     }
                 }
@@ -434,32 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn grid_shape_and_connectivity() {
-        let t = MeshTopology::grid(8, 8, 20.0, 42);
-        assert_eq!(t.len(), 64);
-        assert_eq!(t.name, "grid8x8");
-        assert!(conn_reaches_all(&t), "every node reaches the root");
-        // Lattice neighbours are always radio links.
-        assert!(t.links.contains(&(0, 1)));
-        assert!(t.links.contains(&(0, 8)));
-    }
-
-    #[test]
     fn generators_are_deterministic() {
-        for (a, b) in [
-            (
-                MeshTopology::random_geometric(120, 300.0, 7),
-                MeshTopology::random_geometric(120, 300.0, 7),
-            ),
-            (
-                MeshTopology::building(4, 3, 8.0, 3, 7),
-                MeshTopology::building(4, 3, 8.0, 3, 7),
-            ),
-        ] {
-            assert_eq!(a.positions, b.positions, "same seed, same placement");
-            assert_eq!(a.links, b.links, "same seed, same radio graph");
-            assert_eq!(a.edges, b.edges, "same seed, same connection graph");
-        }
+        let a = MeshTopology::random_geometric(120, 300.0, 7);
+        let b = MeshTopology::random_geometric(120, 300.0, 7);
+        assert_eq!(a.positions, b.positions, "same seed, same placement");
+        assert_eq!(a.links, b.links, "same seed, same radio graph");
+        assert_eq!(a.edges, b.edges, "same seed, same connection graph");
         // And a different seed genuinely moves the placement.
         let c = MeshTopology::random_geometric(120, 300.0, 8);
         let a = MeshTopology::random_geometric(120, 300.0, 7);
@@ -499,14 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn building_places_consumer_at_corner() {
-        let t = MeshTopology::building(5, 2, 10.0, 2, 3);
-        assert_eq!(t.len(), 20);
-        assert_eq!(t.positions[0], (0.5, 0.5));
-        assert!(conn_reaches_all(&t));
-    }
-
-    #[test]
     fn node_configs_mirror_roles_and_respect_cap() {
         let t = MeshTopology::random_geometric(80, 220.0, 11);
         let cfgs = t.node_configs();
@@ -530,6 +439,32 @@ mod tests {
                 assert_eq!(e.role, expect);
             }
         }
+    }
+
+    /// Pins one generated mesh bit for bit: its radio graph, its
+    /// connection graph and the PER of every lossy link, which all
+    /// derive from the path-loss model.
+    #[test]
+    fn random_geometric_mesh_is_pinned() {
+        let t = MeshTopology::random_geometric(120, 300.0, 7);
+        let fnv = |h: u64, x: u64| {
+            x.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for &(a, b) in t.links.iter().chain(&t.edges) {
+            h = fnv(fnv(h, a as u64), b as u64);
+        }
+        let pers = t.link_per_list();
+        for &(a, b, per) in &pers {
+            h = fnv(fnv(fnv(h, a as u64), b as u64), per.to_bits());
+        }
+        assert_eq!(
+            (t.links.len(), t.edges.len(), pers.len(), h),
+            (1265, 234, 612, 0xc62b_bb46_a4fe_895c),
+            "{h:#018x}"
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Export determinism of both BLE transports: the same spec and seed
-//! produce byte-identical timeline and metrics exports on repeated
-//! runs, for the connection transport and the advertising transport
-//! alike, and adv-only metrics stay out of connection-mode exports.
+//! produce byte-identical timeline exports and identical metric
+//! snapshots on repeated runs, for the connection transport and the
+//! advertising transport alike, and adv-only metrics stay out of
+//! connection-mode snapshots.
 
 use mindgap_core::IntervalPolicy;
+use mindgap_obs::{MetricsSnapshot, SnapValue};
 use mindgap_sim::Duration;
 use mindgap_testbed::{run_ble, ExperimentSpec, Topology};
 
@@ -21,10 +23,15 @@ fn spec(adv: bool) -> ExperimentSpec {
     }
 }
 
-/// Exports of one run: (timeline JSONL, metrics CSV).
-fn exports(adv: bool) -> (String, String) {
+/// Exports of one run: (timeline JSONL, metrics snapshot).
+fn exports(adv: bool) -> (String, MetricsSnapshot) {
     let res = run_ble(&spec(adv));
-    (res.timeline.to_jsonl(), res.metrics.to_csv())
+    (res.timeline.to_jsonl(), res.metrics)
+}
+
+/// Every metric as `(name, per-node values)`, in registration order.
+fn values(m: &MetricsSnapshot) -> Vec<(&'static str, &SnapValue)> {
+    m.entries.iter().map(|e| (e.def.name, &e.value)).collect()
 }
 
 #[test]
@@ -32,8 +39,12 @@ fn same_seed_exports_are_byte_identical_conn() {
     let (tl_a, m_a) = exports(false);
     let (tl_b, m_b) = exports(false);
     assert_eq!(tl_a, tl_b, "conn timeline must be deterministic");
-    assert_eq!(m_a, m_b, "conn metrics must be deterministic");
-    assert!(!m_a.is_empty());
+    assert_eq!(
+        values(&m_a),
+        values(&m_b),
+        "conn metrics must be deterministic"
+    );
+    assert!(!m_a.entries.is_empty());
 }
 
 #[test]
@@ -41,10 +52,14 @@ fn same_seed_exports_are_byte_identical_adv() {
     let (tl_a, m_a) = exports(true);
     let (tl_b, m_b) = exports(true);
     assert_eq!(tl_a, tl_b, "adv timeline must be deterministic");
-    assert_eq!(m_a, m_b, "adv metrics must be deterministic");
+    assert_eq!(
+        values(&m_a),
+        values(&m_b),
+        "adv metrics must be deterministic"
+    );
     if mindgap_obs::enabled() {
         assert!(
-            m_a.contains("ll_adv_trains"),
+            m_a.get("ll_adv_trains").is_some(),
             "adv metrics must be registered in adv mode"
         );
     }
@@ -54,7 +69,7 @@ fn same_seed_exports_are_byte_identical_adv() {
 fn adv_metrics_stay_out_of_conn_exports() {
     let (_, m) = exports(false);
     assert!(
-        !m.contains("ll_adv_trains"),
+        m.get("ll_adv_trains").is_none(),
         "adv metrics must not register in conn mode (export stability)"
     );
 }

@@ -17,7 +17,7 @@
 //!   budget, not network-wide dedup, is what bounds the flood. Each
 //!   relay re-advertises under its **own** sequence number, so
 //!   receivers deliver one copy per relaying neighbour; the dedup
-//!   ring only collapses the `repeats` copies of each train.
+//!   ring only collapses the `REPEATS` copies of each train.
 //!
 //! Run with `cargo run --release --example flood_mesh`.
 

@@ -13,7 +13,7 @@
 //! |--------|-------|----------|
 //! | [`sim`] | `mindgap-sim` | DES kernel: time, drifting clocks, event queue, RNG |
 //! | [`phy`] | `mindgap-phy` | radio medium: channels, airtime, collisions, noise |
-//! | [`ble`] | `mindgap-ble` | BLE link layer: connections, CSA#1/2, ARQ, adv/scan |
+//! | [`ble`] | `mindgap-ble` | BLE link layer: connections, CSA#2, ARQ, adv/scan |
 //! | [`l2cap`] | `mindgap-l2cap` | LE credit-based channels, mbuf pool |
 //! | [`sixlowpan`] | `mindgap-sixlowpan` | IPHC, UDP NHC, fragmentation |
 //! | [`net`] | `mindgap-net` | IPv6, UDP, ICMPv6, static routing |

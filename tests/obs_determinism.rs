@@ -8,7 +8,7 @@ use mindgap::core::IntervalPolicy;
 use mindgap::sim::Duration;
 use mindgap::testbed::{run_ble, ExperimentSpec, Topology};
 
-fn run(seed: u64) -> (String, String, Vec<(String, f64)>) {
+fn run(seed: u64) -> (String, Vec<(String, f64)>) {
     let spec = ExperimentSpec::paper_default(
         Topology::paper_tree(),
         IntervalPolicy::Static(Duration::from_millis(75)),
@@ -17,20 +17,15 @@ fn run(seed: u64) -> (String, String, Vec<(String, f64)>) {
     .with_duration(Duration::from_secs(60))
     .with_timeline_cap(1 << 14);
     let res = run_ble(&spec);
-    (
-        res.timeline.to_jsonl(),
-        res.timeline.to_csv(),
-        res.metrics.flat("obs."),
-    )
+    (res.timeline.to_jsonl(), res.metrics.flat("obs."))
 }
 
 #[test]
 fn same_seed_timeline_and_metrics_are_identical() {
-    let (jsonl_a, csv_a, metrics_a) = run(7);
-    let (jsonl_b, csv_b, metrics_b) = run(7);
+    let (jsonl_a, metrics_a) = run(7);
+    let (jsonl_b, metrics_b) = run(7);
 
     assert_eq!(jsonl_a, jsonl_b, "timeline JSONL diverged across runs");
-    assert_eq!(csv_a, csv_b, "timeline CSV diverged across runs");
     assert_eq!(metrics_a, metrics_b, "metric snapshots diverged");
 
     if mindgap::obs::enabled() {
@@ -107,8 +102,8 @@ fn fault_schedule_exports_are_identical_across_runs() {
 #[test]
 fn different_seeds_differ() {
     // Sanity check that the equality above isn't trivially true.
-    let (jsonl_a, _, _) = run(7);
-    let (jsonl_b, _, _) = run(8);
+    let (jsonl_a, _) = run(7);
+    let (jsonl_b, _) = run(8);
     if mindgap::obs::enabled() {
         assert_ne!(
             jsonl_a, jsonl_b,
