@@ -37,10 +37,9 @@
 //!   afterwards.
 //! * Receive-side **duplicate suppression** keys on the per-advertiser
 //!   `(advertiser, seq)` pair in a bounded ring — it collapses the
-//!   [`REPEATS`] copies of each frame (and rebroadcast echoes) to one
-//!   delivery. Rebroadcast re-tags frames with the relay's own
-//!   sequence number, so flooding is bounded by the `hops` budget, not
-//!   by network-wide dedup (see DESIGN.md §10).
+//!   [`REPEATS`] × 3 copies of each frame to one delivery (see
+//!   DESIGN.md §10). A frame travels one radio hop; IPv6 forwarding
+//!   above the transport carries it further.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -82,16 +81,12 @@ pub struct AdvConfig {
     /// Listening span inside each [`SCAN_INTERVAL`]; equal to it means
     /// continuous scanning.
     pub scan_window: Duration,
-    /// Rebroadcast budget stamped on locally originated broadcast
-    /// frames; 0 disables rebroadcast entirely.
-    pub rebroadcast_hops: u8,
 }
 
 impl Default for AdvConfig {
     fn default() -> Self {
         AdvConfig {
             scan_window: SCAN_INTERVAL,
-            rebroadcast_hops: 0,
         }
     }
 }
@@ -233,8 +228,6 @@ pub struct AdvCounters {
     pub dups_suppressed: u64,
     /// Frames delivered up to 6LoWPAN.
     pub delivered: u64,
-    /// Broadcast frames re-queued for rebroadcast.
-    pub rebroadcasts: u64,
     /// Frames refused because the queue was full.
     pub queue_drops: u64,
     /// Link-up edges.
@@ -254,7 +247,6 @@ pub struct AdvCounters {
 struct Queued {
     dst: u16,
     seq: u16,
-    hops: u8,
     repeats_left: u8,
     payload: Vec<u8>,
 }
@@ -264,7 +256,6 @@ struct Queued {
 struct PendingTrain {
     dst: u16,
     seq: u16,
-    hops: u8,
     payload: Vec<u8>,
     beacon: bool,
 }
@@ -427,15 +418,9 @@ impl AdvLink {
             return Err(AdvSendError::QueueFull);
         }
         let seq = self.alloc_seq();
-        let hops = if dst == Frame::ADV_BROADCAST {
-            self.cfg.rebroadcast_hops
-        } else {
-            0
-        };
         self.queue.push(Queued {
             dst,
             seq,
-            hops,
             repeats_left: REPEATS,
             payload,
         });
@@ -483,7 +468,6 @@ impl AdvLink {
             PendingTrain {
                 dst: front.dst,
                 seq: front.seq,
-                hops: front.hops,
                 payload: front.payload.clone(),
                 beacon: false,
             }
@@ -491,7 +475,6 @@ impl AdvLink {
             PendingTrain {
                 dst: Frame::ADV_BROADCAST,
                 seq: self.alloc_seq(),
-                hops: 0,
                 payload: Vec::new(),
                 beacon: true,
             }
@@ -518,7 +501,6 @@ impl AdvLink {
             advertiser: self.me,
             dst: cur.dst,
             seq: cur.seq,
-            hops: cur.hops,
             payload: cur.payload.clone(),
         };
         self.counters.pdus_tx += 1;
@@ -571,7 +553,6 @@ impl AdvLink {
         self.current = self.queue.first().map(|front| PendingTrain {
             dst: front.dst,
             seq: front.seq,
-            hops: front.hops,
             payload: front.payload.clone(),
             beacon: false,
         });
@@ -670,7 +651,6 @@ impl AdvLink {
             advertiser,
             dst,
             seq,
-            hops,
             payload,
         } = frame
         else {
@@ -685,8 +665,7 @@ impl AdvLink {
             return;
         }
         self.counters.pdus_rx += 1;
-        let broadcast = *dst == Frame::ADV_BROADCAST;
-        if !broadcast && *dst != self.me.0 {
+        if *dst != Frame::ADV_BROADCAST && *dst != self.me.0 {
             return;
         }
         if self.dedup_seen(advertiser.0, *seq) {
@@ -702,19 +681,6 @@ impl AdvLink {
             src: *advertiser,
             sdu: payload.clone(),
         });
-        if broadcast && *hops > 0 && self.queue.len() < QUEUE_CAP {
-            // Bounded rebroadcast: relay under our own sequence number
-            // with a decremented hop budget.
-            let seq = self.alloc_seq();
-            self.queue.push(Queued {
-                dst: Frame::ADV_BROADCAST,
-                seq,
-                hops: *hops - 1,
-                repeats_left: REPEATS,
-                payload: payload.clone(),
-            });
-            self.counters.rebroadcasts += 1;
-        }
     }
 }
 
@@ -885,7 +851,6 @@ mod tests {
             advertiser: NodeId(3),
             dst: 7,
             seq: 9,
-            hops: 0,
             payload: vec![1, 2, 3],
         };
         let mut out = Vec::new();
@@ -908,7 +873,6 @@ mod tests {
             advertiser: NodeId(2),
             dst: Frame::ADV_BROADCAST,
             seq: 0,
-            hops: 0,
             payload: Vec::new(),
         };
         let mut out = Vec::new();
@@ -927,44 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_rebroadcast_decrements_hops() {
-        let cfg = AdvConfig {
-            rebroadcast_hops: 2,
-            ..AdvConfig::default()
-        };
-        let mut rng = Rng::seed_from_u64(42);
-        let mut link = AdvLink::new(NodeId(4), cfg, Clock::with_ppm(0.0), rng.fork(4004));
-        let mut out = Vec::new();
-        link.start(Instant::ZERO, &mut out);
-        let frame = Frame::AdvData {
-            advertiser: NodeId(1),
-            dst: Frame::ADV_BROADCAST,
-            seq: 5,
-            hops: 2,
-            payload: vec![9],
-        };
-        out.clear();
-        link.on_frame_rx(Instant::from_millis(5), &frame, &mut out);
-        assert!(out.iter().any(|o| matches!(o, AdvOut::Deliver { .. })));
-        assert_eq!(link.queue_len(), 1);
-        assert_eq!(link.counters().rebroadcasts, 1);
-        // The relayed copy carries hops-1 under our own seq space.
-        let relayed = &link.queue[0];
-        assert_eq!(relayed.hops, 1);
-        assert_eq!(relayed.dst, Frame::ADV_BROADCAST);
-        // hops == 0 is not relayed.
-        let tail = Frame::AdvData {
-            advertiser: NodeId(2),
-            dst: Frame::ADV_BROADCAST,
-            seq: 6,
-            hops: 0,
-            payload: vec![9],
-        };
-        link.on_frame_rx(Instant::from_millis(6), &tail, &mut out);
-        assert_eq!(link.queue_len(), 1);
-    }
-
-    #[test]
     fn deterministic_across_instances() {
         let mut a = Driver::new(mk(0));
         let mut b = Driver::new(mk(0));
@@ -980,7 +906,6 @@ mod tests {
     fn scan_duty_cycle_reduces_listen_time() {
         let cfg = AdvConfig {
             scan_window: Duration::from_millis(30),
-            ..AdvConfig::default()
         };
         let mut rng = Rng::seed_from_u64(1);
         let duty = AdvLink::new(NodeId(0), cfg, Clock::with_ppm(0.0), rng.fork(1));

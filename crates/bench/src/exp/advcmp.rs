@@ -185,7 +185,6 @@ pub fn run(opts: &Opts) -> Report {
             let duty = scan_duty_pct(transport);
             let ac = AdvConfig {
                 scan_window: Duration::from_nanos(SCAN_INTERVAL.nanos() * duty / 100),
-                ..AdvConfig::default()
             };
             spec = spec.with_transport(TransportMode::Adv(ac));
         }

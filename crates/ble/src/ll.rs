@@ -216,9 +216,8 @@ pub enum Frame {
     /// connection-less transport's data unit (`mindgap-adv`). The
     /// connection link layer ignores these; the advertising transport
     /// consumes them. Addressing is carried in-band: `dst` is a node
-    /// index or [`Frame::ADV_BROADCAST`], `seq` is per-advertiser and
-    /// keys receive-side duplicate suppression, `hops` bounds
-    /// rebroadcast flooding.
+    /// index or [`Frame::ADV_BROADCAST`], and `seq` is per-advertiser
+    /// and keys receive-side duplicate suppression.
     AdvData {
         /// Transmitting node (per-hop sender, not the IP source).
         advertiser: NodeId,
@@ -226,8 +225,6 @@ pub enum Frame {
         dst: u16,
         /// Per-advertiser sequence number (duplicate-suppression key).
         seq: u16,
-        /// Remaining rebroadcast budget.
-        hops: u8,
         /// The compressed 6LoWPAN frame.
         payload: Vec<u8>,
     },
@@ -238,7 +235,8 @@ impl Frame {
     pub const ADV_BROADCAST: u16 = u16::MAX;
 
     /// In-band addressing bytes an [`Frame::AdvData`] PDU spends on
-    /// top of its 6LoWPAN payload: dst (2) + seq (2) + hops (1).
+    /// top of its 6LoWPAN payload: dst (2) + seq (2) + one reserved
+    /// header byte.
     pub const ADV_DATA_OVERHEAD: usize = 5;
 
     /// Exact on-air duration on the 1 Mbps PHY.
@@ -2067,6 +2065,8 @@ impl LinkLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ll_world::LlWorld;
+    use mindgap_phy::{LossConfig, Medium, MediumConfig};
 
     #[test]
     fn window_widening_matches_the_spec_formula() {
@@ -2079,5 +2079,75 @@ mod tests {
             window_widening(Duration::from_secs(4)),
             Duration::from_micros(432)
         );
+    }
+
+    /// Connection-update procedure with 0 ppm clocks (Core Spec Vol 6
+    /// Part B §5.1.1): the instant lies `MIN_INSTANT_LEAD + 6` events
+    /// ahead, and the anchor moves by the old interval plus
+    /// `win_offset` exactly once, at the instant.
+    #[test]
+    fn conn_update_instant_and_anchors_follow_the_spec() {
+        let old = Duration::from_millis(50);
+        let new = Duration::from_millis(75);
+        let mut rng = Rng::seed_from_u64(7);
+        let lls = (0..2)
+            .map(|i| {
+                let clock = Clock::with_ppm(0.0);
+                LinkLayer::new(NodeId(i), clock, LlConfig::default(), rng.fork(i as u64))
+            })
+            .collect();
+        let medium = Medium::new(MediumConfig {
+            n_nodes: 2,
+            loss: LossConfig::LOSSLESS,
+            seed: rng.next_u64(),
+            radio_links: None,
+        });
+        let mut w = LlWorld::new(medium, lls);
+        let id = ConnId(1);
+        w.connect(NodeId(0), NodeId(1), id, ConnParams::with_interval(old));
+        w.await_up(id, Instant::from_secs(2));
+        w.run_until(w.now() + Duration::from_secs(1));
+
+        let coord = |w: &LlWorld| {
+            let c = find_conn(&w.lls[0].conns, id).expect("conn alive");
+            (c.event_counter, c.next_anchor)
+        };
+        let (requested_at, _) = coord(&w);
+        w.lls[0].request_conn_update(id, new).expect("coordinator");
+        let Some(ControlPdu::ConnUpdateInd {
+            win_offset,
+            interval,
+            instant,
+        }) = find_conn(&w.lls[0].conns, id).and_then(|c| c.pending_update)
+        else {
+            panic!("no update pending");
+        };
+        assert_eq!(interval, new);
+        assert_eq!(instant, requested_at.wrapping_add(MIN_INSTANT_LEAD + 6));
+        assert_eq!(win_offset.nanos() % 1_250_000, 0, "{win_offset}");
+        assert!(win_offset < new, "{win_offset}");
+
+        // The anchor of each event, keyed by its counter.
+        let mut anchors = vec![coord(&w)];
+        let mut last = anchors[0];
+        while last.0 != instant.wrapping_add(4) {
+            assert!(w.step(), "queue drained before the instant");
+            let now = coord(&w);
+            if now.0 != last.0 {
+                assert_eq!(now.0, last.0.wrapping_add(1), "an event went unrecorded");
+                anchors.push(now);
+                last = now;
+            }
+        }
+        let at = anchors
+            .iter()
+            .position(|&(e, _)| e == instant)
+            .expect("instant reached");
+        assert!(at >= 2, "too few old-interval events recorded");
+        assert_eq!(anchors[at - 1].1, anchors[at - 2].1 + old);
+        assert_eq!(anchors[at].1, anchors[at - 1].1 + old + win_offset);
+        for pair in anchors[at..].windows(2) {
+            assert_eq!(pair[1].1, pair[0].1 + new, "event {}", pair[1].0);
+        }
     }
 }

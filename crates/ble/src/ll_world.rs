@@ -34,7 +34,9 @@ pub struct Log {
     pub conn_up: Vec<(NodeId, ConnId, Role)>,
     /// Connections that went down: (node, connection, reason, when).
     pub conn_down: Vec<(NodeId, ConnId, LossReason, Instant)>,
-    /// Payloads received: (node, connection, payload).
+    /// Payloads received: (node, connection, payload). Connections in
+    /// [`LlWorld::saturate`] are left out: their payloads are dummies,
+    /// and `conn_stats` counts their bytes.
     pub rx: Vec<(NodeId, ConnId, Vec<u8>)>,
 }
 
@@ -121,7 +123,9 @@ impl LlWorld {
                     self.log.conn_down.push((node, conn, reason, now));
                 }
                 Output::Rx { conn, payload } => {
-                    self.log.rx.push((node, conn, payload));
+                    if !self.saturate.iter().any(|&(_, c, _)| c == conn) {
+                        self.log.rx.push((node, conn, payload));
+                    }
                 }
                 Output::TxSpace { conn } => {
                     self.refill(node, conn);

@@ -111,6 +111,20 @@ fn data_flows_both_directions() {
 }
 
 #[test]
+fn saturated_connection_payloads_are_counted_not_logged() {
+    let mut w = world(&[0.0, 0.0], LossConfig::LOSSLESS, 5);
+    w.connect(NodeId(0), NodeId(1), ConnId(1), params_ms(50));
+    w.await_up(ConnId(1), Instant::from_secs(2));
+    w.saturate.push((NodeId(0), ConnId(1), 100));
+    w.kick_saturation();
+    let t = w.now();
+    w.run_until(t + Duration::from_secs(1));
+    let stats = w.lls[1].conn_stats(ConnId(1)).expect("conn alive");
+    assert!(stats.bytes_rx > 0, "saturated link carried nothing");
+    assert!(w.log.rx.iter().all(|(_, c, _)| *c != ConnId(1)));
+}
+
+#[test]
 fn packet_latency_is_bounded_by_connection_interval() {
     // A packet enqueued between events waits at most one interval
     // (paper §5.1: per-hop latency jitters within the interval).

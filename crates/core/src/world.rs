@@ -10,7 +10,7 @@
 //!   (statconn or the peer policy), one L2CAP channel per connection
 //!   and the NimBLE-sized mbuf pool;
 //! * the connection-less advertising link ([`TransportMode::Adv`]);
-//! * the 802.15.4 CSMA/CA MAC with RFC 4944 fragmentation
+//! * the 802.15.4 CSMA/CA MAC, one 6LoWPAN frame per MAC frame
 //!   ([`World::new_ieee`], `crate::ieee`).
 //!
 //! Every frame, whatever its link, goes on air through one in-flight
@@ -40,7 +40,9 @@ use mindgap_ble::{
     Role, Timer,
 };
 use mindgap_coap::{Client, Code, MessageView, MsgType, Server};
-use mindgap_dot15d4::{MacCounters, MacFrame, MacOutput, MacTimer, Radio802154, CHANNEL};
+use mindgap_dot15d4::{
+    MacCounters, MacFrame, MacOutput, MacTimer, Radio802154, CHANNEL, MAX_MAC_PAYLOAD,
+};
 use mindgap_l2cap::frame::{self as l2frame, Signal, CID_LE_SIGNALING};
 use mindgap_l2cap::{BufPool, CocChannel, CocConfig, NIMBLE_BUF_BYTES};
 use mindgap_net::{
@@ -55,7 +57,7 @@ use mindgap_phy::{
 use mindgap_sim::{Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace};
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
-use crate::ieee::{IeeeConfig, IeeeLink};
+use crate::ieee::IeeeConfig;
 use crate::peers::{PeerCounters, PeerManager};
 use crate::records::Records;
 use crate::rpl::{self, RplAgent, RplConfig, RplMsg, RplSend, RPL_PORT};
@@ -440,7 +442,7 @@ enum Link {
     /// DESIGN.md §10).
     Adv(AdvLink),
     /// The IEEE 802.15.4 baseline (`crate::ieee`).
-    Ieee(IeeeLink),
+    Ieee(Radio802154),
 }
 
 impl Link {
@@ -635,7 +637,7 @@ fn make_node(
     let (link, rng) = match (ieee, cfg.transport) {
         (Some(_), _) => {
             let mac = fork(1);
-            (Link::Ieee(IeeeLink::new(id, mac)), fork(3))
+            (Link::Ieee(Radio802154::new(id, mac)), fork(3))
         }
         (None, TransportMode::Adv(ac)) => {
             let _ = (fork(1), fork(2));
@@ -900,7 +902,7 @@ impl World {
     /// 802.15.4 MAC counters of one node (`None` in BLE worlds).
     pub fn mac_counters(&self, node: NodeId) -> Option<MacCounters> {
         match &self.nodes[node.index()].link {
-            Link::Ieee(l) => Some(l.mac.counters()),
+            Link::Ieee(mac) => Some(mac.counters()),
             _ => None,
         }
     }
@@ -969,7 +971,6 @@ impl World {
                         reg.set_counter(am.adv_beacons_rx, id, a.beacons_rx);
                         reg.set_counter(am.adv_dups_suppressed, id, a.dups_suppressed);
                         reg.set_counter(am.adv_delivered, id, a.delivered);
-                        reg.set_counter(am.adv_rebroadcasts, id, a.rebroadcasts);
                         reg.set_counter(am.adv_queue_drops, id, a.queue_drops);
                         reg.set_counter(am.adv_neighbor_ups, id, a.neighbor_ups);
                         reg.set_counter(am.adv_neighbor_downs, id, a.neighbor_downs);
@@ -1102,19 +1103,6 @@ impl World {
     /// Current node positions in metres (`None` outside peers mode).
     pub fn positions(&self) -> Option<&[(f64, f64)]> {
         self.peers_world.as_ref().map(|p| p.field.positions())
-    }
-
-    /// Broadcast a raw link-layer SDU from `node` over the
-    /// advertising transport (adv mode only; flooded up to the
-    /// configured `rebroadcast_hops`). Returns `false` when the node
-    /// has no advertising transport or its queue refused the payload.
-    /// Receivers count it in `adv_counters().delivered`; the payload
-    /// is not parsed as 6LoWPAN unless it is one.
-    pub fn adv_broadcast(&mut self, node: NodeId, payload: Vec<u8>) -> bool {
-        let Link::Adv(adv) = &mut self.nodes[node.index()].link else {
-            return false;
-        };
-        adv.send(Frame::ADV_BROADCAST, payload).is_ok()
     }
 
     /// Kick off statconn, producers and housekeeping. Idempotent.
@@ -1299,9 +1287,6 @@ impl World {
                             .reg
                             .add(self.obs.m.coap_timeouts, NodeId(i as u16), expired);
                     }
-                    if let Link::Ieee(l) = &mut n.link {
-                        let _ = l.reassembler.expire(now.nanos());
-                    }
                 }
                 self.queue
                     .schedule_in(Duration::from_secs(5), Ev::CoapSweep);
@@ -1335,8 +1320,8 @@ impl World {
             Link::Adv(_) => self.with_adv(node, |adv, outs| adv.start(now, outs)),
             // An 802.15.4 radio listens on its channel whenever it is
             // not transmitting.
-            Link::Ieee(l) => {
-                let channel = l.channel();
+            Link::Ieee(_) => {
+                let channel = Channel::ieee802154(CHANNEL);
                 self.listen(node, ListenTag::Scan, channel, Instant::MAX);
             }
         }
@@ -1592,10 +1577,10 @@ impl World {
         f: impl FnOnce(&mut Radio802154, &Medium) -> Vec<MacOutput>,
     ) {
         let World { nodes, medium, .. } = &mut *self;
-        let Link::Ieee(l) = &mut nodes[node.index()].link else {
+        let Link::Ieee(mac) = &mut nodes[node.index()].link else {
             return;
         };
-        let outs = f(&mut l.mac, medium);
+        let outs = f(mac, medium);
         self.apply_mac(node, outs);
     }
 
@@ -2506,9 +2491,10 @@ impl World {
         }
     }
 
-    /// 802.15.4 IP egress: compress for the hop, fragment when the
-    /// frame exceeds one MAC payload, and queue on the MAC. Multicast
-    /// goes out as one MAC broadcast.
+    /// 802.15.4 IP egress: compress for the hop and queue the frame on
+    /// the MAC as one MAC payload. A frame over `MAX_MAC_PAYLOAD` is
+    /// dropped as `ieee_too_big`. Multicast goes out as one MAC
+    /// broadcast.
     fn send_ip_ieee(&mut self, node: NodeId, out: Outgoing<'_>, next_hop_ll: LlAddr) {
         let now = self.queue.now();
         let dst = (next_hop_ll != LlAddr::BROADCAST).then(|| NodeId(next_hop_ll.node_index()));
@@ -2518,12 +2504,11 @@ impl World {
         };
         let mut frame6 = Vec::new();
         out.encode(&ctx, &mut frame6);
-        let Link::Ieee(l) = &mut self.nodes[node.index()].link else {
+        if frame6.len() > MAX_MAC_PAYLOAD {
+            self.records.drop("ieee_too_big");
             return;
-        };
-        for f in l.frames(frame6) {
-            self.with_mac(node, |mac, _| mac.enqueue(now, dst, f));
         }
+        self.with_mac(node, |mac, _| mac.enqueue(now, dst, frame6));
     }
 
     fn mac_timer(&mut self, now: Instant, node: NodeId, timer: MacTimer) {
@@ -2548,22 +2533,10 @@ impl World {
                         .schedule_at(at.max(now), Ev::MacTimer(node, timer));
                 }
                 MacOutput::Tx { frame } => {
-                    let Link::Ieee(l) = &self.nodes[node.index()].link else {
-                        continue;
-                    };
-                    let channel = l.channel();
+                    let channel = Channel::ieee802154(CHANNEL);
                     self.begin_tx(now, node, channel, AirFrame::Mac(frame));
                 }
-                MacOutput::Rx { src, payload } => {
-                    let Link::Ieee(l) = &mut self.nodes[node.index()].link else {
-                        continue;
-                    };
-                    match l.reassemble(src, payload, now) {
-                        Ok(Some(sdu)) => self.handle_sdu(node, src, &sdu),
-                        Ok(None) => {}
-                        Err(()) => self.records.drop("bad_fragment"),
-                    }
-                }
+                MacOutput::Rx { src, payload } => self.handle_sdu(node, src, &payload),
                 MacOutput::TxOk => {}
                 MacOutput::TxFailed { reason } => {
                     self.records.drop(reason);

@@ -60,8 +60,9 @@ fn noisy_channel_loses_but_delivers_fast() {
 }
 
 #[test]
-fn large_payload_is_fragmented_and_reassembled() {
-    // Payload far beyond one 127 B frame forces RFC 4944 frag.
+fn oversized_payload_is_an_attributed_drop() {
+    // A 400 B payload cannot fit one 127 B frame. The sender drops
+    // each request as `ieee_too_big` instead of fragmenting it.
     let mut w = {
         let addr = |i: u16| Ipv6Addr::of_node(i);
         let nodes = vec![
@@ -90,8 +91,9 @@ fn large_payload_is_fragmented_and_reassembled() {
     };
     w.run_until(Instant::from_secs(60));
     let r = w.records();
-    assert!(r.total_sent() > 20);
-    assert!(r.coap_pdr() > 0.95, "fragmented PDR {}", r.coap_pdr());
+    assert!(r.total_sent() > 20, "sent {}", r.total_sent());
+    assert_eq!(r.total_done(), 0);
+    assert_eq!(r.drops.get("ieee_too_big"), Some(&r.total_sent()));
 }
 
 #[test]

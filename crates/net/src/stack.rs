@@ -39,8 +39,6 @@ pub const UDP_HEADROOM: usize = IPV6_HEADER_LEN + udp::UDP_HEADER_LEN;
 pub struct NetConfig {
     /// This node's (link-local) address.
     pub addr: Ipv6Addr,
-    /// This node's link-layer address.
-    pub ll: LlAddr,
 }
 
 impl NetConfig {
@@ -48,7 +46,6 @@ impl NetConfig {
     pub fn for_node(index: u16) -> Self {
         NetConfig {
             addr: Ipv6Addr::of_node(index),
-            ll: LlAddr::from_node_index(index),
         }
     }
 }

@@ -357,7 +357,9 @@ pub struct AdvMetrics {
     pub adv_dups_suppressed: CounterId,
     /// Frames delivered up to 6LoWPAN (frames, sampled).
     pub adv_delivered: CounterId,
-    /// Broadcast frames re-queued for rebroadcast (frames, sampled).
+    /// Always 0: the advertising transport relays nothing, so no frame
+    /// is re-queued. Registered because the benchmark reads the
+    /// metric by name (frames, sampled).
     pub adv_rebroadcasts: CounterId,
     /// Frames refused at a full transmit queue (frames, sampled).
     pub adv_queue_drops: CounterId,
@@ -405,7 +407,7 @@ impl AdvMetrics {
                 Ll,
                 "ll_adv_rebroadcasts",
                 "frames",
-                "broadcasts re-queued",
+                "always 0: the transport relays nothing; kept for the benchmark, which reads it by name",
             ),
             adv_queue_drops: reg.sampled(
                 Ll,

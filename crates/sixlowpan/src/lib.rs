@@ -14,26 +14,18 @@
 //!   Both encode and decode into caller buffers (`*_into`), and a relay
 //!   re-encodes only the base header ([`iphc::parse`],
 //!   [`iphc::encode_relay`]); see [`iphc`]'s buffer-writing forms.
-//! * [`frag`] — fragmentation and reassembly (RFC 4944 §5.3), needed on
-//!   802.15.4 whose 127 B frames cannot carry a full 1280 B IPv6 MTU.
-//!   (Over BLE, RFC 7668 forbids 6LoWPAN fragmentation — L2CAP
-//!   segmentation does the job; our BLE path therefore never uses
-//!   [`frag`], exactly like the paper's.)
 //!
-//! ## Scope and deviations
+//! ## Scope
 //!
 //! Compression is stateless (no context identifiers): the paper's
 //! experiments use link-local addressing on every hop, where stateless
-//! IPHC already reaches maximal compression. On the fragmentation path,
-//! `datagram_size`/`datagram_offset` describe the byte stream actually
-//! fragmented (the compressed datagram) rather than the uncompressed
-//! size; both ends of this implementation agree on that framing, and no
-//! experiment depends on interop with foreign stacks.
+//! IPHC already reaches maximal compression. There is no 6LoWPAN
+//! fragmentation: over BLE, L2CAP segments instead (RFC 7668), and the
+//! paper sizes every packet to fit one 802.15.4 frame (§4.3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod frag;
 pub mod iphc;
 pub mod nhc;
 
@@ -102,8 +94,6 @@ pub enum Error {
     Unsupported,
     /// Not an IPv6 packet (version nibble ≠ 6) or inconsistent lengths.
     Malformed,
-    /// Reassembly failure (overlap, size mismatch, tag reuse).
-    BadFragment,
 }
 
 #[cfg(test)]

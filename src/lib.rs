@@ -15,7 +15,7 @@
 //! | [`phy`] | `mindgap-phy` | radio medium: channels, airtime, collisions, noise |
 //! | [`ble`] | `mindgap-ble` | BLE link layer: connections, CSA#2, ARQ, adv/scan |
 //! | [`l2cap`] | `mindgap-l2cap` | LE credit-based channels, mbuf pool |
-//! | [`sixlowpan`] | `mindgap-sixlowpan` | IPHC, UDP NHC, fragmentation |
+//! | [`sixlowpan`] | `mindgap-sixlowpan` | IPHC, UDP NHC |
 //! | [`net`] | `mindgap-net` | IPv6, UDP, ICMPv6, static routing |
 //! | [`coap`] | `mindgap-coap` | CoAP codec and endpoints |
 //! | [`dot15d4`] | `mindgap-dot15d4` | IEEE 802.15.4 CSMA/CA baseline |

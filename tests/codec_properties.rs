@@ -10,7 +10,7 @@ use mindgap::ble::pdu::{DataPdu, Llid};
 use mindgap::coap::{Code, Message, MessageView, MsgType, OptionNumber};
 use mindgap::net::{udp, Ipv6Addr, Ipv6Header, NextHeader};
 use mindgap::sim::Rng;
-use mindgap::sixlowpan::{frag, iphc, LinkContext, LlAddr};
+use mindgap::sixlowpan::{iphc, LinkContext, LlAddr};
 
 const CASES: u64 = 64;
 
@@ -222,33 +222,6 @@ fn iphc_relay_matches_recompression() {
         relayed += 1;
     }
     assert_eq!(relayed, 3 * CASES, "every own frame relays");
-}
-
-/// Fragmentation reassembles any datagram at any viable MTU, even
-/// with fragments delivered in reverse.
-#[test]
-fn fragmentation_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0xC0DE_C006 ^ case);
-        let datagram: Vec<u8> = {
-            let n = rng.range_inclusive(1, 1499) as usize;
-            (0..n).map(|_| rng.below(256) as u8).collect()
-        };
-        let mtu = rng.range_inclusive(50, 127) as usize;
-        let tag = rng.below(1 << 16) as u16;
-        let reverse = rng.chance(0.5);
-        let mut frames = frag::fragment(&datagram, tag, mtu);
-        if reverse {
-            frames.reverse();
-        }
-        let mut r = frag::Reassembler::new(u64::MAX);
-        let mut out = None;
-        for f in &frames {
-            assert!(f.len() <= mtu);
-            out = r.on_fragment(9, f, 0).expect("valid fragment").or(out);
-        }
-        assert_eq!(out.expect("complete"), datagram);
-    }
 }
 
 /// CoAP encode → decode identity for arbitrary messages.
