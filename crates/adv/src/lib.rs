@@ -464,21 +464,12 @@ impl AdvLink {
     /// Load the next train from the queue (or a beacon) and transmit
     /// its first step.
     fn begin_train(&mut self, now: Instant, out: &mut Vec<AdvOut>) {
-        let pending = if let Some(front) = self.queue.first() {
-            PendingTrain {
-                dst: front.dst,
-                seq: front.seq,
-                payload: front.payload.clone(),
-                beacon: false,
-            }
-        } else {
-            PendingTrain {
-                dst: Frame::ADV_BROADCAST,
-                seq: self.alloc_seq(),
-                payload: Vec::new(),
-                beacon: true,
-            }
-        };
+        let pending = self.front_train().unwrap_or_else(|| PendingTrain {
+            dst: Frame::ADV_BROADCAST,
+            seq: self.alloc_seq(),
+            payload: Vec::new(),
+            beacon: true,
+        });
         if !self.in_train {
             // Half-duplex: suspend the scan window for the train.
             self.close_listen(now);
@@ -541,21 +532,22 @@ impl AdvLink {
             // Back-to-back train after one inter-frame space.
             self.train_step = 0;
             self.arm_global(now + airtime::T_IFS, AdvTimerKind::TrainStep(0), out);
-            // TrainStep(0) rebuilds `current` from the queue front.
-            self.reload_current();
+            // TrainStep(0) transmits the new queue front.
+            self.current = self.front_train();
             return;
         }
         self.in_train = false;
         self.resume_listen(now, out);
     }
 
-    fn reload_current(&mut self) {
-        self.current = self.queue.first().map(|front| PendingTrain {
+    /// The queue front as a train to transmit, if anything is queued.
+    fn front_train(&self) -> Option<PendingTrain> {
+        self.queue.first().map(|front| PendingTrain {
             dst: front.dst,
             seq: front.seq,
             payload: front.payload.clone(),
             beacon: false,
-        });
+        })
     }
 
     fn arm_global(&mut self, at: Instant, kind: AdvTimerKind, out: &mut Vec<AdvOut>) {

@@ -144,7 +144,6 @@ pub enum TimerKind {
 
 impl TimerKind {
     /// The connection this timer belongs to, if it is conn-scoped.
-    /// Lets the world cancel a dead connection's pending timers.
     pub fn conn(&self) -> Option<ConnId> {
         match *self {
             TimerKind::EventPrep(c)

@@ -54,7 +54,7 @@ use mindgap_phy::{
     path_loss, Channel, LossConfig, Medium, MediumConfig, Mobility, RxOutcome, TxId, TxParams,
     BLE_JAMMED_CHANNEL, CHANNEL_TABLE_SIZE,
 };
-use mindgap_sim::{Clock, Duration, EventQueue, Instant, NodeId, Rng, ScheduledEvent, Trace};
+use mindgap_sim::{Clock, Duration, EventQueue, Instant, NodeId, Rng, Trace};
 use mindgap_sixlowpan::{iphc, LinkContext, LlAddr};
 
 use crate::ieee::IeeeConfig;
@@ -267,7 +267,10 @@ fn node_key(node: NodeId) -> u32 {
 
 /// Events in the world's queue.
 enum Ev {
-    LlTimer(NodeId, Timer),
+    /// Link-layer timer, epoch-stamped like [`Ev::AppSend`]: a rebuilt
+    /// link layer restarts its generation counters at 0, so without
+    /// the epoch a pre-crash timer could pass for one of its own.
+    LlTimer(NodeId, u32, Timer),
     /// End of a frame on air, whatever its link; carries the
     /// in-flight slab slot.
     TxEnd(usize),
@@ -283,8 +286,9 @@ enum Ev {
     Fault(u32),
     /// Clear (or, for crashes, reboot after) fault `i`.
     FaultClear(u32),
-    /// Advertising-transport timer (adv mode only).
-    AdvTimer(NodeId, AdvTimer),
+    /// Advertising-transport timer (adv mode only), epoch-stamped
+    /// like [`Ev::LlTimer`].
+    AdvTimer(NodeId, u32, AdvTimer),
     /// Peer-manager policy evaluation, all nodes in index order
     /// (peers mode only).
     PeersTick,
@@ -294,6 +298,10 @@ enum Ev {
     /// 802.15.4 MAC timer (802.15.4 worlds only).
     MacTimer(NodeId, MacTimer),
 }
+
+// Every queue entry carries an `Ev` inline, so its size is paid on
+// every schedule, every move between the queue's tiers and every pop.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 /// A frame on air: a BLE PDU (connection or advertising link) or an
 /// 802.15.4 MAC frame.
@@ -548,12 +556,6 @@ pub struct World {
     /// Installed fault script plus per-fault scratch (`None` ⇒ no
     /// chaos: the hot path carries no cost beyond this check).
     chaos: Option<Box<ChaosState>>,
-    /// Pending LL timer tokens per node, tagged with the owning
-    /// connection (`None` = advertising/scanning timers). Lets conn
-    /// teardown and node crashes cancel dead timers at the queue
-    /// instead of leaking them into the far future. Adv-transport
-    /// timers are tracked here too (always `None`-tagged).
-    ll_timers: Vec<Vec<(Option<ConnId>, ScheduledEvent)>>,
     /// Advertising-transport metric ids; registered only in adv mode
     /// so connection-mode metric exports are byte-identical.
     adv_m: Option<AdvMetrics>,
@@ -800,7 +802,6 @@ impl World {
             down: vec![false; n],
             reboot_rng: Rng::seed_from_u64(cfg.seed ^ 0xC4A0_5BAD_F00D_0001),
             chaos: None,
-            ll_timers: vec![Vec::new(); n],
             adv_m,
             peer_m,
             peers_world,
@@ -994,7 +995,10 @@ impl World {
     /// connections "at the same time" get the same ids no matter
     /// which one the event loop happens to run first. (The `+ 1` keeps
     /// world-assigned ids disjoint from the hand-rolled small ids
-    /// unit tests construct.)
+    /// unit tests construct.) An id is never handed out twice, not
+    /// even after its initiator reboots (`next_conn` outlives
+    /// crashes), so the timers a torn-down connection leaves queued
+    /// can never act on a later one.
     fn alloc_conn(&mut self, node: NodeId, peer: NodeId) -> ConnId {
         let slot = self.next_conn[node.index()];
         self.next_conn[node.index()] += 1;
@@ -1268,8 +1272,10 @@ impl World {
         };
         self.events += 1;
         match ev {
-            Ev::LlTimer(node, timer) => {
-                self.with_ll(node, |ll, outs| ll.on_timer(now, timer, outs))
+            Ev::LlTimer(node, epoch, timer) => {
+                if epoch == self.boot_epoch[node.index()] {
+                    self.with_ll(node, |ll, outs| ll.on_timer(now, timer, outs))
+                }
             }
             Ev::TxEnd(slot) => self.tx_end(now, slot),
             Ev::AppSend(node, epoch) => {
@@ -1298,8 +1304,10 @@ impl World {
             }
             Ev::Fault(i) => self.inject_fault(now, i),
             Ev::FaultClear(i) => self.clear_fault(now, i),
-            Ev::AdvTimer(node, timer) => {
-                self.with_adv(node, |adv, outs| adv.on_timer(now, timer, outs))
+            Ev::AdvTimer(node, epoch, timer) => {
+                if epoch == self.boot_epoch[node.index()] {
+                    self.with_adv(node, |adv, outs| adv.on_timer(now, timer, outs))
+                }
             }
             Ev::PeersTick => self.peers_tick(now),
             Ev::MobilityTick => self.mobility_tick(),
@@ -1632,13 +1640,12 @@ impl World {
         for o in outputs.drain(..) {
             match o {
                 Output::Arm { at, timer } => {
-                    let conn = timer.kind.conn();
-                    let tok = self.queue.schedule_at_keyed(
+                    let epoch = self.boot_epoch[node.index()];
+                    self.queue.schedule_at_keyed(
                         at.max(now),
                         node_key(node),
-                        Ev::LlTimer(node, timer),
+                        Ev::LlTimer(node, epoch, timer),
                     );
-                    self.track_ll_timer(node, conn, tok);
                 }
                 Output::Tx { channel, frame } => {
                     self.begin_tx(now, node, channel, AirFrame::Ble(frame));
@@ -1796,12 +1803,12 @@ impl World {
         for o in outs {
             match o {
                 AdvOut::Arm { at, timer } => {
-                    let tok = self.queue.schedule_at_keyed(
+                    let epoch = self.boot_epoch[node.index()];
+                    self.queue.schedule_at_keyed(
                         at.max(now),
                         node_key(node),
-                        Ev::AdvTimer(node, timer),
+                        Ev::AdvTimer(node, epoch, timer),
                     );
-                    self.track_ll_timer(node, None, tok);
                 }
                 AdvOut::Tx { channel, frame } => {
                     self.begin_tx(now, node, channel, AirFrame::Ble(frame));
@@ -1936,11 +1943,9 @@ impl World {
 
     fn conn_down(&mut self, node: NodeId, conn: ConnId, peer: NodeId, reason: LossReason) {
         let now = self.queue.now();
-        // The LL forgot this connection: cancel its pending timers at
-        // the queue instead of letting them fire into nothing (they
-        // would otherwise sit until their deadline — for supervision
-        // timers, potentially seconds of dead weight per churn).
-        self.cancel_conn_timers(node, conn);
+        // The LL forgot this connection. Its timers still queued stay
+        // there and pop as no-ops: the LL no longer finds `conn`, and
+        // `alloc_conn` never hands the id out again.
         self.trace.emit();
         self.obs.reg.inc(self.obs.m.ll_conn_lost, node);
         if reason == LossReason::SupervisionTimeout {
@@ -2057,47 +2062,6 @@ impl World {
         for node in [a, b] {
             self.with_ll(node, |ll, outs| ll.close(conn, now, outs));
         }
-    }
-
-    /// Test probe: tracked, still-pending LL timers `node` holds for
-    /// `conn`. Once the connection is gone at `node` (torn down, or the
-    /// node crashed) this must be zero — a positive count is the timer
-    /// leak the teardown path used to have.
-    #[doc(hidden)]
-    pub fn live_conn_timers(&self, node: NodeId, conn: ConnId) -> usize {
-        self.ll_timers[node.index()]
-            .iter()
-            .filter(|(c, tok)| *c == Some(conn) && self.queue.token_is_live(*tok))
-            .count()
-    }
-
-    /// Remember a pending LL timer so teardown can cancel it. The
-    /// list self-prunes dead tokens once it grows past the working
-    /// set, keeping it bounded by the node's genuinely live timers.
-    fn track_ll_timer(&mut self, node: NodeId, conn: Option<ConnId>, tok: ScheduledEvent) {
-        let World {
-            ll_timers, queue, ..
-        } = &mut *self;
-        let list = &mut ll_timers[node.index()];
-        if list.len() >= 32 {
-            list.retain(|&(_, t)| queue.token_is_live(t));
-        }
-        list.push((conn, tok));
-    }
-
-    /// Cancel every tracked timer of `conn` on `node` (and drop any
-    /// stale entries encountered along the way).
-    fn cancel_conn_timers(&mut self, node: NodeId, conn: ConnId) {
-        let World {
-            ll_timers, queue, ..
-        } = &mut *self;
-        ll_timers[node.index()].retain(|&(c, tok)| {
-            if c == Some(conn) {
-                queue.cancel(tok);
-                return false;
-            }
-            queue.token_is_live(tok)
-        });
     }
 
     // ------------------------------------------------------------------

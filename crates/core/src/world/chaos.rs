@@ -167,22 +167,13 @@ impl World {
     fn crash_node(&mut self, id: NodeId) {
         let i = id.index();
         assert!(!self.down[i], "node {} crashed while already down", id.0);
-        // Cancel every pending LL timer: the rebuilt link layer
-        // restarts its generation counters at zero, so a stale queued
-        // timer could masquerade as a fresh one.
-        {
-            let World {
-                ll_timers, queue, ..
-            } = &mut *self;
-            for (_, tok) in ll_timers[i].drain(..) {
-                queue.cancel(tok);
-            }
-        }
         if let Some((_, ch, _, _)) = self.listening[i] {
             self.index_listen_off(id, ch);
             self.listening[i] = None;
         }
         self.down[i] = true;
+        // The node's queued timers stay queued; the new epoch turns
+        // each into a no-op when it pops (see `Ev::LlTimer`).
         self.boot_epoch[i] = self.boot_epoch[i].wrapping_add(1);
         // Rebuild the node from its static config. RNG streams come
         // from the dedicated reboot stream so fault-free runs are

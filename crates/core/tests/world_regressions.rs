@@ -88,51 +88,59 @@ fn mbuf_pool_does_not_leak_across_connection_churn() {
     );
 }
 
-/// Regression: link-layer timers must die with their connection.
-/// Teardown once left armed timers queued after `conn_down` — the
-/// supervision timer in particular sits up to seconds in the future,
-/// so every churned connection parked a dead event in the queue, and
-/// a node rebuilt after a crash (whose fresh LL restarts generation
-/// counters) could mistake a stale timer for its own.
+/// Conn ids are world-unique for the whole run: once a connection has
+/// left a node, its id never comes back to that node, not across
+/// reconnect attempts and not after a crash and reboot of the
+/// initiator. The queue keeps a torn-down connection's timers until
+/// they pop, and this is what keeps them from acting on a later
+/// connection. The middle link breaks at 30 s (supervision loss, then
+/// reconnect attempts that mint fresh ids and fail while the link
+/// stays dark), node 1, the initiator of its connection to node 0,
+/// crashes at 40 s for 5 s, and the link comes back at 60 s.
 #[test]
-fn connection_teardown_cancels_pending_timers() {
+fn conn_ids_are_never_reused() {
     use mindgap_ble::ConnId;
+    use mindgap_chaos::FaultSchedule;
+    use std::collections::HashSet;
     let mut w = line3(19);
+    w.install_faults(&FaultSchedule::new().node_crash(
+        Duration::from_secs(40),
+        1,
+        Duration::from_secs(5),
+    ));
     w.run_until(Instant::from_secs(30));
-    // Sever the middle link.
     w.break_link(NodeId(1), NodeId(2));
-    // Step past the supervision timeout and on through reconnect
-    // attempts that mint fresh conn ids and fail while the link stays
-    // dark. Every 50 ms, no node holds a pending timer of a connection
-    // it no longer has: a leaked event timer stays queued for up to
-    // one interval, a leaked supervision timer for seconds.
+    let mut held: Vec<HashSet<ConnId>> = vec![HashSet::new(); 3];
+    let mut left: Vec<HashSet<ConnId>> = vec![HashSet::new(); 3];
     for step in 1..=1_000u64 {
-        w.run_until(Instant::from_millis(30_000 + step * 50));
-        // World-assigned ids are `(initiator + 1) << 32 | slot`, slots
-        // handed out in order from 0 per initiator.
-        for n in 0..3u16 {
-            let live: Vec<ConnId> = w
-                .conn_stats_of(NodeId(n))
+        let ms = 30_000 + step * 50;
+        if ms == 60_000 {
+            w.restore_link(NodeId(1), NodeId(2));
+        }
+        w.run_until(Instant::from_millis(ms));
+        for n in 0..3 {
+            let now: HashSet<ConnId> = w
+                .conn_stats_of(NodeId(n as u16))
                 .into_iter()
                 .map(|(c, ..)| c)
                 .collect();
-            for initiator in 0..3u64 {
-                for slot in 0..32 {
-                    let c = ConnId(((initiator + 1) << 32) | slot);
-                    if !live.contains(&c) {
-                        assert_eq!(
-                            w.live_conn_timers(NodeId(n), c),
-                            0,
-                            "node {n} still holds timers of dead conn {c:?} — teardown leak"
-                        );
-                    }
-                }
+            if let Some(c) = now.intersection(&left[n]).next() {
+                panic!("node {n} holds conn {c:?} again at {ms} ms after it left");
             }
+            left[n].extend(held[n].difference(&now));
+            held[n] = now;
         }
     }
+    // The crash took node 1's connection to node 0 down at both ends,
+    // and the link break the one to node 2.
+    let gone: Vec<usize> = left.iter().map(HashSet::len).collect();
     assert!(
-        !w.records().conn_losses.is_empty(),
-        "link break must kill the conn"
+        gone[0] >= 1 && gone[1] >= 2 && gone[2] >= 1,
+        "connections that left each node: {gone:?}"
+    );
+    assert!(
+        held.iter().all(|h| !h.is_empty()),
+        "every node reconnects: {held:?}"
     );
 }
 

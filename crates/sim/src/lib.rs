@@ -79,7 +79,7 @@ mod trace;
 
 pub use clock::Clock;
 pub use pool::BytePool;
-pub use queue::{EventQueue, ScheduledEvent};
+pub use queue::EventQueue;
 pub use rng::Rng;
 pub use time::{Duration, Instant};
 pub use trace::{Trace, TRACE_BUDGET};

@@ -349,8 +349,9 @@ fn result_fingerprint(r: &mindgap_campaign::JobResult) -> u64 {
 
 /// Golden serial output at seed 42: the event count and a fingerprint
 /// of each run's campaign result must equal the values pinned here.
-/// The cells span both BLE transports, the 802.15.4 baseline, a crash
-/// mid-run (on each BLE transport), clock drift on an advertising node
+/// The cells span both BLE transports, the 802.15.4 baseline, a 5 s
+/// crash and two 1 ms crashes mid-run (each on both BLE transports),
+/// clock drift on an advertising node
 /// and the widest determinism surface (peers mode: cold
 /// start, discovery, mobility and a crash burst). Every other test
 /// here compares two runs of the same build; this one catches a
@@ -391,14 +392,25 @@ fn serial_output_matches_golden_fingerprints() {
         spec.warmup = Duration::from_secs(60);
         spec.with_peers_mobility()
     };
+    // Two 1 ms crashes: the node reboots while timers it armed before
+    // each crash are still queued, so only their boot epoch keeps them
+    // out of the rebuilt link. The second lands while it re-forms its
+    // edges, so advertising and scanning timers are among them; their
+    // generations restart at 0 with the link and could pass for fresh.
+    let blip = || {
+        let ms = Duration::from_millis(1);
+        FaultSchedule::new()
+            .node_crash(Duration::from_secs(40), 1, ms)
+            .node_crash(Duration::from_secs(41), 1, ms)
+    };
     type Runner = fn(&ExperimentSpec) -> ExperimentResult;
     // (cell, runner, spec, events_processed, result fingerprint)
-    let cells: [(_, Runner, _, _, _); 6] = [
+    let cells: [(_, Runner, _, _, _); 8] = [
         (
             "conn-tree",
             run_ble,
             tree(),
-            149_237u64,
+            149_239u64,
             0xa726_5f3d_e82a_eebd_u64,
         ),
         (
@@ -416,7 +428,7 @@ fn serial_output_matches_golden_fingerprints() {
                 1,
                 Duration::from_secs(5),
             )),
-            148_365,
+            148_378,
             0xb247_f5af_5100_391d,
         ),
         (
@@ -427,17 +439,31 @@ fn serial_output_matches_golden_fingerprints() {
                     .node_crash(Duration::from_secs(40), 1, Duration::from_secs(5))
                     .clock_drift(Duration::from_secs(50), 2, 40.0),
             ),
-            222_426,
+            222_429,
             0xe0f4_1d64_8825_8f24,
         ),
         (
             "peers-churn-walk",
             run_ble,
             churn(),
-            1_065_488,
+            1_065_555,
             0x6ba2_ebbe_1282_a08b,
         ),
         ("ieee-tree", run_ieee, tree(), 37_200, 0x7eb5_7e23_7b8c_1be6),
+        (
+            "conn-blip",
+            run_ble,
+            tree().with_faults(blip()),
+            149_003,
+            0xd22b_c85a_34bf_bb14,
+        ),
+        (
+            "adv-blip",
+            run_ble,
+            tree().with_adv_transport().with_faults(blip()),
+            223_675,
+            0xbdd3_1534_940e_5762,
+        ),
     ];
     let mut got = Vec::new();
     let mut want = Vec::new();
